@@ -980,46 +980,33 @@ let run_kernel_rewrite o =
   let sink = ref 0. in
   let keep w = sink := !sink +. Pwl.last_x w in
   let keepb b = if b then sink := !sink +. 1. in
-  (* Envelope memoisation (Envelope_builder.of_directed_memo): the
-     exact re-ranking loops re-evaluate nearby coupling sets, which
-     rebuild mostly identical aggressor envelopes pass after pass; a
-     memo shared across runs turns those into table hits. Old = fresh
-     envelopes on every fixpoint run, new = one memo shared across all
-     runs of the block. Results are bitwise-identical by construction
-     and asserted so here. *)
-  let memo_nl = B.generate { validation_spec with B.sp_name = "kmemo" } in
-  let memo_topo = Topo.create memo_nl in
-  let memo_sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
-  let memo = Tka_noise.Envelope_builder.create_memo () in
+  (* Shared re-ranking context (Iterate.context): the exact re-ranking
+     loops score many nearby coupling sets, which share the noiseless
+     base STA and most victim evaluations. Old = a fresh Iterate.run
+     per set, new = every set scored through one ctx kept across the
+     block. Results are bitwise-identical by construction and asserted
+     so here. *)
+  let rerank_nl = B.generate { validation_spec with B.sp_name = "kmemo" } in
+  let rerank_topo = Topo.create rerank_nl in
+  let rerank_sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
+  let rerank_ctx = Iterate.context rerank_topo in
+  let rerank_delay ?ctx s =
+    Iterate.circuit_delay (Iterate.run ~active:(CS.contains_fn s) ?ctx rerank_topo)
+  in
   List.iter
     (fun s ->
-      let delay em =
-        Iterate.circuit_delay
-          (Iterate.run ~active:(CS.contains_fn s) ?env_memo:em memo_topo)
-      in
-      if not (Float.equal (delay None) (delay (Some memo))) then
-        failwith "envelope_memo kernel: memoised delay differs from fresh")
-    memo_sets;
+      if not (Float.equal (rerank_delay s) (rerank_delay ~ctx:rerank_ctx s)) then
+        failwith "rerank_ctx kernel: shared-ctx delay differs from fresh")
+    rerank_sets;
   let kernels =
     [
-      ( "envelope_memo",
+      ( "rerank_ctx",
         (fun () ->
-          List.iter
-            (fun s ->
-              sink :=
-                !sink
-                +. Iterate.circuit_delay
-                     (Iterate.run ~active:(CS.contains_fn s) memo_topo))
-            memo_sets),
+          List.iter (fun s -> sink := !sink +. rerank_delay s) rerank_sets),
         fun () ->
           List.iter
-            (fun s ->
-              sink :=
-                !sink
-                +. Iterate.circuit_delay
-                     (Iterate.run ~active:(CS.contains_fn s) ~env_memo:memo
-                        memo_topo))
-            memo_sets );
+            (fun s -> sink := !sink +. rerank_delay ~ctx:rerank_ctx s)
+            rerank_sets );
       ( "dominates",
         (fun () ->
           for i = 0 to ne - 1 do

@@ -10,12 +10,12 @@
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  memo : Tka_noise.Envelope_builder.memo;
-      (** shared envelope cache for the exact re-ranking below: the
-          recombination pool evaluates many near-identical coupling
-          sets, whose aggressor windows — and hence envelopes — recur
-          verbatim. Purity keeps memoised scores bitwise identical to
-          unmemoised ones. Not thread-safe: re-rank a given [t] from
+  ctx : Tka_noise.Iterate.ctx;
+      (** shared by the exact re-ranking below ({!Tka_noise.Iterate.ctx}):
+          the recombination pool evaluates many near-identical coupling
+          sets, which share the noiseless base and most victim
+          evaluations. Scores through it are bitwise identical to
+          {!evaluate_set}. Not thread-safe: re-rank a given [t] from
           one thread at a time. *)
 }
 
@@ -40,8 +40,14 @@ val candidates : t -> int -> Coupling_set.t list
 (** The engine's retained sink candidates for cardinality i, best first
     by the first-order score. *)
 
+val pool : t -> int -> Coupling_set.t list
+(** Every set {!best_choice} scores for cardinality i: {!candidates}
+    then their bounded recombination ({!Refine.subsets}),
+    deduplicated. *)
+
 val best_choice : t -> int -> (Coupling_set.t * float) option
-(** The exact-evaluation winner among {!candidates}, with its delay. *)
+(** The exact-evaluation winner of {!pool} (the first strictly
+    greatest delay), with its delay. *)
 
 val estimated_delay : t -> int -> float
 (** Engine estimate: noiseless delay + predicted noise of the set. *)
@@ -53,6 +59,10 @@ val evaluate : t -> int -> float
 
 val evaluate_set : Tka_circuit.Topo.t -> Coupling_set.t -> float
 (** Exact delay for an arbitrary addition set. *)
+
+val score : t -> Coupling_set.t -> float
+(** {!evaluate_set} on [t]'s topology through the shared [ctx]:
+    bitwise the same delay, faster over many nearby sets. *)
 
 val evaluate_curve :
   t -> ks:int list -> (int * Coupling_set.t * float) list

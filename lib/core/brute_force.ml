@@ -91,8 +91,11 @@ let consider ~better best set d =
 
 (* One domain's share: scan ranks [rank, rank + count), tracking the
    local best / evaluation count / completion under the shared wall
-   clock deadline. Pure apart from [delay_of] (itself pure). *)
-let scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of (rank, count) =
+   clock deadline. Every set of the range is scored through one
+   re-ranking ctx of its own: a ctx never crosses domains, and the
+   scores are the same bits as fresh evaluations. *)
+let scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of topo (rank, count) =
+  let ctx = Iterate.context topo in
   let best = ref None in
   let evaluated = ref 0 in
   let completed = ref true in
@@ -103,7 +106,7 @@ let scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of (rank, count) =
       end
       else begin
         let set = Coupling_set.of_list ids in
-        let d = delay_of set in
+        let d = delay_of ctx set in
         incr evaluated;
         consider ~better best set d;
         true
@@ -122,7 +125,7 @@ let run ~budget_s ~k ~better ~delay_of topo =
   let use_parallel = jobs > 1 && total < max_int && total >= 2 * jobs in
   let best, evaluated, completed =
     if not use_parallel then
-      scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of (0, total)
+      scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of topo (0, total)
     else begin
       let per = max 1 (total / (jobs * 4)) in
       let chunks =
@@ -134,7 +137,7 @@ let run ~budget_s ~k ~better ~delay_of topo =
       in
       let results =
         Pool.map ~chunk:1 pool
-          (scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of)
+          (scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of topo)
           chunks
       in
       (* Ordered reduction in rank order: merging local bests with the
@@ -167,13 +170,15 @@ let run ~budget_s ~k ~better ~delay_of topo =
   }
 
 let addition ?(budget_s = 60.) ~k topo =
-  let delay_of set =
-    Iterate.circuit_delay (Iterate.run ~active:(Coupling_set.contains_fn set) topo)
+  let delay_of ctx set =
+    Iterate.circuit_delay
+      (Iterate.run ~active:(Coupling_set.contains_fn set) ~ctx topo)
   in
   run ~budget_s ~k ~better:(fun d bd -> d > bd) ~delay_of topo
 
 let elimination ?(budget_s = 60.) ~k topo =
-  let delay_of set =
-    Iterate.circuit_delay (Iterate.run ~active:(Coupling_set.excludes_fn set) topo)
+  let delay_of ctx set =
+    Iterate.circuit_delay
+      (Iterate.run ~active:(Coupling_set.excludes_fn set) ~ctx topo)
   in
   run ~budget_s ~k ~better:(fun d bd -> d < bd) ~delay_of topo

@@ -13,8 +13,10 @@
     combinatorial number system) scanned concurrently and merged by an
     ordered reduction, so a completed run returns exactly the subset the
     sequential scan would — the lexicographically first one achieving
-    the optimal delay — at any jobs count. Runtimes are monotonic
-    wall-clock seconds ({!Tka_obs.Clock}). *)
+    the optimal delay — at any jobs count. Each rank range scores its
+    subsets through one {!Tka_noise.Iterate.ctx} of its own (never
+    shared across domains; scores bit-identical to fresh runs).
+    Runtimes are monotonic wall-clock seconds ({!Tka_obs.Clock}). *)
 
 type outcome = {
   bf_set : Coupling_set.t option;  (** best subset found, [None] if none finished *)

@@ -173,6 +173,17 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
+let dedup sets =
+  let seen = Tbl.create 16 in
+  List.filter
+    (fun s ->
+      if Tbl.mem seen s then false
+      else begin
+        Tbl.replace seen s ();
+        true
+      end)
+    sets
+
 let fold f t acc = Array.fold_left (fun acc c -> f c acc) acc t
 let iter = Array.iter
 let exists = Array.exists

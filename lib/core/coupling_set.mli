@@ -45,6 +45,9 @@ module Tbl : Hashtbl.S with type key = t
 (** Hashtables keyed directly by coupling sets ({!hash}/{!equal}),
     replacing the string-keyed dedupe tables. *)
 
+val dedup : t list -> t list
+(** Drop repeated sets, keeping each first occurrence in order. *)
+
 val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (elt -> unit) -> t -> unit
 val exists : (elt -> bool) -> t -> bool

@@ -10,9 +10,9 @@
 type t = {
   result : Engine.result;
   topo : Tka_circuit.Topo.t;
-  memo : Tka_noise.Envelope_builder.memo;
-      (** shared envelope cache for the exact re-ranking — see
-          {!Addition.t}; sequential use only *)
+  ctx : Tka_noise.Iterate.ctx;
+      (** shared by the exact re-ranking — see {!Addition.t};
+          sequential use only *)
   dual : Engine.result;
       (** the addition-mode enumeration of the same circuit — the
           paper's dual problem. Strong noise contributors are prime
@@ -51,9 +51,14 @@ val candidates : t -> int -> Coupling_set.t list
 val estimated_delay : t -> int -> float
 (** Engine estimate: noisy delay − predicted benefit. *)
 
+val pool : t -> int -> Coupling_set.t list
+(** Every set {!best_choice} scores for cardinality i: {!candidates}
+    then the bounded recombination ({!Refine.subsets}) of their
+    members and the dual engine's, deduplicated. *)
+
 val best_choice : t -> int -> (Coupling_set.t * float) option
-(** The better of {!set} and {!dual_set} for cardinality i, with its
-    exact evaluated delay. *)
+(** The exact-evaluation winner of {!pool} (the first strictly
+    smallest delay), with its delay. *)
 
 val evaluate : t -> int -> float
 (** Exact circuit delay with the better of {!set} and {!dual_set}
@@ -61,6 +66,10 @@ val evaluate : t -> int -> float
     to the all-aggressor delay when no set exists. *)
 
 val evaluate_set : Tka_circuit.Topo.t -> Coupling_set.t -> float
+(** Exact delay with an arbitrary set removed. *)
+
+val score : t -> Coupling_set.t -> float
+(** {!evaluate_set} on [t]'s topology through the shared [ctx]. *)
 
 val evaluate_curve :
   t -> ks:int list -> (int * Coupling_set.t * float) list

@@ -11,19 +11,30 @@ let set_lines nl s =
         (N.net nl d.CN.dc_victim).N.net_name c.N.coupling_cap)
     (Coupling_set.to_list s)
 
-let generic ~label ~noiseless ~noisy ~set ~estimated ~evaluate nl ks =
+(* [choice k] is the exact re-ranking winner and its delay; each k is
+   scored once, so the printed set is the one the delay belongs to. *)
+let generic ~label ~noiseless ~noisy ~choice ~estimated nl ks =
+  let chosen = Hashtbl.create 8 in
+  let choice k =
+    match Hashtbl.find_opt chosen k with
+    | Some c -> c
+    | None ->
+      let c = choice k in
+      Hashtbl.replace chosen k c;
+      c
+  in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "%s analysis of %s: noiseless %.4f ns, all-aggressor %.4f ns\n"
        label (N.name nl) noiseless noisy);
   List.iter
     (fun k ->
-      match set k with
+      match choice k with
       | None -> Buffer.add_string buf (Printf.sprintf "top-%d: (no candidate)\n" k)
-      | Some s ->
+      | Some (s, d) ->
         Buffer.add_string buf
           (Printf.sprintf "top-%d: estimated %.4f ns, evaluated %.4f ns\n" k
-             (estimated k) (evaluate k));
+             (estimated k) d);
         List.iter
           (fun l -> Buffer.add_string buf (l ^ "\n"))
           (set_lines nl s))
@@ -32,29 +43,13 @@ let generic ~label ~noiseless ~noisy ~set ~estimated ~evaluate nl ks =
 
 let addition nl (t : Addition.t) ~ks =
   generic ~label:"Top-k addition" ~noiseless:(Addition.noiseless_delay t)
-    ~noisy:(Addition.all_aggressor_delay t) ~set:(Addition.set t)
-    ~estimated:(Addition.estimated_delay t) ~evaluate:(Addition.evaluate t) nl ks
+    ~noisy:(Addition.all_aggressor_delay t) ~choice:(Addition.best_choice t)
+    ~estimated:(Addition.estimated_delay t) nl ks
 
 let elimination nl (t : Elimination.t) ~ks =
-  (* print the set that the evaluated delay actually belongs to *)
-  let memo = Hashtbl.create 8 in
-  let choice k =
-    match Hashtbl.find_opt memo k with
-    | Some c -> c
-    | None ->
-      let c = Elimination.best_choice t k in
-      Hashtbl.replace memo k c;
-      c
-  in
   generic ~label:"Top-k elimination" ~noiseless:(Elimination.noiseless_delay t)
-    ~noisy:(Elimination.all_aggressor_delay t)
-    ~set:(fun k -> Option.map fst (choice k))
-    ~estimated:(Elimination.estimated_delay t)
-    ~evaluate:(fun k ->
-      match choice k with
-      | Some (_, d) -> d
-      | None -> Elimination.all_aggressor_delay t)
-    nl ks
+    ~noisy:(Elimination.all_aggressor_delay t) ~choice:(Elimination.best_choice t)
+    ~estimated:(Elimination.estimated_delay t) nl ks
 
 let csv ~estimated ~evaluate ks =
   let buf = Buffer.create 256 in

@@ -21,10 +21,9 @@ type memo
     the exact aggressor window (all four floats). Purity makes a hit
     bitwise-identical to recomputation, so memoised and unmemoised
     analyses agree exactly. NOT thread-safe: confine a memo to one
-    sequential analysis (the exact re-ranking loops of
-    [Tka_topk.Addition]/[Elimination], which evaluate hundreds of
-    candidate sets over near-identical window sets, are the intended
-    user). *)
+    sequential analysis (the shared {!Iterate.ctx} of the exact
+    re-ranking loops, which evaluate hundreds of candidate sets over
+    near-identical window sets, is the intended user). *)
 
 val create_memo : unit -> memo
 

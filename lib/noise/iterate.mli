@@ -31,25 +31,42 @@ type t = {
   converged : bool;
 }
 
+type ctx
+(** State shared by many {!run}s on one topology, for the exact
+    re-ranking loops that score hundreds of nearby coupling sets: the
+    noiseless base STA, each victim's all-aggressor list, an envelope
+    memo ({!Envelope_builder.memo}) and a victim-noise memo keyed by
+    every input of {!Victim_noise.delay_noise} (victim id, LAT, late
+    slew, own noise, and each active aggressor's directed id and full
+    window), compared bit for bit. Results through a ctx are
+    bitwise-identical to results without one. Built lazily on first
+    use. NOT thread-safe: confine a ctx to one sequential loop, one
+    domain. *)
+
+val context : Tka_circuit.Topo.t -> ctx
+
 val run :
   ?mode:mode ->
   ?active:(Coupled_noise.directed -> bool) ->
   ?max_iterations:int ->
   ?tolerance:float ->
-  ?env_memo:Envelope_builder.memo ->
+  ?ctx:ctx ->
   Tka_circuit.Topo.t ->
   t
 (** Defaults: [From_noiseless], all couplings active, at most 30
-    iterations, tolerance 1e-4 ns (0.1 ps). [env_memo] reuses
-    per-aggressor envelopes across passes and across runs that share
-    the memo — aggressor windows typically stop moving after the first
-    pass or two, so later passes (and re-evaluations of nearby coupling
-    sets, as in the exact re-ranking loops) hit instead of rebuilding;
-    results are bitwise-identical either way, but the memo is not
-    thread-safe and must stay confined to sequential use. Logs a
-    warning (source
-    [iterate]) if the iteration cap is hit before convergence; each run
-    updates the [iterate.runs]/[iterate.passes] counters and the
+    iterations, tolerance 1e-4 ns (0.1 ps).
+
+    The first pass from [From_noiseless] reads the noiseless base
+    directly; every later pass, and the final STA, is an
+    {!Tka_sta.Analysis.update} of the previous one, so only the cones
+    whose noise moved are re-propagated. With [ctx] (which must have
+    been built for [topo], else [Invalid_argument]) the base and
+    aggressor lists are shared across runs and victim evaluations go
+    through the ctx's memos ([iterate.victim_memo_hits]/[_misses]);
+    without it nothing is memoised — on a single fixpoint the memos
+    cost more than they save. Logs a warning (source [iterate]) if the
+    iteration cap is hit before convergence; each run updates the
+    [iterate.runs]/[iterate.passes] counters and the
     [iterate.last_residual_ns] gauge when {!Tka_obs.Metrics} is
     enabled. *)
 

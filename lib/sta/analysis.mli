@@ -19,7 +19,19 @@ val run :
       switch at exactly t = 0 with {!Delay_calc.default_input_slew});
     - [extra_lat nid] (default 0, must be >= 0) is added to the net's
       LAT after normal propagation, and therefore propagates
-      downstream. *)
+      downstream.
+
+    Each gate's stage delay and each net's load are computed once per
+    run and kept in the result for {!update}. *)
+
+val update : t -> extra_lat:(Tka_circuit.Netlist.net_id -> float) -> t
+(** [update prev ~extra_lat] is [run ~extra_lat] on [prev]'s topology
+    and input arrivals, bit for bit, computed event-driven: walking the
+    topological order, a net is recomputed only when its [extra_lat]
+    differs bitwise from the one [prev] was computed with, or when one
+    of its fanin windows changed; every other window is shared with
+    [prev]. Each recomputation counts in [sta.nets_recomputed]. [prev]
+    is not modified. *)
 
 val topo : t -> Tka_circuit.Topo.t
 val netlist : t -> Tka_circuit.Netlist.t

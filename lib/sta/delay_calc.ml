@@ -8,17 +8,16 @@ let default_input_slew = 0.04
 
 let net_load nl nid = N.total_cap nl nid
 
-let stage_delay nl gid =
+let stage_delay_at nl gid ~load =
   Tka_obs.Metrics.Counter.incr m_stage_delays;
   let g = N.gate nl gid in
-  let out = g.N.fanout in
-  let load = net_load nl out in
   DM.gate_delay ~cell:g.N.cell ~load
-  +. DM.rc ~resistance:(N.net nl out).N.wire_res ~capacitance:(0.5 *. load)
+  +. DM.rc ~resistance:(N.net nl g.N.fanout).N.wire_res ~capacitance:(0.5 *. load)
 
-let stage_output_slew nl gid ~input_slew =
-  let g = N.gate nl gid in
-  DM.output_slew ~cell:g.N.cell ~input_slew ~load:(net_load nl g.N.fanout)
+let stage_delay nl gid = stage_delay_at nl gid ~load:(net_load nl (N.gate nl gid).N.fanout)
+
+let stage_output_slew nl gid ~load ~input_slew =
+  DM.output_slew ~cell:(N.gate nl gid).N.cell ~input_slew ~load
 
 let holding_resistance nl nid =
   let wire = (N.net nl nid).N.wire_res in

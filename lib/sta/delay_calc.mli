@@ -14,8 +14,19 @@ val stage_delay :
 (** Propagation delay of the gate driving its loaded output net,
     including the wire-resistance RC adder of the output net. *)
 
+val stage_delay_at :
+  Tka_circuit.Netlist.t -> Tka_circuit.Netlist.gate_id -> load:float -> float
+(** {!stage_delay} with the output net's {!net_load} already known:
+    the same float operations, without re-summing the load. *)
+
 val stage_output_slew :
-  Tka_circuit.Netlist.t -> Tka_circuit.Netlist.gate_id -> input_slew:float -> float
+  Tka_circuit.Netlist.t ->
+  Tka_circuit.Netlist.gate_id ->
+  load:float ->
+  input_slew:float ->
+  float
+(** Output transition of the gate for a given input slew; [load] is its
+    output net's {!net_load}. *)
 
 val input_driver_resistance : float
 (** Thevenin resistance assumed for whatever drives a primary input

@@ -197,6 +197,23 @@ let trial_filter cx rng trial =
     let detail = Option.value ~default:detail (fail_detail (check nl)) in
     record cx ~trial ~invariant:"filter" ~detail ~k ~netlist:(Nf.print nl) ()
 
+let trial_rerank cx rng trial =
+  cx.cx_oracle <- cx.cx_oracle + 1;
+  let nl = Gen.medium_circuit rng in
+  let k = Rng.int_in rng 1 4 in
+  let check nl = Oracle.rerank ~k (Topo.create nl) in
+  match check nl with
+  | Oracle.Pass -> ()
+  | Oracle.Skip _ -> cx.cx_skipped <- cx.cx_skipped + 1
+  | Oracle.Fail detail ->
+    let nl =
+      if cx.cx_minimize then
+        minimize_couplings ~fails:(fun nl -> fail_detail (check nl) <> None) nl
+      else nl
+    in
+    let detail = Option.value ~default:detail (fail_detail (check nl)) in
+    record cx ~trial ~invariant:"rerank" ~detail ~k ~netlist:(Nf.print nl) ()
+
 let trial_fuzz cx rng trial =
   cx.cx_fuzz <- cx.cx_fuzz + 1;
   let fmt = Rng.pick_list rng Fuzz.all in
@@ -238,7 +255,7 @@ let run ?(seed = 1) ?(trials = 500) ?(budget_s = infinity) ?(minimize = true)
   let trial = ref 0 in
   while !trial < trials && wall () -. t0 < budget_s do
     let rng = Rng.split master in
-    (* two fuzz slots per eight trials: the fuzzer is orders of
+    (* one fuzz slot per eight trials: the fuzzer is orders of
        magnitude cheaper than an oracle trial, so it still dominates in
        count when a budget is set *)
     let family, body =
@@ -249,6 +266,7 @@ let run ?(seed = 1) ?(trials = 500) ?(budget_s = infinity) ?(minimize = true)
       | 3 -> ("incr", trial_incr)
       | 4 -> ("repair", trial_repair)
       | 5 -> ("filter", trial_filter)
+      | 6 -> ("rerank", trial_rerank)
       | _ -> ("fuzz", trial_fuzz)
     in
     Trace.with_span ~cat:"verify"
@@ -312,6 +330,7 @@ let replay (r : Repro.t) =
       with_netlist (fun nl ->
           of_verdict (Oracle.duality ~set:(CS.of_list s) (Topo.create nl))))
   | "jobs" -> with_netlist (fun nl -> of_verdict (Oracle.jobs ~k (Topo.create nl)))
+  | "rerank" -> with_netlist (fun nl -> of_verdict (Oracle.rerank ~k (Topo.create nl)))
   | "filter" ->
     with_netlist (fun nl ->
         of_verdict (Oracle.filter_consistency ~k (Topo.create nl)))

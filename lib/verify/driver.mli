@@ -2,7 +2,8 @@
 
     Rotates through the trial families — brute-force differential
     (k ≤ 3 on small circuits), duality, jobs determinism, incremental
-    identity, and parser fuzzing — deterministically from one master
+    identity, repair replay, filter soundness, re-ranking identity, and
+    parser fuzzing — deterministically from one master
     seed, until the trial count or the wall-clock budget is exhausted.
     Failures are minimized with {!Minimize.ddmin} (circuit couplings,
     duality sets, edit scripts, fuzz-input lines) and returned as

@@ -82,6 +82,46 @@ let duality ~set topo =
            d_elim d_add)
   end
 
+(* Every set of each cardinality's re-ranking pool, scored through the
+   shared ctx in pool order (as [best_choice] scores them) and again
+   through a fresh evaluation: the two must be the same bits. *)
+let rerank ~k topo =
+  let nl = Topo.netlist topo in
+  if N.num_couplings nl = 0 then Skip "no couplings"
+  else begin
+    let check label ~pool ~score ~fresh =
+      List.find_map
+        (fun i ->
+          List.find_map
+            (fun s ->
+              let shared = score s and scratch = fresh topo s in
+              if feq shared scratch then None
+              else
+                Some
+                  (Printf.sprintf
+                     "rerank: %s k=%d set %s scores %.17g through the shared ctx but %.17g fresh"
+                     label i
+                     (Format.asprintf "%a" CS.pp s)
+                     shared scratch))
+            (pool i))
+        (List.init k (fun i -> i + 1))
+    in
+    let add = Addition.compute ~k topo in
+    match
+      check "addition" ~pool:(Addition.pool add) ~score:(Addition.score add)
+        ~fresh:Addition.evaluate_set
+    with
+    | Some d -> Fail d
+    | None -> (
+      let elim = Elimination.compute ~k topo in
+      match
+        check "elimination" ~pool:(Elimination.pool elim)
+          ~score:(Elimination.score elim) ~fresh:Elimination.evaluate_set
+      with
+      | Some d -> Fail d
+      | None -> Pass)
+  end
+
 let jobs ?(jobs = 4) ~k topo =
   let saved = Pool.default_jobs () in
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs saved) @@ fun () ->

@@ -14,6 +14,10 @@
       fixpoint as activating its complement — the active-coupling
       predicates are pointwise equal — so the two delays must be
       bit-identical.
+    - {!rerank}: exact re-ranking through a shared
+      {!Tka_noise.Iterate.ctx} (base STA, dirty-only updates, victim
+      and envelope memos) is an optimisation of the fresh evaluation,
+      so every pool score must be bit-identical to it.
     - {!jobs}: the domain-pool engine is deterministic by construction;
       a 1-domain and an N-domain run must agree bitwise on every
       semantic field.
@@ -40,6 +44,13 @@ val duality : set:Tka_topk.Coupling_set.t -> Tka_circuit.Topo.t -> verdict
 (** [duality ~set topo] checks
     [Elimination.evaluate_set topo set] is bit-identical to
     [Addition.evaluate_set topo (universe \ set)]. *)
+
+val rerank : k:int -> Tka_circuit.Topo.t -> verdict
+(** For every cardinality [1..k], score each set of the
+    [Addition.pool]/[Elimination.pool] through the shared ctx
+    ([Addition.score]/[Elimination.score], pool order) and through a
+    fresh [evaluate_set]; any bit difference fails with the set named.
+    [Skip] on a design without couplings. *)
 
 val jobs : ?jobs:int -> k:int -> Tka_circuit.Topo.t -> verdict
 (** Bit-identity of a [jobs = 1] and a [jobs = N] (default 4) run of

@@ -406,12 +406,12 @@ let test_envelope_memo_identity () =
     "memoised envelope equals fresh" true
     (Envelope.equal fresh m1);
   Alcotest.(check bool) "second lookup is the cached value" true (m1 == m2);
-  (* end to end: a full fixpoint with and without the memo is bitwise
-     identical *)
-  let run em = Iterate.circuit_delay (Iterate.run ?env_memo:em topo) in
+  (* end to end: a full fixpoint with and without the memoising ctx is
+     bitwise identical *)
+  let run ctx = Iterate.circuit_delay (Iterate.run ?ctx topo) in
   Alcotest.(check bool)
     "fixpoint delay bitwise identical under memo" true
-    (feq (run None) (run (Some (EB.create_memo ()))))
+    (feq (run None) (run (Some (Iterate.context topo))))
 
 (* ------------------------------------------------------------------ *)
 

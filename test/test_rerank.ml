@@ -1,0 +1,218 @@
+(* Bit-identity of the event-driven exact re-evaluation: dirty-only STA
+   updates against full runs, shared-ctx fixpoints against a reference
+   copy of the full-sweep loop, and order independence of a shared
+   ctx. Circuits come from the seeded generators of the verification
+   layer. *)
+
+module N = Tka_circuit.Netlist
+module Topo = Tka_circuit.Topo
+module Rng = Tka_util.Rng
+module Gen = Tka_verify.Gen
+module Analysis = Tka_sta.Analysis
+module TW = Tka_sta.Timing_window
+module Iterate = Tka_noise.Iterate
+module Victim_noise = Tka_noise.Victim_noise
+module Coupled_noise = Tka_noise.Coupled_noise
+module CS = Tka_topk.Coupling_set
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_window (a : TW.t) (b : TW.t) =
+  same_bits a.TW.eat b.TW.eat && same_bits a.TW.lat b.TW.lat
+  && same_bits a.TW.slew_early b.TW.slew_early
+  && same_bits a.TW.slew_late b.TW.slew_late
+
+let same_windows nn a b =
+  List.for_all (fun nid -> same_window (a nid) (b nid)) (List.init nn Fun.id)
+
+let circuit rng =
+  if Rng.bool rng then Gen.small_circuit rng else Gen.medium_circuit rng
+
+let arb_seed = QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+
+(* ------------------------------------------------------------------ *)
+(* Analysis.update against Analysis.run                               *)
+(* ------------------------------------------------------------------ *)
+
+let prop_update_matches_run =
+  QCheck.Test.make ~name:"update matches run bitwise" ~count:60 arb_seed
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo = Topo.create (circuit rng) in
+      let nn = N.num_nets (Topo.netlist topo) in
+      let random () =
+        Array.init nn (fun _ -> if Rng.chance rng 0.3 then Rng.float rng 0.05 else 0.)
+      in
+      let zero = Array.make nn 0. in
+      let e1 = random () in
+      let single = Array.copy e1 in
+      single.(Rng.int rng nn) <- Rng.float rng 0.05;
+      let run e = Analysis.run ~extra_lat:(Array.get e) topo in
+      let agrees prev e =
+        same_windows nn
+          (Analysis.window (Analysis.update prev ~extra_lat:(Array.get e)))
+          (Analysis.window (run e))
+      in
+      let base = run zero and a1 = run e1 in
+      agrees base zero && agrees base e1 && agrees a1 zero && agrees a1 e1
+      && agrees a1 single && agrees a1 (random ())
+      (* a chain of updates, as the fixpoint passes make *)
+      && agrees (Analysis.update base ~extra_lat:(Array.get e1)) single)
+
+(* ------------------------------------------------------------------ *)
+(* Iterate.run against the full-sweep reference                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The fixpoint loop as it was before the event-driven rewrite: a full
+   STA per pass and every victim re-evaluated without memos. Kept here
+   as the reference the shared-ctx path must reproduce bit for bit. *)
+let reference ~mode ~active ~max_iterations topo =
+  let tolerance = 1e-4 in
+  let nl = Topo.netlist topo in
+  let nn = N.num_nets nl in
+  let base = Analysis.run topo in
+  let aggressors =
+    Array.init nn (fun v ->
+        List.filter active (Coupled_noise.aggressors_of_victim nl v))
+  in
+  let noise = Array.make nn 0. in
+  (match mode with
+  | Iterate.From_noiseless -> ()
+  | Iterate.From_all_overlap ->
+    let w = Analysis.window base in
+    for v = 0 to nn - 1 do
+      noise.(v) <- Victim_noise.upper_bound nl ~windows:w ~victim:v aggressors.(v)
+    done);
+  let iterations = ref 0 and converged = ref false in
+  while (not !converged) && !iterations < max_iterations do
+    incr iterations;
+    let a = Analysis.run ~extra_lat:(fun nid -> noise.(nid)) topo in
+    let w = Analysis.window a in
+    let delta = ref 0. in
+    for v = 0 to nn - 1 do
+      let fresh =
+        Victim_noise.delay_noise nl ~windows:w ~own_noise:noise.(v) ~victim:v
+          aggressors.(v)
+      in
+      delta := Float.max !delta (Float.abs (fresh -. noise.(v)));
+      noise.(v) <- fresh
+    done;
+    if !delta <= tolerance then converged := true
+  done;
+  let final = Analysis.run ~extra_lat:(fun nid -> noise.(nid)) topo in
+  {
+    Iterate.analysis = final;
+    base;
+    noise;
+    iterations = !iterations;
+    converged = !converged;
+  }
+
+let same_result nn (a : Iterate.t) (b : Iterate.t) =
+  a.Iterate.iterations = b.Iterate.iterations
+  && a.Iterate.converged = b.Iterate.converged
+  && List.for_all
+       (fun v -> same_bits a.Iterate.noise.(v) b.Iterate.noise.(v))
+       (List.init nn Fun.id)
+  && same_windows nn (Iterate.windows a) (Iterate.windows b)
+  && same_windows nn (Analysis.window a.Iterate.base) (Analysis.window b.Iterate.base)
+
+type query = {
+  q_set : CS.t;
+  q_excludes : bool;
+  q_mode : Iterate.mode;
+  q_max_iterations : int;
+}
+
+let random_queries rng topo n =
+  let u = 2 * N.num_couplings (Topo.netlist topo) in
+  List.init n (fun _ ->
+      {
+        q_set = CS.of_list (List.filter (fun _ -> Rng.chance rng 0.3) (List.init u Fun.id));
+        q_excludes = Rng.bool rng;
+        q_mode = (if Rng.bool rng then Iterate.From_noiseless else Iterate.From_all_overlap);
+        q_max_iterations = (if Rng.chance rng 0.25 then 1 else 30);
+      })
+
+let active q = if q.q_excludes then CS.excludes_fn q.q_set else CS.contains_fn q.q_set
+
+let run_query ?ctx topo q =
+  Iterate.run ~mode:q.q_mode ~active:(active q) ~max_iterations:q.q_max_iterations
+    ?ctx topo
+
+let prop_iterate_matches_reference =
+  QCheck.Test.make ~name:"ctx and memo-less runs match the full sweep" ~count:40
+    arb_seed (fun seed ->
+      let rng = Rng.create seed in
+      let topo = Topo.create (circuit rng) in
+      let nn = N.num_nets (Topo.netlist topo) in
+      let ctx = Iterate.context topo in
+      List.for_all
+        (fun q ->
+          let expect =
+            reference ~mode:q.q_mode ~active:(active q)
+              ~max_iterations:q.q_max_iterations topo
+          in
+          same_result nn expect (run_query ~ctx topo q)
+          && same_result nn expect (run_query topo q))
+        (random_queries rng topo 6))
+
+let prop_ctx_order_independent =
+  QCheck.Test.make ~name:"one ctx scores alike in either order" ~count:30 arb_seed
+    (fun seed ->
+      let rng = Rng.create seed in
+      let topo = Topo.create (circuit rng) in
+      let nn = N.num_nets (Topo.netlist topo) in
+      let qs = random_queries rng topo 8 in
+      let forward =
+        let ctx = Iterate.context topo in
+        List.map (run_query ~ctx topo) qs
+      in
+      let backward =
+        let ctx = Iterate.context topo in
+        List.rev (List.map (run_query ~ctx topo) (List.rev qs))
+      in
+      List.for_all2 (same_result nn) forward backward)
+
+let test_cap_hit_reported () =
+  (* max_iterations:1 on a coupled circuit stops before convergence,
+     and the ctx path says so exactly as the reference does *)
+  let topo = Topo.create (Gen.medium_circuit (Rng.create 11)) in
+  let q =
+    {
+      q_set = CS.empty;
+      q_excludes = true;
+      q_mode = Iterate.From_noiseless;
+      q_max_iterations = 1;
+    }
+  in
+  let r = run_query ~ctx:(Iterate.context topo) topo q in
+  Alcotest.(check int) "one pass" 1 r.Iterate.iterations;
+  Alcotest.(check bool) "not converged" false r.Iterate.converged
+
+let test_ctx_rejects_other_topology () =
+  let topo = Topo.create (Gen.small_circuit (Rng.create 5)) in
+  let other = Topo.create (Gen.small_circuit (Rng.create 5)) in
+  Alcotest.(check bool) "other topology rejected" true
+    (try
+       ignore (Iterate.run ~ctx:(Iterate.context topo) other);
+       false
+     with Invalid_argument _ -> true)
+
+let () =
+  Alcotest.run "tka_rerank"
+    [
+      ( "bit-identity",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          [
+            prop_update_matches_run; prop_iterate_matches_reference;
+            prop_ctx_order_independent;
+          ] );
+      ( "ctx",
+        [
+          Alcotest.test_case "cap hit reported" `Quick test_cap_hit_reported;
+          Alcotest.test_case "other topology rejected" `Quick
+            test_ctx_rejects_other_topology;
+        ] );
+    ]

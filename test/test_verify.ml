@@ -212,6 +212,16 @@ let test_oracle_incremental_tiny () =
   | Oracle.Pass | Oracle.Skip _ -> ()
   | Oracle.Fail d -> Alcotest.fail ("incremental violated: " ^ d)
 
+let test_oracle_rerank_tiny () =
+  List.iter
+    (fun seed ->
+      let nl = Gen.medium_circuit (Rng.create seed) in
+      match Oracle.rerank ~k:3 (Topo.create nl) with
+      | Oracle.Pass -> ()
+      | Oracle.Skip why -> Alcotest.fail ("unexpected skip: " ^ why)
+      | Oracle.Fail d -> Alcotest.fail ("rerank violated: " ^ d))
+    [ 3; 17 ]
+
 let test_oracle_repair_tiny () =
   let rng = Rng.create 43 in
   let nl = Gen.medium_circuit rng in
@@ -224,7 +234,7 @@ let test_oracle_repair_tiny () =
 (* ------------------------------------------------------------------ *)
 
 let test_driver_smoke () =
-  (* a short run across all seven trial families must find nothing *)
+  (* a short run across all eight trial families must find nothing *)
   let s = Driver.run ~seed:7 ~trials:21 ~minimize:false () in
   Alcotest.(check int) "all trials ran" 21 s.Driver.vs_trials;
   Alcotest.(check int) "families split" 21 Driver.(s.vs_oracle + s.vs_fuzz);
@@ -302,6 +312,7 @@ let () =
             test_oracle_brute_rejects_large_k;
           Alcotest.test_case "incremental" `Quick test_oracle_incremental_tiny;
           Alcotest.test_case "repair" `Quick test_oracle_repair_tiny;
+          Alcotest.test_case "rerank" `Quick test_oracle_rerank_tiny;
           Alcotest.test_case "table2x pinned" `Quick
             test_oracle_table2x_pinned;
         ] );

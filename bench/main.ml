@@ -14,7 +14,8 @@
      figure10 delay vs k series for i1 and i10, both analyses
      parallel sequential vs parallel engine sweep (speedup + determinism)
      serve    daemon load test: concurrent clients against tka serve
-     kernels  bechamel microbenchmarks of the core computational kernels
+     kernels  shared re-ranking ctx vs fresh Iterate.run, then bechamel
+              microbenchmarks of the core computational kernels
 
    --jobs N (or TKA_JOBS) sizes the shared domain pool: the table2
    sections run their per-circuit sweeps concurrently, and the engine /
@@ -863,102 +864,15 @@ let run_serve o =
 (* Kernels (bechamel)                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Pwl = Tka_waveform.Pwl
-
-(* Reference implementations of the PWL kernels in the pre-rewrite
-   list-and-binary-search style: allocate the merged abscissa grid,
-   [Pwl.eval] (O(log n) segment lookup) both operands at every grid
-   point, left-fold the n-ary variants pairwise. These are the
-   baseline the kernels section times the linear-merge rewrites
-   against; they intentionally mirror the old code, not an optimal
-   implementation. *)
-module Ref_kernels = struct
-  let x_eps = 1e-12
-
-  let merged_grid a b =
-    let xs =
-      List.map fst (Pwl.breakpoints a) @ List.map fst (Pwl.breakpoints b)
-      |> List.sort_uniq Float.compare
-    in
-    let rec dedupe last = function
-      | [] -> []
-      | x :: tl ->
-        if x -. last <= x_eps then dedupe last tl else x :: dedupe x tl
-    in
-    match xs with [] -> [] | x :: tl -> x :: dedupe x tl
-
-  let combine2 f a b =
-    Pwl.create
-      (List.map (fun x -> (x, f (Pwl.eval a x) (Pwl.eval b x))) (merged_grid a b))
-
-  let add a b = combine2 ( +. ) a b
-
-  let sum = function
-    | [] -> Pwl.zero
-    | w :: ws -> List.fold_left add w ws
-
-  let max2 a b =
-    let grid = Array.of_list (merged_grid a b) in
-    let n = Array.length grid in
-    let pts = ref [] in
-    let push x y = pts := (x, y) :: !pts in
-    let value x = Float.max (Pwl.eval a x) (Pwl.eval b x) in
-    for i = 0 to n - 1 do
-      let x = grid.(i) in
-      push x (value x);
-      if i < n - 1 then begin
-        let x' = grid.(i + 1) in
-        let d0 = Pwl.eval a x -. Pwl.eval b x
-        and d1 = Pwl.eval a x' -. Pwl.eval b x' in
-        if (d0 > 0. && d1 < 0.) || (d0 < 0. && d1 > 0.) then begin
-          let xc = x +. ((x' -. x) *. d0 /. (d0 -. d1)) in
-          if xc > x +. x_eps && xc < x' -. x_eps then push xc (value xc)
-        end
-      end
-    done;
-    Pwl.create (List.rev !pts)
-
-  let max_list = function
-    | [] -> invalid_arg "max_list"
-    | w :: ws -> List.fold_left max2 w ws
-
-  let dominates ?(eps = 1e-9) a b =
-    List.for_all
-      (fun x -> Pwl.eval a x >= Pwl.eval b x -. eps)
-      (merged_grid a b)
-
-  let peak w =
-    List.fold_left
-      (fun acc (_, y) -> Float.max acc y)
-      Float.neg_infinity (Pwl.breakpoints w)
-end
-
-(* Old-vs-new microbenchmarks of the rewritten kernels on synthetic
-   noise envelopes sized like the engine's working set. Timings and
-   speedups land in the "kernels" section of BENCH_topk.json; CI
-   asserts speedup >= 1.0 for each kernel. *)
-let run_kernel_rewrite o =
-  section "PWL kernel rewrite: reference (list + binary search) vs linear merge";
-  let envelopes =
-    List.init 24 (fun i ->
-        let fi = float_of_int i in
-        let pulse =
-          Tka_waveform.Pulse.make ~onset:0.
-            ~peak:(0.08 +. (0.015 *. float_of_int (i mod 9)))
-            ~rise:(0.02 +. (0.002 *. float_of_int (i mod 5)))
-            ~decay:(0.05 +. (0.004 *. float_of_int (i mod 7)))
-        in
-        let lo = 0.3 +. (0.04 *. fi) in
-        let window = Tka_util.Interval.make lo (lo +. 0.15 +. (0.02 *. fi)) in
-        Tka_waveform.Envelope.waveform
-          (Tka_waveform.Envelope.of_pulse ~window pulse))
-  in
-  let earr = Array.of_list envelopes in
-  let ne = Array.length earr in
-  (* groups of 8 operands, the shape of Envelope.combine at a victim *)
-  let groups =
-    List.init (ne - 8) (fun i -> List.init 8 (fun j -> earr.(i + j)))
-  in
+(* Shared re-ranking context (Iterate.context): the exact re-ranking
+   loops score many nearby coupling sets, which share the noiseless base
+   STA and most victim evaluations. Old = a fresh Iterate.run per set,
+   new = every set scored through one ctx kept across the block.
+   Results are bitwise-identical by construction and asserted so here.
+   Timings land in the "kernels" section of BENCH_topk.json; CI asserts
+   speedup >= 1.0. *)
+let run_rerank_ctx o =
+  section "Re-ranking context: fresh Iterate.run vs shared Iterate.ctx";
   let iters = if o.quick then 30 else 100 in
   (* best of three timed blocks, each preceded by a major collection:
      the blocks are short, so one stray major slice would otherwise
@@ -978,106 +892,49 @@ let run_kernel_rewrite o =
     !best
   in
   let sink = ref 0. in
-  let keep w = sink := !sink +. Pwl.last_x w in
-  let keepb b = if b then sink := !sink +. 1. in
-  (* Shared re-ranking context (Iterate.context): the exact re-ranking
-     loops score many nearby coupling sets, which share the noiseless
-     base STA and most victim evaluations. Old = a fresh Iterate.run
-     per set, new = every set scored through one ctx kept across the
-     block. Results are bitwise-identical by construction and asserted
-     so here. *)
-  let rerank_nl = B.generate { validation_spec with B.sp_name = "kmemo" } in
-  let rerank_topo = Topo.create rerank_nl in
-  let rerank_sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
-  let rerank_ctx = Iterate.context rerank_topo in
-  let rerank_delay ?ctx s =
-    Iterate.circuit_delay (Iterate.run ~active:(CS.contains_fn s) ?ctx rerank_topo)
+  let nl = B.generate { validation_spec with B.sp_name = "kmemo" } in
+  let topo = Topo.create nl in
+  let sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
+  let ctx = Iterate.context topo in
+  let delay ?ctx s =
+    Iterate.circuit_delay (Iterate.run ~active:(CS.contains_fn s) ?ctx topo)
   in
   List.iter
     (fun s ->
-      if not (Float.equal (rerank_delay s) (rerank_delay ~ctx:rerank_ctx s)) then
+      if not (Float.equal (delay s) (delay ~ctx s)) then
         failwith "rerank_ctx kernel: shared-ctx delay differs from fresh")
-    rerank_sets;
-  let kernels =
-    [
-      ( "rerank_ctx",
-        (fun () ->
-          List.iter (fun s -> sink := !sink +. rerank_delay s) rerank_sets),
-        fun () ->
-          List.iter
-            (fun s -> sink := !sink +. rerank_delay ~ctx:rerank_ctx s)
-            rerank_sets );
-      ( "dominates",
-        (fun () ->
-          for i = 0 to ne - 1 do
-            for j = 0 to ne - 1 do
-              keepb (Ref_kernels.dominates earr.(i) earr.(j))
-            done
-          done),
-        fun () ->
-          for i = 0 to ne - 1 do
-            for j = 0 to ne - 1 do
-              keepb (Pwl.dominates earr.(i) earr.(j))
-            done
-          done );
-      ( "add",
-        (fun () ->
-          for i = 0 to ne - 2 do
-            keep (Ref_kernels.add earr.(i) earr.(i + 1))
-          done),
-        fun () ->
-          for i = 0 to ne - 2 do
-            keep (Pwl.add earr.(i) earr.(i + 1))
-          done );
-      ( "sum8",
-        (fun () -> List.iter (fun g -> keep (Ref_kernels.sum g)) groups),
-        fun () -> List.iter (fun g -> keep (Pwl.sum g)) groups );
-      ( "max_list8",
-        (fun () -> List.iter (fun g -> keep (Ref_kernels.max_list g)) groups),
-        fun () -> List.iter (fun g -> keep (Pwl.max_list g)) groups );
-      ( "peak",
-        (fun () ->
-          for _ = 1 to 50 do
-            Array.iter (fun w -> sink := !sink +. Ref_kernels.peak w) earr
-          done),
-        fun () ->
-          for _ = 1 to 50 do
-            Array.iter (fun w -> sink := !sink +. Pwl.max_value w) earr
-          done );
-    ]
-  in
+    sets;
+  let score ?ctx () = List.iter (fun s -> sink := !sink +. delay ?ctx s) sets in
+  let t_old = time iters (fun () -> score ()) in
+  let t_new = time iters (score ~ctx) in
+  ignore !sink;
+  let speedup = t_old /. Float.max t_new 1e-12 in
   let t =
     Tt.create
       ~headers:
         [
-          ("kernel", Tt.Left); ("reference (ms)", Tt.Right);
-          ("linear merge (ms)", Tt.Right); ("speedup", Tt.Right);
+          ("kernel", Tt.Left); ("fresh (ms)", Tt.Right);
+          ("shared ctx (ms)", Tt.Right); ("speedup", Tt.Right);
         ]
   in
-  let jfields =
-    List.map
-      (fun (name, old_f, new_f) ->
-        let t_old = time iters old_f in
-        let t_new = time iters new_f in
-        let speedup = t_old /. Float.max t_new 1e-12 in
-        Tt.add_row t
-          [
-            name;
-            Tt.cell_f ~decimals:2 (1e3 *. t_old);
-            Tt.cell_f ~decimals:2 (1e3 *. t_new);
-            Tt.cell_f ~decimals:1 speedup;
-          ];
-        ( name,
-          J.Obj
-            [
-              ("t_old_s", J.Float t_old);
-              ("t_new_s", J.Float t_new);
-              ("speedup", J.Float speedup);
-            ] ))
-      kernels
-  in
-  ignore !sink;
-  json_add "kernels" (J.Obj jfields);
+  Tt.add_row t
+    [
+      "rerank_ctx";
+      Tt.cell_f ~decimals:2 (1e3 *. t_old);
+      Tt.cell_f ~decimals:2 (1e3 *. t_new);
+      Tt.cell_f ~decimals:1 speedup;
+    ];
+  json_add "kernels"
+    (J.Obj
+       [
+         ( "rerank_ctx",
+           J.Obj
+             [
+               ("t_old_s", J.Float t_old);
+               ("t_new_s", J.Float t_new);
+               ("speedup", J.Float speedup);
+             ] );
+       ]);
   print_string (Tt.render t)
 
 let run_kernels () =
@@ -1264,7 +1121,7 @@ let () =
           | "repair" -> run_repair o
           | "serve" -> run_serve o
           | "kernels" ->
-            run_kernel_rewrite o;
+            run_rerank_ctx o;
             run_kernels ()
           | "table2x" -> run_table2x o
           | s -> failwith (Printf.sprintf "unknown section %S" s)))

@@ -26,6 +26,7 @@ module Addition = Tka_topk.Addition
 module Elimination = Tka_topk.Elimination
 module Report = Tka_topk.Report
 module Fmode = Tka_filter.Mode
+module Filter = Tka_filter.Filter
 
 module Log = Tka_obs.Log
 module Metrics = Tka_obs.Metrics
@@ -524,26 +525,43 @@ let falseagg_cmd =
     run_obs obs (fun () ->
         let nl = load ~liberty path in
         let topo = Topo.create nl in
-        let a = Analysis.run topo in
-        let c =
-          Tka_noise.False_aggressors.classify ~windows:(Analysis.window a) nl
+        (* the window filter's own decisions on the noiseless base
+           windows: one sensitive interval, one soundness argument *)
+        let filt =
+          Filter.prepare ~mode:Fmode.Window
+            ~windows:(Analysis.window (Analysis.run topo)) topo
         in
-        let module Fa = Tka_noise.False_aggressors in
+        let directed =
+          List.concat_map (Tka_noise.Coupled_noise.aggressors_of_victim nl)
+            (List.init (N.num_nets nl) Fun.id)
+        in
+        let inert =
+          List.filter
+            (fun d ->
+              match Filter.decide filt d with
+              | Filter.Drop Filter.Window_disjoint -> true
+              | Filter.Keep | Filter.Derate _ | Filter.Drop _ -> false)
+            directed
+        in
+        let n = List.length directed and n_inert = List.length inert in
         Printf.printf
-          "directed couplings: %d live, %d provably false (%.1f%% prunable)\n"
-          (List.length c.Fa.fa_true) (List.length c.Fa.fa_false)
-          (100. *. Fa.false_fraction c);
+          "directed couplings: %d live, %d window-inert (%.1f%% prunable)\n"
+          (n - n_inert) n_inert
+          (if n = 0 then 0. else 100. *. float_of_int n_inert /. float_of_int n);
         List.iteri
           (fun i d ->
             if i < 10 then
-              Printf.printf "  false: %s -> %s\n"
+              Printf.printf "  inert: %s -> %s\n"
                 (N.net nl d.Tka_noise.Coupled_noise.dc_aggressor).N.net_name
                 (N.net nl d.Tka_noise.Coupled_noise.dc_victim).N.net_name)
-          c.Fa.fa_false)
+          inert)
   in
   Cmd.v
     (Cmd.info "falseagg"
-       ~doc:"Identify false aggressors (couplings that can never create delay noise).")
+       ~doc:
+         "List window-inert aggressors: couplings the window filter drops \
+          because the aggressor's pulse cannot reach the victim's \
+          sensitive interval.")
     Term.(const run $ obs_term $ liberty_arg $ netlist_pos)
 
 (* ------------------------------------------------------------------ *)

@@ -22,7 +22,7 @@ let sensitive ?(margin = 0.) (w : TW.t) =
 
 (* Support of Envelope.of_pulse ~window:(onset_interval w) pulse:
    leading edge at the earliest onset, trailing edge at the latest onset
-   plus the pulse's full extent. Matches False_aggressors.is_false. *)
+   plus the pulse's full extent. *)
 let reach nl ~(windows : N.net_id -> TW.t) (d : CN.directed) =
   let w = windows d.CN.dc_aggressor in
   let onset = TW.onset_interval w in

@@ -196,3 +196,17 @@ let apply t nl edits =
 
 let save_checkpoint t path = Cache.save t.a_cache path
 let load_checkpoint t path = t.a_cache <- Cache.load path
+
+(* A malformed or old-format checkpoint is a cold start, not an error:
+   the cache only ever accelerates. *)
+let warm_start t path =
+  if Sys.file_exists path then
+    match load_checkpoint t path with
+    | () ->
+      Log.info log_src (fun m ->
+          m
+            ~fields:[ Log.str "path" path; Log.int "entries" (Cache.size t.a_cache) ]
+            "warm-starting from checkpoint %s" path)
+    | exception Failure msg ->
+      Log.warn log_src (fun m ->
+          m ~fields:[ Log.str "path" path ] "ignoring stale checkpoint: %s" msg)

@@ -94,3 +94,9 @@ val load_checkpoint : t -> string -> unit
     warm-start path for a second process on the same design. Stale or
     foreign entries are harmless (fingerprint-guarded misses).
     @raise Failure on a malformed file. *)
+
+val warm_start : t -> string -> unit
+(** {!load_checkpoint} when the file exists, logging the entry count;
+    a malformed or old-format file is logged and ignored, leaving the
+    session cold — the shared warm-start step of [Eco.run] and
+    [Repair.run]. *)

@@ -1,6 +1,7 @@
 module Engine = Tka_topk.Engine
 module CS = Tka_topk.Coupling_set
 module Ilist = Tka_topk.Ilist
+module CN = Tka_noise.Coupled_noise
 module J = Tka_obs.Jsonx
 
 type entry = { e_key : Fnv.t; e_cv : Engine.cached_victim }
@@ -59,8 +60,8 @@ exception Removed
    references a removed physical cap. *)
 let remap_entry phys_map e =
   let directed d =
-    match phys_map (d / 2) with
-    | Some c' -> (2 * c') + (d land 1)
+    match phys_map (CN.coupling_of_directed_id d) with
+    | Some c' -> CN.with_coupling d c'
     | None -> raise Removed
   in
   let set s = CS.of_list (List.map directed (CS.to_list s)) in

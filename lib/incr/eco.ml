@@ -4,6 +4,7 @@ module Engine = Tka_topk.Engine
 module Elimination = Tka_topk.Elimination
 module CS = Tka_topk.Coupling_set
 module Ilist = Tka_topk.Ilist
+module CN = Tka_noise.Coupled_noise
 module J = Tka_obs.Jsonx
 module Log = Tka_obs.Log
 
@@ -77,27 +78,33 @@ let elim_identical (a : Elimination.t) (b : Elimination.t) =
 
 let removal_edits set =
   CS.to_list set
-  |> List.map (fun d -> d / 2)
+  |> List.map CN.coupling_of_directed_id
   |> List.sort_uniq Int.compare
   |> List.map (fun c -> Edit.Remove_coupling c)
+
+(* Prefer the elimination-side set; fall back to the dual (addition)
+   engine's, and *say which rule won* — a silent fallback made a
+   dual-only fix indistinguishable from an elimination one, and a
+   None/None outcome indistinguishable from an empty fix. *)
+let choose_fix elim ~fix_k =
+  match Elimination.set elim fix_k with
+  | Some _ as s -> (Rule_elim, s)
+  | None -> (
+    match Elimination.dual_set elim fix_k with
+    | Some _ as s ->
+      Log.info log_src (fun m ->
+          m ~fields:[ Log.int "fix_k" fix_k ]
+            "elimination rule produced no k=%d set; using the dual rule" fix_k);
+      (Rule_dual, s)
+    | None ->
+      Log.warn log_src (fun m ->
+          m ~fields:[ Log.int "fix_k" fix_k ] "no fix set exists at k=%d" fix_k);
+      (Rule_none, None))
 
 let run ?(k = 10) ?(fix_k = 1) ?checkpoint nl =
   if fix_k < 1 || fix_k > k then invalid_arg "Eco.run: fix_k outside [1, k]";
   let az = Analyzer.create ~k () in
-  (match checkpoint with
-  | Some path when Sys.file_exists path -> (
-    (* a malformed or old-format checkpoint is a cold start, not an
-       error — the cache only ever accelerates *)
-    match Analyzer.load_checkpoint az path with
-    | () ->
-      Log.info log_src (fun m ->
-          m
-            ~fields:[ Log.str "path" path; Log.int "entries" (Cache.size (Analyzer.cache az)) ]
-            "warm-starting from checkpoint %s" path)
-    | exception Failure msg ->
-      Log.warn log_src (fun m ->
-          m ~fields:[ Log.str "path" path ] "ignoring stale checkpoint: %s" msg))
-  | _ -> ());
+  Option.iter (Analyzer.warm_start az) checkpoint;
   (* 1. analyze: the paper's top-k elimination sets *)
   let topo = Topo.create nl in
   let elim0, st0 = Analyzer.run az topo in
@@ -105,28 +112,8 @@ let run ?(k = 10) ?(fix_k = 1) ?checkpoint nl =
      coupling table: this is the state a rerun on the same input
      design can reuse (the edited-universe cache would be flushed by
      the universe guard on reload) *)
-  (match checkpoint with
-  | Some path -> Analyzer.save_checkpoint az path
-  | None -> ());
-  (* Prefer the elimination-side set; fall back to the dual (addition)
-     engine's, and *say which rule won* — a silent fallback made a
-     dual-only fix indistinguishable from an elimination one, and a
-     None/None outcome indistinguishable from an empty fix. *)
-  let set, rule =
-    match Elimination.set elim0 fix_k with
-    | Some _ as s -> (s, Rule_elim)
-    | None -> (
-      match Elimination.dual_set elim0 fix_k with
-      | Some _ as s ->
-        Log.info log_src (fun m ->
-            m ~fields:[ Log.int "fix_k" fix_k ]
-              "elimination rule produced no k=%d set; using the dual rule" fix_k);
-        (s, Rule_dual)
-      | None ->
-        Log.warn log_src (fun m ->
-            m ~fields:[ Log.int "fix_k" fix_k ] "no fix set exists at k=%d" fix_k);
-        (None, Rule_none))
-  in
+  Option.iter (Analyzer.save_checkpoint az) checkpoint;
+  let rule, set = choose_fix elim0 ~fix_k in
   (* 2. mitigate: shield (remove) the reported couplings *)
   let edits = match set with Some s -> removal_edits s | None -> [] in
   let nl', dirty = Analyzer.apply az nl edits in

@@ -59,6 +59,18 @@ val results_identical : Tka_topk.Engine.result -> Tka_topk.Engine.result -> bool
 val elim_identical : Tka_topk.Elimination.t -> Tka_topk.Elimination.t -> bool
 (** {!results_identical} on both dual engine results. *)
 
+val choose_fix :
+  Tka_topk.Elimination.t -> fix_k:int -> rule * Tka_topk.Coupling_set.t option
+(** The eco fix rule: the elimination set of cardinality [fix_k] when
+    the elimination engine has one, else the dual (addition) engine's
+    (logged at info), else none (logged as a warning). Shared by
+    {!run} and the serve [eco] RPC. *)
+
+val removal_edits : Tka_topk.Coupling_set.t -> Edit.t list
+(** One {!Edit.Remove_coupling} per physical cap of a set of directed
+    couplings (both sides of a cap collapse to one edit), in ascending
+    cap order. *)
+
 val run :
   ?k:int ->
   ?fix_k:int ->

@@ -268,7 +268,7 @@ let candidates nl (fx : Iterate.t) elim ~fix_k ~target =
       | Some ch ->
         let caps =
           CS.to_list ch.Engine.ch_set
-          |> List.map (fun d -> d / 2)
+          |> List.map Tka_noise.Coupled_noise.coupling_of_directed_id
           |> List.sort_uniq Int.compare
         in
         [
@@ -312,24 +312,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
   let wall = Tka_obs.Clock.now_s in
   let t_start = wall () in
   let az = ref (Analyzer.create ~k ~filter ()) in
-  (match checkpoint with
-  | Some path when Sys.file_exists path -> (
-    (* a malformed or old-format checkpoint is a cold start, not an
-       error — the cache only ever accelerates *)
-    match Analyzer.load_checkpoint !az path with
-    | () ->
-      Log.info log_src (fun m ->
-          m
-            ~fields:
-              [
-                Log.str "path" path;
-                Log.int "entries" (Cache.size (Analyzer.cache !az));
-              ]
-            "warm-starting from checkpoint %s" path)
-    | exception Failure msg ->
-      Log.warn log_src (fun m ->
-          m ~fields:[ Log.str "path" path ] "ignoring stale checkpoint: %s" msg))
-  | _ -> ());
+  Option.iter (Analyzer.warm_start !az) checkpoint;
   let save_ckpt () =
     if not dry_run then
       match checkpoint with

@@ -23,8 +23,11 @@ let directed_id d =
   let c = d.dc_coupling in
   if d.dc_victim < d.dc_aggressor then (2 * c) else (2 * c) + 1
 
+let coupling_of_directed_id id = id / 2
+let with_coupling id cid = (2 * cid) + (id land 1)
+
 let of_directed_id nl id =
-  let cid = id / 2 in
+  let cid = coupling_of_directed_id id in
   let c = N.coupling nl cid in
   let lo = min c.N.net_a c.N.net_b and hi = max c.N.net_a c.N.net_b in
   if id mod 2 = 0 then { dc_coupling = cid; dc_victim = lo; dc_aggressor = hi }

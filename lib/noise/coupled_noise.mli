@@ -35,6 +35,15 @@ val directed_id : directed -> int
 val of_directed_id : Tka_circuit.Netlist.t -> int -> directed
 (** Inverse of {!directed_id}. *)
 
+val coupling_of_directed_id : int -> Tka_circuit.Netlist.coupling_id
+(** The physical coupling cap a directed id belongs to. *)
+
+val with_coupling : int -> Tka_circuit.Netlist.coupling_id -> int
+(** [with_coupling id c] is the directed id of the same side of cap
+    [c] — how a directed id is renumbered when an edit compacts the
+    coupling table (net ids are unchanged by coupling edits, so the
+    side is preserved). *)
+
 val directed_of_coupling :
   Tka_circuit.Netlist.t ->
   victim:Tka_circuit.Netlist.net_id ->

@@ -232,17 +232,7 @@ let eco t params =
   else
     let t0 = Clock.now_s () in
     let elim, st = Analyzer.run d.d_analyzer d.d_topo in
-    (* surface which rule produced the set — a dual_set fallback used
-       to be silent here, so clients could not tell an elimination fix
-       from an addition-mode one (or from no fix at all) *)
-    let rule, set =
-      match Elimination.set elim fix_k with
-      | Some s -> (Eco.Rule_elim, Some s)
-      | None -> (
-        match Elimination.dual_set elim fix_k with
-        | Some s -> (Eco.Rule_dual, Some s)
-        | None -> (Eco.Rule_none, None))
-    in
+    let rule, set = Eco.choose_fix elim ~fix_k in
     let delay_noisy = elim.Elimination.result.Engine.res_noisy_delay in
     let base =
       [
@@ -271,12 +261,7 @@ let eco t params =
                ("elapsed_s", J.Float (Clock.now_s () -. t0));
              ]))
     | Some set ->
-      let edits =
-        CS.to_list set
-        |> List.map (fun dc -> dc / 2)
-        |> List.sort_uniq Int.compare
-        |> List.map (fun c -> Edit.Remove_coupling c)
-      in
+      let edits = Eco.removal_edits set in
       let d', dirty = edited_design t d edits in
       let elim', st' = Analyzer.run d'.d_analyzer d'.d_topo in
       t.design <- Some d';

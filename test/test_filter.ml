@@ -2,7 +2,9 @@
    timing-window overlap queries against an interval-arithmetic
    reference, the implication analysis against hand-computed tables and
    exhaustive simulation, the Off mode's physical-identity contract,
-   window drop/derate behaviour under synthetic windows, the Ilist
+   window drop/derate behaviour under synthetic windows, the
+   false-aggressor drops under base windows (the decisions
+   [tka falseagg] lists) and their zero-noise soundness, the Ilist
    singleton fast path, and the envelope memo's bitwise identity. *)
 
 module N = Tka_circuit.Netlist
@@ -355,6 +357,108 @@ let test_derate_factor () =
   Alcotest.(check (float 1e-9)) "half overlap -> 0.5" 0.5 f
 
 (* ------------------------------------------------------------------ *)
+(* False aggressors: window drops under the noiseless base windows    *)
+(* ------------------------------------------------------------------ *)
+
+(* The victim sits behind a 6-inverter chain, far later than the
+   aggressor: the aggressor's pulse is long gone when it switches. *)
+let far_apart () =
+  let b = Builder.create ~name:"far" () in
+  let ia = Builder.add_input b "ia" in
+  let iv = Builder.add_input b "iv" in
+  let agg = Builder.add_net b "agg" in
+  let prev = ref iv in
+  for i = 1 to 6 do
+    let n = Builder.add_net b (Printf.sprintf "d%d" i) in
+    ignore
+      (Builder.add_gate b ~name:(Printf.sprintf "gd%d" i) ~cell:Lib.inverter
+         ~inputs:[ ("A", !prev) ] ~output:n);
+    prev := n
+  done;
+  let vic = Builder.add_net b "vic" in
+  ignore
+    (Builder.add_gate b ~name:"ga" ~cell:Lib.inverter ~inputs:[ ("A", ia) ]
+       ~output:agg);
+  ignore
+    (Builder.add_gate b ~name:"gv" ~cell:Lib.inverter
+       ~inputs:[ ("A", !prev) ] ~output:vic);
+  Builder.mark_output b vic;
+  Builder.mark_output b agg;
+  ignore (Builder.add_coupling b agg vic 0.004);
+  Builder.finalize b
+
+(* Two parallel 2-stage inverter chains with the same input timing,
+   coupled stage by stage. *)
+let two_chains () =
+  let b = Builder.create ~name:"pair" () in
+  let chain prefix input =
+    let prev = ref input in
+    List.map
+      (fun i ->
+        let n = Builder.add_net b (Printf.sprintf "%s%d" prefix i) in
+        ignore
+          (Builder.add_gate b ~name:(Printf.sprintf "g%s%d" prefix i)
+             ~cell:Lib.inverter ~inputs:[ ("A", !prev) ] ~output:n);
+        prev := n;
+        n)
+      [ 1; 2 ]
+  in
+  let agg = chain "a" (Builder.add_input b "ia") in
+  let vic = chain "v" (Builder.add_input b "iv") in
+  List.iter2 (fun a v -> ignore (Builder.add_coupling b a v 0.004)) agg vic;
+  Builder.mark_output b (List.nth agg 1);
+  Builder.mark_output b (List.nth vic 1);
+  Builder.finalize b
+
+let base_window_filter nl =
+  let topo = Topo.create nl in
+  Filter.prepare ~mode:Mode.Window
+    ~windows:(Analysis.window (Analysis.run topo)) topo
+
+let all_directed nl =
+  List.concat_map (CN.aggressors_of_victim nl) (List.init (N.num_nets nl) Fun.id)
+
+let is_window_drop filt d =
+  match Filter.decide filt d with
+  | Filter.Drop Filter.Window_disjoint -> true
+  | Filter.Keep | Filter.Derate _ | Filter.Drop _ -> false
+
+let test_far_apart_dropped () =
+  let nl = far_apart () in
+  let filt = base_window_filter nl in
+  let vic = (N.find_net_exn nl "vic").N.net_id in
+  match CN.aggressors_of_victim nl vic with
+  | [ d ] ->
+    Alcotest.(check bool) "agg -> vic is window-inert" true (is_window_drop filt d)
+  | ds -> Alcotest.failf "expected 1 directed coupling, got %d" (List.length ds)
+
+let test_window_drops_sound_i1 () =
+  (* every base-window drop really contributes zero delay noise alone *)
+  let nl = Option.get (Tka_layout.Benchmarks.by_name "i1") in
+  let filt = base_window_filter nl in
+  let windows = Analysis.window (Analysis.run (Topo.create nl)) in
+  let drops = List.filter (is_window_drop filt) (all_directed nl) in
+  Alcotest.(check int)
+    "drops match the survey"
+    (Filter.survey filt).Filter.sv_dropped_window (List.length drops);
+  Alcotest.(check bool) "some couplings dropped" true (drops <> []);
+  List.iter
+    (fun d ->
+      let noise =
+        Tka_noise.Victim_noise.delay_noise nl ~windows ~victim:d.CN.dc_victim
+          [ d ]
+      in
+      Alcotest.(check (float 1e-9)) "window-inert means zero" 0. noise)
+    drops
+
+let test_near_pairs_kept () =
+  let nl = two_chains () in
+  let filt = base_window_filter nl in
+  Alcotest.(check bool)
+    "some aggressor kept" true
+    (List.exists (fun d -> not (is_window_drop filt d)) (all_directed nl))
+
+(* ------------------------------------------------------------------ *)
 (* Ilist singleton fast path                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -441,6 +545,12 @@ let () =
           Alcotest.test_case "off identity" `Quick test_off_identity;
           Alcotest.test_case "screen subset" `Quick test_screen_subset;
           Alcotest.test_case "derate factor" `Quick test_derate_factor;
+        ] );
+      ( "window-inert",
+        [
+          Alcotest.test_case "detects far-apart" `Quick test_far_apart_dropped;
+          Alcotest.test_case "sound on i1" `Quick test_window_drops_sound_i1;
+          Alcotest.test_case "near pairs stay true" `Quick test_near_pairs_kept;
         ] );
       ( "ilist",
         [ Alcotest.test_case "fast paths" `Quick test_ilist_fast_paths ] );

@@ -414,7 +414,23 @@ let test_repair_dry_run () =
             "no journal file written" false (Sys.file_exists journal);
           Alcotest.(check string)
             "checkpoint untouched" stale
-            (In_channel.with_open_bin ckpt In_channel.input_all)))
+            (In_channel.with_open_bin ckpt In_channel.input_all);
+          (* Eco.run shares the warm-start step: the stale file is a
+             cold start, not an error, and is then replaced by a real
+             checkpoint that a rerun warm-starts from *)
+          let cold, _ = Eco.run ~k:4 ~fix_k:1 ~checkpoint:ckpt (B.c17 ()) in
+          Alcotest.(check int)
+            "stale checkpoint is a cold start" 0 cold.Eco.eco_analysis_hits;
+          Alcotest.(check bool) "cold eco identical" true cold.Eco.eco_identical;
+          let warm, _ = Eco.run ~k:4 ~fix_k:1 ~checkpoint:ckpt (B.c17 ()) in
+          Alcotest.(check bool)
+            "rewritten checkpoint warm-starts" true
+            (warm.Eco.eco_analysis_hits > 0);
+          Alcotest.(check bool)
+            "warm eco picks the same fix" true
+            (warm.Eco.eco_rule = cold.Eco.eco_rule
+            && Option.equal Tka_topk.Coupling_set.equal warm.Eco.eco_set
+                 cold.Eco.eco_set)))
 
 let test_repair_no_mutation () =
   let nl = B.c17 () in

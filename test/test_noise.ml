@@ -415,69 +415,6 @@ let test_xtalk_worst_victims () =
   Alcotest.(check bool) "render mentions victim" true (String.length s > 10)
 
 (* ------------------------------------------------------------------ *)
-(* False aggressors                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Fa = Tka_noise.False_aggressors
-
-(* aggressor far earlier than the victim: its pulse is long gone *)
-let far_apart () =
-  let b = Builder.create ~name:"far" () in
-  let ia = Builder.add_input b "ia" in
-  let iv = Builder.add_input b "iv" in
-  let agg = Builder.add_net b "agg" in
-  (* the victim sits behind a 6-inverter chain, far later than agg *)
-  let prev = ref iv in
-  for i = 1 to 6 do
-    let n = Builder.add_net b (Printf.sprintf "d%d" i) in
-    ignore
-      (Builder.add_gate b ~name:(Printf.sprintf "gd%d" i) ~cell:Lib.inverter
-         ~inputs:[ ("A", !prev) ] ~output:n);
-    prev := n
-  done;
-  let vic = Builder.add_net b "vic" in
-  ignore (Builder.add_gate b ~name:"ga" ~cell:Lib.inverter ~inputs:[ ("A", ia) ] ~output:agg);
-  ignore (Builder.add_gate b ~name:"gv" ~cell:Lib.inverter ~inputs:[ ("A", !prev) ] ~output:vic);
-  Builder.mark_output b vic;
-  Builder.mark_output b agg;
-  ignore (Builder.add_coupling b agg vic 0.004);
-  Builder.finalize b
-
-let test_false_aggressor_detected () =
-  let nl = far_apart () in
-  let _, w = windows_of nl in
-  let c = Fa.classify ~windows:w nl in
-  (* agg -> vic direction is false (pulse ends long before the victim
-     switches); vic -> agg direction is also false (pulse comes after
-     agg has settled... here vic switches later, so it is TRUE for agg?
-     no: a disturbance after agg's sensitive interval cannot delay it *)
-  let vic = (N.find_net_exn nl "vic").N.net_id in
-  Alcotest.(check bool) "agg->vic classified false" true
-    (List.exists (fun d -> d.CN.dc_victim = vic) c.Fa.fa_false);
-  Alcotest.(check bool) "fraction positive" true (Fa.false_fraction c > 0.)
-
-let test_false_aggressors_sound () =
-  (* every coupling classified false really contributes zero noise *)
-  let nl = Option.get (B.by_name "i1") in
-  let _, w = windows_of nl in
-  let c = Fa.classify ~margin:0. ~windows:w nl in
-  List.iter
-    (fun d ->
-      let noise =
-        Tka_noise.Victim_noise.delay_noise nl ~windows:w
-          ~victim:d.CN.dc_victim [ d ]
-      in
-      Alcotest.(check (float 1e-9)) "false means zero" 0. noise)
-    c.Fa.fa_false
-
-let test_false_aggressors_near_pairs_true () =
-  (* adjacent same-timing chains: couplings are live *)
-  let nl = two_chains ~stages:2 ~coupling:0.004 in
-  let _, w = windows_of nl in
-  let c = Fa.classify ~windows:w nl in
-  Alcotest.(check bool) "some true aggressors" true (List.length c.Fa.fa_true > 0)
-
-(* ------------------------------------------------------------------ *)
 (* Monte-Carlo alignment sampling                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -581,13 +518,6 @@ let () =
           Alcotest.test_case "monotone in set" `Quick test_delay_noise_monotone_in_set;
           Alcotest.test_case "saturation" `Quick test_saturation_cap;
           Alcotest.test_case "dominance interval" `Quick test_dominance_interval_anchored;
-        ] );
-      ( "false_aggressors",
-        [
-          Alcotest.test_case "detects far-apart" `Quick test_false_aggressor_detected;
-          Alcotest.test_case "sound on i1" `Quick test_false_aggressors_sound;
-          Alcotest.test_case "near pairs stay true" `Quick
-            test_false_aggressors_near_pairs_true;
         ] );
       ( "monte_carlo",
         [

@@ -505,6 +505,39 @@ let test_eco_rule_surfaced () =
       Alcotest.(check bool) "an applied fix names its rule" true (rule <> "none")
   | _ -> Alcotest.fail "eco reply must carry the chosen rule"
 
+(* One eco fix rule: the RPC and [Eco.run] (the [tka eco] path) pick
+   the same rule and the same set at every fix cardinality. *)
+let test_eco_matches_eco_run () =
+  let nl = Option.get (B.by_name "i1") in
+  let body = Nf.print nl in
+  List.iter
+    (fun fix_k ->
+      let srv = make_server () in
+      let sess = session srv in
+      ignore
+        (result_exn "load i1"
+           (rpc srv sess "load"
+              (J.Obj [ ("netlist", J.Str body); ("k", J.Int 4) ])));
+      let eco =
+        result_exn "eco" (rpc srv sess "eco" (J.Obj [ ("fix_k", J.Int fix_k) ]))
+      in
+      let report, _ = Tka_incr.Eco.run ~k:4 ~fix_k nl in
+      let label what = Printf.sprintf "fix_k=%d %s" fix_k what in
+      Alcotest.(check (option string))
+        (label "rule")
+        (Some (Tka_incr.Eco.rule_name report.Tka_incr.Eco.eco_rule))
+        (match J.member "rule" eco with Some (J.Str r) -> Some r | _ -> None);
+      let ids =
+        match report.Tka_incr.Eco.eco_set with
+        | Some set -> Tka_topk.Coupling_set.to_list set
+        | None -> []
+      in
+      Alcotest.(check string)
+        (label "set")
+        (J.to_string (J.List (List.map (fun d -> J.Int d) ids)))
+        (J.to_string (Option.value ~default:J.Null (J.member "set" eco))))
+    [ 1; 2; 3 ]
+
 (* The filter mode rides every analysis RPC: accepted names are echoed
    back, the default is "none", "none" results are bit-identical to an
    unfiltered request, and an unknown name is a bad_request (the error
@@ -844,6 +877,7 @@ let () =
             test_whatif_does_not_advance;
           Alcotest.test_case "eco advances" `Quick test_eco_advances;
           Alcotest.test_case "eco rule surfaced" `Quick test_eco_rule_surfaced;
+          Alcotest.test_case "eco matches Eco.run" `Quick test_eco_matches_eco_run;
           Alcotest.test_case "repair rpc" `Quick test_repair_rpc;
           Alcotest.test_case "filter rpc" `Quick test_filter_rpc;
         ] );

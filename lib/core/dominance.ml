@@ -10,5 +10,6 @@ let interval ~victim =
 
 let dominates ~interval a b = Envelope.encapsulates ~interval a b
 
-let mutually_undominated ~interval a b =
-  (not (dominates ~interval a b)) && not (dominates ~interval b a)
+let dominates_pair ~interval a b =
+  Tka_waveform.Pwl.dominates_on_pair interval (Envelope.waveform a)
+    (Envelope.waveform b)

@@ -23,10 +23,13 @@ val dominates :
     (non-strict) partial order: reflexive, transitive, antisymmetric up
     to envelope equality on the interval. *)
 
-val mutually_undominated :
+val dominates_pair :
   interval:Tka_util.Interval.t ->
   Tka_waveform.Envelope.t ->
   Tka_waveform.Envelope.t ->
-  bool
-(** Neither dominates the other (envelopes that cross, like A and B in
-    Fig. 6). *)
+  bool * bool
+(** [dominates_pair ~interval a b] is exactly
+    [(dominates ~interval a b, dominates ~interval b a)], from one
+    co-scan of the two envelopes ({!Tka_waveform.Pwl.dominates_on_pair}).
+    [(false, false)]: neither dominates the other (envelopes that
+    cross, like A and B in Fig. 6). *)

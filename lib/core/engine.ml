@@ -21,6 +21,7 @@ let m_victims = Metrics.Counter.make "engine.victims_enumerated"
 let m_runs = Metrics.Counter.make "engine.runs"
 let g_runtime = Metrics.Gauge.make "engine.last_runtime_s"
 let h_victim_s = Metrics.Histogram.make "engine.victim_seconds"
+let m_prelude_reuses = Metrics.Counter.make "engine.prelude_reuses"
 
 type mode = Addition | Elimination
 
@@ -85,6 +86,19 @@ type victim_cache = {
 
 let summaries_per_cardinality = 2
 
+(* The per-victim work that depends only on the net and on run
+   constants: the screened, non-inert primaries with their de-rating,
+   their dense indices, strict-dominator masks and the [strong] flags.
+   It holds no envelopes — a PWL slice must not outlive the victim that
+   built it (docs/performance.md) — so a consumer rebuilds those. *)
+type prelude = {
+  pr_prims : CN.directed array;
+  pr_derate : int -> float;
+  pr_idx : (int, int) Hashtbl.t;
+  pr_dom_mask : Tka_util.Bitset.t array;
+  pr_strong : bool array;
+}
+
 let eps = 1e-9
 
 let mode_name = function Addition -> "addition" | Elimination -> "elimination"
@@ -124,6 +138,13 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   Log.debug log_src (fun m ->
       m "direct memo pre-sized" ~fields:[ Log.int "initial_size" direct_memo_size ]);
   let memo_mutex = Mutex.create () in
+  (* Run-local prelude hand-over between a net's two consumers, guarded
+     by [memo_mutex]; [visited.(v)] marks that [v]'s sweep visit has
+     asked for its prelude. *)
+  let preludes : (int, prelude) Hashtbl.t = Hashtbl.create 64 in
+  let visited = Array.make nn false in
+  (* direct summaries are only requested by higher-order candidates *)
+  let higher_possible = config.use_higher_order && k >= 2 in
 
   (* The victim's latest transition, anchored at the noiseless arrival:
      objectives measure noise added to / removed from the noiseless
@@ -150,31 +171,28 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
                  (e.Ilist.couplings, e.Ilist.objective)))
   in
 
-  let rec enumerate ~on_direct ~stats ~use_pseudo ~use_higher ~upto ~level v :
-      Ilist.entry list array =
+  (* Envelopes of a victim's primaries, built on first use and kept for
+     the rest of that victim's enumeration. *)
+  let prim_env_of derate_of size =
+    let tbl = Hashtbl.create size in
+    fun (d : CN.directed) ->
+      let id = CN.directed_id d in
+      match Hashtbl.find_opt tbl id with
+      | Some e -> e
+      | None ->
+        let e = EB.of_directed nl ~windows:mode_w d in
+        let e = match derate_of id with 1. -> e | f -> Envelope.scale f e in
+        Hashtbl.replace tbl id e;
+        e
+  in
+  let build_prelude v ~victim ~interval =
     (* Pre-engine screening: drops candidates the filter proves inert
        before any envelope is built (the whole point — with filtering
        off, [screen] returns the input list physically unchanged and a
        constant 1.0 factor, leaving this path bit-identical). *)
-    let all_primaries, derate_of =
-      Filter.screen filt (CN.aggressors_of_victim nl v)
-    in
-    let victim = victim_tr v in
-    let interval = Dominance.interval ~victim in
-    let prim_env_tbl = Hashtbl.create (max 16 (List.length all_primaries)) in
-    let prim_env (d : CN.directed) =
-      match Hashtbl.find_opt prim_env_tbl (CN.directed_id d) with
-      | Some e -> e
-      | None ->
-        let e = EB.of_directed nl ~windows:mode_w d in
-        let e =
-          match derate_of (CN.directed_id d) with
-          | 1. -> e
-          | f -> Envelope.scale f e
-        in
-        Hashtbl.replace prim_env_tbl (CN.directed_id d) e;
-        e
-    in
+    let coupled = CN.aggressors_of_victim nl v in
+    let all_primaries, derate_of = Filter.screen filt coupled in
+    let prim_env = prim_env_of derate_of (max 16 (List.length all_primaries)) in
     (* A primary whose envelope is zero everywhere on the dominance
        interval cannot change any candidate's objective (the saturated
        crossing never leaves the interval), so it is inert at this
@@ -182,12 +200,113 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
        victims, and dropping them up front shrinks every later step.
        For the elimination objective the interval test is the same: the
        removed envelope only matters where the crossing can sit. *)
-    let primaries =
+    let prim_arr =
       List.filter
-        (fun d ->
-          Pwl.max_on interval (Envelope.waveform (prim_env d)) > eps)
+        (fun d -> Pwl.max_on interval (Envelope.waveform (prim_env d)) > eps)
         all_primaries
+      |> Array.of_list
     in
+    let np = Array.length prim_arr in
+    (* Interned primary universe: each live primary gets a dense index
+       into [prim_arr]; dominator sets and entry membership then live in
+       bitsets over [0, np), so the extension filter is a handful of
+       word ands instead of id-list scans per (entry, primary) pair. *)
+    let idx_of_id = Hashtbl.create (max 16 np) in
+    Array.iteri
+      (fun idx (d : CN.directed) ->
+        Hashtbl.replace idx_of_id (CN.directed_id d) idx)
+      prim_arr;
+    (* [dom_mask.(i)] holds the strict dominators of primary [i] (ties
+       broken by id so equal envelopes do not eliminate each other);
+       one paired scan per unordered pair sets both directions. *)
+    let dom_mask = Array.init np (fun _ -> Tka_util.Bitset.make np) in
+    for i = 0 to np - 1 do
+      let d = prim_arr.(i) in
+      let ed = prim_env d and id = CN.directed_id d in
+      for i' = i + 1 to np - 1 do
+        let d' = prim_arr.(i') in
+        let id' = CN.directed_id d' in
+        let d_dom, d'_dom = Dominance.dominates_pair ~interval ed (prim_env d') in
+        if d'_dom && ((not d_dom) || id' < id) then
+          Tka_util.Bitset.set dom_mask.(i) i';
+        if d_dom && ((not d'_dom) || id < id') then
+          Tka_util.Bitset.set dom_mask.(i') i
+      done
+    done;
+    (* extension fan-out bound: only the strongest primaries (by
+       singleton objective) plus any primary whose dominators are all in
+       the set already (the stacking case) are tried *)
+    let strong = Array.make (max 1 np) false in
+    let () =
+      let scored =
+        Array.mapi
+          (fun idx d -> (idx, VN.delay_noise_of_envelope ~victim (prim_env d)))
+          prim_arr
+      in
+      Array.sort (fun (_, a) (_, b) -> Float.compare b a) scored;
+      Array.iteri
+        (fun rank (idx, _) -> if rank < 8 then strong.(idx) <- true)
+        scored
+    in
+    ( {
+        pr_prims = prim_arr;
+        pr_derate = derate_of;
+        pr_idx = idx_of_id;
+        pr_dom_mask = dom_mask;
+        pr_strong = strong;
+      },
+      prim_env,
+      coupled )
+  in
+  (* A net's prelude has up to two consumers: its memoised direct-only
+     enumeration and its own sweep visit. Whichever runs first leaves
+     the prelude in [preludes] if the other may still come, and the
+     other takes it out. After a direct enumeration the visit is still
+     to come unless it has started. After a visit, only a coupled net
+     at the same level can still ask for the direct summary (a victim
+     asks for those of nets at its own level or above), and only if it
+     is not memoised yet. A missed or raced entry is recomputed
+     identically, so none of this affects results. *)
+  let prelude_of ~direct v ~victim ~interval =
+    Mutex.lock memo_mutex;
+    if not direct then visited.(v) <- true;
+    let hit = Hashtbl.find_opt preludes v in
+    if Option.is_some hit then Hashtbl.remove preludes v;
+    Mutex.unlock memo_mutex;
+    match hit with
+    | Some pr ->
+      Metrics.Counter.incr m_prelude_reuses;
+      (pr, prim_env_of pr.pr_derate (max 16 (Array.length pr.pr_prims)))
+    | None ->
+      let pr, prim_env, coupled = build_prelude v ~victim ~interval in
+      let level = Topo.net_level topo v in
+      if
+        direct
+        || higher_possible
+           && List.exists
+                (fun (d : CN.directed) -> Topo.net_level topo d.CN.dc_aggressor = level)
+                coupled
+      then begin
+        Mutex.lock memo_mutex;
+        let other_pending =
+          if direct then not visited.(v) else not (Hashtbl.mem direct_memo v)
+        in
+        if other_pending then Hashtbl.replace preludes v pr;
+        Mutex.unlock memo_mutex
+      end;
+      (pr, prim_env)
+  in
+
+  let rec enumerate ~direct ~on_direct ~stats ~use_pseudo ~use_higher ~upto ~level v :
+      Ilist.entry list array =
+    let victim = victim_tr v in
+    let interval = Dominance.interval ~victim in
+    let pr, prim_env = prelude_of ~direct v ~victim ~interval in
+    let prim_arr = pr.pr_prims and derate_of = pr.pr_derate in
+    let idx_of_id = pr.pr_idx and dom_mask = pr.pr_dom_mask in
+    let strong = pr.pr_strong in
+    let np = Array.length prim_arr in
+    let primaries = Array.to_list prim_arr in
     (* Elimination reference: the total envelope of everything attacking
        this victim (direct + propagated), and the noise it causes. *)
     let total_env =
@@ -230,55 +349,10 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
     in
     (* Extension rule (Theorem 1): extending a set S with primary d is
        redundant when some primary d' NOT in S strictly dominates d —
-       S ∪ {d'} dominates S ∪ {d}. So each primary carries its list of
-       strict dominators (ties broken by id so equal envelopes do not
-       eliminate each other), and is allowed as an extension of S only
-       when all of them already belong to S. Non-dominated primaries
-       are always allowed. *)
-    let prim_arr = Array.of_list primaries in
-    let np = Array.length prim_arr in
-    (* Interned primary universe: each live primary gets a dense index
-       into [prim_arr]; dominator sets and entry membership then live in
-       bitsets over [0, np), so the extension filter below is a handful
-       of word ands instead of id-list scans per (entry, primary) pair. *)
-    let idx_of_id = Hashtbl.create (max 16 np) in
-    Array.iteri
-      (fun idx (d : CN.directed) ->
-        Hashtbl.replace idx_of_id (CN.directed_id d) idx)
-      prim_arr;
-    let dom_mask =
-      Array.mapi
-        (fun i (d : CN.directed) ->
-          let mask = Tka_util.Bitset.make np in
-          let ed = prim_env d in
-          Array.iteri
-            (fun i' (d' : CN.directed) ->
-              if i' <> i then begin
-                let ed' = prim_env d' in
-                let fwd = Dominance.dominates ~interval ed' ed in
-                let bwd = Dominance.dominates ~interval ed ed' in
-                if fwd && ((not bwd) || CN.directed_id d' < CN.directed_id d)
-                then Tka_util.Bitset.set mask i'
-              end)
-            prim_arr;
-          mask)
-        prim_arr
-    in
-    (* extension fan-out bound: only the strongest primaries (by
-       singleton objective) plus any primary whose dominators are all in
-       the set already (the stacking case) are tried *)
-    let strong = Array.make (max 1 np) false in
-    let () =
-      let scored =
-        Array.mapi
-          (fun idx d -> (idx, VN.delay_noise_of_envelope ~victim (prim_env d)))
-          prim_arr
-      in
-      Array.sort (fun (_, a) (_, b) -> Float.compare b a) scored;
-      Array.iteri
-        (fun rank (idx, _) -> if rank < 8 then strong.(idx) <- true)
-        scored
-    in
+       S ∪ {d'} dominates S ∪ {d}. So each primary is allowed as an
+       extension of S only when all of its strict dominators
+       ([dom_mask]) already belong to S. Non-dominated primaries are
+       always allowed. *)
     (* One scratch membership mask, reloaded per entry in the extension
        scan: set-bit per primary member of the entry's coupling set
        (pseudo/higher ids have no primary index and cannot dominate). *)
@@ -414,6 +488,18 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
       else max 8 (config.capacity - ((i - 20) / 4))
     in
     for i = 1 to upto do
+      (* Two entries of I-list_{i-1} can extend to the same set. Only
+         its first occurrence in list order is built: that is the one
+         [Ilist.prune]'s dedupe keeps, and the repeats are counted as
+         the duplicates [prune] would have found. A single entry cannot
+         extend to the same set twice. *)
+      let prev = ilists.(i - 1) in
+      let seen =
+        match prev with
+        | [] | [ _ ] -> None
+        | _ -> Some (Coupling_set.Tbl.create (max 16 (List.length prev * np)))
+      in
+      let skipped = ref 0 in
       let extensions =
         List.concat_map
           (fun (e : Ilist.entry) ->
@@ -425,18 +511,22 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
                 if
                   (not (Coupling_set.mem id e.Ilist.couplings))
                   && allowed_extension idx
-                then
-                  out :=
-                    entry
-                      (Coupling_set.add id e.Ilist.couplings)
-                      (Envelope.add e.Ilist.envelope (prim_env d))
-                    :: !out)
+                then begin
+                  let set = Coupling_set.add id e.Ilist.couplings in
+                  match seen with
+                  | Some tbl when Coupling_set.Tbl.mem tbl set -> incr skipped
+                  | _ ->
+                    Option.iter (fun tbl -> Coupling_set.Tbl.replace tbl set ()) seen;
+                    out := entry set (Envelope.add e.Ilist.envelope (prim_env d)) :: !out
+                end)
               prim_arr;
             !out)
-          ilists.(i - 1)
+          prev
       in
       let cands = extensions @ pseudo_candidates i @ higher_candidates i in
-      ilists.(i) <- Ilist.prune ~capacity:(capacity_at i) ~interval ~stats cands
+      ilists.(i) <-
+        Ilist.prune ~capacity:(capacity_at i) ~skipped_duplicates:!skipped ~interval
+          ~stats cands
     done;
     ilists
 
@@ -461,7 +551,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
           let upto = max 0 (k - 1) in
           let st = Ilist.fresh_stats () in
           let ilists =
-            enumerate
+            enumerate ~direct:true
               ~on_direct:(fun _ _ _ -> ())
               ~stats:st ~use_pseudo:false ~use_higher:false ~upto
               ~level:(Topo.net_level topo a) a
@@ -547,7 +637,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
           consulted := (a, s, dst) :: !consulted
       in
       let ilists =
-        enumerate ~on_direct ~stats:st ~use_pseudo:config.use_pseudo
+        enumerate ~direct:false ~on_direct ~stats:st ~use_pseudo:config.use_pseudo
           ~use_higher:config.use_higher_order ~upto:k
           ~level:(Topo.net_level topo v) v
       in

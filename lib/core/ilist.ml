@@ -41,7 +41,16 @@ let log_src = Tka_obs.Log.Src.create "ilist" ~doc:"I-list pruning"
    alloc-hotspot workflow can confirm the pre-size took effect. *)
 let logged_size = ref false
 
-let prune ?(capacity = default_capacity) ~interval ~stats entries =
+let prune ?(capacity = default_capacity) ?(skipped_duplicates = 0) ~interval
+    ~stats entries =
+  (* Repeats the caller dropped before building their entries count
+     exactly as this function's own dedupe would count them. *)
+  stats.candidates <- stats.candidates + skipped_duplicates;
+  stats.duplicates <- stats.duplicates + skipped_duplicates;
+  if skipped_duplicates > 0 && M.is_enabled () then begin
+    M.Counter.add m_candidates skipped_duplicates;
+    M.Counter.add m_duplicates skipped_duplicates
+  end;
   match entries with
   | [] -> []
   | [ e ] when capacity >= 1 ->

@@ -36,6 +36,7 @@ val default_capacity : int
 
 val prune :
   ?capacity:int ->
+  ?skipped_duplicates:int ->
   interval:Tka_util.Interval.t ->
   stats:stats ->
   entry list ->
@@ -48,7 +49,12 @@ val prune :
     [capacity_evictions], [dominance_checks]). Empty and singleton
     inputs short-circuit without allocating the dedupe/prefilter
     machinery; results and stats are exactly those of the general
-    path. *)
+    path.
+
+    [skipped_duplicates] (default 0) counts candidates the caller
+    recognised as repeats of an earlier candidate set and never built:
+    they are added to [candidates] and [duplicates] (and the matching
+    counters), so the stats equal those of passing the repeats in. *)
 
 val best : entry list -> entry option
 (** Highest objective (the head after {!prune}). *)

@@ -426,6 +426,26 @@ let dominates_on ?(eps = F.default_eps) interval a b =
        !good
      end
 
+(* Both directions of [dominates_on] from one endpoint evaluation and
+   one co-scan. The merged abscissae and the values the co-scan reports
+   at them do not depend on operand order, so testing [yb >= ya - eps]
+   here is exactly the test [dominates_on interval b a] makes. *)
+let dominates_on_pair ?(eps = F.default_eps) interval a b =
+  let lo = Interval.lo interval and hi = Interval.hi interval in
+  let alo = eval a lo and blo = eval b lo and ahi = eval a hi and bhi = eval b hi in
+  let fwd = ref (alo >= blo -. eps && ahi >= bhi -. eps)
+  and bwd = ref (blo >= alo -. eps && bhi >= ahi -. eps) in
+  if !fwd || !bwd then
+    co_scan2 a b (fun x ya yb ->
+        if x <= lo then true
+        else if x >= hi then false
+        else begin
+          if !fwd && not (ya >= yb -. eps) then fwd := false;
+          if !bwd && not (yb >= ya -. eps) then bwd := false;
+          !fwd || !bwd
+        end);
+  (!fwd, !bwd)
+
 let equal ?(eps = F.default_eps) a b = dominates ~eps a b && dominates ~eps b a
 
 let last_upcrossing t level =

@@ -102,6 +102,13 @@ val dominates_on : ?eps:float -> Tka_util.Interval.t -> t -> t -> bool
 (** Same, restricted to a closed interval (the dominance interval of
     Section 3.2). *)
 
+val dominates_on_pair :
+  ?eps:float -> Tka_util.Interval.t -> t -> t -> bool * bool
+(** [dominates_on_pair i a b] is exactly
+    [(dominates_on i a b, dominates_on i b a)], computed with one
+    evaluation of each endpoint and one co-scan that stops once both
+    directions have failed or the scan passes the interval. *)
+
 val equal : ?eps:float -> t -> t -> bool
 
 (** {1 Crossings} *)

@@ -24,6 +24,7 @@ module Transition = Tka_waveform.Transition
 module Interval = Tka_util.Interval
 module B = Tka_layout.Benchmarks
 module Lib = Tka_cell.Default_lib
+module Metrics = Tka_obs.Metrics
 
 let check_f6 = Alcotest.(check (float 1e-6))
 
@@ -167,8 +168,8 @@ let test_dominance_fig6_incomparable () =
   (* A tall narrow early vs short wide late: neither encapsulates *)
   let a = env ~peak:0.4 ~window_lo:0.95 ~window_hi:1.0 in
   let b = env ~peak:0.15 ~window_lo:0.9 ~window_hi:1.3 in
-  Alcotest.(check bool) "mutually undominated" true
-    (Dominance.mutually_undominated ~interval:i a b)
+  Alcotest.(check (pair bool bool)) "mutually undominated" (false, false)
+    (Dominance.dominates_pair ~interval:i a b)
 
 let test_dominance_implies_more_noise () =
   (* Theorem 1: dominating envelope yields at least as much delay noise,
@@ -265,6 +266,63 @@ let test_ilist_merge_stats () =
   Ilist.merge_stats a b;
   Alcotest.(check int) "candidates" 5 a.Ilist.candidates;
   Alcotest.(check int) "dominated" 2 a.Ilist.dominated
+
+(* The engine drops a repeated extension set before building its
+   envelope and hands [prune] the count instead. Stats and the
+   [engine.*] counter deltas must equal those of passing the repeats
+   through [prune]'s own dedupe. *)
+let prune_counters =
+  [
+    "engine.candidate_sets";
+    "engine.duplicate_sets";
+    "engine.sets_pruned";
+    "engine.capacity_evictions";
+    "engine.dominance_checks";
+  ]
+
+let prune_accounted ?capacity ?skipped_duplicates entries =
+  let values () =
+    List.map
+      (fun n -> Metrics.Counter.value (Option.get (Metrics.find_counter n)))
+      prune_counters
+  in
+  let stats = Ilist.fresh_stats () in
+  Metrics.with_enabled true (fun () ->
+      let before = values () in
+      let kept =
+        Ilist.prune ?capacity ?skipped_duplicates
+          ~interval:(Dominance.interval ~victim) ~stats entries
+      in
+      let deltas = List.map2 ( - ) (values ()) before in
+      let s = stats in
+      ( List.map (fun e -> (CS.to_list e.Ilist.couplings, e.Ilist.objective)) kept,
+        [ s.Ilist.candidates; s.Ilist.dominated; s.Ilist.duplicates; s.Ilist.capped;
+          s.Ilist.checks ],
+        deltas ))
+
+let test_ilist_skipped_duplicates () =
+  let a = entry (CS.of_list [ 1; 2 ]) (env ~peak:0.3 ~window_lo:0.8 ~window_hi:1.1) 0.05 in
+  let b = entry (CS.of_list [ 1; 3 ]) (env ~peak:0.1 ~window_lo:0.9 ~window_hi:1.0) 0.01 in
+  let c = entry (CS.of_list [ 2; 3 ]) (env ~peak:0.15 ~window_lo:0.9 ~window_hi:1.3) 0.02 in
+  (* a repeat of a set; what it carries is never looked at *)
+  let again e = { e with Ilist.envelope = Envelope.zero; objective = 1. } in
+  List.iter
+    (fun (name, capacity, full, deduped, skipped) ->
+      let kept, stats, deltas = prune_accounted ?capacity full in
+      let kept', stats', deltas' =
+        prune_accounted ?capacity ~skipped_duplicates:skipped deduped
+      in
+      Alcotest.(check (list (pair (list int) (float 0.)))) (name ^ ": kept") kept kept';
+      Alcotest.(check (list int)) (name ^ ": stats") stats stats';
+      Alcotest.(check (list int)) (name ^ ": counter deltas") deltas deltas';
+      Alcotest.(check int) (name ^ ": duplicates counted") skipped (List.nth stats 2);
+      Alcotest.(check int) (name ^ ": duplicate_sets delta") skipped (List.nth deltas 1))
+    [
+      ("general", None, [ a; b; again a; c; again b; again a ], [ a; b; c ], 3);
+      ("capacity 1", Some 1, [ a; again a; b; c; again c ], [ a; b; c ], 2);
+      (* dedupe leaves one candidate: [prune]'s singleton fast path *)
+      ("singleton", None, [ a; again a; again a ], [ a ], 2);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Pseudo                                                              *)
@@ -782,6 +840,7 @@ let () =
           Alcotest.test_case "capacity" `Quick test_ilist_capacity;
           Alcotest.test_case "best" `Quick test_ilist_best;
           Alcotest.test_case "merge stats" `Quick test_ilist_merge_stats;
+          Alcotest.test_case "skipped duplicates" `Quick test_ilist_skipped_duplicates;
         ] );
       ( "pseudo",
         [

@@ -338,6 +338,37 @@ let arb_kernel_pwl_list =
       let* n = int_range 2 6 in
       list_repeat n kernel_pwl_gen)
 
+(* Operands and an interval for the paired dominance kernel: the
+   second operand is sometimes the first itself, its sub-x_eps
+   neighbour, or Pwl.zero, and the interval endpoints are sometimes
+   exact breakpoints of an operand (or a point interval). *)
+let arb_pair_case =
+  let gen =
+    QCheck.Gen.(
+      let* a = kernel_pwl_gen in
+      let* kind = int_bound 5 in
+      let* b =
+        match kind with
+        | 0 -> return a
+        | 1 -> return Pwl.zero
+        | 2 -> return (Pwl.shift_x 1e-13 a)
+        | _ -> kernel_pwl_gen
+      in
+      let xs = List.map fst (Pwl.breakpoints a @ Pwl.breakpoints b) in
+      let endpoint =
+        let* on_bp = bool in
+        if on_bp then oneofl xs
+        else map (fun t -> 0.25 *. float_of_int t) (int_range (-10) 10)
+      in
+      let* x0 = endpoint and* x1 = endpoint in
+      return (a, b, Interval.make (Float.min x0 x1) (Float.max x0 x1)))
+  in
+  QCheck.make
+    ~print:(fun (a, b, iv) ->
+      Printf.sprintf "a=%s b=%s [%h, %h]" (Pwl.to_string a) (Pwl.to_string b)
+        (Interval.lo iv) (Interval.hi iv))
+    gen
+
 let pointwise_ok expect got ws =
   List.for_all
     (fun x -> Float.abs (Pwl.eval got x -. expect x) <= 1e-9)
@@ -399,6 +430,10 @@ let kernel_qcheck_tests =
             Float.infinity (Pwl.breakpoints a)
         in
         Pwl.min_value a = expected);
+    Test.make ~name:"paired dominance matches dominates_on" ~count:1000
+      arb_pair_case (fun (a, b, iv) ->
+        Pwl.dominates_on_pair iv a b
+        = (Pwl.dominates_on iv a b, Pwl.dominates_on iv b a));
   ]
 
 let test_nan_rejected () =

@@ -46,31 +46,10 @@ type t = {
   net_index : (string, net_id) Hashtbl.t;
   gate_index : (string, gate_id) Hashtbl.t;
   couplings_by_net : coupling_id list array;
+  total_caps : float array;
+      (* [total_cap] per net, summed once here: the noise kernels read
+         it for every pulse they build *)
 }
-
-let unsafe_create ~name ~nets ~gates ~couplings ~inputs ~outputs =
-  let net_index = Hashtbl.create (Array.length nets) in
-  Array.iter (fun n -> Hashtbl.replace net_index n.net_name n.net_id) nets;
-  let gate_index = Hashtbl.create (Array.length gates) in
-  Array.iter (fun g -> Hashtbl.replace gate_index g.gate_name g.gate_id) gates;
-  let couplings_by_net = Array.make (Array.length nets) [] in
-  Array.iter
-    (fun c ->
-      couplings_by_net.(c.net_a) <- c.coupling_id :: couplings_by_net.(c.net_a);
-      couplings_by_net.(c.net_b) <- c.coupling_id :: couplings_by_net.(c.net_b))
-    couplings;
-  Array.iteri (fun i l -> couplings_by_net.(i) <- List.rev l) couplings_by_net;
-  {
-    circuit_name = name;
-    net_arr = nets;
-    gate_arr = gates;
-    coupling_arr = couplings;
-    input_ids = inputs;
-    output_ids = outputs;
-    net_index;
-    gate_index;
-    couplings_by_net;
-  }
 
 let name t = t.circuit_name
 let num_nets t = Array.length t.net_arr
@@ -135,4 +114,37 @@ let total_coupling_cap t id =
     (fun acc cid -> acc +. (coupling t cid).coupling_cap)
     0. (couplings_of_net t id)
 
-let total_cap t id = ground_cap t id +. total_coupling_cap t id
+let total_cap t id = t.total_caps.(id)
+
+let unsafe_create ~name ~nets ~gates ~couplings ~inputs ~outputs =
+  let net_index = Hashtbl.create (Array.length nets) in
+  Array.iter (fun n -> Hashtbl.replace net_index n.net_name n.net_id) nets;
+  let gate_index = Hashtbl.create (Array.length gates) in
+  Array.iter (fun g -> Hashtbl.replace gate_index g.gate_name g.gate_id) gates;
+  let couplings_by_net = Array.make (Array.length nets) [] in
+  Array.iter
+    (fun c ->
+      couplings_by_net.(c.net_a) <- c.coupling_id :: couplings_by_net.(c.net_a);
+      couplings_by_net.(c.net_b) <- c.coupling_id :: couplings_by_net.(c.net_b))
+    couplings;
+  Array.iteri (fun i l -> couplings_by_net.(i) <- List.rev l) couplings_by_net;
+  let t =
+    {
+      circuit_name = name;
+      net_arr = nets;
+      gate_arr = gates;
+      coupling_arr = couplings;
+      input_ids = inputs;
+      output_ids = outputs;
+      net_index;
+      gate_index;
+      couplings_by_net;
+      total_caps = [||];
+    }
+  in
+  {
+    t with
+    total_caps =
+      Array.init (Array.length nets) (fun id ->
+          ground_cap t id +. total_coupling_cap t id);
+  }

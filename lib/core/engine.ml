@@ -586,6 +586,14 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
      the memo key set — and therefore the merged stats — match a
      from-scratch run exactly (the values are identical by purity: a
      valid cache hit implies the aggressor's inputs are unchanged). *)
+  (* A primary output's lists as sink selection reads them: sets and
+     objectives only, so no envelope outlives its victim. *)
+  let sink_ilists out =
+    Array.map
+      (List.map (fun (set, obj) ->
+           { Ilist.couplings = set; envelope = Envelope.zero; objective = obj }))
+      out
+  in
   let install_cached v (cv : cached_victim) =
     summaries.(v) <- cv.cv_summary;
     victim_stats.(v) <- Some cv.cv_stats;
@@ -596,19 +604,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
           Hashtbl.replace direct_memo a (s, st);
         Mutex.unlock memo_mutex)
       cv.cv_direct;
-    match cv.cv_out with
-    | None -> ()
-    | Some out ->
-      out_ilists.(v) <-
-        Some
-          (Array.map
-             (List.map (fun (set, obj) ->
-                  {
-                    Ilist.couplings = set;
-                    envelope = Envelope.zero;
-                    objective = obj;
-                  }))
-             out)
+    Option.iter (fun out -> out_ilists.(v) <- Some (sink_ilists out)) cv.cv_out
   in
   (* Reject records that cannot have come from an equivalent run (a
      provider bug or stale checkpoint): wrong cardinality range, or a
@@ -630,6 +626,9 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
     with
     | Some cv -> install_cached v cv
     | None ->
+      (* Everything kept from the enumeration is sets and objectives, so
+         every envelope it built goes back to the arena on return. *)
+      Tka_waveform.Arena.scoped @@ fun () ->
       let st = Ilist.fresh_stats () in
       let consulted = ref [] in
       let on_direct a s dst =
@@ -643,25 +642,25 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
       in
       summaries.(v) <- summary_of_ilists k ilists;
       victim_stats.(v) <- Some st;
-      let is_out = (N.net nl v).N.is_output in
-      if is_out then out_ilists.(v) <- Some ilists;
-      (match victim_cache with
-      | None -> ()
-      | Some c ->
-        c.vc_store v
-          {
-            cv_summary = summaries.(v);
-            cv_out =
-              (if is_out then
-                 Some
-                   (Array.map
-                      (List.map (fun (e : Ilist.entry) ->
-                           (e.Ilist.couplings, e.Ilist.objective)))
-                      ilists)
-               else None);
-            cv_stats = st;
-            cv_direct = List.rev !consulted;
-          })
+      let out =
+        if (N.net nl v).N.is_output then
+          Some
+            (Array.map
+               (List.map (fun (e : Ilist.entry) -> (e.Ilist.couplings, e.Ilist.objective)))
+               ilists)
+        else None
+      in
+      Option.iter (fun out -> out_ilists.(v) <- Some (sink_ilists out)) out;
+      Option.iter
+        (fun c ->
+          c.vc_store v
+            {
+              cv_summary = summaries.(v);
+              cv_out = out;
+              cv_stats = st;
+              cv_direct = List.rev !consulted;
+            })
+        victim_cache
   in
   let instrumented v =
     (* observability disabled: no span, no histogram, no clock reads *)

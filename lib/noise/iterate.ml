@@ -98,9 +98,15 @@ let victim_key (windows : Envelope_builder.windows) ~own_noise ~victim ds =
     ds;
   key
 
+(* Without a ctx nothing a victim builds outlives it, so its envelopes
+   go back to the arena at once; with one, the envelope memo keeps
+   them, so that path stays unscoped. *)
 let victim_noise ctx nl ~windows ~own_noise ~victim ds =
   match (ctx, ds) with
-  | None, _ | _, [] -> Victim_noise.delay_noise nl ~windows ~own_noise ~victim ds
+  | _, [] -> 0.
+  | None, _ ->
+    Tka_waveform.Arena.scoped (fun () ->
+        Victim_noise.delay_noise nl ~windows ~own_noise ~victim ds)
   | Some cx, _ :: _ -> (
     let key = victim_key windows ~own_noise ~victim ds in
     match Victim_memo.find_opt cx.cx_victims key with

@@ -28,22 +28,32 @@ type design = {
          different modes never alias inside the shared cache. The
          table is confined to this session's connection thread. *)
   d_k : int;
+  d_fix : Tka_noise.Iterate.t Lazy.t;
+      (* the all-aggressor fixpoint, a pure function of [d_nl]: computed
+         by the first analysis of this design state and handed to every
+         later one (forced only by this session's connection thread) *)
 }
 
 let make_design ~name ~nl ~fp ~cache ~k =
   let analyzer = Analyzer.with_shared_cache ~k ~cache () in
   let analyzers = Hashtbl.create 4 in
   Hashtbl.add analyzers Tka_filter.Mode.Off analyzer;
+  let topo = Topo.create nl in
   {
     d_name = name;
     d_nl = nl;
-    d_topo = Topo.create nl;
+    d_topo = topo;
     d_fp = fp;
     d_cache = cache;
     d_analyzer = analyzer;
     d_analyzers = analyzers;
     d_k = k;
+    d_fix = lazy (Tka_noise.Iterate.run topo);
   }
+
+(* Every analysis of a design state goes through here, so the state's
+   fixpoint is computed at most once. *)
+let run_analyzer a d = Analyzer.run ~fixpoint:(Lazy.force d.d_fix) a d.d_topo
 
 let analyzer_for d filter =
   match Hashtbl.find_opt d.d_analyzers filter with
@@ -162,7 +172,7 @@ let analyze t params =
   let* mode = bad (Proto.mode_of_params params) in
   let* filter = bad (Proto.filter_of_params params) in
   let t0 = Clock.now_s () in
-  let elim, st = Analyzer.run (analyzer_for d filter) d.d_topo in
+  let elim, st = run_analyzer (analyzer_for d filter) d in
   Ok (J.Obj (analysis_fields d ~mode ~filter elim st (Clock.now_s () -. t0)))
 
 (* ------------------------------------------------------------------ *)
@@ -213,7 +223,7 @@ let whatif t params =
   let* filter = bad (Proto.filter_of_params params) in
   let t0 = Clock.now_s () in
   let d', dirty = edited_design t d edits in
-  let elim, st = Analyzer.run (analyzer_for d' filter) d'.d_topo in
+  let elim, st = run_analyzer (analyzer_for d' filter) d' in
   Ok
     (J.Obj
        (("edits", J.Int (List.length edits))
@@ -231,7 +241,7 @@ let eco t params =
         Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" d.d_k )
   else
     let t0 = Clock.now_s () in
-    let elim, st = Analyzer.run d.d_analyzer d.d_topo in
+    let elim, st = run_analyzer d.d_analyzer d in
     let rule, set = Eco.choose_fix elim ~fix_k in
     let delay_noisy = elim.Elimination.result.Engine.res_noisy_delay in
     let base =
@@ -263,7 +273,7 @@ let eco t params =
     | Some set ->
       let edits = Eco.removal_edits set in
       let d', dirty = edited_design t d edits in
-      let elim', st' = Analyzer.run d'.d_analyzer d'.d_topo in
+      let elim', st' = run_analyzer d'.d_analyzer d' in
       t.design <- Some d';
       Ok
         (J.Obj

@@ -7,7 +7,11 @@
     enumerates is immediately reusable by co-tenants (and vice versa).
     All results are {e bit-identical} to the equivalent one-shot CLI
     run at any jobs count: the session only composes the analyzer and
-    the engine, both of which carry that contract.
+    the engine, both of which carry that contract. Each design state
+    (a load, an eco or repair commit, a whatif's edited copy) computes
+    its all-aggressor noise fixpoint at most once and hands it to every
+    analysis of that state — exact, since the fixpoint is a pure
+    function of the netlist.
 
     Methods (see [docs/serving.md] for the wire reference):
 

@@ -27,7 +27,7 @@ let[@inline] gy t i = t.buf.(t.off + (2 * i) + 1)
    considered the same instant. *)
 let x_eps = 1e-12
 
-let collinear x0 y0 x1 y1 x2 y2 =
+let[@inline] collinear x0 y0 x1 y1 x2 y2 =
   (* (x1,y1) lies on the segment (x0,y0)-(x2,y2)? Cross-product test with a
      scale-aware tolerance. *)
   let cross = ((x1 -. x0) *. (y2 -. y0)) -. ((x2 -. x0) *. (y1 -. y0)) in
@@ -40,18 +40,20 @@ let collinear x0 y0 x1 y1 x2 y2 =
 let simplify_into buf off n =
   if n <= 2 then n
   else begin
-    let x i = buf.(off + (2 * i)) and y i = buf.(off + (2 * i) + 1) in
     let w = ref 1 in
     for r = 1 to n - 2 do
-      if not (collinear (x (!w - 1)) (y (!w - 1)) (x r) (y r) (x (r + 1)) (y (r + 1)))
+      let k = off + (2 * (!w - 1)) and c = off + (2 * r) in
+      if
+        not
+          (collinear buf.(k) buf.(k + 1) buf.(c) buf.(c + 1) buf.(c + 2) buf.(c + 3))
       then begin
-        buf.(off + (2 * !w)) <- x r;
-        buf.(off + (2 * !w) + 1) <- y r;
+        buf.(off + (2 * !w)) <- buf.(c);
+        buf.(off + (2 * !w) + 1) <- buf.(c + 1);
         incr w
       end
     done;
-    buf.(off + (2 * !w)) <- x (n - 1);
-    buf.(off + (2 * !w) + 1) <- y (n - 1);
+    buf.(off + (2 * !w)) <- buf.(off + (2 * (n - 1)));
+    buf.(off + (2 * !w) + 1) <- buf.(off + (2 * (n - 1)) + 1);
     incr w;
     !w
   end
@@ -79,9 +81,17 @@ let of_points_unchecked pts =
       pts;
     finish buf off ~cap:n n
 
+(* Already strictly increasing with every gap wider than [x_eps]: the
+   stable sort below is then the identity and the merge keeps every
+   point, so both can be skipped. NaN abscissae fail the test. *)
+let rec well_spaced = function
+  | (x, _) :: ((x', _) :: _ as tl) -> x' -. x > x_eps && well_spaced tl
+  | [ _ ] | [] -> true
+
 let create pts =
   match pts with
   | [] -> invalid_arg "Pwl.create: empty point list"
+  | _ :: _ when well_spaced pts -> of_points_unchecked pts
   | _ :: _ ->
     let sorted = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) pts in
     (* Merge coincident abscissae. *)
@@ -234,7 +244,7 @@ let shift_x d t =
 
 (* Value of the slice (buf, off, n) at [x] given cursor [i] = first
    index with x_i >= x (n when exhausted). Same formula as [eval]. *)
-let value_at buf off n i x =
+let[@inline] value_at buf off n i x =
   if i < n && buf.(off + (2 * i)) = x then buf.(off + (2 * i) + 1)
   else if i = 0 then buf.(off + 1)
   else if i >= n then buf.(off + (2 * (n - 1)) + 1)
@@ -244,93 +254,225 @@ let value_at buf off n i x =
     y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0))
   end
 
-(* Two-cursor co-scan of [a] and [b]: calls [f x ya yb] at every merged
-   abscissa; [f] returns [false] to stop the scan early. *)
-let co_scan2 a b f =
-  let ab = a.buf and ao = a.off and na = a.len in
-  let bb = b.buf and bo = b.off and nb = b.len in
-  let i = ref 0 and j = ref 0 in
-  let last = ref Float.neg_infinity in
-  let go = ref true in
-  while !go && (!i < na || !j < nb) do
-    let xa = if !i < na then ab.(ao + (2 * !i)) else Float.infinity
-    and xb = if !j < nb then bb.(bo + (2 * !j)) else Float.infinity in
+(* A two-cursor co-scan of [a] and [b] in progress: the cursors in
+   [scan], the last visited abscissa and the current merged point in
+   [point]. [scan_next] steps to the next merged abscissa; callers loop
+   on it and read [px], [pya], [pyb]. An all-float record stores its
+   fields unboxed, so a scan allocates its two records and nothing per
+   point. *)
+type scan = { mutable si : int; mutable sj : int }
+type point = { mutable px : float; mutable pya : float; mutable pyb : float; mutable plast : float }
+
+let scan_start () =
+  ({ si = 0; sj = 0 }, { px = 0.; pya = 0.; pyb = 0.; plast = Float.neg_infinity })
+
+(* false once both operands are exhausted *)
+let rec scan_next a b s p =
+  let i = s.si and j = s.sj in
+  if i >= a.len && j >= b.len then false
+  else begin
+    let xa = if i < a.len then gx a i else Float.infinity
+    and xb = if j < b.len then gx b j else Float.infinity in
     if xa <= xb then begin
-      if xa -. !last > x_eps then begin
-        go := f xa ab.(ao + (2 * !i) + 1) (value_at bb bo nb !j xa);
-        last := xa
-      end;
-      incr i
+      s.si <- i + 1;
+      if xa -. p.plast > x_eps then begin
+        p.px <- xa;
+        p.pya <- gy a i;
+        p.pyb <- value_at b.buf b.off b.len j xa;
+        p.plast <- xa;
+        true
+      end
+      else scan_next a b s p
     end
     else begin
-      if xb -. !last > x_eps then begin
-        go := f xb (value_at ab ao na !i xb) bb.(bo + (2 * !j) + 1);
-        last := xb
-      end;
-      incr j
+      s.sj <- j + 1;
+      if xb -. p.plast > x_eps then begin
+        p.px <- xb;
+        p.pya <- value_at a.buf a.off a.len i xb;
+        p.pyb <- gy b j;
+        p.plast <- xb;
+        true
+      end
+      else scan_next a b s p
     end
-  done
+  end
 
-let combine2 f a b =
+let combine2 ~neg a b =
   let cap = a.len + b.len in
   let buf, off = Arena.alloc (2 * cap) in
+  let s, p = scan_start () in
   let m = ref 0 in
-  co_scan2 a b (fun x ya yb ->
-      buf.(off + (2 * !m)) <- x;
-      buf.(off + (2 * !m) + 1) <- f ya yb;
-      incr m;
-      true);
+  while scan_next a b s p do
+    buf.(off + (2 * !m)) <- p.px;
+    buf.(off + (2 * !m) + 1) <- (if neg then p.pya -. p.pyb else p.pya +. p.pyb);
+    incr m
+  done;
   finish buf off ~cap !m
 
-let add a b = combine2 ( +. ) a b
-let sub a b = combine2 ( -. ) a b
+let add a b = combine2 ~neg:false a b
+let sub a b = combine2 ~neg:true a b
 
 (* k-way superposition: one pass over the union of all operand
-   breakpoints with an index-array cursor front. Combining r envelopes
-   costs O(total breakpoints * r) cursor work and allocates only the
-   output slice, against the former left fold's O(r^2 * n) re-merges,
-   each allocating an intermediate waveform. The operand count is tiny
-   (<= k ~ 75 aggressors), so a linear min-scan beats a heap. *)
+   breakpoints, allocating only the output slice. Two fronts share the
+   cursor invariant of the co-scan above ([idx.(c)] = first unconsumed
+   breakpoint of operand c):
+
+   - [sum_scan], the general one, finds the next abscissa by a linear
+     min-scan and evaluates every operand at every output point. It
+     stops at an x = infinity breakpoint.
+   - [sum_heap] serves operands whose two end ordinates are zero and
+     whose end abscissae are finite (every noise envelope). A binary
+     heap keyed by each operand's next breakpoint yields the abscissae,
+     and a point only evaluates the operands strictly inside their span
+     — kept in operand order in [act]. Every skipped operand contributes
+     exactly +0. or -0. to the full sum; the accumulator starts at +0.
+     and a round-to-nearest sum is -0. only when both terms are, so it
+     is never -0. and adding a zero leaves it unchanged. The result is
+     therefore bit-identical to [sum_scan]'s. With three operands or
+     fewer the heap costs more than the scans it saves. *)
+let sum_scan ops =
+  let r = Array.length ops in
+  let idx = Array.make r 0 in
+  let cap = Array.fold_left (fun acc o -> acc + o.len) 0 ops in
+  let buf, off = Arena.alloc (2 * cap) in
+  let m = ref 0 in
+  let last = ref Float.neg_infinity in
+  let go = ref true in
+  while !go do
+    (* front: smallest unconsumed breakpoint across the operands *)
+    let x = ref Float.infinity in
+    for c = 0 to r - 1 do
+      let o = ops.(c) in
+      if idx.(c) < o.len && gx o idx.(c) < !x then x := gx o idx.(c)
+    done;
+    let x = !x in
+    if x = Float.infinity then go := false
+    else begin
+      if x -. !last > x_eps then begin
+        let acc = ref 0. in
+        for c = 0 to r - 1 do
+          let o = ops.(c) in
+          acc := !acc +. value_at o.buf o.off o.len idx.(c) x
+        done;
+        buf.(off + (2 * !m)) <- x;
+        buf.(off + (2 * !m) + 1) <- !acc;
+        incr m;
+        last := x
+      end;
+      for c = 0 to r - 1 do
+        let o = ops.(c) in
+        if idx.(c) < o.len && gx o idx.(c) = x then idx.(c) <- idx.(c) + 1
+      done
+    end
+  done;
+  finish buf off ~cap !m
+
+let zero_ended o =
+  gy o 0 = 0.
+  && gy o (o.len - 1) = 0.
+  && Float.is_finite (gx o 0)
+  && Float.is_finite (gx o (o.len - 1))
+
+let sum_heap ops =
+  let r = Array.length ops in
+  let idx = Array.make r 0 in
+  let cap = Array.fold_left (fun acc o -> acc + o.len) 0 ops in
+  let buf, off = Arena.alloc (2 * cap) in
+  (* min-heap of (next abscissa, operand) *)
+  let hx = Array.make r 0. and hc = Array.make r 0 in
+  let size = ref 0 in
+  let rec sift_up i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      if hx.(i) < hx.(p) then begin
+        let x = hx.(i) and c = hc.(i) in
+        hx.(i) <- hx.(p);
+        hc.(i) <- hc.(p);
+        hx.(p) <- x;
+        hc.(p) <- c;
+        sift_up p
+      end
+    end
+  in
+  let rec sift_down i =
+    let l = (2 * i) + 1 in
+    if l < !size then begin
+      let j = if l + 1 < !size && hx.(l + 1) < hx.(l) then l + 1 else l in
+      if hx.(j) < hx.(i) then begin
+        let x = hx.(i) and c = hc.(i) in
+        hx.(i) <- hx.(j);
+        hc.(i) <- hc.(j);
+        hx.(j) <- x;
+        hc.(j) <- c;
+        sift_down j
+      end
+    end
+  in
+  Array.iteri
+    (fun c o ->
+      hx.(!size) <- gx o 0;
+      hc.(!size) <- c;
+      incr size;
+      sift_up (!size - 1))
+    ops;
+  (* operands strictly inside their span, ascending *)
+  let act = Array.make r 0 and na = ref 0 in
+  let insert c =
+    let j = ref !na in
+    while !j > 0 && act.(!j - 1) > c do
+      act.(!j) <- act.(!j - 1);
+      decr j
+    done;
+    act.(!j) <- c;
+    incr na
+  in
+  let remove c =
+    let j = ref 0 in
+    while act.(!j) <> c do incr j done;
+    Array.blit act (!j + 1) act !j (!na - !j - 1);
+    decr na
+  in
+  let m = ref 0 in
+  let last = ref Float.neg_infinity in
+  while !size > 0 do
+    let x = hx.(0) in
+    if x -. !last > x_eps then begin
+      let acc = ref 0. in
+      for j = 0 to !na - 1 do
+        let o = ops.(act.(j)) in
+        acc := !acc +. value_at o.buf o.off o.len idx.(act.(j)) x
+      done;
+      buf.(off + (2 * !m)) <- x;
+      buf.(off + (2 * !m) + 1) <- !acc;
+      incr m;
+      last := x
+    end;
+    (* consume every breakpoint at x *)
+    while !size > 0 && hx.(0) = x do
+      let c = hc.(0) in
+      let o = ops.(c) in
+      let i = idx.(c) + 1 in
+      idx.(c) <- i;
+      if i = 1 && o.len > 1 then insert c;
+      if i < o.len then hx.(0) <- gx o i
+      else begin
+        if o.len > 1 then remove c;
+        decr size;
+        hx.(0) <- hx.(!size);
+        hc.(0) <- hc.(!size)
+      end;
+      sift_down 0
+    done
+  done;
+  finish buf off ~cap !m
+
 let sum = function
   | [] -> zero
   | [ w ] -> w
   | ws ->
     let ops = Array.of_list ws in
-    let r = Array.length ops in
-    let idx = Array.make r 0 in
-    let cap = Array.fold_left (fun acc o -> acc + o.len) 0 ops in
-    let buf, off = Arena.alloc (2 * cap) in
-    let m = ref 0 in
-    let last = ref Float.neg_infinity in
-    let go = ref true in
-    while !go do
-      (* front: smallest unconsumed breakpoint across the operands *)
-      let x = ref Float.infinity in
-      for c = 0 to r - 1 do
-        let o = ops.(c) in
-        if idx.(c) < o.len && gx o idx.(c) < !x then x := gx o idx.(c)
-      done;
-      let x = !x in
-      if x = Float.infinity then go := false
-      else begin
-        if x -. !last > x_eps then begin
-          let acc = ref 0. in
-          for c = 0 to r - 1 do
-            let o = ops.(c) in
-            acc := !acc +. value_at o.buf o.off o.len idx.(c) x
-          done;
-          buf.(off + (2 * !m)) <- x;
-          buf.(off + (2 * !m) + 1) <- !acc;
-          incr m;
-          last := x
-        end;
-        for c = 0 to r - 1 do
-          let o = ops.(c) in
-          if idx.(c) < o.len && gx o idx.(c) = x then idx.(c) <- idx.(c) + 1
-        done
-      end
-    done;
-    finish buf off ~cap !m
+    if Array.length ops <= 3 || not (Array.for_all zero_ended ops) then sum_scan ops
+    else sum_heap ops
 
 (* Pointwise max/min need the crossing abscissae inserted: within one
    cell of the co-scan both functions are linear, so they cross at most
@@ -342,30 +484,32 @@ let extremum2 pickhi a b =
   let m = ref 0 in
   let px = ref 0. and pya = ref 0. and pyb = ref 0. in
   let have_prev = ref false in
-  co_scan2 a b (fun x ya yb ->
-      if !have_prev then begin
-        let d0 = !pya -. !pyb and d1 = ya -. yb in
-        if (d0 > 0. && d1 < 0.) || (d0 < 0. && d1 > 0.) then begin
-          let xc = !px +. ((x -. !px) *. d0 /. (d0 -. d1)) in
-          if xc > !px +. x_eps && xc < x -. x_eps then begin
-            let s = (xc -. !px) /. (x -. !px) in
-            let yac = !pya +. ((ya -. !pya) *. s)
-            and ybc = !pyb +. ((yb -. !pyb) *. s) in
-            buf.(off + (2 * !m)) <- xc;
-            buf.(off + (2 * !m) + 1) <-
-              (if pickhi then Float.max yac ybc else Float.min yac ybc);
-            incr m
-          end
+  let s, p = scan_start () in
+  while scan_next a b s p do
+    let x = p.px and ya = p.pya and yb = p.pyb in
+    if !have_prev then begin
+      let d0 = !pya -. !pyb and d1 = ya -. yb in
+      if (d0 > 0. && d1 < 0.) || (d0 < 0. && d1 > 0.) then begin
+        let xc = !px +. ((x -. !px) *. d0 /. (d0 -. d1)) in
+        if xc > !px +. x_eps && xc < x -. x_eps then begin
+          let f = (xc -. !px) /. (x -. !px) in
+          let yac = !pya +. ((ya -. !pya) *. f)
+          and ybc = !pyb +. ((yb -. !pyb) *. f) in
+          buf.(off + (2 * !m)) <- xc;
+          buf.(off + (2 * !m) + 1) <-
+            (if pickhi then Float.max yac ybc else Float.min yac ybc);
+          incr m
         end
-      end;
-      buf.(off + (2 * !m)) <- x;
-      buf.(off + (2 * !m) + 1) <- (if pickhi then Float.max ya yb else Float.min ya yb);
-      incr m;
-      px := x;
-      pya := ya;
-      pyb := yb;
-      have_prev := true;
-      true);
+      end
+    end;
+    buf.(off + (2 * !m)) <- x;
+    buf.(off + (2 * !m) + 1) <- (if pickhi then Float.max ya yb else Float.min ya yb);
+    incr m;
+    px := x;
+    pya := ya;
+    pyb := yb;
+    have_prev := true
+  done;
   finish buf off ~cap !m
 
 let max2 a b = extremum2 true a b
@@ -398,12 +542,10 @@ let dominates ?(eps = F.default_eps) a b =
   || max_value a >= max_value b -. eps
      && begin
           let ok = ref true in
-          co_scan2 a b (fun _ ya yb ->
-              if ya >= yb -. eps then true
-              else begin
-                ok := false;
-                false
-              end);
+          let s, p = scan_start () in
+          while !ok && scan_next a b s p do
+            if not (p.pya >= p.pyb -. eps) then ok := false
+          done;
           !ok
         end
 
@@ -414,15 +556,17 @@ let dominates_on ?(eps = F.default_eps) interval a b =
   && begin
        (* interior merged points only; the scan is ascending, so stop
           once past [hi] *)
-       let good = ref true in
-       co_scan2 a b (fun x ya yb ->
-           if x <= lo then true
-           else if x >= hi then false
-           else if ya >= yb -. eps then true
-           else begin
-             good := false;
-             false
-           end);
+       let good = ref true and go = ref true in
+       let s, p = scan_start () in
+       while !go && scan_next a b s p do
+         let x = p.px in
+         if x <= lo then ()
+         else if x >= hi then go := false
+         else if not (p.pya >= p.pyb -. eps) then begin
+           good := false;
+           go := false
+         end
+       done;
        !good
      end
 
@@ -435,15 +579,20 @@ let dominates_on_pair ?(eps = F.default_eps) interval a b =
   let alo = eval a lo and blo = eval b lo and ahi = eval a hi and bhi = eval b hi in
   let fwd = ref (alo >= blo -. eps && ahi >= bhi -. eps)
   and bwd = ref (blo >= alo -. eps && bhi >= ahi -. eps) in
-  if !fwd || !bwd then
-    co_scan2 a b (fun x ya yb ->
-        if x <= lo then true
-        else if x >= hi then false
-        else begin
-          if !fwd && not (ya >= yb -. eps) then fwd := false;
-          if !bwd && not (yb >= ya -. eps) then bwd := false;
-          !fwd || !bwd
-        end);
+  if !fwd || !bwd then begin
+    let go = ref true in
+    let s, p = scan_start () in
+    while !go && scan_next a b s p do
+      let x = p.px and ya = p.pya and yb = p.pyb in
+      if x <= lo then ()
+      else if x >= hi then go := false
+      else begin
+        if !fwd && not (ya >= yb -. eps) then fwd := false;
+        if !bwd && not (yb >= ya -. eps) then bwd := false;
+        go := !fwd || !bwd
+      end
+    done
+  end;
   (!fwd, !bwd)
 
 let equal ?(eps = F.default_eps) a b = dominates ~eps a b && dominates ~eps b a
@@ -530,15 +679,25 @@ let sliding_max ~window t =
         found := true
       end
     done;
-    let rising =
-      List.filter (fun (x, _) -> x < !xp_first -. x_eps) (breakpoints t)
+    (* rising part, the flat top, then the falling part shifted by the
+       window, written straight into one slice *)
+    let cap = n + 2 in
+    let buf, off = Arena.alloc (2 * cap) in
+    let m = ref 0 in
+    let put x y =
+      buf.(off + (2 * !m)) <- F.not_nan ~what:"Pwl: breakpoint abscissa" x;
+      buf.(off + (2 * !m) + 1) <- F.not_nan ~what:"Pwl: breakpoint ordinate" y;
+      incr m
     in
-    let falling =
-      List.filter (fun (x, _) -> x > !xp_last +. x_eps) (breakpoints t)
-      |> List.map (fun (x, y) -> (x +. window, y))
-    in
-    of_points_unchecked
-      (rising @ [ (!xp_first, peak); (!xp_last +. window, peak) ] @ falling)
+    for i = 0 to n - 1 do
+      if gx t i < !xp_first -. x_eps then put (gx t i) (gy t i)
+    done;
+    put !xp_first peak;
+    put (!xp_last +. window) peak;
+    for i = 0 to n - 1 do
+      if gx t i > !xp_last +. x_eps then put (gx t i +. window) (gy t i)
+    done;
+    finish buf off ~cap !m
   end
 
 let area t =

@@ -26,7 +26,9 @@ val create : (float * float) list -> t
 (** [create pts] builds the PWL through [pts]. Points are sorted;
     duplicate abscissae (within tolerance) must carry equal ordinates or
     [Invalid_argument] is raised. The list must be non-empty. Collinear
-    interior points are simplified away. *)
+    interior points are simplified away. Input that is already strictly
+    increasing with gaps wider than the tolerance skips the sort and
+    the merge. *)
 
 val constant : float -> t
 (** The constant function. Raises [Invalid_argument] on NaN. *)
@@ -72,9 +74,15 @@ val add : t -> t -> t
 val sub : t -> t -> t
 
 val sum : t list -> t
-(** Pointwise sum of all operands in one k-way breakpoint merge
-    (an index-array cursor front; no intermediate waveforms).
-    [sum [] = zero]. *)
+(** Pointwise sum of all operands in one k-way breakpoint merge (no
+    intermediate waveforms), accumulated in operand order.
+    [sum [] = zero]. When there are more than three operands and each
+    has zero end ordinates and finite end abscissae (noise envelopes),
+    a heap front visits the merged abscissae and each point adds only
+    the operands strictly inside their span; the skipped terms are
+    exact zeros, so the result is bit-identical to adding them all.
+    Otherwise a linear min-scan front adds every operand at every
+    point. *)
 
 val max2 : t -> t -> t
 (** Exact pointwise maximum (inserts crossing abscissae). *)

@@ -419,6 +419,103 @@ let test_arena_rollover () =
   done;
   Alcotest.(check bool) "pre-rollover slice intact" true (intact first 1000 7.)
 
+(* [Arena.scoped] hands back what its thunk allocated. Each test opens
+   its scope on a fresh-enough cursor (an allocation first) so the
+   expectations do not depend on what earlier tests left behind. *)
+let test_scoped_restores_cursor () =
+  let b0, o0 = Arena.alloc 8 in
+  let r =
+    Arena.scoped (fun () ->
+        stamp (Arena.alloc 100) 100 1.;
+        stamp (Arena.alloc 50) 50 2.;
+        42)
+  in
+  let b1, o1 = Arena.alloc 8 in
+  Alcotest.(check int) "value returned" 42 r;
+  Alcotest.(check bool) "same chunk" true (b1 == b0);
+  Alcotest.(check int) "cursor back where the scope opened" (o0 + 8) o1
+
+let test_scoped_keeps_earlier_slices () =
+  let before = Arena.alloc 64 in
+  stamp before 64 5.;
+  Arena.scoped (fun () -> stamp (Arena.alloc 500) 500 (-1.));
+  (* the rewound region is reused, and must not reach back *)
+  stamp (Arena.alloc 500) 500 (-2.);
+  Alcotest.(check bool) "pre-scope slice intact" true (intact before 64 5.)
+
+let test_scoped_exception () =
+  let b0, o0 = Arena.alloc 8 in
+  (match Arena.scoped (fun () -> ignore (Arena.alloc 300); raise Exit) with
+  | () -> Alcotest.fail "expected Exit"
+  | exception Exit -> ());
+  let b1, o1 = Arena.alloc 8 in
+  Alcotest.(check bool) "same chunk" true (b1 == b0);
+  Alcotest.(check int) "cursor rewound on the exception path" (o0 + 8) o1
+
+let test_scoped_rollover () =
+  (* a scope that outgrows its chunk: the opening chunk keeps its
+     pre-scope slices, and the cursor restarts at the head of the
+     chunk the scope ended in *)
+  let before = Arena.alloc 1000 in
+  stamp before 1000 9.;
+  let last_chunk =
+    Arena.scoped (fun () ->
+        let last = ref [||] in
+        for _ = 1 to 80 do
+          let s = Arena.alloc 1000 in
+          stamp s 1000 (-3.);
+          last := fst s
+        done;
+        !last)
+  in
+  let after = Arena.alloc 1000 in
+  stamp after 1000 4.;
+  Alcotest.(check bool) "rolled over" true (fst before != last_chunk);
+  Alcotest.(check bool) "reuses the scope's last chunk" true (fst after == last_chunk);
+  Alcotest.(check int) "from its head" 0 (snd after);
+  Alcotest.(check bool) "pre-scope slice intact" true (intact before 1000 9.)
+
+let test_scoped_nested () =
+  (* an inner scope runs unscoped: its slices live until the outer
+     scope closes *)
+  Arena.scoped (fun () ->
+      let inner = Arena.scoped (fun () -> Arena.alloc 16) in
+      stamp inner 16 6.;
+      stamp (Arena.alloc 16) 16 (-6.);
+      Alcotest.(check bool) "inner slice not handed back" true (intact inner 16 6.))
+
+let test_scoped_other_thread () =
+  (* systhreads of one domain share its arena: a thread that allocates
+     while another thread's scope is open must keep its slices, so the
+     scope gives up its rewind *)
+  let theirs = ref None in
+  let finished = Atomic.make false in
+  let b0, o0 = Arena.alloc 8 in
+  Arena.scoped (fun () ->
+      stamp (Arena.alloc 32) 32 (-1.);
+      let th =
+        Thread.create
+          (fun () ->
+            (* a scope of its own runs unscoped under the open one *)
+            Arena.scoped (fun () ->
+                let s = Arena.alloc 32 in
+                stamp s 32 8.;
+                theirs := Some s);
+            Atomic.set finished true)
+          ()
+      in
+      while not (Atomic.get finished) do
+        Thread.yield ()
+      done;
+      Thread.join th;
+      stamp (Arena.alloc 32) 32 (-1.));
+  let s = Option.get !theirs in
+  let b1, o1 = Arena.alloc 8 in
+  if b1 == b0 then
+    Alcotest.(check int) "tainted scope released nothing" (o0 + 8 + 96) o1;
+  stamp (Arena.alloc 256) 256 (-2.);
+  Alcotest.(check bool) "other thread's slice intact" true (intact s 32 8.)
+
 let () =
   Alcotest.run "tka_pwl"
     [
@@ -489,6 +586,15 @@ let () =
             test_arena_large_dedicated;
           Alcotest.test_case "chunk rollover preserves live slices" `Quick
             test_arena_rollover;
+          Alcotest.test_case "scoped restores the cursor" `Quick
+            test_scoped_restores_cursor;
+          Alcotest.test_case "scoped keeps earlier slices" `Quick
+            test_scoped_keeps_earlier_slices;
+          Alcotest.test_case "scoped exception path" `Quick test_scoped_exception;
+          Alcotest.test_case "scoped chunk rollover" `Quick test_scoped_rollover;
+          Alcotest.test_case "scoped nested" `Quick test_scoped_nested;
+          Alcotest.test_case "scoped other systhread" `Quick
+            test_scoped_other_thread;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

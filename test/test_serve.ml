@@ -390,6 +390,147 @@ let test_determinism_across_jobs () =
             (J.to_string baseline) (J.to_string r))
         results)
 
+(* Concurrent sessions on real designs. Systhreads of the daemon share
+   domain 0's PWL arena, and the engine rewinds it after each victim
+   (Arena.scoped): a session thread that allocates while another's
+   scope is open must keep its slices. The tiny design above is too
+   small to interleave inside a victim; i2-i4 are not. *)
+let mixed_requests body =
+  [
+    ("load", J.Obj [ ("netlist", J.Str body); ("k", J.Int 4) ]);
+    ("analyze", J.Obj []);
+    ("analyze", J.Obj [ ("mode", J.Str "add") ]);
+    ( "whatif",
+      J.Obj
+        [
+          ( "edits",
+            J.List
+              [
+                J.Obj
+                  [
+                    ("op", J.Str "scale_coupling");
+                    ("coupling", J.Int 1);
+                    ("factor", J.Float 0.5);
+                  ];
+              ] );
+        ] );
+  ]
+
+let run_mixed srv body =
+  let sess = session srv in
+  List.map
+    (fun (meth, params) ->
+      J.to_string (strip_volatile (result_exn meth (rpc srv sess meth params))))
+    (mixed_requests body)
+
+let test_concurrent_sessions () =
+  let designs =
+    Array.map (fun n -> Nf.print (Option.get (B.by_name n))) [| "i2"; "i3"; "i4" |]
+  in
+  let expected =
+    at_jobs 1 (fun () -> Array.map (fun body -> run_mixed (make_server ()) body) designs)
+  in
+  (* two sessions per design, racing on its shared cache *)
+  let bodies = Array.append designs designs in
+  List.iter
+    (fun jobs ->
+      at_jobs jobs (fun () ->
+          let srv = make_server () in
+          let got = Array.make (Array.length bodies) [] in
+          let threads =
+            Array.mapi
+              (fun i body -> Thread.create (fun () -> got.(i) <- run_mixed srv body) ())
+              bodies
+          in
+          Array.iter Thread.join threads;
+          Array.iteri
+            (fun i replies ->
+              List.iter2
+                (fun (meth, _) (e, g) ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "jobs %d session %d %s" jobs i meth)
+                    e g)
+                (mixed_requests bodies.(i))
+                (List.combine expected.(i mod 3) replies))
+            got))
+    (* a jobs-4 round interleaves the session threads at the pool's and
+       the engine's lock waits, so it is repeated *)
+    [ 1; 4; 4; 4; 4; 4 ]
+
+(* A design state computes its noise fixpoint once: every analysis of
+   it, eco's pre-edit analysis included, reuses it, and the design an
+   eco commits keeps the one its post-edit analysis computed. Replies
+   stay byte-identical to a fresh analyzer's. *)
+let test_fixpoint_reuse () =
+  let nl = Option.get (B.by_name "i1") in
+  let runs = Metrics.Counter.make "iterate.runs" in
+  Metrics.with_enabled true @@ fun () ->
+  let srv = make_server () in
+  let sess = session srv in
+  ignore
+    (result_exn "load"
+       (rpc srv sess "load" (J.Obj [ ("netlist", J.Str (Nf.print nl)); ("k", J.Int 4) ])));
+  let r0 = Metrics.Counter.value runs in
+  let replies =
+    List.map
+      (fun params -> strip_volatile (result_exn "analyze" (rpc srv sess "analyze" params)))
+      [ J.Obj []; J.Obj [ ("mode", J.Str "add") ]; J.Obj [] ]
+  in
+  Alcotest.(check int) "three analyses, one fixpoint" 1 (Metrics.Counter.value runs - r0);
+  (* the reference: a fresh analyzer on the netlist the session parsed *)
+  let parsed = Nf.parse ~lookup (Nf.print nl) in
+  let elim, _ = Analyzer.run (Analyzer.create ~k:4 ()) (Topo.create parsed) in
+  let fresh mode =
+    let res =
+      match mode with
+      | `Elim -> elim.Tka_topk.Elimination.result
+      | `Add -> elim.Tka_topk.Elimination.dual
+    in
+    let module E = Tka_topk.Engine in
+    let per_k =
+      List.filter_map
+        (fun i ->
+          Option.map
+            (fun ch ->
+              J.Obj
+                [
+                  ("k", J.Int i);
+                  ("objective_ns", J.Float ch.E.ch_objective);
+                  ("estimated_delay_ns", J.Float (E.estimated_delay res i));
+                  ("sink", J.Int ch.E.ch_sink);
+                  ( "set",
+                    J.List
+                      (List.map (fun c -> J.Int c) (Tka_topk.Coupling_set.to_list ch.E.ch_set)) );
+                ])
+            res.E.res_per_k.(i))
+        [ 1; 2; 3; 4 ]
+    in
+    J.Obj
+      [
+        ("design", J.Str (N.name nl));
+        ("mode", J.Str (match mode with `Elim -> "elim" | `Add -> "add"));
+        ("filter", J.Str "none");
+        ("k", J.Int 4);
+        ("noiseless_delay_ns", J.Float res.E.res_noiseless_delay);
+        ("all_aggressor_delay_ns", J.Float res.E.res_noisy_delay);
+        ("per_k", J.List per_k);
+      ]
+  in
+  List.iter2
+    (fun mode r ->
+      Alcotest.(check string) "reply equals a fresh analyzer's"
+        (J.to_string (fresh mode)) (J.to_string r))
+    [ `Elim; `Add; `Elim ] replies;
+  (* eco: the pre-edit analysis reuses the loaded state's fixpoint, the
+     post-edit one computes the committed state's, which the next
+     analysis reuses *)
+  let r1 = Metrics.Counter.value runs in
+  let eco = result_exn "eco" (rpc srv sess "eco" (J.Obj [])) in
+  Alcotest.(check bool) "eco committed an edit" true (int_member "edits" eco > 0);
+  ignore (result_exn "analyze" (rpc srv sess "analyze" (J.Obj [])));
+  Alcotest.(check int) "eco and the next analysis, one fixpoint" 1
+    (Metrics.Counter.value runs - r1)
+
 (* ------------------------------------------------------------------ *)
 (* Shared victim cache across sessions                                *)
 (* ------------------------------------------------------------------ *)
@@ -871,6 +1012,9 @@ let () =
         [
           Alcotest.test_case "determinism across jobs" `Quick
             test_determinism_across_jobs;
+          Alcotest.test_case "concurrent sessions on i2-i4" `Quick
+            test_concurrent_sessions;
+          Alcotest.test_case "fixpoint reuse" `Quick test_fixpoint_reuse;
           Alcotest.test_case "warm cache cross-session" `Quick
             test_warm_cache_cross_session;
           Alcotest.test_case "whatif does not advance" `Quick

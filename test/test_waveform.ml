@@ -436,6 +436,407 @@ let kernel_qcheck_tests =
         = (Pwl.dominates_on iv a b, Pwl.dominates_on iv b a));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Kernel bit-identity: the fast kernels vs the code they replaced     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Pwl.sum] evaluates only the operands strictly inside their span
+   when every operand starts and ends at zero, [Pwl.create] skips its
+   sort and merge on well-spaced input, [Pwl.sliding_max] writes one
+   slice, and the binary kernels step a cursor instead of calling a
+   closure per merged point. Each must reproduce the code it replaced
+   bit for bit. That code is kept here, over breakpoint arrays, with
+   its collinear simplification. *)
+module Old_kernels = struct
+  module F = Tka_util.Float_cmp
+
+  let x_eps = 1e-12
+
+  let collinear x0 y0 x1 y1 x2 y2 =
+    let cross = ((x1 -. x0) *. (y2 -. y0)) -. ((x2 -. x0) *. (y1 -. y0)) in
+    Float.abs cross
+    <= 1e-12 *. (1. +. Float.abs (x2 -. x0)) *. (1. +. Float.abs y2 +. Float.abs y0)
+
+  (* drop every interior point collinear with the last kept point and
+     the next original one *)
+  let simplify (pts : (float * float) array) =
+    let n = Array.length pts in
+    if n <= 2 then Array.to_list pts
+    else begin
+      let kept = ref [ pts.(0) ] in
+      for r = 1 to n - 2 do
+        let x0, y0 = List.hd !kept and x1, y1 = pts.(r) and x2, y2 = pts.(r + 1) in
+        if not (collinear x0 y0 x1 y1 x2 y2) then kept := pts.(r) :: !kept
+      done;
+      List.rev (pts.(n - 1) :: !kept)
+    end
+
+  let of_points pts =
+    simplify
+      (Array.of_list
+         (List.map
+            (fun (x, y) ->
+              ( F.not_nan ~what:"Pwl: breakpoint abscissa" x,
+                F.not_nan ~what:"Pwl: breakpoint ordinate" y ))
+            pts))
+
+  let create pts =
+    match pts with
+    | [] -> invalid_arg "Pwl.create: empty point list"
+    | _ :: _ ->
+      let sorted = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) pts in
+      let rec merge acc = function
+        | [] -> List.rev acc
+        | (x, y) :: tl -> (
+          match acc with
+          | (x', y') :: _ when Float.abs (x -. x') <= x_eps ->
+            if F.approx y y' then merge acc tl
+            else
+              invalid_arg
+                (Printf.sprintf "Pwl.create: conflicting values %g and %g at x = %g" y'
+                   y x)
+          | _ -> merge ((x, y) :: acc) tl)
+      in
+      of_points (merge [] sorted)
+
+  let value_at (o : (float * float) array) i x =
+    let n = Array.length o in
+    if i < n && fst o.(i) = x then snd o.(i)
+    else if i = 0 then snd o.(0)
+    else if i >= n then snd o.(n - 1)
+    else begin
+      let x0, y0 = o.(i - 1) and x1, y1 = o.(i) in
+      y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0))
+    end
+
+  let sum ws =
+    match ws with
+    | [] -> Pwl.breakpoints Pwl.zero
+    | [ w ] -> Pwl.breakpoints w
+    | ws ->
+      let ops = Array.of_list (List.map (fun w -> Array.of_list (Pwl.breakpoints w)) ws) in
+      let r = Array.length ops in
+      let idx = Array.make r 0 in
+      let out = ref [] in
+      let last = ref Float.neg_infinity in
+      let go = ref true in
+      while !go do
+        let x = ref Float.infinity in
+        for c = 0 to r - 1 do
+          let o = ops.(c) in
+          if idx.(c) < Array.length o && fst o.(idx.(c)) < !x then x := fst o.(idx.(c))
+        done;
+        let x = !x in
+        if x = Float.infinity then go := false
+        else begin
+          if x -. !last > x_eps then begin
+            let acc = ref 0. in
+            for c = 0 to r - 1 do
+              acc := !acc +. value_at ops.(c) idx.(c) x
+            done;
+            out := (x, !acc) :: !out;
+            last := x
+          end;
+          for c = 0 to r - 1 do
+            let o = ops.(c) in
+            if idx.(c) < Array.length o && fst o.(idx.(c)) = x then idx.(c) <- idx.(c) + 1
+          done
+        end
+      done;
+      simplify (Array.of_list (List.rev !out))
+
+  (* the closure-per-point co-scan the binary kernels used to share *)
+  let co_scan2 a b f =
+    let a = Array.of_list (Pwl.breakpoints a) and b = Array.of_list (Pwl.breakpoints b) in
+    let na = Array.length a and nb = Array.length b in
+    let i = ref 0 and j = ref 0 in
+    let last = ref Float.neg_infinity in
+    let go = ref true in
+    while !go && (!i < na || !j < nb) do
+      let xa = if !i < na then fst a.(!i) else Float.infinity
+      and xb = if !j < nb then fst b.(!j) else Float.infinity in
+      if xa <= xb then begin
+        if xa -. !last > x_eps then begin
+          go := f xa (snd a.(!i)) (value_at b !j xa);
+          last := xa
+        end;
+        incr i
+      end
+      else begin
+        if xb -. !last > x_eps then begin
+          go := f xb (value_at a !i xb) (snd b.(!j));
+          last := xb
+        end;
+        incr j
+      end
+    done
+
+  let combine2 f a b =
+    let out = ref [] in
+    co_scan2 a b (fun x ya yb ->
+        out := (x, f ya yb) :: !out;
+        true);
+    simplify (Array.of_list (List.rev !out))
+
+  let extremum2 pickhi a b =
+    let out = ref [] in
+    let px = ref 0. and pya = ref 0. and pyb = ref 0. in
+    let have_prev = ref false in
+    co_scan2 a b (fun x ya yb ->
+        if !have_prev then begin
+          let d0 = !pya -. !pyb and d1 = ya -. yb in
+          if (d0 > 0. && d1 < 0.) || (d0 < 0. && d1 > 0.) then begin
+            let xc = !px +. ((x -. !px) *. d0 /. (d0 -. d1)) in
+            if xc > !px +. x_eps && xc < x -. x_eps then begin
+              let s = (xc -. !px) /. (x -. !px) in
+              let yac = !pya +. ((ya -. !pya) *. s) and ybc = !pyb +. ((yb -. !pyb) *. s) in
+              out := (xc, if pickhi then Float.max yac ybc else Float.min yac ybc) :: !out
+            end
+          end
+        end;
+        out := (x, if pickhi then Float.max ya yb else Float.min ya yb) :: !out;
+        px := x;
+        pya := ya;
+        pyb := yb;
+        have_prev := true;
+        true);
+    simplify (Array.of_list (List.rev !out))
+
+  let dominates ~eps a b =
+    a == b
+    || Pwl.max_value a >= Pwl.max_value b -. eps
+       &&
+       let ok = ref true in
+       co_scan2 a b (fun _ ya yb ->
+           if ya >= yb -. eps then true
+           else begin
+             ok := false;
+             false
+           end);
+       !ok
+
+  let dominates_on_pair ~eps interval a b =
+    let lo = Interval.lo interval and hi = Interval.hi interval in
+    let alo = Pwl.eval a lo and blo = Pwl.eval b lo and ahi = Pwl.eval a hi and bhi = Pwl.eval b hi in
+    let fwd = ref (alo >= blo -. eps && ahi >= bhi -. eps)
+    and bwd = ref (blo >= alo -. eps && bhi >= ahi -. eps) in
+    if !fwd || !bwd then
+      co_scan2 a b (fun x ya yb ->
+          if x <= lo then true
+          else if x >= hi then false
+          else begin
+            if !fwd && not (ya >= yb -. eps) then fwd := false;
+            if !bwd && not (yb >= ya -. eps) then bwd := false;
+            !fwd || !bwd
+          end);
+    (!fwd, !bwd)
+
+  let sliding_max ~window t =
+    if window < 0. then invalid_arg "Pwl.sliding_max: negative window";
+    if not (Pwl.is_unimodal t) then invalid_arg "Pwl.sliding_max: waveform is not unimodal";
+    let bps = Pwl.breakpoints t in
+    if window <= x_eps then bps
+    else begin
+      let peak = Pwl.max_value t in
+      let xp_first = ref (fst (List.hd bps)) and xp_last = ref (fst (List.hd bps)) in
+      let found = ref false in
+      List.iter
+        (fun (x, y) ->
+          if F.approx y peak then begin
+            if not !found then xp_first := x;
+            xp_last := x;
+            found := true
+          end)
+        bps;
+      let rising = List.filter (fun (x, _) -> x < !xp_first -. x_eps) bps in
+      let falling =
+        List.filter (fun (x, _) -> x > !xp_last +. x_eps) bps
+        |> List.map (fun (x, y) -> (x +. window, y))
+      in
+      of_points (rising @ [ (!xp_first, peak); (!xp_last +. window, peak) ] @ falling)
+    end
+end
+
+let same_bits expect got =
+  let bits = Int64.bits_of_float in
+  List.length expect = List.length got
+  && List.for_all2
+       (fun (x, y) (x', y') -> Int64.equal (bits x) (bits x') && Int64.equal (bits y) (bits y'))
+       expect got
+
+(* Both raise the same [Invalid_argument], or both return the same
+   breakpoints bit for bit. *)
+let same_outcome old_f new_f =
+  let run f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  match (run old_f, run new_f) with
+  | Ok expect, Ok got -> same_bits expect got
+  | Error m, Error m' -> m = m'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let print_pts pts =
+  String.concat "; " (List.map (fun (x, y) -> Printf.sprintf "(%h, %h)" x y) pts)
+
+(* Ordinates: signed zeros are frequent (they are the terms the new sum
+   skips), otherwise a small range. *)
+let bits_y =
+  QCheck.Gen.(
+    frequency
+      [ (2, return 0.); (2, return (-0.)); (6, float_range (-3.) 3.) ])
+
+(* Distinct abscissae on a shared tick grid, with sub-x_eps jitter so
+   operands collide at a tick without being bitwise equal. *)
+let bits_xs n =
+  QCheck.Gen.(
+    let* ticks = list_repeat n (int_range (-8) 8) in
+    flatten_l
+      (List.map
+         (fun t ->
+           let* j = int_bound 5 in
+           let jitter = if j = 0 then 1e-13 else if j = 1 then -4e-13 else 0. in
+           return ((0.25 *. float_of_int t) +. jitter))
+         (List.sort_uniq Int.compare ticks)))
+
+(* Operands for the sum: mostly zero-ended (the fast front), otherwise
+   a nonzero end or an infinite end abscissa (the fallback). *)
+let bits_operand =
+  QCheck.Gen.(
+    let* n = int_range 1 7 in
+    let* xs = bits_xs n in
+    let* ys = list_repeat (List.length xs) bits_y in
+    let pts = List.combine xs ys in
+    let* ends = int_bound 9 in
+    let* z0 = oneofl [ 0.; -0. ] and* z1 = oneofl [ 0.; -0. ] in
+    let first = fst (List.hd pts) and last = fst (List.nth pts (List.length pts - 1)) in
+    let pts =
+      if ends <= 6 then ((first -. 0.25, z0) :: pts) @ [ (last +. 0.25, z1) ]
+      else if ends = 7 then pts @ [ (Float.infinity, z1) ]
+      else if ends = 8 then (Float.neg_infinity, z0) :: pts
+      else pts
+    in
+    return (Pwl.create pts))
+
+let arb_sum_operands =
+  QCheck.make
+    ~print:(fun ws -> String.concat " | " (List.map Pwl.to_string ws))
+    QCheck.Gen.(
+      let* n = frequency [ (1, int_range 1 3); (4, int_range 4 9) ] in
+      let* pulses = bool in
+      if pulses then
+        (* realistic operands: trapezoid envelopes, some sharing windows *)
+        list_repeat n
+          (let* peak = float_range 0.05 0.8 and* rise = float_range 0.01 0.5 in
+           let* decay = float_range 0.01 0.5 and* lo = map (fun t -> 0.25 *. float_of_int t) (int_range (-4) 4) in
+           let* w = oneofl [ 0.; 0.25; 0.5; 1.3 ] in
+           return
+             (Envelope.waveform
+                (Envelope.of_pulse
+                   ~window:(Interval.make lo (lo +. w))
+                   (Pulse.make ~onset:0. ~peak ~rise ~decay))))
+      else list_repeat n bits_operand)
+
+(* Point lists for create: well-spaced (the fast path), unsorted,
+   clusters within x_eps with equal or conflicting ordinates, gaps of
+   exactly x_eps, infinite abscissae. *)
+let arb_create_points =
+  QCheck.make ~print:print_pts
+    QCheck.Gen.(
+      let* kind = int_bound 5 in
+      let* n = int_range 1 8 in
+      match kind with
+      | 0 | 1 ->
+        let* xs = list_repeat n (map (fun t -> 0.25 *. float_of_int t) (int_range (-20) 20)) in
+        let xs = List.sort_uniq Float.compare xs in
+        let* ys = list_repeat (List.length xs) bits_y in
+        return (List.combine xs ys)
+      | 2 ->
+        let* xs = bits_xs n in
+        let* ys = list_repeat (List.length xs) bits_y in
+        return (List.combine xs ys)
+      | 3 ->
+        (* a cluster: points 1e-12 apart (not wider than x_eps) *)
+        let* y = bits_y in
+        let* conflict = bool in
+        return
+          (List.init n (fun i ->
+               (1. +. (1e-12 *. float_of_int i), if conflict && i = n - 1 then y +. 1. else y)))
+      | 4 ->
+        let* xs = list_repeat n (map (fun t -> 0.5 *. float_of_int t) (int_range 0 12)) in
+        let xs = List.sort_uniq Float.compare xs in
+        let* ys = list_repeat (List.length xs) bits_y in
+        return ((Float.neg_infinity, 0.) :: List.combine xs ys @ [ (Float.infinity, 1.) ])
+      | _ ->
+        let* xs = list_repeat n (map (fun t -> 0.25 *. float_of_int t) (int_range (-8) 8)) in
+        let* ys = list_repeat n bits_y in
+        return (List.rev (List.combine xs ys)))
+
+(* Unimodal waveforms (plateaus, signed-zero ends, ties at the peak)
+   plus the occasional bimodal one, with windows around x_eps. *)
+let arb_sliding_case =
+  QCheck.make
+    ~print:(fun (w, window) -> Printf.sprintf "%s window=%h" (Pwl.to_string w) window)
+    QCheck.Gen.(
+      let* window = oneofl [ 0.; 5e-13; 1e-12; 2e-12; 0.25; 0.7; 3. ] in
+      let* kind = int_bound 4 in
+      let* w =
+        if kind = 0 then
+          (* bimodal or arbitrary: both raise alike *)
+          let* xs = bits_xs 5 in
+          let* ys = list_repeat (List.length xs) bits_y in
+          return (Pwl.create (List.combine xs ys))
+        else
+          let* up = int_range 0 3 and* down = int_range 0 3 in
+          let* peak = float_range 0.1 2. in
+          let* flat = int_bound 2 in
+          let* lo = oneofl [ 0.; -0.; 0.1 ] in
+          let rising = List.init up (fun i -> (0.25 *. float_of_int i, lo +. (peak -. lo) *. float_of_int i /. float_of_int (up + 1))) in
+          let x_peak = 0.25 *. float_of_int up in
+          let top = (x_peak, peak) :: List.init flat (fun i -> (x_peak +. (0.25 *. float_of_int (i + 1)), peak)) in
+          let x_end = x_peak +. (0.25 *. float_of_int flat) in
+          let falling =
+            List.init down (fun i ->
+                (x_end +. (0.3 *. float_of_int (i + 1)), peak *. float_of_int (down - i - 1) /. float_of_int (down + 1)))
+          in
+          return (Pwl.create (rising @ top @ falling))
+      in
+      return (w, window))
+
+let kernel_bits_tests =
+  let open QCheck in
+  let eps = Tka_util.Float_cmp.default_eps in
+  let pair_bits name count old_f new_f =
+    Test.make ~name ~count (pair arb_kernel_pwl arb_kernel_pwl) (fun (a, b) ->
+        same_bits (old_f a b) (Pwl.breakpoints (new_f a b)))
+  in
+  [
+    pair_bits "add is bit-identical to the closure co-scan" 1000
+      (Old_kernels.combine2 ( +. )) Pwl.add;
+    pair_bits "sub is bit-identical to the closure co-scan" 1000
+      (Old_kernels.combine2 ( -. )) Pwl.sub;
+    pair_bits "max2 is bit-identical to the closure co-scan" 1000
+      (Old_kernels.extremum2 true) Pwl.max2;
+    pair_bits "min2 is bit-identical to the closure co-scan" 1000
+      (Old_kernels.extremum2 false) Pwl.min2;
+    Test.make ~name:"dominates matches the closure co-scan" ~count:1000
+      (pair arb_kernel_pwl arb_kernel_pwl) (fun (a, b) ->
+        Pwl.dominates a b = Old_kernels.dominates ~eps a b
+        && Pwl.dominates b a = Old_kernels.dominates ~eps b a);
+    Test.make ~name:"dominates_on_pair matches the closure co-scan" ~count:1000
+      arb_pair_case (fun (a, b, iv) ->
+        Pwl.dominates_on_pair iv a b = Old_kernels.dominates_on_pair ~eps iv a b);
+    Test.make ~name:"sum is bit-identical to the old front" ~count:2000 arb_sum_operands
+      (fun ws -> same_bits (Old_kernels.sum ws) (Pwl.breakpoints (Pwl.sum ws)));
+    Test.make ~name:"create is bit-identical to sort-and-merge" ~count:2000
+      arb_create_points (fun pts ->
+        same_outcome
+          (fun () -> Old_kernels.create pts)
+          (fun () -> Pwl.breakpoints (Pwl.create pts)));
+    Test.make ~name:"sliding_max is bit-identical to the list version" ~count:2000
+      arb_sliding_case (fun (w, window) ->
+        same_outcome
+          (fun () -> Old_kernels.sliding_max ~window w)
+          (fun () -> Pwl.breakpoints (Pwl.sliding_max ~window w)));
+  ]
+
 let test_nan_rejected () =
   let bad f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "constant nan" true
@@ -524,5 +925,6 @@ let () =
       ( "kernels",
         Alcotest.test_case "NaN breakpoints rejected" `Quick test_nan_rejected
         :: List.map QCheck_alcotest.to_alcotest kernel_qcheck_tests );
+      ("kernel bits", List.map QCheck_alcotest.to_alcotest kernel_bits_tests);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -897,7 +897,7 @@ let run_rerank_ctx o =
   let sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
   let ctx = Iterate.context topo in
   let delay ?ctx s =
-    Iterate.circuit_delay (Iterate.run ~active:(CS.contains_fn s) ?ctx topo)
+    Iterate.circuit_delay (Iterate.run ~active:(Iterate.Only (CS.to_list s)) ?ctx topo)
   in
   List.iter
     (fun s ->

@@ -146,7 +146,9 @@ let emit_text path text =
   end
 
 (* Configure the observability stack, run [f], then dump the requested
-   metrics/trace files (also on exceptions). *)
+   metrics/trace files: also on exceptions, and also when [f] calls
+   [exit] with a failure code (which skips [Fun.protect]'s [finally] but
+   runs [at_exit] handlers). *)
 let with_obs o f =
   (match o.ob_jobs with
   | None -> ()
@@ -182,20 +184,24 @@ let with_obs o f =
   Log.set_reporter (Log.multi_reporter reporters);
   if o.ob_metrics_out <> None then Metrics.set_enabled true;
   if o.ob_trace_out <> None then Trace.set_enabled true;
-  let write_failed = ref false in
+  let write_failed = ref false and dumped = ref false in
   let finally () =
-    let write path json =
-      try emit_json path (json ())
-      with Sys_error m ->
-        write_failed := true;
-        Printf.eprintf "tka: cannot write %s: %s\n" path m
-    in
-    Option.iter
-      (fun path -> write path (fun () -> Metrics.to_json ()))
-      o.ob_metrics_out;
-    Option.iter (fun path -> write path Trace.to_json) o.ob_trace_out;
-    Option.iter (fun oc -> if oc != stdout then close_out oc) log_oc
+    if not !dumped then begin
+      dumped := true;
+      let write path json =
+        try emit_json path (json ())
+        with Sys_error m ->
+          write_failed := true;
+          Printf.eprintf "tka: cannot write %s: %s\n" path m
+      in
+      Option.iter
+        (fun path -> write path (fun () -> Metrics.to_json ()))
+        o.ob_metrics_out;
+      Option.iter (fun path -> write path Trace.to_json) o.ob_trace_out;
+      Option.iter (fun oc -> if oc != stdout then close_out oc) log_oc
+    end
   in
+  at_exit finally;
   let v = Fun.protect ~finally f in
   if !write_failed then exit 1;
   v

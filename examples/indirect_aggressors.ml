@@ -39,7 +39,11 @@ let () =
   let v1 = (N.find_net_exn nl "v1").N.net_id in
   let a1 = (N.find_net_exn nl "a1").N.net_id in
   let report label couplings =
-    let r = Iterate.run ~active:(fun d -> List.mem d.CN.dc_coupling couplings) topo in
+    (* both directed sides of each named cap *)
+    let ids =
+      List.concat_map (fun c -> [ CN.with_coupling 0 c; CN.with_coupling 1 c ]) couplings
+    in
+    let r = Iterate.run ~active:(Iterate.Only ids) topo in
     Printf.printf "%-34s noise(v1) = %.5f ns, noise(a1) = %.5f ns, %d iterations\n"
       label (Iterate.net_noise r v1) (Iterate.net_noise r a1) r.Iterate.iterations
   in

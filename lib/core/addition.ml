@@ -29,11 +29,12 @@ let candidates t i =
 let estimated_delay t i = Engine.estimated_delay t.result i
 
 let evaluate_set topo s =
-  Iterate.circuit_delay (Iterate.run ~active:(Coupling_set.contains_fn s) topo)
+  Iterate.circuit_delay
+    (Iterate.run ~active:(Iterate.Only (Coupling_set.to_list s)) topo)
 
 let score t s =
   Iterate.circuit_delay
-    (Iterate.run ~active:(Coupling_set.contains_fn s) ~ctx:t.ctx t.topo)
+    (Iterate.run ~active:(Iterate.Only (Coupling_set.to_list s)) ~ctx:t.ctx t.topo)
 
 (* Recombination pool: every directed coupling named by a retained
    candidate. Cardinality 1 first — the static ranking is exact for

@@ -172,13 +172,13 @@ let run ~budget_s ~k ~better ~delay_of topo =
 let addition ?(budget_s = 60.) ~k topo =
   let delay_of ctx set =
     Iterate.circuit_delay
-      (Iterate.run ~active:(Coupling_set.contains_fn set) ~ctx topo)
+      (Iterate.run ~active:(Iterate.Only (Coupling_set.to_list set)) ~ctx topo)
   in
   run ~budget_s ~k ~better:(fun d bd -> d > bd) ~delay_of topo
 
 let elimination ?(budget_s = 60.) ~k topo =
   let delay_of ctx set =
     Iterate.circuit_delay
-      (Iterate.run ~active:(Coupling_set.excludes_fn set) ~ctx topo)
+      (Iterate.run ~active:(Iterate.Except (Coupling_set.to_list set)) ~ctx topo)
   in
   run ~budget_s ~k ~better:(fun d bd -> d < bd) ~delay_of topo

@@ -188,9 +188,6 @@ let fold f t acc = Array.fold_left (fun acc c -> f c acc) acc t
 let iter = Array.iter
 let exists = Array.exists
 
-let contains_fn t d = mem (CN.directed_id d) t
-let excludes_fn t d = not (mem (CN.directed_id d) t)
-
 let pad ~universe ~target t =
   let rec go acc next needed =
     if needed = 0 then Some acc

@@ -52,15 +52,6 @@ val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (elt -> unit) -> t -> unit
 val exists : (elt -> bool) -> t -> bool
 
-val contains_fn :
-  t -> Tka_noise.Coupled_noise.directed -> bool
-(** [contains_fn s] as a predicate over directed couplings, for
-    [Iterate.run ~active]. *)
-
-val excludes_fn :
-  t -> Tka_noise.Coupled_noise.directed -> bool
-(** Complement of {!contains_fn} (elimination evaluation). *)
-
 val pad : universe:int -> target:int -> t -> t option
 (** [pad ~universe ~target s] grows [s] to exactly [target] elements by
     adding the smallest directed ids below [universe] not already in

@@ -58,11 +58,12 @@ let candidates t i =
 let estimated_delay t i = Engine.estimated_delay t.result i
 
 let evaluate_set topo s =
-  Iterate.circuit_delay (Iterate.run ~active:(Coupling_set.excludes_fn s) topo)
+  Iterate.circuit_delay
+    (Iterate.run ~active:(Iterate.Except (Coupling_set.to_list s)) topo)
 
 let score t s =
   Iterate.circuit_delay
-    (Iterate.run ~active:(Coupling_set.excludes_fn s) ~ctx:t.ctx t.topo)
+    (Iterate.run ~active:(Iterate.Except (Coupling_set.to_list s)) ~ctx:t.ctx t.topo)
 
 (* Recombination pool: members of the retained elimination candidates
    and of the dual engine's sink lists. Cardinality 1 first — the

@@ -18,28 +18,6 @@ let of_directed_widened nl ~windows ~extra_lat d =
 
 let of_directed nl ~windows d = of_directed_widened nl ~windows ~extra_lat:0. d
 
-(* Keyed by the directed coupling and the exact aggressor window it was
-   built under: the pulse is a pure function of the netlist and the
-   window's late slew, so equal keys mean bitwise-equal envelopes.
-   Re-keying on the window floats (rather than an iteration counter)
-   lets hits survive across noise iterations whose windows settled. *)
-type memo = (int * float * float * float * float, Envelope.t) Hashtbl.t
-
-let create_memo () : memo = Hashtbl.create 256
-
-let of_directed_memo (memo : memo) nl ~windows d =
-  let w : TW.t = windows d.Coupled_noise.dc_aggressor in
-  let key =
-    (Coupled_noise.directed_id d, w.TW.eat, w.TW.lat, w.TW.slew_early,
-     w.TW.slew_late)
-  in
-  match Hashtbl.find_opt memo key with
-  | Some e -> e
-  | None ->
-    let e = of_directed nl ~windows d in
-    Hashtbl.add memo key e;
-    e
-
 let with_window nl ~window d =
   let pulse = Coupled_noise.pulse nl ~agg_slew:window.TW.slew_late d in
   Envelope.of_pulse ~window:(TW.onset_interval window) pulse

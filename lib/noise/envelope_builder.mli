@@ -16,25 +16,6 @@ val of_directed :
 (** Envelope of one primary aggressor: its pulse (late-arrival slew)
     swept over its onset window. *)
 
-type memo
-(** Cache of {!of_directed} results keyed by directed coupling id and
-    the exact aggressor window (all four floats). Purity makes a hit
-    bitwise-identical to recomputation, so memoised and unmemoised
-    analyses agree exactly. NOT thread-safe: confine a memo to one
-    sequential analysis (the shared {!Iterate.ctx} of the exact
-    re-ranking loops, which evaluate hundreds of candidate sets over
-    near-identical window sets, is the intended user). *)
-
-val create_memo : unit -> memo
-
-val of_directed_memo :
-  memo ->
-  Tka_circuit.Netlist.t ->
-  windows:windows ->
-  Coupled_noise.directed ->
-  Tka_waveform.Envelope.t
-(** {!of_directed} through the memo. *)
-
 val of_directed_widened :
   Tka_circuit.Netlist.t ->
   windows:windows ->

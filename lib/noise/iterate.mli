@@ -16,12 +16,23 @@
     tools report 3–4 iterations; so does this implementation on the
     generated benchmarks.
 
-    The [active] predicate selects which directed couplings inject
-    noise: the whole design for ordinary analysis, only a candidate set
-    when evaluating a top-k addition set, or everything {e except} a
-    candidate set for elimination. *)
+    {!active} selects which directed couplings inject noise: the whole
+    design for ordinary analysis, only a candidate set when evaluating a
+    top-k addition set, or everything {e except} a candidate set for
+    elimination. *)
 
 type mode = From_noiseless | From_all_overlap
+
+type active =
+  | All  (** every directed coupling *)
+  | Only of int list  (** just these directed ids (addition) *)
+  | Except of int list  (** every directed coupling but these (elimination) *)
+(** The directed couplings that inject noise, named by directed id
+    ({!Coupled_noise.directed_id}, as from [Coupling_set.to_list]; ids
+    that name no coupling are ignored). Only the victims a set names
+    get a filtered aggressor list, in the all-aggressor list's order;
+    every other victim shares the all-aggressor list ([Except]) or has
+    none ([Only]). *)
 
 type t = {
   analysis : Tka_sta.Analysis.t;  (** final STA, windows include noise *)
@@ -34,40 +45,59 @@ type t = {
 type ctx
 (** State shared by many {!run}s on one topology, for the exact
     re-ranking loops that score hundreds of nearby coupling sets: the
-    noiseless base STA, each victim's all-aggressor list, an envelope
-    memo ({!Envelope_builder.memo}) and a victim-noise memo keyed by
-    every input of {!Victim_noise.delay_noise} (victim id, LAT, late
-    slew, own noise, and each active aggressor's directed id and full
-    window), compared bit for bit. Results through a ctx are
-    bitwise-identical to results without one. Built lazily on first
-    use. NOT thread-safe: confine a ctx to one sequential loop, one
-    domain. *)
+    noiseless base STA, each victim's all-aggressor list and coupling
+    partners, a victim-noise memo keyed by every input of
+    {!Victim_noise.delay_noise} (victim id, LAT, late slew, own noise,
+    and each active aggressor's directed id and full window, compared
+    bit for bit), and the {e reference run}: the all-aggressor run from
+    noiseless, recorded pass by pass (the STA each pass read, the noise
+    after it, each victim's |delta| and the victims by delta) on the
+    first [Except] score. Results through a ctx are bitwise-identical to
+    results without one. Built lazily on first use. NOT thread-safe:
+    confine a ctx to one sequential loop, one domain. *)
 
 val context : Tka_circuit.Topo.t -> ctx
 
 val run :
   ?mode:mode ->
-  ?active:(Coupled_noise.directed -> bool) ->
+  ?active:active ->
   ?max_iterations:int ->
   ?tolerance:float ->
   ?ctx:ctx ->
   Tka_circuit.Topo.t ->
   t
-(** Defaults: [From_noiseless], all couplings active, at most 30
-    iterations, tolerance 1e-4 ns (0.1 ps).
+(** Defaults: [From_noiseless], [All], at most 30 iterations,
+    tolerance 1e-4 ns (0.1 ps).
 
-    The first pass from [From_noiseless] reads the noiseless base
-    directly; every later pass, and the final STA, is an
-    {!Tka_sta.Analysis.update} of the previous one, so only the cones
-    whose noise moved are re-propagated. With [ctx] (which must have
-    been built for [topo], else [Invalid_argument]) the base and
-    aggressor lists are shared across runs and victim evaluations go
-    through the ctx's memos ([iterate.victim_memo_hits]/[_misses]);
-    without it nothing is memoised — on a single fixpoint the memos
-    cost more than they save. Logs a warning (source [iterate]) if the
-    iteration cap is hit before convergence; each run updates the
-    [iterate.runs]/[iterate.passes] counters and the
-    [iterate.last_residual_ns] gauge when {!Tka_obs.Metrics} is
+    Every pass re-times by a seeded {!Tka_sta.Analysis.update} from the
+    victims whose noise moved in the pass before (the first pass from
+    [From_noiseless] reads the noiseless base directly), and so does the
+    final STA. Under [Only] no victim outside the set can carry noise,
+    so each pass evaluates just the set's victims. With [ctx] (which
+    must have been built for [topo], else [Invalid_argument]) the base
+    and aggressor lists are shared across runs and victim evaluations
+    go through the ctx's memo ([iterate.victim_memo_hits]/[_misses]);
+    without it nothing is memoised — on a single fixpoint the memo
+    costs more than it saves.
+
+    An [Except] run from [From_noiseless] through a ctx is a patch on
+    the ctx's reference run: pass p starts from a seeded update of the
+    reference's pass-p STA, and re-evaluates only the {e frontier} —
+    the victims the set touches, those whose noise differs from the
+    reference's, the nets whose window moved, and their coupling
+    partners. Every other victim takes the reference's pass-p noise,
+    which is exact because {!Victim_noise.delay_noise} is a pure
+    function of inputs that match the reference's bit for bit; the
+    residual is the max of the frontier's deltas and the largest
+    off-frontier reference delta. A run that needs more passes than
+    the reference recorded carries on with the full loop
+    ([iterate.reference_fallbacks]). Frontier evaluations, [Only]
+    victims included, count in [iterate.frontier_victims].
+
+    Logs a warning (source [iterate]) if the iteration cap is hit
+    before convergence; each run updates the
+    [iterate.runs]/[iterate.passes]/[iterate.non_converged] counters
+    and the [iterate.last_residual_ns] gauge when {!Tka_obs.Metrics} is
     enabled. *)
 
 val circuit_delay : t -> float

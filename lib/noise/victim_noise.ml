@@ -22,17 +22,12 @@ let saturate ~victim noise =
 let delay_noise_of_envelope ~victim env =
   saturate ~victim (Envelope.delay_noise ~victim env)
 
-let delay_noise nl ~windows ?(own_noise = 0.) ?memo ~victim ds =
+let delay_noise nl ~windows ?(own_noise = 0.) ~victim ds =
   match ds with
   | [] -> 0.
   | _ :: _ ->
     let v = victim_transition ~windows ~own_noise victim in
-    let build =
-      match memo with
-      | None -> Envelope_builder.of_directed nl ~windows
-      | Some m -> Envelope_builder.of_directed_memo m nl ~windows
-    in
-    let env = Envelope.combine (List.map build ds) in
+    let env = Envelope.combine (List.map (Envelope_builder.of_directed nl ~windows) ds) in
     delay_noise_of_envelope ~victim:v env
 
 (* For the infinite-window bound the envelopes must cover every instant

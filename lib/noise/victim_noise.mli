@@ -28,14 +28,10 @@ val delay_noise :
   Tka_circuit.Netlist.t ->
   windows:Envelope_builder.windows ->
   ?own_noise:float ->
-  ?memo:Envelope_builder.memo ->
   victim:Tka_circuit.Netlist.net_id ->
   Coupled_noise.directed list ->
   float
-(** Worst-case (saturated) t50 shift from the given aggressors. [memo]
-    optionally reuses per-aggressor envelopes across calls (see
-    {!Envelope_builder.memo}); results are bitwise-identical with or
-    without it. *)
+(** Worst-case (saturated) t50 shift from the given aggressors. *)
 
 val delay_noise_of_envelope :
   victim:Tka_waveform.Transition.t -> Tka_waveform.Envelope.t -> float

@@ -97,37 +97,64 @@ let same_window (a : Timing_window.t) (b : Timing_window.t) =
   && same_bits a.Timing_window.slew_early b.Timing_window.slew_early
   && same_bits a.Timing_window.slew_late b.Timing_window.slew_late
 
-(* Event-driven re-propagation: a net is recomputed only when its own
-   push moved or a fanin window did; everything else keeps [prev]'s
-   window. A recomputed window equal to the old one stops the event. *)
-let update prev ~extra_lat =
-  Trace.with_span ~cat:"sta" "sta.update" @@ fun () ->
-  let nl = Topo.netlist prev.topo in
+(* Seeded re-propagation, level by level: only the seeds and the fanout
+   of nets whose window moved are visited. A visited net is recomputed
+   when its own push moved or a fanin window did, and a recomputed
+   window equal to the old one stops the event. Nets within one level
+   read only lower levels, so the visiting order inside a level does
+   not change a bit. *)
+let update ~seeds prev ~extra_lat =
+  let topo = prev.topo in
+  let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
-  let t = { prev with extra = Array.make nn 0.; windows = Array.copy prev.windows } in
-  let moved = Array.make nn false in
-  let fanin_moved nid =
-    match (N.net nl nid).N.driver with
-    | N.Primary_input -> false
-    | N.Driven_by gid ->
-      List.exists (fun (_, n) -> moved.(n)) (N.gate nl gid).N.fanin
-  in
-  let recomputed = ref 0 in
-  Array.iter
-    (fun nid ->
-      let e = extra_of ~fn:"Analysis.update" extra_lat nid in
-      t.extra.(nid) <- e;
-      if (not (same_bits e prev.extra.(nid))) || fanin_moved nid then begin
-        incr recomputed;
-        let w = net_window t nid e in
-        if not (same_window w prev.windows.(nid)) then begin
-          t.windows.(nid) <- w;
-          moved.(nid) <- true
-        end
-      end)
-    (Topo.net_order prev.topo);
-  Metrics.Counter.add m_recomputed !recomputed;
-  t
+  match seeds with
+  | [] -> (prev, [])
+  | _ :: _ ->
+    Trace.with_span ~cat:"sta" "sta.update" @@ fun () ->
+    let t =
+      { prev with extra = Array.copy prev.extra; windows = Array.copy prev.windows }
+    in
+    (* per net: [queued] once it sits in a level bucket, [fanin_moved]
+       once one of its fanin windows changed *)
+    let queued = Bytes.make nn '\000' and fanin_moved = Bytes.make nn '\000' in
+    let buckets = Array.make (Topo.max_level topo + 1) [] in
+    let lowest = ref (Array.length buckets) in
+    let enqueue nid =
+      if Bytes.get queued nid = '\000' then begin
+        Bytes.set queued nid '\001';
+        let l = Topo.net_level topo nid in
+        buckets.(l) <- nid :: buckets.(l);
+        if l < !lowest then lowest := l
+      end
+    in
+    let seed nid =
+      t.extra.(nid) <- extra_of ~fn:"Analysis.update" extra_lat nid;
+      enqueue nid
+    in
+    List.iter seed seeds;
+    let recomputed = ref 0 and moved = ref [] in
+    for l = !lowest to Array.length buckets - 1 do
+      List.iter
+        (fun nid ->
+          let e = t.extra.(nid) in
+          if (not (same_bits e prev.extra.(nid))) || Bytes.get fanin_moved nid <> '\000'
+          then begin
+            incr recomputed;
+            let w = net_window t nid e in
+            if not (same_window w prev.windows.(nid)) then begin
+              t.windows.(nid) <- w;
+              moved := nid :: !moved;
+              List.iter
+                (fun out ->
+                  Bytes.set fanin_moved out '\001';
+                  enqueue out)
+                (N.fanout_nets nl nid)
+            end
+          end)
+        buckets.(l)
+    done;
+    Metrics.Counter.add m_recomputed !recomputed;
+    (t, !moved)
 
 let topo t = t.topo
 let netlist t = Topo.netlist t.topo

@@ -24,14 +24,28 @@ val run :
     Each gate's stage delay and each net's load are computed once per
     run and kept in the result for {!update}. *)
 
-val update : t -> extra_lat:(Tka_circuit.Netlist.net_id -> float) -> t
-(** [update prev ~extra_lat] is [run ~extra_lat] on [prev]'s topology
-    and input arrivals, bit for bit, computed event-driven: walking the
-    topological order, a net is recomputed only when its [extra_lat]
-    differs bitwise from the one [prev] was computed with, or when one
-    of its fanin windows changed; every other window is shared with
-    [prev]. Each recomputation counts in [sta.nets_recomputed]. [prev]
-    is not modified. *)
+val update :
+  seeds:Tka_circuit.Netlist.net_id list ->
+  t ->
+  extra_lat:(Tka_circuit.Netlist.net_id -> float) ->
+  t * Tka_circuit.Netlist.net_id list
+(** [update ~seeds prev ~extra_lat] is [run ~extra_lat] on [prev]'s
+    topology and input arrivals, bit for bit, computed event-driven,
+    paired with the nets whose window moved (differs bitwise from
+    [prev]'s), in no particular order.
+
+    [extra_lat] is read only at the [seeds]; every other net keeps the
+    push [prev] was computed with, so [seeds] must name every net whose
+    [extra_lat] differs bitwise from [prev]'s (naming more is harmless).
+    Propagation starts from the seeds and goes level by level
+    ({!Tka_circuit.Topo.net_level}) through the fanout of nets that
+    moved: a visited net is recomputed only when its push differs
+    bitwise from [prev]'s or one of its fanin windows moved, and a
+    recomputed window equal to the old one stops the event. Every other
+    window is shared with [prev], and nets that are never reached cost
+    nothing beyond two array copies. [~seeds:[]] returns [prev] itself.
+    Each recomputation counts in [sta.nets_recomputed]. [prev] is not
+    modified. *)
 
 val topo : t -> Tka_circuit.Topo.t
 val netlist : t -> Tka_circuit.Netlist.t

@@ -11,12 +11,13 @@
       subset), must match it exactly for k = 1, and must land within
       1% of it for k = 2, 3 — the paper's Table 1 claim.
     - {!duality}: eliminating a set S is, by construction, the same
-      fixpoint as activating its complement — the active-coupling
-      predicates are pointwise equal — so the two delays must be
+      fixpoint as activating its complement — both leave every victim
+      the same aggressor list — so the two delays must be
       bit-identical.
     - {!rerank}: exact re-ranking through a shared
-      {!Tka_noise.Iterate.ctx} (base STA, dirty-only updates, victim
-      and envelope memos) is an optimisation of the fresh evaluation,
+      {!Tka_noise.Iterate.ctx} (base STA, seeded updates, victim
+      memo, elimination scores patched onto a recorded all-aggressor
+      run) is an optimisation of the fresh evaluation,
       so every pool score must be bit-identical to it.
     - {!jobs}: the domain-pool engine is deterministic by construction;
       a 1-domain and an N-domain run must agree bitwise on every

@@ -1,0 +1,62 @@
+(* The tka binary's exit paths: observability dumps requested with
+   --metrics-out/--trace-out are written even when a command ends with
+   a failure exit code. *)
+
+(* the binary sits next to this test's directory in the build tree *)
+let tka =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "tka.exe" ]
+
+let run args =
+  Sys.command (Filename.quote_command tka args ~stdout:Filename.null ~stderr:Filename.null)
+
+let temp_dir () =
+  let d = Filename.temp_file "tka_cli" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let check_dump label path =
+  Alcotest.(check bool) (label ^ " written") true (Sys.file_exists path);
+  let ic = open_in path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check bool) (label ^ " holds JSON") true
+    (String.length text > 0 && (text.[0] = '{' || text.[0] = '['))
+
+let test_repair_exit_4 () =
+  let d = temp_dir () in
+  let net = Filename.concat d "i1.tka" in
+  Alcotest.(check int) "gen" 0 (run [ "gen"; "-b"; "i1"; "-o"; net ]);
+  let metrics = Filename.concat d "m.json" and trace = Filename.concat d "t.json" in
+  (* two edits cannot meet the target, so repair exits 4 *)
+  Alcotest.(check int) "repair exit code" 4
+    (run
+       [
+         "repair"; "-k"; "5"; "--budget"; "2"; "--dry-run"; "--metrics-out"; metrics;
+         "--trace-out"; trace; net;
+       ]);
+  check_dump "metrics" metrics;
+  check_dump "trace" trace
+
+let test_error_exit_1 () =
+  let d = temp_dir () in
+  let net = Filename.concat d "bad.tka" in
+  let oc = open_out net in
+  output_string oc "this is not a netlist\n";
+  close_out oc;
+  let metrics = Filename.concat d "m.json" in
+  Alcotest.(check int) "parse error exit code" 1
+    (run [ "topk"; "-k"; "2"; "--metrics-out"; metrics; net ]);
+  check_dump "metrics" metrics
+
+let () =
+  Alcotest.run "tka_cli"
+    [
+      ( "exit",
+        [
+          Alcotest.test_case "dumps survive exit 4" `Quick test_repair_exit_4;
+          Alcotest.test_case "dumps survive an input error" `Quick test_error_exit_1;
+        ] );
+    ]

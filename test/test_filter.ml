@@ -5,7 +5,7 @@
    window drop/derate behaviour under synthetic windows, the
    false-aggressor drops under base windows (the decisions
    [tka falseagg] lists) and their zero-noise soundness, the Ilist
-   singleton fast path, and the envelope memo's bitwise identity. *)
+   singleton fast path, and the victim memo's bitwise identity. *)
 
 module N = Tka_circuit.Netlist
 module Builder = Tka_circuit.Builder
@@ -493,29 +493,25 @@ let test_ilist_fast_paths () =
     (List.length (Ilist.prune ~capacity:0 ~interval ~stats:stats0 [ e ]))
 
 (* ------------------------------------------------------------------ *)
-(* Envelope memo                                                      *)
+(* Victim memo                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_envelope_memo_identity () =
+let test_ctx_memo_identity () =
+  (* a fixpoint through the memoising ctx, first filling the memo and
+     then hitting it, is bitwise identical to a fresh one, whichever
+     couplings are active *)
   let nl = pair_netlist () in
   let topo = Topo.create nl in
-  let a = Analysis.run topo in
-  let windows = Analysis.window a in
-  let d = victim_directed nl in
-  let memo = EB.create_memo () in
-  let fresh = EB.of_directed nl ~windows d in
-  let m1 = EB.of_directed_memo memo nl ~windows d in
-  let m2 = EB.of_directed_memo memo nl ~windows d in
-  Alcotest.(check bool)
-    "memoised envelope equals fresh" true
-    (Envelope.equal fresh m1);
-  Alcotest.(check bool) "second lookup is the cached value" true (m1 == m2);
-  (* end to end: a full fixpoint with and without the memoising ctx is
-     bitwise identical *)
-  let run ctx = Iterate.circuit_delay (Iterate.run ?ctx topo) in
-  Alcotest.(check bool)
-    "fixpoint delay bitwise identical under memo" true
-    (feq (run None) (run (Some (Iterate.context topo))))
+  let id = CN.directed_id (victim_directed nl) in
+  let ctx = Iterate.context topo in
+  List.iter
+    (fun active ->
+      let run ctx = Iterate.circuit_delay (Iterate.run ~active ?ctx topo) in
+      let fresh = run None in
+      Alcotest.(check bool) "ctx fixpoint delay bitwise identical" true
+        (feq fresh (run (Some ctx)));
+      Alcotest.(check bool) "memo hit bitwise identical" true (feq fresh (run (Some ctx))))
+    [ Iterate.All; Iterate.Only [ id ]; Iterate.Except [ id ]; Iterate.Except [] ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -557,6 +553,6 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "bitwise identity" `Quick
-            test_envelope_memo_identity;
+            test_ctx_memo_identity;
         ] );
     ]

@@ -152,8 +152,7 @@ let test_iterate_monotone_in_active_set () =
     let delay ids =
       Iterate.circuit_delay
         (Iterate.run
-           ~active:(fun d ->
-             List.mem (Tka_noise.Coupled_noise.directed_id d) ids)
+           ~active:(Iterate.Only ids)
            topo)
     in
     Alcotest.(check bool) "monotone" true (delay small_set <= delay big_set +. 1e-9)

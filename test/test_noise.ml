@@ -210,7 +210,7 @@ let test_dominance_interval_anchored () =
 let test_iterate_no_couplings () =
   let nl = two_chains ~stages:2 ~coupling:0.004 in
   let topo = Topo.create nl in
-  let r = Iterate.run ~active:(fun _ -> false) topo in
+  let r = Iterate.run ~active:(Iterate.Only []) topo in
   check_f6 "same as noiseless" (Iterate.noiseless_delay r) (Iterate.circuit_delay r);
   Alcotest.(check bool) "converged" true r.Iterate.converged;
   check_f6 "no noise" 0. (Iterate.total_delay_noise r)
@@ -228,7 +228,7 @@ let test_iterate_subset_bounded_by_full () =
   let nl = two_chains ~stages:3 ~coupling:0.006 in
   let topo = Topo.create nl in
   let full = Iterate.run topo in
-  let one = Iterate.run ~active:(fun d -> CN.directed_id d = 0) topo in
+  let one = Iterate.run ~active:(Iterate.Only [ 0 ]) topo in
   Alcotest.(check bool) "subset noise <= full noise" true
     (Iterate.circuit_delay one <= Iterate.circuit_delay full +. 1e-9)
 
@@ -286,18 +286,17 @@ let test_indirect_aggressors_increase_noise () =
   let nl, c32, c21, c1v = indirect_chain () in
   let topo = Topo.create nl in
   let v1 = (N.find_net_exn nl "v1").N.net_id in
-  let noise_with active =
-    let r = Iterate.run ~active topo in
+  (* both directed sides of each named cap *)
+  let noise_with couplings =
+    let ids =
+      List.concat_map (fun c -> [ CN.with_coupling 0 c; CN.with_coupling 1 c ]) couplings
+    in
+    let r = Iterate.run ~active:(Iterate.Only ids) topo in
     Iterate.net_noise r v1
   in
-  let only_primary = noise_with (fun d -> d.CN.dc_coupling = c1v) in
-  let with_secondary =
-    noise_with (fun d -> d.CN.dc_coupling = c1v || d.CN.dc_coupling = c21)
-  in
-  let with_tertiary =
-    noise_with (fun d ->
-        d.CN.dc_coupling = c1v || d.CN.dc_coupling = c21 || d.CN.dc_coupling = c32)
-  in
+  let only_primary = noise_with [ c1v ] in
+  let with_secondary = noise_with [ c1v; c21 ] in
+  let with_tertiary = noise_with [ c1v; c21; c32 ] in
   (* the secondary aggressor strictly increases the victim's noise by
      widening the primary's window (needs an extra noise iteration);
      deeper links attenuate, so the tertiary is only required not to
@@ -489,7 +488,7 @@ let test_path_noise_breakdown () =
 let test_path_noise_quiet_design () =
   let nl = two_chains ~stages:2 ~coupling:0.004 in
   let topo = Topo.create nl in
-  let it = Iterate.run ~active:(fun _ -> false) topo in
+  let it = Iterate.run ~active:(Iterate.Only []) topo in
   let p = Pn.worst_path it in
   check_f6 "no noise anywhere" 0. (Pn.total_path_noise p)
 

@@ -1,8 +1,10 @@
-(* Bit-identity of the event-driven exact re-evaluation: dirty-only STA
-   updates against full runs, shared-ctx fixpoints against a reference
-   copy of the full-sweep loop, and order independence of a shared
-   ctx. Circuits come from the seeded generators of the verification
-   layer. *)
+(* Bit-identity of the event-driven exact re-evaluation: seeded STA
+   updates against full runs, shared-ctx fixpoints (addition sets on
+   their victims, elimination sets as patches on the ctx's reference
+   run, the fallback past its recording) against a reference copy of
+   the full-sweep loop, and order independence of a shared ctx.
+   Circuits come from the seeded generators of the verification layer
+   and from the i1-i4 benchmarks. *)
 
 module N = Tka_circuit.Netlist
 module Topo = Tka_circuit.Topo
@@ -48,16 +50,37 @@ let prop_update_matches_run =
       let single = Array.copy e1 in
       single.(Rng.int rng nn) <- Rng.float rng 0.05;
       let run e = Analysis.run ~extra_lat:(Array.get e) topo in
-      let agrees prev e =
-        same_windows nn
-          (Analysis.window (Analysis.update prev ~extra_lat:(Array.get e)))
-          (Analysis.window (run e))
+      (* [prev] was computed with push [eprev]; an update seeded with
+         every net and one seeded with just the nets whose push moved
+         must both give [run e]'s windows and name exactly the nets
+         that moved *)
+      let agrees (prev, eprev) e =
+        let expect = Analysis.window (run e) in
+        let before = Analysis.window prev in
+        let moved =
+          List.filter (fun n -> not (same_window (expect n) (before n))) (List.init nn Fun.id)
+        in
+        let seeds =
+          List.filter (fun n -> not (same_bits e.(n) eprev.(n))) (List.init nn Fun.id)
+        in
+        List.for_all
+          (fun (u, m) ->
+            same_windows nn (Analysis.window u) expect && List.sort compare m = moved)
+          [
+            Analysis.update ~seeds:(List.init nn Fun.id) prev ~extra_lat:(Array.get e);
+            Analysis.update ~seeds prev ~extra_lat:(Array.get e);
+          ]
       in
-      let base = run zero and a1 = run e1 in
+      let base = (run zero, zero) and a1 = (run e1, e1) in
       agrees base zero && agrees base e1 && agrees a1 zero && agrees a1 e1
       && agrees a1 single && agrees a1 (random ())
       (* a chain of updates, as the fixpoint passes make *)
-      && agrees (Analysis.update base ~extra_lat:(Array.get e1)) single)
+      && agrees
+           ( fst
+               (Analysis.update ~seeds:(List.init nn Fun.id) (fst base)
+                  ~extra_lat:(Array.get e1)),
+             e1 )
+           single)
 
 (* ------------------------------------------------------------------ *)
 (* Iterate.run against the full-sweep reference                       *)
@@ -66,8 +89,7 @@ let prop_update_matches_run =
 (* The fixpoint loop as it was before the event-driven rewrite: a full
    STA per pass and every victim re-evaluated without memos. Kept here
    as the reference the shared-ctx path must reproduce bit for bit. *)
-let reference ~mode ~active ~max_iterations topo =
-  let tolerance = 1e-4 in
+let reference ?(tolerance = 1e-4) ~mode ~active ~max_iterations topo =
   let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
   let base = Analysis.run topo in
@@ -122,40 +144,71 @@ type query = {
   q_excludes : bool;
   q_mode : Iterate.mode;
   q_max_iterations : int;
+  q_tolerance : float;
 }
 
-let random_queries rng topo n =
-  let u = 2 * N.num_couplings (Topo.netlist topo) in
-  List.init n (fun _ ->
-      {
-        q_set = CS.of_list (List.filter (fun _ -> Rng.chance rng 0.3) (List.init u Fun.id));
-        q_excludes = Rng.bool rng;
-        q_mode = (if Rng.bool rng then Iterate.From_noiseless else Iterate.From_all_overlap);
-        q_max_iterations = (if Rng.chance rng 0.25 then 1 else 30);
-      })
+let query ?(mode = Iterate.From_noiseless) ?(max_iterations = 30) ?(tolerance = 1e-4)
+    ~excludes set =
+  {
+    q_set = set;
+    q_excludes = excludes;
+    q_mode = mode;
+    q_max_iterations = max_iterations;
+    q_tolerance = tolerance;
+  }
 
-let active q = if q.q_excludes then CS.excludes_fn q.q_set else CS.contains_fn q.q_set
+(* a dense random set, or a small one like the re-ranking pools score *)
+let random_set rng topo =
+  let u = 2 * N.num_couplings (Topo.netlist topo) in
+  if Rng.bool rng then
+    CS.of_list (List.filter (fun _ -> Rng.chance rng 0.3) (List.init u Fun.id))
+  else CS.of_list (List.init (1 + Rng.int rng 5) (fun _ -> Rng.int rng (max u 1)))
+
+let random_queries rng topo n =
+  List.init n (fun _ ->
+      query (random_set rng topo) ~excludes:(Rng.bool rng)
+        ~mode:(if Rng.bool rng then Iterate.From_noiseless else Iterate.From_all_overlap)
+        ~max_iterations:
+          (if Rng.chance rng 0.25 then 1 + Rng.int rng 2 else 30))
+
+let active q =
+  if q.q_excludes then Iterate.Except (CS.to_list q.q_set)
+  else Iterate.Only (CS.to_list q.q_set)
+
+let expected topo q =
+  reference ~tolerance:q.q_tolerance ~mode:q.q_mode
+    ~active:(fun d -> CS.mem (Coupled_noise.directed_id d) q.q_set <> q.q_excludes)
+    ~max_iterations:q.q_max_iterations topo
 
 let run_query ?ctx topo q =
   Iterate.run ~mode:q.q_mode ~active:(active q) ~max_iterations:q.q_max_iterations
-    ?ctx topo
+    ~tolerance:q.q_tolerance ?ctx topo
+
+(* every query through one ctx, and again without one, against the
+   reference; the first mismatch fails with its query *)
+let all_match topo qs =
+  let nn = N.num_nets (Topo.netlist topo) in
+  let ctx = Iterate.context topo in
+  List.for_all
+    (fun q ->
+      let expect = expected topo q in
+      same_result nn expect (run_query ~ctx topo q)
+      && same_result nn expect (run_query topo q)
+      || QCheck.Test.fail_reportf "%s %s from %s, max %d, tolerance %g"
+           (if q.q_excludes then "Except" else "Only")
+           (Format.asprintf "%a" CS.pp q.q_set)
+           (match q.q_mode with
+           | Iterate.From_noiseless -> "noiseless"
+           | Iterate.From_all_overlap -> "all-overlap")
+           q.q_max_iterations q.q_tolerance)
+    qs
 
 let prop_iterate_matches_reference =
   QCheck.Test.make ~name:"ctx and memo-less runs match the full sweep" ~count:40
     arb_seed (fun seed ->
       let rng = Rng.create seed in
       let topo = Topo.create (circuit rng) in
-      let nn = N.num_nets (Topo.netlist topo) in
-      let ctx = Iterate.context topo in
-      List.for_all
-        (fun q ->
-          let expect =
-            reference ~mode:q.q_mode ~active:(active q)
-              ~max_iterations:q.q_max_iterations topo
-          in
-          same_result nn expect (run_query ~ctx topo q)
-          && same_result nn expect (run_query topo q))
-        (random_queries rng topo 6))
+      all_match topo (random_queries rng topo 6))
 
 let prop_ctx_order_independent =
   QCheck.Test.make ~name:"one ctx scores alike in either order" ~count:30 arb_seed
@@ -174,18 +227,63 @@ let prop_ctx_order_independent =
       in
       List.for_all2 (same_result nn) forward backward)
 
+let bench name = Topo.create (Option.get (Tka_layout.Benchmarks.by_name name))
+
+let check_all_match topo qs =
+  Alcotest.(check bool) "bitwise equal to the reference" true
+    (try all_match topo qs with QCheck.Test.Test_fail (_, msgs) ->
+       Alcotest.fail (String.concat "; " msgs))
+
+(* ~40 re-ranking-sized sets per circuit, half of them eliminations
+   scored as patches on the ctx's reference run *)
+let test_benchmark name () =
+  let topo = bench name in
+  let rng = Rng.create (Hashtbl.hash name) in
+  let u = 2 * N.num_couplings (Topo.netlist topo) in
+  check_all_match topo
+    (List.init 40 (fun i ->
+         query ~excludes:(i mod 2 = 0)
+           (CS.of_list (List.init (1 + Rng.int rng 5) (fun _ -> Rng.int rng u)))))
+
+let fallbacks () =
+  match Tka_obs.Metrics.find_counter "iterate.reference_fallbacks" with
+  | Some c -> Tka_obs.Metrics.Counter.value c
+  | None -> 0
+
+let test_fallback () =
+  (* a tolerance far below the reference's needs more passes than it
+     recorded, so every elimination score falls back to the full loop
+     part way through *)
+  let topo = bench "i1" in
+  let before = fallbacks () in
+  Tka_obs.Metrics.with_enabled true (fun () ->
+      check_all_match topo
+        (List.init 6 (fun i ->
+             query ~excludes:true ~tolerance:1e-9 (CS.of_list [ 2 * i; (5 * i) + 1 ]))));
+  Alcotest.(check bool) "fell back" true (fallbacks () > before)
+
+let test_short_caps () =
+  (* runs cut at one and two passes stop inside the recording *)
+  List.iter
+    (fun name ->
+      let topo = bench name in
+      check_all_match topo
+        (List.concat_map
+           (fun max_iterations ->
+             List.concat_map
+               (fun excludes ->
+                 List.map
+                   (fun ids -> query ~excludes ~max_iterations (CS.of_list ids))
+                   [ []; [ 0 ]; [ 1; 6; 9 ] ])
+               [ true; false ])
+           [ 1; 2 ]))
+    [ "i1"; "i2" ]
+
 let test_cap_hit_reported () =
   (* max_iterations:1 on a coupled circuit stops before convergence,
      and the ctx path says so exactly as the reference does *)
   let topo = Topo.create (Gen.medium_circuit (Rng.create 11)) in
-  let q =
-    {
-      q_set = CS.empty;
-      q_excludes = true;
-      q_mode = Iterate.From_noiseless;
-      q_max_iterations = 1;
-    }
-  in
+  let q = query CS.empty ~excludes:true ~max_iterations:1 in
   let r = run_query ~ctx:(Iterate.context topo) topo q in
   Alcotest.(check int) "one pass" 1 r.Iterate.iterations;
   Alcotest.(check bool) "not converged" false r.Iterate.converged
@@ -214,5 +312,12 @@ let () =
           Alcotest.test_case "cap hit reported" `Quick test_cap_hit_reported;
           Alcotest.test_case "other topology rejected" `Quick
             test_ctx_rejects_other_topology;
+          Alcotest.test_case "tolerance below the reference falls back" `Quick
+            test_fallback;
+          Alcotest.test_case "one and two passes" `Quick test_short_caps;
         ] );
+      ( "benchmarks",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_benchmark name))
+          [ "i1"; "i2"; "i3"; "i4" ] );
     ]

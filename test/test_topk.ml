@@ -59,8 +59,9 @@ let test_cs_predicates () =
   let nl, _ = Lazy.force tiny_topo in
   let d = List.hd (CN.aggressors_of_victim nl (N.find_net_exn nl "n1").N.net_id) in
   let s = CS.singleton (CN.directed_id d) in
-  Alcotest.(check bool) "contains" true (CS.contains_fn s d);
-  Alcotest.(check bool) "excludes" false (CS.excludes_fn s d)
+  (* [Iterate.Only]/[Except] name a set by its members' directed ids *)
+  Alcotest.(check bool) "contains" true (CS.mem (CN.directed_id d) s);
+  Alcotest.(check (list int)) "members" [ CN.directed_id d ] (CS.to_list s)
 
 let cs_qcheck =
   let open QCheck in

@@ -30,6 +30,7 @@ module Iterate = Tka_noise.Iterate
 module Engine = Tka_topk.Engine
 module Addition = Tka_topk.Addition
 module Elimination = Tka_topk.Elimination
+module Refine = Tka_topk.Refine
 module BF = Tka_topk.Brute_force
 module CS = Tka_topk.Coupling_set
 module Tt = Tka_util.Text_table
@@ -317,29 +318,17 @@ let run_table2 o ~mode =
     let kmax = List.fold_left max 1 o.ks in
     (* one enumeration gives the sets for every cardinality *)
     let t_enum = wall () in
-    let base_delay, noisy_delay, curve, stats =
-      match mode with
-      | Engine.Addition ->
-        let a = Addition.compute ~k:kmax topo in
-        ( Addition.noiseless_delay a,
-          Addition.all_aggressor_delay a,
-          Addition.evaluate_curve a ~ks:o.ks,
-          a.Addition.result.Engine.res_stats )
-      | Engine.Elimination ->
-        let e = Elimination.compute ~k:kmax topo in
-        ( Elimination.noiseless_delay e,
-          Elimination.all_aggressor_delay e,
-          Elimination.evaluate_curve e ~ks:o.ks,
-          e.Elimination.result.Engine.res_stats )
-    in
+    let r = Refine.compute ~mode ~k:kmax topo in
+    let res = r.Refine.result in
+    let base_delay = res.Engine.res_noiseless_delay
+    and noisy_delay = res.Engine.res_noisy_delay
+    and curve = Refine.evaluate_curve r ~ks:o.ks
+    and stats = res.Engine.res_stats in
     let enum_runtime = wall () -. t_enum in
     let evaluate k =
       match List.find_opt (fun (k', _, _) -> k' = k) curve with
       | Some (_, _, d) -> d
-      | None -> (
-        match mode with
-        | Engine.Addition -> base_delay
-        | Engine.Elimination -> noisy_delay)
+      | None -> Engine.fallback_delay res
     in
     let ds = List.map (fun k -> (k, evaluate k)) o.ks in
     (* runtime column: independent per-k enumerations, like the paper;
@@ -493,8 +482,8 @@ let run_ablation o =
     in
     let exact =
       match r.Engine.res_per_k.(k) with
-      | Some c -> Addition.evaluate_set topo c.Engine.ch_set
-      | None -> r.Engine.res_noiseless_delay
+      | Some c -> Refine.exact_delay ~mode:Engine.Addition topo c.Engine.ch_set
+      | None -> Engine.fallback_delay r
     in
     let st = r.Engine.res_stats in
     Tt.add_row t
@@ -896,9 +885,7 @@ let run_rerank_ctx o =
   let topo = Topo.create nl in
   let sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
   let ctx = Iterate.context topo in
-  let delay ?ctx s =
-    Iterate.circuit_delay (Iterate.run ~active:(Iterate.Only (CS.to_list s)) ?ctx topo)
-  in
+  let delay ?ctx s = Refine.exact_delay ~mode:Engine.Addition ?ctx topo s in
   List.iter
     (fun s ->
       if not (Float.equal (delay s) (delay ~ctx s)) then

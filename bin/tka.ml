@@ -22,8 +22,8 @@ module Analysis = Tka_sta.Analysis
 module CP = Tka_sta.Critical_path
 module Iterate = Tka_noise.Iterate
 module B = Tka_layout.Benchmarks
-module Addition = Tka_topk.Addition
 module Elimination = Tka_topk.Elimination
+module Refine = Tka_topk.Refine
 module Report = Tka_topk.Report
 module Fmode = Tka_filter.Mode
 module Filter = Tka_filter.Filter
@@ -279,7 +279,7 @@ let handle_errors f =
   | Sys_error m ->
     Printf.eprintf "error: %s\n" m;
     exit 1
-  | Failure m ->
+  | Failure m | Invalid_argument m ->
     Printf.eprintf "error: %s\n" m;
     exit 1
 
@@ -491,16 +491,19 @@ let filter_arg =
            overlaps), or $(b,logic) (window plus logical-correlation \
            pruning). See docs/filtering.md.")
 
+let mode_arg ?(doc = "$(b,add) or $(b,elim).") default =
+  Arg.(
+    value
+    & opt (enum Tka_topk.Engine.mode_names) default
+    & info [ "mode" ] ~docv:"MODE" ~doc)
+
 let topk_cmd =
   let k =
     Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Set cardinality bound.")
   in
   let mode =
-    Arg.(
-      value
-      & opt (enum [ ("add", `Add); ("elim", `Elim) ]) `Add
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"$(b,add) for the addition set, $(b,elim) for the elimination set.")
+    mode_arg Tka_topk.Engine.Addition
+      ~doc:"$(b,add) for the addition set, $(b,elim) for the elimination set."
   in
   let run obs liberty k mode filter path =
     run_obs obs (fun () ->
@@ -508,13 +511,7 @@ let topk_cmd =
         let topo = Topo.create nl in
         let ks = List.filter (fun i -> i <= k) [ 1; 2; 3; 5; 10; 20; 50 ] @ [ k ]
                  |> List.sort_uniq Int.compare in
-        match mode with
-        | `Add ->
-          let t = Addition.compute ~filter ~k topo in
-          print_string (Report.addition nl t ~ks)
-        | `Elim ->
-          let t = Elimination.compute ~filter ~k topo in
-          print_string (Report.elimination nl t ~ks))
+        print_string (Report.topk nl (Refine.compute ~mode ~filter ~k topo) ~ks))
   in
   Cmd.v
     (Cmd.info "topk"
@@ -609,23 +606,12 @@ let kvalue_cmd =
   let kmax =
     Arg.(value & opt int 30 & info [ "kmax" ] ~docv:"K" ~doc:"Largest k to explore.")
   in
-  let mode =
-    Arg.(
-      value
-      & opt (enum [ ("add", `Add); ("elim", `Elim) ]) `Add
-      & info [ "mode" ] ~docv:"MODE" ~doc:"$(b,add) or $(b,elim).")
-  in
+  let mode = mode_arg Tka_topk.Engine.Addition in
   let run obs liberty coverage kmax mode path =
     run_obs obs (fun () ->
-        let nl = load ~liberty path in
-        ignore nl;
-        let topo = Topo.create nl in
+        let topo = Topo.create (load ~liberty path) in
         let module Kv = Tka_topk.K_value in
-        let r =
-          match mode with
-          | `Add -> Kv.addition ~coverage ~kmax topo
-          | `Elim -> Kv.elimination ~coverage ~kmax topo
-        in
+        let r = Kv.recommend ~coverage ~kmax ~mode topo in
         Printf.printf "k,delay_ns,noise_fraction\n";
         List.iter
           (fun p ->
@@ -695,23 +681,14 @@ let sensitivity_cmd =
       & info [ "extraction-error" ] ~docv:"FRAC"
           ~doc:"Uniform coupling-cap perturbation bound (0.15 = ±15%).")
   in
-  let mode =
-    Arg.(
-      value
-      & opt (enum [ ("add", `Add); ("elim", `Elim) ]) `Elim
-      & info [ "mode" ] ~docv:"MODE" ~doc:"$(b,add) or $(b,elim).")
-  in
+  let mode = mode_arg Tka_topk.Engine.Elimination in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
   let run obs liberty k trials noise mode seed path =
     run_obs obs (fun () ->
         let nl = load ~liberty path in
         let rng = Tka_util.Rng.create seed in
         let module S = Tka_topk.Sensitivity in
-        let r =
-          match mode with
-          | `Add -> S.addition ~trials ~noise_pct:noise ~rng ~k nl
-          | `Elim -> S.elimination ~trials ~noise_pct:noise ~rng ~k nl
-        in
+        let r = S.assess ~trials ~noise_pct:noise ~mode ~rng ~k nl in
         Printf.printf
           "top-%d set stability under ±%.0f%% extraction error (%d trials):\n" k
           (noise *. 100.) trials;
@@ -1124,11 +1101,8 @@ let profile_cmd =
     Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"Set cardinality bound.")
   in
   let mode =
-    Arg.(
-      value
-      & opt (enum [ ("add", `Add); ("elim", `Elim) ]) `Elim
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Analysis to profile inline: $(b,add) or $(b,elim) (default).")
+    mode_arg Tka_topk.Engine.Elimination
+      ~doc:"Analysis to profile inline: $(b,add) or $(b,elim) (default)."
   in
   let top =
     Arg.(
@@ -1161,9 +1135,7 @@ let profile_cmd =
             (* record the analysis whether or not --trace-out is given;
                an outer dump still sees these spans *)
             Trace.set_enabled true;
-            (match mode with
-            | `Add -> ignore (Addition.compute ~k topo)
-            | `Elim -> ignore (Elimination.compute ~k topo));
+            ignore (Refine.compute ~mode ~k topo);
             Trace.spans ()
           | None, None ->
             failwith "profile needs a NETLIST to run, or --trace FILE to ingest"

@@ -114,7 +114,10 @@ let () =
     (* every round, re-check the incremental contract from scratch *)
     if not (Eco.elim_identical (Elimination.compute ~k:3 topo) elim) then
       failwith "incremental result diverged from scratch";
-    match (if i > 3 then None else Elimination.best_choice elim 1) with
+    match
+      if i > 3 then None
+      else Tka_topk.Refine.best_choice (Elimination.ranking elim) 1
+    with
     | None -> Printf.printf "\nno elimination candidates left; done.\n"
     | Some (set, fixed_delay) ->
       Printf.printf "  fix: remove %s  (delay -> %.4f ns)\n"

@@ -43,5 +43,3 @@ let derate_cell c cell =
     ~slew_resistance:(c.resistance_factor *. cell.Cell.slew_resistance)
 
 let derate_library c cells = List.map (derate_cell c) cells
-
-let derate_netlist_cells c = derate_cell c

@@ -38,8 +38,3 @@ val derate_cell : t -> Cell.t -> Cell.t
     except for {!typical}). *)
 
 val derate_library : t -> Cell.t list -> Cell.t list
-
-val derate_netlist_cells :
-  t -> (Cell.t -> Cell.t)
-(** Convenience shape for [Tka_circuit.Transform.map ~cell_of] —
-    composes with a gate accessor at the call site. *)

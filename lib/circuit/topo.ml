@@ -162,17 +162,6 @@ let cone_shards t =
     t.shard_memo <- Some shards;
     shards
 
-let fanout_cone t seeds =
-  let mark = Array.make (N.num_nets t.nl) false in
-  let rec go id =
-    if not mark.(id) then begin
-      mark.(id) <- true;
-      List.iter go (N.fanout_nets t.nl id)
-    end
-  in
-  List.iter go seeds;
-  mark
-
 let transitive_fanin t nid =
   match Hashtbl.find_opt t.fanin_memo nid with
   | Some m -> m

@@ -44,12 +44,6 @@ val cone_shards : t -> Netlist.net_id array array
     {!net_order} with identical per-net inputs — the basis of the
     cone-sharded parallel sweep's determinism. *)
 
-val fanout_cone : t -> Netlist.net_id list -> bool array
-(** [fanout_cone t seeds] has [true] at every net reachable from any
-    seed via driver→fanout edges, the seeds included. This is the set
-    of nets whose timing can change when the seeds' local parameters
-    are edited (ignoring crosstalk feedback; see [Tka_incr.Dirty] for
-    the coupling-aware closure). O(V + E), not memoised. *)
 
 val transitive_fanin : t -> Netlist.net_id -> bool array
 (** [transitive_fanin t n] has [true] at every net in the fanin cone of

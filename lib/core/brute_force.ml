@@ -12,19 +12,6 @@ type outcome = {
   bf_runtime : float;
 }
 
-let binomial n k =
-  if k < 0 || k > n then 0
-  else begin
-    let k = min k (n - k) in
-    let rec go acc i =
-      if i > k then acc
-      else
-        let acc' = acc * (n - k + i) / i in
-        if acc' < acc then max_int (* overflow *) else go acc' (i + 1)
-    in
-    go 1 1
-  end
-
 (* Combinatorial number system: the k-subset of [0..n-1] at position
    [rank] of the lexicographic order. Element i is the smallest value
    above its predecessor whose block of completions — C(n-1-v, k-1-i)
@@ -37,7 +24,7 @@ let subset_of_rank ~n ~k rank =
   for i = 0 to k - 1 do
     let v = ref !c in
     let rec skip () =
-      let block = binomial (n - 1 - !v) (k - 1 - i) in
+      let block = Refine.binomial (n - 1 - !v) (k - 1 - i) in
       if block <= !r then begin
         r := !r - block;
         incr v;
@@ -84,9 +71,9 @@ let iter_subsets_from ~n ~k ~rank ~count visit =
 (* Best-so-far fold shared by both paths: a candidate replaces the
    incumbent only when strictly better, so the winner is the
    lexicographically first subset achieving the optimal delay. *)
-let consider ~better best set d =
+let consider ~mode best set d =
   match !best with
-  | Some (_, bd) when not (better d bd) -> ()
+  | Some (_, bd) when not (Engine.better mode d bd) -> ()
   | Some _ | None -> best := Some (set, d)
 
 (* One domain's share: scan ranks [rank, rank + count), tracking the
@@ -94,7 +81,7 @@ let consider ~better best set d =
    clock deadline. Every set of the range is scored through one
    re-ranking ctx of its own: a ctx never crosses domains, and the
    scores are the same bits as fresh evaluations. *)
-let scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of topo (rank, count) =
+let scan_range ~t0 ~budget_s ~n ~k ~mode topo (rank, count) =
   let ctx = Iterate.context topo in
   let best = ref None in
   let evaluated = ref 0 in
@@ -106,17 +93,17 @@ let scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of topo (rank, count) =
       end
       else begin
         let set = Coupling_set.of_list ids in
-        let d = delay_of ctx set in
+        let d = Refine.exact_delay ~mode ~ctx topo set in
         incr evaluated;
-        consider ~better best set d;
+        consider ~mode best set d;
         true
       end);
   (!best, !evaluated, !completed)
 
-let run ~budget_s ~k ~better ~delay_of topo =
+let search ?(budget_s = 60.) ~mode ~k topo =
   let nl = Tka_circuit.Topo.netlist topo in
   let n = 2 * N.num_couplings nl in
-  let total = binomial n k in
+  let total = Refine.binomial n k in
   let t0 = Clock.now_s () in
   let pool = Pool.get_default () in
   let jobs = Pool.size pool in
@@ -125,7 +112,7 @@ let run ~budget_s ~k ~better ~delay_of topo =
   let use_parallel = jobs > 1 && total < max_int && total >= 2 * jobs in
   let best, evaluated, completed =
     if not use_parallel then
-      scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of topo (0, total)
+      scan_range ~t0 ~budget_s ~n ~k ~mode topo (0, total)
     else begin
       let per = max 1 (total / (jobs * 4)) in
       let chunks =
@@ -137,7 +124,7 @@ let run ~budget_s ~k ~better ~delay_of topo =
       in
       let results =
         Pool.map ~chunk:1 pool
-          (scan_range ~t0 ~budget_s ~n ~k ~better ~delay_of topo)
+          (scan_range ~t0 ~budget_s ~n ~k ~mode topo)
           chunks
       in
       (* Ordered reduction in rank order: merging local bests with the
@@ -149,7 +136,7 @@ let run ~budget_s ~k ~better ~delay_of topo =
             match (b, cb) with
             | None, x | x, None -> x
             | Some (_, bd), Some (cs, cd) ->
-              if better cd bd then Some (cs, cd) else b
+              if Engine.better mode cd bd then Some (cs, cd) else b
           in
           (b, ev + cev, comp && ccomp))
         (None, 0, true) results
@@ -169,16 +156,5 @@ let run ~budget_s ~k ~better ~delay_of topo =
     bf_runtime = Clock.now_s () -. t0;
   }
 
-let addition ?(budget_s = 60.) ~k topo =
-  let delay_of ctx set =
-    Iterate.circuit_delay
-      (Iterate.run ~active:(Iterate.Only (Coupling_set.to_list set)) ~ctx topo)
-  in
-  run ~budget_s ~k ~better:(fun d bd -> d > bd) ~delay_of topo
-
-let elimination ?(budget_s = 60.) ~k topo =
-  let delay_of ctx set =
-    Iterate.circuit_delay
-      (Iterate.run ~active:(Iterate.Except (Coupling_set.to_list set)) ~ctx topo)
-  in
-  run ~budget_s ~k ~better:(fun d bd -> d < bd) ~delay_of topo
+let addition ?budget_s ~k topo = search ?budget_s ~mode:Engine.Addition ~k topo
+let elimination ?budget_s ~k topo = search ?budget_s ~mode:Engine.Elimination ~k topo

@@ -13,9 +13,11 @@
     combinatorial number system) scanned concurrently and merged by an
     ordered reduction, so a completed run returns exactly the subset the
     sequential scan would — the lexicographically first one achieving
-    the optimal delay — at any jobs count. Each rank range scores its
-    subsets through one {!Tka_noise.Iterate.ctx} of its own (never
-    shared across domains; scores bit-identical to fresh runs).
+    the optimal delay — at any jobs count. Each subset is scored by
+    {!Refine.exact_delay} and ranked by {!Engine.better}, like the
+    exact re-ranking; each rank range scores its subsets through one
+    {!Tka_noise.Iterate.ctx} of its own (never shared across domains;
+    scores bit-identical to fresh runs).
     Runtimes are monotonic wall-clock seconds ({!Tka_obs.Clock}). *)
 
 type outcome = {
@@ -35,6 +37,3 @@ val addition :
 val elimination :
   ?budget_s:float -> k:int -> Tka_circuit.Topo.t -> outcome
 (** Best k-subset to {e remove} (min circuit delay). *)
-
-val binomial : int -> int -> int
-(** [binomial n k] with saturation at [max_int] instead of overflow. *)

@@ -102,6 +102,9 @@ type prelude = {
 let eps = 1e-9
 
 let mode_name = function Addition -> "addition" | Elimination -> "elimination"
+let mode_names = [ ("add", Addition); ("elim", Elimination) ]
+let mode_tag = function Addition -> 0 | Elimination -> 1
+let better mode d d' = match mode with Addition -> d > d' | Elimination -> d < d'
 
 let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   let t_start = Tka_obs.Clock.now_ns () in
@@ -869,15 +872,19 @@ let compute ?config ?fixpoint ?victim_cache ~mode topo =
     "engine.compute"
     (fun () -> compute_body ~config ~fixpoint ~victim_cache ~mode topo)
 
+let fallback_delay r =
+  match r.res_mode with
+  | Addition -> r.res_noiseless_delay
+  | Elimination -> r.res_noisy_delay
+
 let estimated_delay r i =
   if i < 0 || i >= Array.length r.res_per_k then
     invalid_arg "Engine.estimated_delay: cardinality out of range";
+  let base = fallback_delay r in
   match r.res_per_k.(i) with
-  | None -> (
-    match r.res_mode with
-    | Addition -> r.res_noiseless_delay
-    | Elimination -> r.res_noisy_delay)
-  | Some c -> (
-    match r.res_mode with
-    | Addition -> Float.max r.res_noiseless_delay (r.res_noiseless_delay +. c.ch_objective)
-    | Elimination -> Float.max r.res_noiseless_delay (r.res_noisy_delay -. c.ch_objective))
+  | None -> base
+  | Some c ->
+    Float.max r.res_noiseless_delay
+      (match r.res_mode with
+      | Addition -> base +. c.ch_objective
+      | Elimination -> base -. c.ch_objective)

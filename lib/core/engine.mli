@@ -27,6 +27,25 @@
 
 type mode = Addition | Elimination
 
+val mode_name : mode -> string
+(** ["addition"] or ["elimination"], as logs, traces and reports
+    spell it. *)
+
+val mode_names : (string * mode) list
+(** The short spelling users type and read back: ["add"], ["elim"]
+    (the CLI's [--mode], the serve protocol's ["mode"]). *)
+
+val mode_tag : mode -> int
+(** 0 for addition, 1 for elimination: the stable number the
+    incremental layer hashes and persists ([Tka_incr]). *)
+
+val better : mode -> float -> float -> bool
+(** [better mode d d']: delay [d] is strictly better than [d'] for the
+    mode's objective — larger for addition (the set hurts most),
+    smaller for elimination (removing it helps most). Every exact
+    ranking (re-ranking, brute force) keeps the first strictly better
+    set. *)
+
 type config = {
   k : int;  (** maximum cardinality to enumerate *)
   capacity : int;  (** irredundant-list capacity per cardinality *)
@@ -140,8 +159,14 @@ val compute :
     sets, objectives and [res_stats] — are bit-identical at any jobs
     count (see [docs/parallelism.md]). *)
 
+val fallback_delay : result -> float
+(** The circuit delay when no set applies: the noiseless delay for
+    addition (nothing added), the all-aggressor delay for elimination
+    (nothing removed). *)
+
 val estimated_delay : result -> int -> float
 (** [estimated_delay r i]: the circuit delay the engine predicts for
-    the top-[i] set — noiseless delay + objective for addition, noisy
-    delay − objective for elimination. Exact re-evaluation is provided
-    by {!Addition.evaluate} / {!Elimination.evaluate}. *)
+    the top-[i] set — {!fallback_delay} + objective for addition,
+    {!fallback_delay} − objective for elimination, at least the
+    noiseless delay; {!fallback_delay} when no set of size [i] exists.
+    Exact re-evaluation is provided by {!Refine.evaluate}. *)

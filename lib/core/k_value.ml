@@ -31,42 +31,41 @@ let knee_of_curve pts =
     in
     fst best
 
-let build ~total ~fraction_of curve =
-  let pts =
-    List.map
-      (fun (k, _, d) ->
-        { kv_k = k; kv_delay = d; kv_fraction = fraction_of total d })
-      curve
-  in
-  pts
-
-let recommend ~coverage pts =
+let summarise ~coverage pts =
   let coverage_k =
     List.find_opt (fun p -> p.kv_fraction >= coverage) pts
     |> Option.map (fun p -> p.kv_k)
   in
   let knee_k =
     match pts with
-    | [] | [ _ ] -> ( match pts with [ p ] -> p.kv_k | _ -> 1)
+    | [] -> 1
+    | [ p ] -> p.kv_k
     | _ -> knee_of_curve (List.map (fun p -> (p.kv_k, p.kv_fraction)) pts)
   in
   { kv_coverage_k = coverage_k; kv_knee_k = knee_k; kv_curve = pts }
 
-let addition ?(coverage = 0.8) ?(kmax = 30) topo =
-  let t = Addition.compute ~k:kmax topo in
-  let base = Addition.noiseless_delay t in
-  let noisy = Addition.all_aggressor_delay t in
-  let total = Float.max 1e-12 (noisy -. base) in
-  let curve = Addition.evaluate_curve t ~ks:(sample_ks ~kmax) in
-  recommend ~coverage
-    (build ~total ~fraction_of:(fun total d -> (d -. base) /. total) curve)
+let recommend ?(coverage = 0.8) ?(kmax = 30) ~mode topo =
+  let r = Refine.compute ~mode ~k:kmax topo in
+  let res = r.Refine.result in
+  let total =
+    Float.max 1e-12 (res.Engine.res_noisy_delay -. res.Engine.res_noiseless_delay)
+  in
+  (* the noise captured (addition) or recovered (elimination): the
+     distance from the delay with no set applied *)
+  let from = Engine.fallback_delay res in
+  let fraction d =
+    (match mode with
+    | Engine.Addition -> d -. from
+    | Engine.Elimination -> from -. d)
+    /. total
+  in
+  summarise ~coverage
+    (List.map
+       (fun (k, _, d) -> { kv_k = k; kv_delay = d; kv_fraction = fraction d })
+       (Refine.evaluate_curve r ~ks:(sample_ks ~kmax)))
 
-let elimination ?(coverage = 0.8) ?(kmax = 30) topo =
-  let t = Elimination.compute ~k:kmax topo in
-  let base = Elimination.noiseless_delay t in
-  let noisy = Elimination.all_aggressor_delay t in
-  let total = Float.max 1e-12 (noisy -. base) in
-  ignore base;
-  let curve = Elimination.evaluate_curve t ~ks:(sample_ks ~kmax) in
-  recommend ~coverage
-    (build ~total ~fraction_of:(fun total d -> (noisy -. d) /. total) curve)
+let addition ?coverage ?kmax topo =
+  recommend ?coverage ?kmax ~mode:Engine.Addition topo
+
+let elimination ?coverage ?kmax topo =
+  recommend ?coverage ?kmax ~mode:Engine.Elimination topo

@@ -28,13 +28,23 @@ val sample_ks : kmax:int -> int list
 (** Sampling schedule used by the analyses: every k up to 10, then
     every 5th up to [kmax]. *)
 
+val recommend :
+  ?coverage:float ->
+  ?kmax:int ->
+  mode:Engine.mode ->
+  Tka_circuit.Topo.t ->
+  recommendation
+(** [recommend ~mode topo] runs the top-k analysis of [mode] (default
+    [kmax = 30], [coverage = 0.8]), evaluates its exact curve
+    ({!Refine.evaluate_curve}) at {!sample_ks}, and recommends k
+    values. *)
+
 val addition :
   ?coverage:float -> ?kmax:int -> Tka_circuit.Topo.t -> recommendation
-(** [addition topo] runs the top-k addition analysis (default
-    [kmax = 30], [coverage = 0.8]) and recommends k values. *)
 
 val elimination :
   ?coverage:float -> ?kmax:int -> Tka_circuit.Topo.t -> recommendation
+(** {!recommend} in one mode. *)
 
 val knee_of_curve : (int * float) list -> int
 (** The raw knee finder: x of the point farthest below/above the chord

@@ -11,59 +11,27 @@ let set_lines nl s =
         (N.net nl d.CN.dc_victim).N.net_name c.N.coupling_cap)
     (Coupling_set.to_list s)
 
-(* [choice k] is the exact re-ranking winner and its delay; each k is
-   scored once, so the printed set is the one the delay belongs to. *)
-let generic ~label ~noiseless ~noisy ~choice ~estimated nl ks =
-  let chosen = Hashtbl.create 8 in
-  let choice k =
-    match Hashtbl.find_opt chosen k with
-    | Some c -> c
-    | None ->
-      let c = choice k in
-      Hashtbl.replace chosen k c;
-      c
-  in
+(* The set and the delay printed for a k come from one re-ranking. *)
+let topk nl (r : Refine.t) ~ks =
+  let res = r.Refine.result in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "%s analysis of %s: noiseless %.4f ns, all-aggressor %.4f ns\n"
-       label (N.name nl) noiseless noisy);
+    (Printf.sprintf "Top-k %s analysis of %s: noiseless %.4f ns, all-aggressor %.4f ns\n"
+       (Engine.mode_name res.Engine.res_mode) (N.name nl)
+       res.Engine.res_noiseless_delay res.Engine.res_noisy_delay);
   List.iter
     (fun k ->
-      match choice k with
+      match Refine.best_choice r k with
       | None -> Buffer.add_string buf (Printf.sprintf "top-%d: (no candidate)\n" k)
       | Some (s, d) ->
         Buffer.add_string buf
           (Printf.sprintf "top-%d: estimated %.4f ns, evaluated %.4f ns\n" k
-             (estimated k) d);
+             (Engine.estimated_delay res k) d);
         List.iter
           (fun l -> Buffer.add_string buf (l ^ "\n"))
           (set_lines nl s))
     ks;
   Buffer.contents buf
 
-let addition nl (t : Addition.t) ~ks =
-  generic ~label:"Top-k addition" ~noiseless:(Addition.noiseless_delay t)
-    ~noisy:(Addition.all_aggressor_delay t) ~choice:(Addition.best_choice t)
-    ~estimated:(Addition.estimated_delay t) nl ks
-
-let elimination nl (t : Elimination.t) ~ks =
-  generic ~label:"Top-k elimination" ~noiseless:(Elimination.noiseless_delay t)
-    ~noisy:(Elimination.all_aggressor_delay t) ~choice:(Elimination.best_choice t)
-    ~estimated:(Elimination.estimated_delay t) nl ks
-
-let csv ~estimated ~evaluate ks =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "k,estimated_delay_ns,exact_delay_ns\n";
-  List.iter
-    (fun k ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%.6f,%.6f\n" k (estimated k) (evaluate k)))
-    ks;
-  Buffer.contents buf
-
-let csv_addition (t : Addition.t) ~ks =
-  csv ~estimated:(Addition.estimated_delay t) ~evaluate:(Addition.evaluate t) ks
-
-let csv_elimination (t : Elimination.t) ~ks =
-  csv ~estimated:(Elimination.estimated_delay t) ~evaluate:(Elimination.evaluate t)
-    ks
+let addition nl t ~ks = topk nl (Addition.ranking t) ~ks
+let elimination nl t ~ks = topk nl (Elimination.ranking t) ~ks

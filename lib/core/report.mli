@@ -1,17 +1,13 @@
 (** Human-readable reports for top-k analyses. *)
 
-val addition :
-  Tka_circuit.Netlist.t -> Addition.t -> ks:int list -> string
-(** Multi-line report: per requested cardinality, the chosen set (by
-    net names), the engine estimate and the exact evaluated delay. *)
+val topk : Tka_circuit.Netlist.t -> Refine.t -> ks:int list -> string
+(** Multi-line report: the noiseless and all-aggressor delays, then per
+    requested cardinality the exact re-ranking winner (by net names),
+    the engine estimate and the exact evaluated delay. *)
 
-val elimination :
-  Tka_circuit.Netlist.t -> Elimination.t -> ks:int list -> string
+val addition : Tka_circuit.Netlist.t -> Addition.t -> ks:int list -> string
+val elimination : Tka_circuit.Netlist.t -> Elimination.t -> ks:int list -> string
+(** {!topk} of {!Addition.ranking} / {!Elimination.ranking}. *)
 
 val set_lines : Tka_circuit.Netlist.t -> Coupling_set.t -> string list
 (** One "aggressor -> victim (cap pF)" line per directed coupling. *)
-
-val csv_addition : Addition.t -> ks:int list -> string
-(** "k,estimated_delay,exact_delay" rows with a header, for plotting. *)
-
-val csv_elimination : Elimination.t -> ks:int list -> string

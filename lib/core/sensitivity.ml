@@ -22,10 +22,16 @@ let perturb ~rng ~noise_pct nl =
       c.N.coupling_cap *. (1. +. Rng.float_in rng (-.noise_pct) noise_pct))
     nl
 
-let run ~trials ~noise_pct ~rng ~k nl ~solve =
+let assess ?(trials = 10) ?(noise_pct = 0.15) ~mode ~rng ~k nl =
   if trials < 1 then invalid_arg "Sensitivity: trials must be >= 1";
   if noise_pct < 0. || noise_pct >= 1. then
     invalid_arg "Sensitivity: noise_pct outside [0, 1)";
+  let solve nl =
+    let r = Refine.compute ~mode ~k (Topo.create nl) in
+    match Refine.best_choice r k with
+    | Some choice -> choice
+    | None -> (Coupling_set.empty, Engine.fallback_delay r.Refine.result)
+  in
   let nominal_set, _ = solve nl in
   let results =
     List.init trials (fun _ ->
@@ -48,22 +54,8 @@ let run ~trials ~noise_pct ~rng ~k nl ~solve =
     sr_delay_spread = Tka_util.Stats.min_max delays;
   }
 
-let addition ?(trials = 10) ?(noise_pct = 0.15) ~rng ~k nl =
-  let solve nl =
-    let topo = Topo.create nl in
-    let t = Addition.compute ~k topo in
-    match Addition.best_choice t k with
-    | Some (s, d) -> (s, d)
-    | None -> (Coupling_set.empty, Addition.noiseless_delay t)
-  in
-  run ~trials ~noise_pct ~rng ~k nl ~solve
+let addition ?trials ?noise_pct ~rng ~k nl =
+  assess ?trials ?noise_pct ~mode:Engine.Addition ~rng ~k nl
 
-let elimination ?(trials = 10) ?(noise_pct = 0.15) ~rng ~k nl =
-  let solve nl =
-    let topo = Topo.create nl in
-    let t = Elimination.compute ~k topo in
-    match Elimination.best_choice t k with
-    | Some (s, d) -> (s, d)
-    | None -> (Coupling_set.empty, Elimination.all_aggressor_delay t)
-  in
-  run ~trials ~noise_pct ~rng ~k nl ~solve
+let elimination ?trials ?noise_pct ~rng ~k nl =
+  assess ?trials ?noise_pct ~mode:Engine.Elimination ~rng ~k nl

@@ -24,6 +24,19 @@ type report = {
 val jaccard : Coupling_set.t -> Coupling_set.t -> float
 (** |A ∩ B| / |A ∪ B|; 1.0 for two empty sets. *)
 
+val assess :
+  ?trials:int ->
+  ?noise_pct:float ->
+  mode:Engine.mode ->
+  rng:Tka_util.Rng.t ->
+  k:int ->
+  Tka_circuit.Netlist.t ->
+  report
+(** [assess ~mode ~rng ~k nl] perturbs each coupling cap uniformly in
+    [±noise_pct] (default 15 %), [trials] times (default 10), and
+    compares each perturbed top-k set of [mode] (the exact re-ranking
+    winner, {!Refine.best_choice}) against the nominal one. *)
+
 val addition :
   ?trials:int ->
   ?noise_pct:float ->
@@ -31,10 +44,6 @@ val addition :
   k:int ->
   Tka_circuit.Netlist.t ->
   report
-(** [addition ~rng ~k nl] perturbs each coupling cap uniformly in
-    [±noise_pct] (default 15 %), [trials] times (default 10), and
-    compares each perturbed top-k addition set against the nominal
-    one. *)
 
 val elimination :
   ?trials:int ->
@@ -43,3 +52,4 @@ val elimination :
   k:int ->
   Tka_circuit.Netlist.t ->
   report
+(** {!assess} in one mode. *)

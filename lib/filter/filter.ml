@@ -7,11 +7,6 @@ type reason = Window_disjoint | Logic_constant | Logic_correlated
 
 type decision = Keep | Derate of float | Drop of reason
 
-let reason_name = function
-  | Window_disjoint -> "window_disjoint"
-  | Logic_constant -> "logic_constant"
-  | Logic_correlated -> "logic_correlated"
-
 type t = {
   f_mode : Mode.t;
   f_nl : N.t;
@@ -163,10 +158,3 @@ let survey t =
     sv_dropped_constant = !d_const;
     sv_dropped_correlated = !d_corr;
   }
-
-let pp_survey ppf s =
-  Format.fprintf ppf
-    "victims %d, candidates %d, kept %d (%d derated), dropped %d (window %d, \
-     const %d, correlated %d)"
-    s.sv_victims s.sv_candidates s.sv_kept s.sv_derated (sv_dropped s)
-    s.sv_dropped_window s.sv_dropped_constant s.sv_dropped_correlated

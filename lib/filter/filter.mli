@@ -33,8 +33,6 @@ type decision =
           sensitive interval *)
   | Drop of reason
 
-val reason_name : reason -> string
-
 type t
 
 val prepare :
@@ -95,5 +93,3 @@ val survey : t -> survey
 
 val sv_dropped : survey -> int
 (** Total drops across all reasons. *)
-
-val pp_survey : Format.formatter -> survey -> unit

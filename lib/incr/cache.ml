@@ -17,8 +17,6 @@ type t = {
   mutable universe : Fnv.t option;
 }
 
-let mode_tag = function Engine.Addition -> 0 | Engine.Elimination -> 1
-
 let create () =
   { tbl = Hashtbl.create 256; mutex = Mutex.create (); universe = None }
 
@@ -39,7 +37,7 @@ let size t =
 
 let find t ~mode ~net ~key =
   Mutex.lock t.mutex;
-  let e = Hashtbl.find_opt t.tbl (mode_tag mode, net) in
+  let e = Hashtbl.find_opt t.tbl (Engine.mode_tag mode, net) in
   Mutex.unlock t.mutex;
   match e with
   | Some e when Int64.equal e.e_key key -> Some e.e_cv
@@ -47,7 +45,7 @@ let find t ~mode ~net ~key =
 
 let store t ~mode ~net ~key cv =
   Mutex.lock t.mutex;
-  Hashtbl.replace t.tbl (mode_tag mode, net) { e_key = key; e_cv = cv };
+  Hashtbl.replace t.tbl (Engine.mode_tag mode, net) { e_key = key; e_cv = cv };
   Mutex.unlock t.mutex
 
 (* ------------------------------------------------------------------ *)

@@ -9,7 +9,7 @@
 
     {v driver→fanout edges  ∪  coupling adjacency v}
 
-    not the plain fanout cone ({!Tka_circuit.Topo.fanout_cone}): a net
+    not the plain fanout cone: a net
     with no structural path from the edit can still see different noise
     through a coupling to the edit's fanout.
 

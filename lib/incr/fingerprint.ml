@@ -27,7 +27,7 @@ let window h (w : TW.t) =
 
 let config_hash ~(config : Engine.config) ~mode =
   let h = Fnv.string Fnv.basis version_salt in
-  let h = Fnv.int h (match mode with Engine.Addition -> 0 | Engine.Elimination -> 1) in
+  let h = Fnv.int h (Engine.mode_tag mode) in
   let h = Fnv.int h config.Engine.k in
   let h = Fnv.int h config.Engine.capacity in
   let h = Fnv.bool h config.Engine.use_pseudo in

@@ -154,19 +154,6 @@ let journal_header ~circuit ~k ~fix_k =
       ("fix_k", J.Int fix_k);
     ]
 
-let save_journal path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (J.to_string
-           (journal_header ~circuit:r.rp_circuit ~k:r.rp_k ~fix_k:r.rp_fix_k)
-        ^ "\n");
-      List.iter
-        (fun e -> output_string oc (J.to_string (entry_json e) ^ "\n"))
-        r.rp_journal)
-
 let load_journal ~lookup path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in

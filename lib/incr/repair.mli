@@ -145,11 +145,6 @@ val entry_of_json :
   Tka_obs.Jsonx.t ->
   (entry, string) result
 
-val save_journal : string -> report -> unit
-(** Write the journal of a completed report as NDJSON (header line
-    with circuit/k/fix_k, then one entry per line). {!run} already
-    writes the journal incrementally; this is for re-emitting one. *)
-
 val load_journal :
   lookup:(string -> Tka_cell.Cell.t option) ->
   string ->

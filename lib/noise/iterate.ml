@@ -17,7 +17,6 @@ let m_frontier = Metrics.Counter.make "iterate.frontier_victims"
 let m_fallbacks = Metrics.Counter.make "iterate.reference_fallbacks"
 let g_residual = Metrics.Gauge.make "iterate.last_residual_ns"
 
-type mode = From_noiseless | From_all_overlap
 type active = All | Only of int list | Except of int list
 
 type t = {
@@ -362,7 +361,7 @@ let run_except cx nl ~aggressors ~touched ~max_iterations ~tolerance =
       ~sta:(sta_after p) ~seeds:!diff ~iterations:p ~residual:!residual
   end
 
-let run ?(mode = From_noiseless) ?(active = All)
+let run ?(active = All)
     ?(max_iterations = default_max_iterations) ?(tolerance = default_tolerance) ?ctx topo =
   Trace.with_span ~cat:"noise" "iterate.run" @@ fun () ->
   let nl = Topo.netlist topo in
@@ -376,8 +375,8 @@ let run ?(mode = From_noiseless) ?(active = All)
   in
   let aggressors, touched = aggressor_lists nl all active in
   let final, noise, iterations, converged, residual =
-    match (ctx, mode, active) with
-    | Some cx, From_noiseless, Except _ ->
+    match (ctx, active) with
+    | Some cx, Except _ ->
       run_except cx nl ~aggressors ~touched ~max_iterations ~tolerance
     | _ ->
       (* under [Only] no victim outside the set can carry noise *)
@@ -386,23 +385,8 @@ let run ?(mode = From_noiseless) ?(active = All)
         | Only _ -> Some (Array.of_list touched)
         | All | Except _ -> None
       in
-      let noise = Array.make nn 0. in
-      let seeds =
-        match mode with
-        | From_noiseless -> []
-        | From_all_overlap ->
-          (* start from the infinite-window bound of each net *)
-          let w = Analysis.window base in
-          let bound v =
-            noise.(v) <- Victim_noise.upper_bound nl ~windows:w ~victim:v aggressors.(v)
-          in
-          (match victims with
-          | Some vs -> Array.iter bound vs
-          | None -> for v = 0 to nn - 1 do bound v done);
-          List.init nn Fun.id
-      in
-      fixpoint ?victims ctx nl ~aggressors ~max_iterations ~tolerance ~noise ~sta:base
-        ~seeds ~iterations:0 ~residual:0.
+      fixpoint ?victims ctx nl ~aggressors ~max_iterations ~tolerance
+        ~noise:(Array.make nn 0.) ~sta:base ~seeds:[] ~iterations:0 ~residual:0.
   in
   Metrics.Counter.incr m_runs;
   Metrics.Gauge.set g_residual residual;

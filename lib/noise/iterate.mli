@@ -9,19 +9,15 @@
     + STA with per-net extra late push = current noise estimates,
     + per-victim worst-case delay noise with the resulting windows,
 
-    until the noise vector is stable. Starting [`From_noiseless]
-    ascends to the least fixpoint; [`From_all_overlap] starts from the
-    infinite-window noise bound and descends (the two standard starting
-    points; both converge on a complete lattice, per Zhou). Industrial
-    tools report 3–4 iterations; so does this implementation on the
-    generated benchmarks.
+    until the noise vector is stable. Starting from the noiseless
+    windows, it ascends to the least fixpoint (the lattice argument is
+    Zhou's). Industrial tools report 3–4 iterations; so does this
+    implementation on the generated benchmarks.
 
     {!active} selects which directed couplings inject noise: the whole
     design for ordinary analysis, only a candidate set when evaluating a
     top-k addition set, or everything {e except} a candidate set for
     elimination. *)
-
-type mode = From_noiseless | From_all_overlap
 
 type active =
   | All  (** every directed coupling *)
@@ -59,20 +55,18 @@ type ctx
 val context : Tka_circuit.Topo.t -> ctx
 
 val run :
-  ?mode:mode ->
   ?active:active ->
   ?max_iterations:int ->
   ?tolerance:float ->
   ?ctx:ctx ->
   Tka_circuit.Topo.t ->
   t
-(** Defaults: [From_noiseless], [All], at most 30 iterations,
-    tolerance 1e-4 ns (0.1 ps).
+(** Defaults: [All], at most 30 iterations, tolerance 1e-4 ns
+    (0.1 ps). Every run starts from noiseless windows.
 
     Every pass re-times by a seeded {!Tka_sta.Analysis.update} from the
-    victims whose noise moved in the pass before (the first pass from
-    [From_noiseless] reads the noiseless base directly), and so does the
-    final STA. Under [Only] no victim outside the set can carry noise,
+    victims whose noise moved in the pass before (the first pass reads
+    the noiseless base directly), and so does the final STA. Under [Only] no victim outside the set can carry noise,
     so each pass evaluates just the set's victims. With [ctx] (which
     must have been built for [topo], else [Invalid_argument]) the base
     and aggressor lists are shared across runs and victim evaluations
@@ -80,7 +74,7 @@ val run :
     without it nothing is memoised — on a single fixpoint the memo
     costs more than it saves.
 
-    An [Except] run from [From_noiseless] through a ctx is a patch on
+    An [Except] run through a ctx is a patch on
     the ctx's reference run: pass p starts from a seeded update of the
     reference's pass-p STA, and re-evaluates only the {e frontier} —
     the victims the set touches, those whose noise differs from the

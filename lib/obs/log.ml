@@ -166,9 +166,6 @@ let multi_reporter rs ev = List.iter (fun r -> r ev) rs
 let reporter : reporter ref = ref (text_reporter ())
 let set_reporter r = reporter := r
 
-let errors = ref 0
-let err_count () = !errors
-
 (* ------------------------------------------------------------------ *)
 (* Logging front end                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -177,7 +174,6 @@ type 'a msgf =
   (?fields:field list -> ('a, Format.formatter, unit, unit) format4 -> 'a) -> unit
 
 let report src lvl fields msg =
-  if lvl = Error then incr errors;
   !reporter
     {
       ev_src = Src.name src;

@@ -110,6 +110,3 @@ val err : Src.t -> 'a msgf -> unit
 val warn : Src.t -> 'a msgf -> unit
 val info : Src.t -> 'a msgf -> unit
 val debug : Src.t -> 'a msgf -> unit
-
-val err_count : unit -> int
-(** Number of [Error]-level events reported so far (any reporter). *)

@@ -190,9 +190,6 @@ let find_counter ?registry name =
 let find_gauge ?registry name =
   find ?registry name (function M_gauge g -> Some g | _ -> None)
 
-let find_histogram ?registry name =
-  find ?registry name (function M_histogram h -> Some h | _ -> None)
-
 let reset ?(registry = default_registry) () =
   Hashtbl.iter
     (fun _ m ->

@@ -90,7 +90,6 @@ end
 
 val find_counter : ?registry:registry -> string -> Counter.t option
 val find_gauge : ?registry:registry -> string -> Gauge.t option
-val find_histogram : ?registry:registry -> string -> Histogram.t option
 
 val reset : ?registry:registry -> unit -> unit
 (** Zero every metric in the registry (instruments stay registered). *)

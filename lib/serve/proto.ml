@@ -120,12 +120,14 @@ let param_bool_default p name default =
   | Some _ -> Error (Printf.sprintf "%S must be a boolean" name)
 
 let mode_of_params p =
+  let error = Error "\"mode\" must be \"add\" or \"elim\"" in
   match J.member "mode" p with
-  | Some (J.Str "add") -> Ok Tka_topk.Engine.Addition
-  | Some (J.Str "elim") -> Ok Tka_topk.Engine.Elimination
+  | Some (J.Str s) ->
+    Option.fold ~none:error ~some:Result.ok (List.assoc_opt s Tka_topk.Engine.mode_names)
   | None | Some J.Null -> Ok Tka_topk.Engine.Elimination
-  | Some _ -> Error "\"mode\" must be \"add\" or \"elim\""
+  | Some _ -> error
 
+let mode_name m = fst (List.find (fun (_, m') -> m' = m) Tka_topk.Engine.mode_names)
 let filter_name = Tka_filter.Mode.to_string
 
 let filter_of_params p =

@@ -61,7 +61,11 @@ val param_float_opt : J.t -> string -> (float option, string) result
 val param_bool_default : J.t -> string -> bool -> (bool, string) result
 
 val mode_of_params : J.t -> (Tka_topk.Engine.mode, string) result
-(** ["mode"]: ["add"] or ["elim"] (default [Elimination]). *)
+(** ["mode"]: ["add"] or ["elim"] ({!Tka_topk.Engine.mode_names};
+    default [Elimination]). *)
+
+val mode_name : Tka_topk.Engine.mode -> string
+(** The reply spelling of a mode, the inverse of {!mode_of_params}. *)
 
 val filter_of_params : J.t -> (Tka_filter.Mode.t, string) result
 (** ["filter"]: ["none"], ["window"] or ["logic"] (default [Off]).

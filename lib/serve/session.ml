@@ -156,7 +156,7 @@ let analysis_fields d ~mode ~filter elim (st : Analyzer.run_stats) elapsed =
   in
   [
     ("design", J.Str d.d_name);
-    ("mode", J.Str (match mode with Engine.Elimination -> "elim" | _ -> "add"));
+    ("mode", J.Str (Proto.mode_name mode));
     ("filter", J.Str (Proto.filter_name filter));
     ("k", J.Int d.d_k);
     ("noiseless_delay_ns", J.Float res.Engine.res_noiseless_delay);

@@ -23,11 +23,6 @@ let set t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl b)
 
-let unset t i =
-  check t i;
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl b)
-
 let mem t i =
   check t i;
   t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
@@ -61,10 +56,6 @@ let intersects a b =
   !hit
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
-
-let cardinal t =
-  let rec popcount w acc = if w = 0 then acc else popcount (w lsr 1) (acc + (w land 1)) in
-  Array.fold_left (fun acc w -> popcount w acc) 0 t.words
 
 let iter f t =
   for i = 0 to t.n - 1 do

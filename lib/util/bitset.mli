@@ -14,7 +14,6 @@ val make : int -> t
 val capacity : t -> int
 
 val set : t -> int -> unit
-val unset : t -> int -> unit
 val mem : t -> int -> bool
 
 val clear : t -> unit
@@ -29,5 +28,4 @@ val intersects : t -> t -> bool
     must match. *)
 
 val is_empty : t -> bool
-val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit

@@ -3,6 +3,8 @@ module Topo = Tka_circuit.Topo
 module Addition = Tka_topk.Addition
 module Elimination = Tka_topk.Elimination
 module BF = Tka_topk.Brute_force
+module Engine = Tka_topk.Engine
+module Refine = Tka_topk.Refine
 module CS = Tka_topk.Coupling_set
 module Pool = Tka_parallel.Pool
 module Eco = Tka_incr.Eco
@@ -71,8 +73,8 @@ let duality ~set topo =
     let complement =
       CS.of_list (List.filter (fun d -> not (CS.mem d set)) (List.init u Fun.id))
     in
-    let d_elim = Elimination.evaluate_set topo set in
-    let d_add = Addition.evaluate_set topo complement in
+    let d_elim = Refine.exact_delay ~mode:Engine.Elimination topo set in
+    let d_add = Refine.exact_delay ~mode:Engine.Addition topo complement in
     if feq d_elim d_add then Pass
     else
       Fail
@@ -83,43 +85,34 @@ let duality ~set topo =
   end
 
 (* Every set of each cardinality's re-ranking pool, scored through the
-   shared ctx in pool order (as [best_choice] scores them) and again
+   shared ctx in pool order (as [Refine.best_choice] scores them) and again
    through a fresh evaluation: the two must be the same bits. *)
 let rerank ~k topo =
   let nl = Topo.netlist topo in
   if N.num_couplings nl = 0 then Skip "no couplings"
   else begin
-    let check label ~pool ~score ~fresh =
+    let check mode =
+      let r = Refine.compute ~mode ~k topo in
       List.find_map
         (fun i ->
           List.find_map
             (fun s ->
-              let shared = score s and scratch = fresh topo s in
+              let shared = Refine.exact_delay ~mode ~ctx:r.Refine.ctx topo s
+              and scratch = Refine.exact_delay ~mode topo s in
               if feq shared scratch then None
               else
                 Some
                   (Printf.sprintf
                      "rerank: %s k=%d set %s scores %.17g through the shared ctx but %.17g fresh"
-                     label i
+                     (Engine.mode_name mode) i
                      (Format.asprintf "%a" CS.pp s)
                      shared scratch))
-            (pool i))
+            (Refine.pool r i))
         (List.init k (fun i -> i + 1))
     in
-    let add = Addition.compute ~k topo in
-    match
-      check "addition" ~pool:(Addition.pool add) ~score:(Addition.score add)
-        ~fresh:Addition.evaluate_set
-    with
+    match List.find_map check [ Engine.Addition; Engine.Elimination ] with
     | Some d -> Fail d
-    | None -> (
-      let elim = Elimination.compute ~k topo in
-      match
-        check "elimination" ~pool:(Elimination.pool elim)
-          ~score:(Elimination.score elim) ~fresh:Elimination.evaluate_set
-      with
-      | Some d -> Fail d
-      | None -> Pass)
+    | None -> Pass
   end
 
 let jobs ?(jobs = 4) ~k topo =

@@ -42,16 +42,16 @@ val brute : ?budget_s:float -> k:int -> Tka_circuit.Topo.t -> verdict
     brute-force run; expiry yields [Skip]. *)
 
 val duality : set:Tka_topk.Coupling_set.t -> Tka_circuit.Topo.t -> verdict
-(** [duality ~set topo] checks
-    [Elimination.evaluate_set topo set] is bit-identical to
-    [Addition.evaluate_set topo (universe \ set)]. *)
+(** [duality ~set topo] checks that {!Tka_topk.Refine.exact_delay}
+    with [set] removed (elimination) is bit-identical to it with
+    [universe \ set] added (addition). *)
 
 val rerank : k:int -> Tka_circuit.Topo.t -> verdict
-(** For every cardinality [1..k], score each set of the
-    [Addition.pool]/[Elimination.pool] through the shared ctx
-    ([Addition.score]/[Elimination.score], pool order) and through a
-    fresh [evaluate_set]; any bit difference fails with the set named.
-    [Skip] on a design without couplings. *)
+(** For each mode and every cardinality [1..k], score each set of the
+    {!Tka_topk.Refine.pool} with {!Tka_topk.Refine.exact_delay} through
+    the re-ranking's shared ctx (pool order) and without one; any bit
+    difference fails with the set named. [Skip] on a design without
+    couplings. *)
 
 val jobs : ?jobs:int -> k:int -> Tka_circuit.Topo.t -> verdict
 (** Bit-identity of a [jobs = 1] and a [jobs = N] (default 4) run of

@@ -1,6 +1,7 @@
 (* The tka binary's exit paths: observability dumps requested with
    --metrics-out/--trace-out are written even when a command ends with
-   a failure exit code. *)
+   a failure exit code, and out-of-range flag values end in a plain
+   "error:" line and exit 1, not an internal error. *)
 
 (* the binary sits next to this test's directory in the build tree *)
 let tka =
@@ -17,11 +18,15 @@ let temp_dir () =
   Sys.mkdir d 0o755;
   d
 
-let check_dump label path =
-  Alcotest.(check bool) (label ^ " written") true (Sys.file_exists path);
+let read_file path =
   let ic = open_in path in
   let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
+  text
+
+let check_dump label path =
+  Alcotest.(check bool) (label ^ " written") true (Sys.file_exists path);
+  let text = read_file path in
   Alcotest.(check bool) (label ^ " holds JSON") true
     (String.length text > 0 && (text.[0] = '{' || text.[0] = '['))
 
@@ -51,6 +56,32 @@ let test_error_exit_1 () =
     (run [ "topk"; "-k"; "2"; "--metrics-out"; metrics; net ]);
   check_dump "metrics" metrics
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_bad_value_exit_1 () =
+  let d = temp_dir () in
+  let net = Filename.concat d "i1.tka" in
+  Alcotest.(check int) "gen" 0 (run [ "gen"; "-b"; "i1"; "-o"; net ]);
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      let err = Filename.concat d "err.txt" in
+      let code =
+        Sys.command
+          (Filename.quote_command tka (args @ [ net ]) ~stdout:Filename.null
+             ~stderr:err)
+      in
+      let text = read_file err in
+      Alcotest.(check int) (label ^ " exit code") 1 code;
+      Alcotest.(check bool) (label ^ " says error:") true
+        (String.length text >= 6 && String.sub text 0 6 = "error:");
+      Alcotest.(check bool) (label ^ " is no internal error") false
+        (contains ~sub:"internal error" text))
+    [ [ "topk"; "-k"; "0" ]; [ "sensitivity"; "--trials"; "0" ] ]
+
 let () =
   Alcotest.run "tka_cli"
     [
@@ -58,5 +89,6 @@ let () =
         [
           Alcotest.test_case "dumps survive exit 4" `Quick test_repair_exit_4;
           Alcotest.test_case "dumps survive an input error" `Quick test_error_exit_1;
+          Alcotest.test_case "bad flag values exit 1" `Quick test_bad_value_exit_1;
         ] );
     ]

@@ -232,18 +232,6 @@ let test_iterate_subset_bounded_by_full () =
   Alcotest.(check bool) "subset noise <= full noise" true
     (Iterate.circuit_delay one <= Iterate.circuit_delay full +. 1e-9)
 
-let test_iterate_all_overlap_start_agrees () =
-  (* both starting points converge to comparable fixpoints; the
-     descending one can only be >= the ascending one *)
-  let nl = two_chains ~stages:3 ~coupling:0.006 in
-  let topo = Topo.create nl in
-  let up = Iterate.run ~mode:Iterate.From_noiseless topo in
-  let down = Iterate.run ~mode:Iterate.From_all_overlap topo in
-  Alcotest.(check bool) "both converged" true
-    (up.Iterate.converged && down.Iterate.converged);
-  Alcotest.(check bool) "lattice order" true
-    (Iterate.circuit_delay down >= Iterate.circuit_delay up -. 1e-6)
-
 let test_iterate_net_noise_nonneg () =
   let nl = two_chains ~stages:3 ~coupling:0.006 in
   let topo = Topo.create nl in
@@ -549,8 +537,6 @@ let () =
           Alcotest.test_case "no couplings" `Quick test_iterate_no_couplings;
           Alcotest.test_case "adds noise" `Quick test_iterate_adds_noise;
           Alcotest.test_case "subset bounded" `Quick test_iterate_subset_bounded_by_full;
-          Alcotest.test_case "all-overlap start" `Quick
-            test_iterate_all_overlap_start_agrees;
           Alcotest.test_case "net noise nonneg" `Quick test_iterate_net_noise_nonneg;
           Alcotest.test_case "indirect aggressors (Fig 1)" `Quick
             test_indirect_aggressors_increase_noise;

@@ -89,7 +89,7 @@ let prop_update_matches_run =
 (* The fixpoint loop as it was before the event-driven rewrite: a full
    STA per pass and every victim re-evaluated without memos. Kept here
    as the reference the shared-ctx path must reproduce bit for bit. *)
-let reference ?(tolerance = 1e-4) ~mode ~active ~max_iterations topo =
+let reference ?(tolerance = 1e-4) ~active ~max_iterations topo =
   let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
   let base = Analysis.run topo in
@@ -98,13 +98,6 @@ let reference ?(tolerance = 1e-4) ~mode ~active ~max_iterations topo =
         List.filter active (Coupled_noise.aggressors_of_victim nl v))
   in
   let noise = Array.make nn 0. in
-  (match mode with
-  | Iterate.From_noiseless -> ()
-  | Iterate.From_all_overlap ->
-    let w = Analysis.window base in
-    for v = 0 to nn - 1 do
-      noise.(v) <- Victim_noise.upper_bound nl ~windows:w ~victim:v aggressors.(v)
-    done);
   let iterations = ref 0 and converged = ref false in
   while (not !converged) && !iterations < max_iterations do
     incr iterations;
@@ -142,17 +135,14 @@ let same_result nn (a : Iterate.t) (b : Iterate.t) =
 type query = {
   q_set : CS.t;
   q_excludes : bool;
-  q_mode : Iterate.mode;
   q_max_iterations : int;
   q_tolerance : float;
 }
 
-let query ?(mode = Iterate.From_noiseless) ?(max_iterations = 30) ?(tolerance = 1e-4)
-    ~excludes set =
+let query ?(max_iterations = 30) ?(tolerance = 1e-4) ~excludes set =
   {
     q_set = set;
     q_excludes = excludes;
-    q_mode = mode;
     q_max_iterations = max_iterations;
     q_tolerance = tolerance;
   }
@@ -167,7 +157,6 @@ let random_set rng topo =
 let random_queries rng topo n =
   List.init n (fun _ ->
       query (random_set rng topo) ~excludes:(Rng.bool rng)
-        ~mode:(if Rng.bool rng then Iterate.From_noiseless else Iterate.From_all_overlap)
         ~max_iterations:
           (if Rng.chance rng 0.25 then 1 + Rng.int rng 2 else 30))
 
@@ -176,12 +165,12 @@ let active q =
   else Iterate.Only (CS.to_list q.q_set)
 
 let expected topo q =
-  reference ~tolerance:q.q_tolerance ~mode:q.q_mode
+  reference ~tolerance:q.q_tolerance
     ~active:(fun d -> CS.mem (Coupled_noise.directed_id d) q.q_set <> q.q_excludes)
     ~max_iterations:q.q_max_iterations topo
 
 let run_query ?ctx topo q =
-  Iterate.run ~mode:q.q_mode ~active:(active q) ~max_iterations:q.q_max_iterations
+  Iterate.run ~active:(active q) ~max_iterations:q.q_max_iterations
     ~tolerance:q.q_tolerance ?ctx topo
 
 (* every query through one ctx, and again without one, against the
@@ -194,12 +183,9 @@ let all_match topo qs =
       let expect = expected topo q in
       same_result nn expect (run_query ~ctx topo q)
       && same_result nn expect (run_query topo q)
-      || QCheck.Test.fail_reportf "%s %s from %s, max %d, tolerance %g"
+      || QCheck.Test.fail_reportf "%s %s, max %d, tolerance %g"
            (if q.q_excludes then "Except" else "Only")
            (Format.asprintf "%a" CS.pp q.q_set)
-           (match q.q_mode with
-           | Iterate.From_noiseless -> "noiseless"
-           | Iterate.From_all_overlap -> "all-overlap")
            q.q_max_iterations q.q_tolerance)
     qs
 

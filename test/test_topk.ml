@@ -598,11 +598,11 @@ let test_engine_k_validation () =
 (* ------------------------------------------------------------------ *)
 
 let test_binomial () =
-  Alcotest.(check int) "C(5,2)" 10 (BF.binomial 5 2);
-  Alcotest.(check int) "C(16,3)" 560 (BF.binomial 16 3);
-  Alcotest.(check int) "C(n,0)" 1 (BF.binomial 7 0);
-  Alcotest.(check int) "C(n,n)" 1 (BF.binomial 7 7);
-  Alcotest.(check int) "k>n" 0 (BF.binomial 3 5)
+  Alcotest.(check int) "C(5,2)" 10 (Tka_topk.Refine.binomial 5 2);
+  Alcotest.(check int) "C(16,3)" 560 (Tka_topk.Refine.binomial 16 3);
+  Alcotest.(check int) "C(n,0)" 1 (Tka_topk.Refine.binomial 7 0);
+  Alcotest.(check int) "C(n,n)" 1 (Tka_topk.Refine.binomial 7 7);
+  Alcotest.(check int) "k>n" 0 (Tka_topk.Refine.binomial 3 5)
 
 let test_brute_force_counts () =
   let _, topo = Lazy.force tiny_topo in
@@ -804,16 +804,6 @@ let test_report_addition () =
   Alcotest.(check bool) "mentions top-2" true (contains_sub s "top-2");
   Alcotest.(check bool) "mentions circuit" true (contains_sub s "tiny")
 
-let test_report_csv () =
-  let _, topo = Lazy.force tiny_topo in
-  let add = Addition.compute ~k:2 topo in
-  let csv = Report.csv_addition add ~ks:[ 1; 2 ] in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
-  let elim = Elimination.compute ~k:2 topo in
-  let csv2 = Report.csv_elimination elim ~ks:[ 1; 2 ] in
-  Alcotest.(check bool) "has header" true (contains_sub csv2 "k,estimated")
-
 let () =
   Alcotest.run "tka_topk"
     [
@@ -901,6 +891,5 @@ let () =
       ( "report",
         [
           Alcotest.test_case "addition" `Quick test_report_addition;
-          Alcotest.test_case "csv" `Quick test_report_csv;
         ] );
     ]

@@ -989,8 +989,8 @@ let run_kernels () =
    Elimination re-ranking loop re-runs the noise fixpoint once per
    candidate set and is out of reach at these sizes, so the section
    times exactly the work the scaling machinery targets: generation,
-   topo construction (incl. cone sharding), the base fixpoint, and the
-   full engine sweep (pseudo + higher-order aggressors) at k=5.
+   topo construction, the base fixpoint, and the full engine sweep
+   (pseudo + higher-order aggressors) at k=5.
 
    Peak RSS is the process high-water mark, so a budget check is only
    meaningful when this section runs alone:
@@ -1001,8 +1001,8 @@ let run_table2x o =
   section
     (Printf.sprintf "table2x: synthetic scaling sweep (k=%d, jobs=%d)" k
        (Pool.default_jobs ()));
-  Printf.printf "  %9s %9s %9s %6s %7s %7s %7s %9s %8s\n" "nets" "gates"
-    "couplings" "shards" "gen_s" "topo_s" "fix_s" "sweep_s" "rss_mb";
+  Printf.printf "  %9s %9s %9s %7s %7s %7s %9s %8s\n" "nets" "gates"
+    "couplings" "gen_s" "topo_s" "fix_s" "sweep_s" "rss_mb";
   let rows =
     List.map
       (fun nets ->
@@ -1013,7 +1013,6 @@ let run_table2x o =
         let t1 = wall () in
         let topo = Topo.create nl in
         let topo_s = wall () -. t1 in
-        let shards = Array.length (Topo.cone_shards topo) in
         let t2 = wall () in
         let fixpoint = Iterate.run topo in
         let fix_s = wall () -. t2 in
@@ -1027,16 +1026,15 @@ let run_table2x o =
         let rss_mb =
           match peak with Some b -> float_of_int b /. 1048576. | None -> Float.nan
         in
-        Printf.printf "  %9d %9d %9d %6d %7.2f %7.2f %7.2f %9.2f %8.1f\n%!"
-          (N.num_nets nl) (N.num_gates nl) (N.num_couplings nl) shards gen_s
-          topo_s fix_s sweep_s rss_mb;
+        Printf.printf "  %9d %9d %9d %7.2f %7.2f %7.2f %9.2f %8.1f\n%!"
+          (N.num_nets nl) (N.num_gates nl) (N.num_couplings nl) gen_s topo_s
+          fix_s sweep_s rss_mb;
         J.Obj
           ([
              ("circuit", J.Str spec.T2x.tx_name);
              ("nets", J.Int (N.num_nets nl));
              ("gates", J.Int (N.num_gates nl));
              ("couplings", J.Int (N.num_couplings nl));
-             ("shards", J.Int shards);
              ("k", J.Int k);
              ("gen_s", J.Float gen_s);
              ("topo_s", J.Float topo_s);

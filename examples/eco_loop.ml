@@ -104,8 +104,7 @@ let () =
   Printf.printf "%d-bit ripple adder: %d gates, %d nets, %d couplings\n\n" bits
     (N.num_gates nl) (N.num_nets nl) (N.num_couplings nl);
 
-  let az = Analyzer.create ~k:3 () in
-  let rec round i nl =
+  let rec round i az nl =
     let topo = Topo.create nl in
     let elim, st = Analyzer.run az topo in
     Printf.printf "round %d: delay %.4f ns (cache: %d hits, %d misses)\n" i
@@ -124,8 +123,8 @@ let () =
         (String.concat ", "
            (Tka_topk.Report.set_lines nl set))
         fixed_delay;
-      let nl', dirty = Analyzer.apply az nl (removal_edits set) in
+      let az', nl', dirty = Analyzer.apply az nl (removal_edits set) in
       Printf.printf "  dirty closure: %d nets\n" dirty;
-      round (i + 1) nl'
+      round (i + 1) az' nl'
   in
-  round 1 nl
+  round 1 (Analyzer.create ~k:3 ()) nl

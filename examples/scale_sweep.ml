@@ -38,10 +38,9 @@ let run ~k ~pseudo ~higher nets =
     | Some b -> Printf.sprintf "%8.1f" (float_of_int b /. 1048576.)
     | None -> "     n/a"
   in
-  let shards = Array.length (Topo.cone_shards topo) in
-  Printf.printf "%9d %9d %9d %6d %7.2f %7.2f %7.2f %8.2f %s %8.4f\n%!"
-    (N.num_nets nl) (N.num_gates nl) (N.num_couplings nl) shards gen_s topo_s
-    fix_s sweep_s rss_mb
+  Printf.printf "%9d %9d %9d %7.2f %7.2f %7.2f %8.2f %s %8.4f\n%!"
+    (N.num_nets nl) (N.num_gates nl) (N.num_couplings nl) gen_s topo_s fix_s
+    sweep_s rss_mb
     (Engine.estimated_delay res k)
 
 let () =
@@ -71,6 +70,6 @@ let () =
     "# table2x scaling sweep: k=%d jobs=%d (peak RSS is cumulative across rows)\n"
     !k
     (Tka_parallel.Pool.default_jobs ());
-  Printf.printf "%9s %9s %9s %6s %7s %7s %7s %8s %8s %8s\n" "nets" "gates"
-    "couplings" "shards" "gen_s" "topo_s" "fix_s" "sweep_s" "rss_mb" "est_ns";
+  Printf.printf "%9s %9s %9s %7s %7s %7s %8s %8s %8s\n" "nets" "gates"
+    "couplings" "gen_s" "topo_s" "fix_s" "sweep_s" "rss_mb" "est_ns";
   List.iter (fun nets -> run ~k:!k ~pseudo:!pseudo ~higher:!higher nets) sizes

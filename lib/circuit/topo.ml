@@ -7,8 +7,6 @@ type t = {
   levels : int array; (* per net *)
   max_level : int;
   level_nets : N.net_id array array; (* per level, in net_order order *)
-  fanin_memo : (N.net_id, bool array) Hashtbl.t;
-  mutable shard_memo : N.net_id array array option;
 }
 
 let compute_gate_order nl =
@@ -84,16 +82,7 @@ let create nl =
       level_nets.(lv).(fill.(lv)) <- nid;
       fill.(lv) <- fill.(lv) + 1)
     net_order;
-  {
-    nl;
-    gate_order;
-    net_order;
-    levels;
-    max_level;
-    level_nets;
-    fanin_memo = Hashtbl.create 64;
-    shard_memo = None;
-  }
+  { nl; gate_order; net_order; levels; max_level; level_nets }
 
 let netlist t = t.nl
 let gate_order t = t.gate_order
@@ -102,85 +91,16 @@ let net_level t nid = t.levels.(nid)
 let max_level t = t.max_level
 let level_nets t = t.level_nets
 
-(* Connected components of the net graph whose edges are gate fanin
-   (every input net of a gate — its fanout net) and coupling caps
-   (net_a — net_b). The engine's per-victim enumeration only ever
-   consults nets reachable over these two edge kinds (driver fanin for
-   pseudo aggressors, couplings for primaries and higher-order), so
-   each component is closed under consultation and can be swept as an
-   independent job. Shards are ordered by their first net in
-   {!net_order}; within a shard nets keep {!net_order} order, which is
-   level-monotone — so a shard processed sequentially publishes every
-   summary before it is read. *)
-let cone_shards t =
-  match t.shard_memo with
-  | Some s -> s
-  | None ->
-    let nl = t.nl in
-    let nn = N.num_nets nl in
-    let parent = Array.init nn (fun i -> i) in
-    let rec find i =
-      if parent.(i) = i then i
-      else begin
-        let r = find parent.(i) in
-        parent.(i) <- r;
-        r
-      end
-    in
-    let union a b =
-      let ra = find a and rb = find b in
-      if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-    in
-    Array.iter
-      (fun g -> List.iter (fun (_, u) -> union u g.N.fanout) g.N.fanin)
-      (N.gates nl);
-    Array.iter (fun c -> union c.N.net_a c.N.net_b) (N.couplings nl);
-    let shard_of_root = Array.make nn (-1) in
-    let count = ref 0 in
-    Array.iter
-      (fun v ->
-        let r = find v in
-        if shard_of_root.(r) < 0 then begin
-          shard_of_root.(r) <- !count;
-          incr count
-        end)
-      t.net_order;
-    let sizes = Array.make !count 0 in
-    Array.iter
-      (fun v ->
-        let s = shard_of_root.(find v) in
-        sizes.(s) <- sizes.(s) + 1)
-      t.net_order;
-    let shards = Array.map (fun c -> Array.make c 0) sizes in
-    let fill = Array.make !count 0 in
-    Array.iter
-      (fun v ->
-        let s = shard_of_root.(find v) in
-        shards.(s).(fill.(s)) <- v;
-        fill.(s) <- fill.(s) + 1)
-      t.net_order;
-    t.shard_memo <- Some shards;
-    shards
-
-let transitive_fanin t nid =
-  match Hashtbl.find_opt t.fanin_memo nid with
-  | Some m -> m
-  | None ->
-    let mark = Array.make (N.num_nets t.nl) false in
-    let rec go id =
-      if not mark.(id) then begin
-        mark.(id) <- true;
-        List.iter go (N.fanin_nets t.nl id)
-      end
-    in
-    go nid;
-    Hashtbl.replace t.fanin_memo nid mark;
-    mark
-
-let in_fanin_cone t ~cone_of m = (transitive_fanin t cone_of).(m)
-
 let fanin_cone_couplings t nid =
-  let cone = transitive_fanin t nid in
+  (* [true] at every net in the fanin cone of [nid], [nid] included *)
+  let cone = Array.make (N.num_nets t.nl) false in
+  let rec mark id =
+    if not cone.(id) then begin
+      cone.(id) <- true;
+      List.iter mark (N.fanin_nets t.nl id)
+    end
+  in
+  mark nid;
   let seen = Hashtbl.create 16 in
   let out = ref [] in
   Array.iteri

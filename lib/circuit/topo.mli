@@ -1,9 +1,10 @@
 (** Topological utilities over a netlist.
 
     The top-k algorithm propagates irredundant lists "in topological
-    order" (Section 3 of the paper); this module provides that order
-    plus the transitive fanin cones needed to reason about indirect
-    aggressors. All results are computed once per netlist and shared. *)
+    order" (Section 3 of the paper); this module provides that order,
+    its grouping by logic level, and the fanin-cone couplings that
+    indirect aggressors reach through. A [t] is immutable after
+    {!create}, so domains may share it. *)
 
 type t
 
@@ -31,27 +32,6 @@ val level_nets : t -> Netlist.net_id array array
     groups in increasing [l] reproduces {!net_order} exactly. A net's
     fanin lies strictly below its own level, which is what makes a
     level-synchronous parallel sweep safe (see [docs/parallelism.md]). *)
-
-val cone_shards : t -> Netlist.net_id array array
-(** Connected components of the net graph under gate-fanin and coupling
-    edges — the closure of everything the engine consults when
-    enumerating any member net. Shards are ordered by first appearance
-    in {!net_order} and each shard lists its nets in {!net_order} order
-    (level-monotone), so sweeping a shard sequentially is a valid
-    topological sweep of it. Computed on demand and memoised; not
-    thread-safe on first call. Concatenating the shards in an
-    interleave respecting per-shard order reproduces a permutation of
-    {!net_order} with identical per-net inputs — the basis of the
-    cone-sharded parallel sweep's determinism. *)
-
-
-val transitive_fanin : t -> Netlist.net_id -> bool array
-(** [transitive_fanin t n] has [true] at every net in the fanin cone of
-    [n], including [n] itself. Computed on demand and memoised. *)
-
-val in_fanin_cone : t -> cone_of:Netlist.net_id -> Netlist.net_id -> bool
-(** [in_fanin_cone t ~cone_of:n m]: is [m] in the transitive fanin of
-    [n] (inclusive)? *)
 
 val fanin_cone_couplings : t -> Netlist.net_id -> Netlist.coupling_id list
 (** All coupling caps incident to any net in the strict fanin cone of

@@ -694,25 +694,13 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   let pool = Tka_parallel.Pool.get_default () in
   if Tka_parallel.Pool.size pool <= 1 then
     Array.iter instrumented (Topo.net_order topo)
-  else begin
-    let shards = Topo.cone_shards topo in
-    if Array.length shards > 1 then
-      (* Cone-sharded sweep: every net the enumeration of a victim can
-         consult (coupled aggressors, driver fanin for pseudo, coupled
-         nets for higher-order) lies in the victim's own shard, and a
-         shard's nets run sequentially in net_order — so all reads see
-         published summaries and every jobs count computes identical
-         per-victim inputs. Totals are merged in net order below, same
-         as the level-synchronous path. *)
-      Tka_parallel.Shard.run pool ~shards instrumented
-    else
-      (* Level-synchronous sweep: a net only reads summaries of strictly
-         lower levels, all published before its level starts (the pool
-         call is the barrier between levels). *)
-      Array.iter
-        (fun nets -> Tka_parallel.Pool.iter ~chunk:1 pool instrumented nets)
-        (Topo.level_nets topo)
-  end;
+  else
+    (* Level-synchronous sweep: a net only reads summaries of strictly
+       lower levels, all published before its level starts (the pool
+       call is the barrier between levels). *)
+    Array.iter
+      (fun nets -> Tka_parallel.Pool.iter ~chunk:1 pool instrumented nets)
+      (Topo.level_nets topo);
   (* Deterministic totals: per-victim records merged in net order, then
      the memoised direct enumerations in net-id order. All fields are
      sums, so the totals equal the sequential single-record run. *)

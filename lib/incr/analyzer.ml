@@ -189,10 +189,10 @@ let apply t nl edits =
         ~fields:[ Log.int "edits" (List.length edits); Log.int "dirty" dirty ]
         "applied %d edit(s): %d net(s) dirtied" (List.length edits) dirty);
   let nl', remap = Edit.apply nl edits in
-  Cache.remap_couplings t.a_cache remap;
-  (* the remapped values now index the edited netlist's coupling table *)
-  Cache.set_universe t.a_cache (Fingerprint.universe nl');
-  (nl', dirty)
+  let cache = Cache.remapped_copy t.a_cache remap in
+  (* the remapped values index the edited netlist's coupling table *)
+  Cache.set_universe cache (Fingerprint.universe nl');
+  ({ t with a_cache = cache }, nl', dirty)
 
 let save_checkpoint t path = Cache.save t.a_cache path
 let load_checkpoint t path = t.a_cache <- Cache.load path

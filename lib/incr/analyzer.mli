@@ -4,9 +4,9 @@
 
     {[
       let az = Analyzer.create ~k () in
-      let elim, _ = Analyzer.run az (Topo.create nl) in      (* full; populates *)
-      let nl', dirty = Analyzer.apply az nl edits in         (* remaps the cache *)
-      let elim', st = Analyzer.run az (Topo.create nl') in   (* incremental *)
+      let elim, _ = Analyzer.run az (Topo.create nl) in        (* full; populates *)
+      let az', nl', dirty = Analyzer.apply az nl edits in      (* remapped copy *)
+      let elim', st = Analyzer.run az' (Topo.create nl') in    (* incremental *)
       (* st.rs_hits clean victims were installed from the cache *)
     ]}
 
@@ -61,13 +61,10 @@ val with_shared_cache :
     any number of sessions (it is mutex-guarded, and the engine's
     determinism contract makes racing stores write identical values).
 
-    Two caveats for sharers: {!apply} remaps the injected cache {e in
-    place}, which would corrupt it for co-tenants still analyzing the
-    unedited design — a daemon session applying edits must instead
-    seed a fresh per-fingerprint cache with {!Cache.remapped_copy} and
-    open a new [with_shared_cache] session on it. {!load_checkpoint}
-    likewise {e replaces} the session's cache reference, detaching it
-    from the shared one. *)
+    {!apply} leaves the injected cache untouched, so co-tenants still
+    analyzing the unedited design are unaffected. {!load_checkpoint}
+    {e replaces} the session's cache reference, detaching it from the
+    shared one. *)
 
 val config : t -> Tka_topk.Engine.config
 val cache : t -> Cache.t
@@ -79,12 +76,15 @@ val run :
     {!apply} hit on every victim outside the dirty closure. *)
 
 val apply :
-  t -> Tka_circuit.Netlist.t -> Edit.t list -> Tka_circuit.Netlist.t * int
-(** Apply an edit script ({!Edit.apply}), renumber the cached coupling
-    sets through the resulting id map, and return the edited netlist
-    together with the size of the dirty closure ({!Dirty.closure} of
-    the touched nets — an upper bound on next run's misses, also added
-    to the [incr.dirty_nets] counter). *)
+  t -> Tka_circuit.Netlist.t -> Edit.t list -> t * Tka_circuit.Netlist.t * int
+(** Apply an edit script ({!Edit.apply}) and return a new analyzer for
+    the edited netlist — same config, over a {!Cache.remapped_copy} of
+    this one's cache, renumbered through the edit's coupling-id map —
+    together with the edited netlist and the size of the dirty closure
+    ({!Dirty.closure} of the touched nets — an upper bound on the next
+    run's misses, also added to the [incr.dirty_nets] counter). The
+    argument is never mutated: it stays valid for the unedited design,
+    which is what makes a rejected trial edit a no-op. *)
 
 val save_checkpoint : t -> string -> unit
 (** {!Cache.save} of the session cache. *)

@@ -79,19 +79,6 @@ let remap_entry phys_map e =
   | e' -> Some e'
   | exception Removed -> None
 
-let remap_couplings t phys_map =
-  Mutex.lock t.mutex;
-  let remapped =
-    Hashtbl.fold (fun k e acc -> (k, remap_entry phys_map e) :: acc) t.tbl []
-  in
-  List.iter
-    (fun (k, e) ->
-      match e with
-      | Some e -> Hashtbl.replace t.tbl k e
-      | None -> Hashtbl.remove t.tbl k)
-    remapped;
-  Mutex.unlock t.mutex
-
 let remapped_copy t phys_map =
   let t' = create () in
   Mutex.lock t.mutex;

@@ -11,9 +11,9 @@
     Stored coupling sets use {e directed} coupling ids
     ([2 * coupling + side], {!Tka_noise.Coupled_noise.directed_id}).
     Removing a physical cap compacts coupling ids, so after an edit the
-    surviving records must be renumbered: {!remap_couplings} applies
-    the old→new physical-id map from {!Edit.apply} to every stored set
-    and drops records that reference a removed cap (such records could
+    surviving records must be renumbered: {!remapped_copy} applies the
+    old→new physical-id map from {!Edit.apply} to every stored set and
+    drops records that reference a removed cap (such records could
     never be hit again — their victim's fingerprint changed — but their
     stale ids must not alias surviving couplings).
 
@@ -67,19 +67,15 @@ val store :
   unit
 (** Insert or overwrite the record for [(mode, net)]. *)
 
-val remap_couplings :
-  t -> (Tka_circuit.Netlist.coupling_id -> Tka_circuit.Netlist.coupling_id option) -> unit
-(** Renumber every stored directed coupling id through the physical-id
-    map ([None] = removed); records referencing a removed cap are
-    dropped. *)
-
 val remapped_copy :
   t -> (Tka_circuit.Netlist.coupling_id -> Tka_circuit.Netlist.coupling_id option) -> t
-(** Like {!remap_couplings} but into a {e fresh} cache, leaving the
-    source untouched — the daemon's edit path: the shared cache of the
-    base design stays valid for co-tenants while the copy seeds the
-    edited design's cache. The copy's universe is unset; the caller (or
-    the first {!Analyzer.run} against the edited netlist) records it. *)
+(** A {e fresh} cache holding every record with its directed coupling
+    ids renumbered through the physical-id map ([None] = removed);
+    records referencing a removed cap are dropped. The source is left
+    untouched, so it stays valid for the unedited design (a daemon
+    co-tenant, or a repair trial that gets rejected). The copy's
+    universe is unset; the caller (or the first {!Analyzer.run}
+    against the edited netlist) records it. *)
 
 val save : t -> string -> unit
 (** Write the checkpoint (atomically: temp file + rename). *)

@@ -17,9 +17,3 @@ let closure topo seeds =
   mark
 
 let count mark = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 mark
-
-let clean_levels topo mark =
-  Array.fold_left
-    (fun acc nets ->
-      if Array.exists (fun nid -> mark.(nid)) nets then acc else acc + 1)
-    0 (Topo.level_nets topo)

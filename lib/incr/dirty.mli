@@ -26,8 +26,3 @@ val closure : Tka_circuit.Topo.t -> Tka_circuit.Netlist.net_id list -> bool arra
 
 val count : bool array -> int
 (** Number of dirty nets. *)
-
-val clean_levels : Tka_circuit.Topo.t -> bool array -> int
-(** Number of topological levels containing no dirty net — the levels
-    the cached sweep passes through with lookups only (see
-    [docs/incremental.md]). *)

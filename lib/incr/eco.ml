@@ -116,7 +116,7 @@ let run ?(k = 10) ?(fix_k = 1) ?checkpoint nl =
   let rule, set = choose_fix elim0 ~fix_k in
   (* 2. mitigate: shield (remove) the reported couplings *)
   let edits = match set with Some s -> removal_edits s | None -> [] in
-  let nl', dirty = Analyzer.apply az nl edits in
+  let az, nl', dirty = Analyzer.apply az nl edits in
   let topo' = Topo.create nl' in
   (* 3. re-verify, from scratch and incrementally, and compare *)
   let wall = Tka_obs.Clock.now_s in

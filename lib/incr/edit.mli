@@ -20,7 +20,7 @@
     gate ids (Transform.map preserves structure), but coupling ids are
     compacted when caps are removed — {!apply} therefore also returns
     the old→new coupling-id map the result cache needs to stay
-    coherent (see {!Cache.remap_couplings}). *)
+    coherent (see {!Cache.remapped_copy}). *)
 
 type t =
   | Remove_coupling of Tka_circuit.Netlist.coupling_id

@@ -351,21 +351,13 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
   let applied = ref 0 in
   let iter = ref 0 in
   let outcome = ref (if tns_cur () <= 0. then Some Target_met else None) in
-  (* Trial a candidate on a *snapshot*: the live analyzer's cache is
-     copied (identity remap), the edit is applied to the copy, and the
-     edited design re-analyzed through it. Rejecting the candidate is
-     then a no-op — the pre-edit analyzer was never touched, which is
-     what makes rollback bit-exact. *)
-  let cfg = Analyzer.config !az in
+  (* Trial a candidate on a *snapshot*: [Analyzer.apply] re-analyzes
+     the edited design through a remapped copy of the live analyzer's
+     cache. Rejecting the candidate is then a no-op — the pre-edit
+     analyzer was never touched, which is what makes rollback
+     bit-exact. *)
   let trial edits =
-    let cache = Cache.remapped_copy (Analyzer.cache !az) Option.some in
-    let az' =
-      Analyzer.with_shared_cache ~capacity:cfg.Engine.capacity
-        ~use_pseudo:cfg.Engine.use_pseudo
-        ~use_higher_order:cfg.Engine.use_higher_order
-        ~filter:cfg.Engine.filter ~k:cfg.Engine.k ~cache ()
-    in
-    let nl', dirty = Analyzer.apply az' !nl_cur edits in
+    let az', nl', dirty = Analyzer.apply !az !nl_cur edits in
     let topo' = Topo.create nl' in
     let fx' = Iterate.run topo' in
     let elim', st = Analyzer.run ~fixpoint:fx' az' topo' in
@@ -458,6 +450,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
   let identical =
     if not verify then true
     else
+      let cfg = Analyzer.config !az in
       let scratch =
         Elimination.compute ~capacity:cfg.Engine.capacity
           ~use_pseudo:cfg.Engine.use_pseudo

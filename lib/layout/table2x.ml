@@ -33,8 +33,8 @@ let spec ?cones ?(density = 2.0) ?(max_fanout = 6) ?(seed = 11007) ~nets () =
    quadratic-ish constants that are fine at 20k nets and hopeless at a
    million. table2x instead emits the netlist directly: [tx_cones]
    independent levelised DAGs (no net, gate or coupling crosses a cone
-   boundary, so {!Tka_circuit.Topo.cone_shards} recovers at least
-   [tx_cones] shards), with couplings drawn between creation-order
+   boundary, so the circuit has at least [tx_cones] connected
+   components), with couplings drawn between creation-order
    neighbours inside a cone — nets of the same or adjacent levels,
    whose switching windows overlap and so actually attack each other.
 

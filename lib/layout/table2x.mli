@@ -4,8 +4,8 @@
     targets two orders of magnitude more. It skips the placed-and-
     routed flow entirely and emits the netlist directly: [tx_cones]
     mutually independent levelised cell DAGs — no net, gate or coupling
-    crosses a cone boundary, so {!Tka_circuit.Topo.cone_shards} splits
-    the circuit into at least [tx_cones] independent sweep jobs — with
+    crosses a cone boundary, so the circuit has at least [tx_cones]
+    connected components — with
     coupling caps drawn between nets of the same or adjacent logic
     levels inside a cone (overlapping switching windows, i.e. real
     aggressors). Each cone folds its sink-less nets through a collector
@@ -18,7 +18,7 @@
 type spec = {
   tx_name : string;
   tx_nets : int;  (** target net count (approximate: collector trees add a few percent) *)
-  tx_cones : int;  (** independent fanout cones = minimum shard count *)
+  tx_cones : int;  (** independent fanout cones = minimum component count *)
   tx_density : float;  (** average coupling caps per net *)
   tx_max_fanout : int;  (** resampling bound on net fanout *)
   tx_seed : int;

@@ -205,13 +205,6 @@ let map ?chunk t f a =
       out
   end
 
-let map_reduce ?chunk t ~map:mp ~reduce ~init a =
-  if t.jobs = 1 || not t.live then
-    Array.fold_left (fun acc x -> reduce acc (mp x)) init a
-  else
-    let mapped = map ?chunk t mp a in
-    Array.fold_left reduce init mapped
-
 (* ------------------------------------------------------------------ *)
 (* Default pool                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -5,10 +5,10 @@
     submitting domain, which participates in executing its own batches —
     serves chunked parallel iteration primitives. All primitives are
     {e deterministic by construction}: results are assembled by index,
-    and reductions fold mapped results in input order, so the output is
-    independent of how chunks are scheduled across domains. (The bodies
-    themselves must of course be free of order-dependent shared mutable
-    state; see [docs/parallelism.md] for the engine's safety argument.)
+    so the output is independent of how chunks are scheduled across
+    domains. (The bodies themselves must of course be free of
+    order-dependent shared mutable state; see [docs/parallelism.md] for
+    the engine's safety argument.)
 
     With [jobs = 1] every primitive takes the plain sequential path in
     the calling domain — no worker domains are ever spawned, no mutex is
@@ -49,14 +49,6 @@ val iter : ?chunk:int -> t -> ('a -> unit) -> 'a array -> unit
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Chunked parallel [Array.map]: [ (map pool f a).(i) = f a.(i) ],
     results positioned by index regardless of scheduling. *)
-
-val map_reduce :
-  ?chunk:int -> t -> map:('a -> 'b) -> reduce:('c -> 'b -> 'c) -> init:'c ->
-  'a array -> 'c
-(** Ordered map–reduce: the maps run in parallel, then the fold
-    [reduce (... (reduce init b0) ...) bn] runs sequentially in input
-    order — so a non-commutative [reduce] still gives a deterministic,
-    sequential-identical result. *)
 
 (** {1 Default pool}
 

@@ -200,10 +200,9 @@ let validate_edits d edits =
         else Ok ())
     (Ok ()) edits
 
-(* Build the edited design as a *new* registry tenant: the base cache
-   must stay valid for co-tenants, so instead of [Analyzer.apply]'s
-   in-place remap the edited fingerprint's cache is seeded (first
-   arrival only) with a remapped copy of the base cache. *)
+(* Build the edited design as a *new* registry tenant: the edited
+   fingerprint's cache is seeded (first arrival only) with a remapped
+   copy of the base cache, which stays valid for co-tenants. *)
 let edited_design t d edits =
   let nl', phys_map = Edit.apply d.d_nl edits in
   let dirty = Dirty.count (Dirty.closure d.d_topo (Edit.touched_nets d.d_nl edits)) in

@@ -14,56 +14,50 @@ type verdict = Pass | Skip of string | Fail of string
 
 let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Tolerances mirror the regression suite: top-1 is exact (the engine
-   evaluates every single-coupling candidate), larger sets are a
-   heuristic with a 1%-of-optimum contract, and in no case may the
-   engine land on the wrong side of the optimum — both sides evaluate
-   candidates with the same iterative analysis. *)
+(* Tolerances mirror the regression suite, the same for both modes:
+   top-1 is exact (the engine scores every single-coupling candidate),
+   larger sets are a heuristic with a 1%-of-optimum contract, and in no
+   case may the engine beat the optimum by more than rounding — both
+   sides score sets with the same exact analysis. *)
+let brute_miss_tolerance ~k opt =
+  if k = 1 then 1e-6 else (0.01 *. Float.abs opt) +. 1e-9
+
+let brute_beat_tolerance = 1e-9
+
 let brute ?(budget_s = 30.) ~k topo =
   if k < 1 || k > 3 then invalid_arg "Oracle.brute: k must be in [1, 3]";
   let nl = Topo.netlist topo in
+  let check mode =
+    let name = Engine.mode_name mode in
+    let d = Refine.evaluate (Refine.compute ~mode ~k topo) k in
+    let bf =
+      match mode with
+      | Engine.Addition -> BF.addition ~budget_s ~k topo
+      | Engine.Elimination -> BF.elimination ~budget_s ~k topo
+    in
+    let opt = bf.BF.bf_delay in
+    let gap = Float.abs (d -. opt) in
+    let tol = brute_miss_tolerance ~k opt in
+    if not bf.BF.bf_completed then
+      Skip (Printf.sprintf "brute-force %s budget expired" name)
+    else if Engine.better mode d opt && gap > brute_beat_tolerance then
+      Fail
+        (Printf.sprintf
+           "%s k=%d: engine delay %.9f beats the brute-force optimum %.9f" name
+           k d opt)
+    else if Engine.better mode opt d && gap > tol then
+      Fail
+        (Printf.sprintf
+           "%s k=%d: engine delay %.9f misses the brute-force optimum %.9f by \
+            more than %.1e"
+           name k d opt tol)
+    else Pass
+  in
   if 2 * N.num_couplings nl < k then Skip "universe smaller than k"
-  else begin
-    let add = Addition.compute ~k topo in
-    let bfa = BF.addition ~budget_s ~k topo in
-    if not bfa.BF.bf_completed then Skip "brute-force addition budget expired"
-    else begin
-      let d = Addition.evaluate add k in
-      let opt = bfa.BF.bf_delay in
-      let tol = if k = 1 then 1e-6 else (0.01 *. opt) +. 1e-9 in
-      if d > opt +. 1e-9 then
-        Fail
-          (Printf.sprintf
-             "addition k=%d: engine delay %.9f exceeds the brute-force optimum %.9f"
-             k d opt)
-      else if opt -. d > tol then
-        Fail
-          (Printf.sprintf
-             "addition k=%d: engine delay %.9f misses the brute-force optimum %.9f by more than %.1e"
-             k d opt tol)
-      else begin
-        let elim = Elimination.compute ~k topo in
-        let bfe = BF.elimination ~budget_s ~k topo in
-        if not bfe.BF.bf_completed then
-          Skip "brute-force elimination budget expired"
-        else begin
-          let d = Elimination.evaluate elim k in
-          let opt = bfe.BF.bf_delay in
-          if d < opt -. 1e-9 then
-            Fail
-              (Printf.sprintf
-                 "elimination k=%d: engine delay %.9f beats the brute-force optimum %.9f"
-                 k d opt)
-          else if d -. opt > (0.01 *. opt) +. 1e-9 then
-            Fail
-              (Printf.sprintf
-                 "elimination k=%d: engine delay %.9f misses the brute-force optimum %.9f by more than 1%%"
-                 k d opt)
-          else Pass
-        end
-      end
-    end
-  end
+  else
+    match check Engine.Addition with
+    | Pass -> check Engine.Elimination
+    | (Skip _ | Fail _) as v -> v
 
 let duality ~set topo =
   let nl = Topo.netlist topo in
@@ -399,9 +393,9 @@ let incremental ~k nl edits =
   | _ :: _ ->
     let az = Analyzer.create ~k () in
     let _warmup = Analyzer.run az (Topo.create nl) in
-    let nl', _dirty = Analyzer.apply az nl edits in
+    let az', nl', _dirty = Analyzer.apply az nl edits in
     let topo' = Topo.create nl' in
-    let incr, _stats = Analyzer.run az topo' in
+    let incr, _stats = Analyzer.run az' topo' in
     let full = Elimination.compute ~k topo' in
     if Eco.elim_identical full incr then Pass
     else

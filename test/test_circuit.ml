@@ -232,14 +232,34 @@ let test_topo_levels_chain () =
     (Topo.net_level topo (List.hd (N.outputs nl)))
 
 let test_topo_fanin_cone () =
-  let nl = chain 4 in
+  (* in -> c1 -> c2 -> c3, with c1 coupled to a side net: the coupling
+     lies two gates up the fanin cone of c3 and outside the cone of in *)
+  let b = Builder.create ~name:"cone" () in
+  let pi = Builder.add_input b "in" in
+  let side = Builder.add_input b "side" in
+  let prev = ref pi in
+  let nets =
+    List.init 3 (fun i ->
+        let net = Builder.add_net b (Printf.sprintf "c%d" (i + 1)) in
+        ignore
+          (Builder.add_gate b
+             ~name:(Printf.sprintf "g%d" (i + 1))
+             ~cell:Lib.inverter
+             ~inputs:[ ("A", !prev) ]
+             ~output:net);
+        prev := net;
+        net)
+  in
+  Builder.mark_output b !prev;
+  let c = Builder.add_coupling b (List.hd nets) side 0.004 in
+  let nl = Builder.finalize b in
   let topo = Topo.create nl in
-  let out = List.hd (N.outputs nl) in
-  let pi = List.hd (N.inputs nl) in
-  Alcotest.(check bool) "PI in cone" true (Topo.in_fanin_cone topo ~cone_of:out pi);
-  Alcotest.(check bool) "self in cone" true (Topo.in_fanin_cone topo ~cone_of:out out);
-  Alcotest.(check bool) "out not in PI cone" false
-    (Topo.in_fanin_cone topo ~cone_of:pi out)
+  Alcotest.(check (list int)) "coupling in the cone of c3" [ c ]
+    (Topo.fanin_cone_couplings topo !prev);
+  Alcotest.(check (list int)) "touches the root c1" []
+    (Topo.fanin_cone_couplings topo (List.hd nets));
+  Alcotest.(check (list int)) "nothing above in" []
+    (Topo.fanin_cone_couplings topo pi)
 
 let test_topo_fanin_cone_couplings () =
   let nl, _, _, n1, n2, _, _, c = small () in
@@ -253,60 +273,6 @@ let test_topo_reachable_outputs () =
   let nl, a, _, _, n2, _, _, _ = small () in
   let topo = Topo.create nl in
   Alcotest.(check (list int)) "a reaches out" [ n2 ] (Topo.sinks_reachable_from topo a)
-
-let test_topo_cone_shards () =
-  (* three disjoint chains, two of them coupled together: the sharder
-     must merge the coupled pair and keep the third chain separate *)
-  let b = Builder.create ~name:"shards" () in
-  let mk_chain tag n =
-    let prev = ref (Builder.add_input b (tag ^ "_in")) in
-    let nets = ref [ !prev ] in
-    for i = 1 to n do
-      let net = Builder.add_net b (Printf.sprintf "%s_n%d" tag i) in
-      ignore
-        (Builder.add_gate b
-           ~name:(Printf.sprintf "%s_g%d" tag i)
-           ~cell:Lib.inverter
-           ~inputs:[ ("A", !prev) ]
-           ~output:net);
-      prev := net;
-      nets := net :: !nets
-    done;
-    Builder.mark_output b !prev;
-    List.rev !nets
-  in
-  let ca = mk_chain "a" 4 in
-  let cb = mk_chain "b" 4 in
-  let cc = mk_chain "c" 4 in
-  ignore (Builder.add_coupling b (List.nth ca 2) (List.nth cb 2) 0.01);
-  let nl = Builder.finalize b in
-  let topo = Topo.create nl in
-  let shards = Topo.cone_shards topo in
-  Alcotest.(check int) "two shards" 2 (Array.length shards);
-  (* partition: every net exactly once *)
-  let seen = Array.make (N.num_nets nl) 0 in
-  Array.iter (Array.iter (fun nid -> seen.(nid) <- seen.(nid) + 1)) shards;
-  Array.iter (fun c -> Alcotest.(check int) "each net once" 1 c) seen;
-  (* closure: both endpoints of the coupling land in the same shard,
-     and the uncoupled chain is alone in its own *)
-  let shard_of = Array.make (N.num_nets nl) (-1) in
-  Array.iteri
-    (fun s nets -> Array.iter (fun nid -> shard_of.(nid) <- s) nets)
-    shards;
-  Alcotest.(check bool) "coupled chains share a shard" true
-    (shard_of.(List.hd ca) = shard_of.(List.hd cb));
-  Alcotest.(check bool) "third chain is separate" true
-    (shard_of.(List.hd cc) <> shard_of.(List.hd ca));
-  (* order: within a shard, nets appear in net_order position order *)
-  let pos = Array.make (N.num_nets nl) 0 in
-  Array.iteri (fun i nid -> pos.(nid) <- i) (Topo.net_order topo);
-  Array.iter
-    (fun nets ->
-      for i = 1 to Array.length nets - 1 do
-        Alcotest.(check bool) "net_order-monotone inside shard" true
-          (pos.(nets.(i - 1)) < pos.(nets.(i)))
-      done)
-    shards
 
 (* ------------------------------------------------------------------ *)
 (* Netlist text format                                                *)
@@ -964,7 +930,6 @@ let () =
           Alcotest.test_case "fanin cone" `Quick test_topo_fanin_cone;
           Alcotest.test_case "cone couplings" `Quick test_topo_fanin_cone_couplings;
           Alcotest.test_case "reachable outputs" `Quick test_topo_reachable_outputs;
-          Alcotest.test_case "cone shards" `Quick test_topo_cone_shards;
         ] );
       ( "netlist_format",
         [

@@ -46,25 +46,6 @@ let test_map_positions () =
             (Array.for_all (fun i -> out.(i) = i * i) input)))
     [ 1; 3 ]
 
-let test_map_reduce_ordered () =
-  (* string concatenation is non-commutative: only an input-order
-     reduction gives the sequential answer *)
-  let input = Array.init 40 string_of_int in
-  let expected = String.concat "," (Array.to_list input) in
-  List.iter
-    (fun jobs ->
-      with_pool jobs (fun p ->
-          let got =
-            Pool.map_reduce ~chunk:1 p
-              ~map:(fun s -> s)
-              ~reduce:(fun acc s -> if acc = "" then s else acc ^ "," ^ s)
-              ~init:"" input
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "ordered reduce (jobs=%d)" jobs)
-            expected got))
-    [ 1; 4 ]
-
 exception Boom of int
 
 let test_exception_propagates () =
@@ -89,10 +70,9 @@ let test_nested_submit () =
       let sums =
         Pool.map ~chunk:1 p
           (fun i ->
-            Pool.map_reduce ~chunk:1 p
-              ~map:(fun x -> x)
-              ~reduce:( + ) ~init:0
-              (Array.init 50 (fun j -> (100 * i) + j)))
+            Array.fold_left ( + ) 0
+              (Pool.map ~chunk:1 p Fun.id
+                 (Array.init 50 (fun j -> (100 * i) + j))))
           outer
       in
       Array.iteri
@@ -174,14 +154,12 @@ let test_engine_jobs_invariant name mode () =
         seq par)
     [ 2; 4 ]
 
-let test_table2x_sharded_invariant () =
-  (* a multi-cone table2x circuit takes the cone-sharded sweep path at
-     jobs > 1 (the Table 2 suite is single-shard, so only this covers
-     Shard.run end-to-end); results must stay bitwise identical *)
+let test_table2x_multi_cone_invariant () =
+  (* a table2x circuit of six independent cones: each level of the
+     level-synchronous sweep mixes nets of every cone, and results must
+     stay bitwise identical *)
   let spec = Tka_layout.Table2x.spec ~nets:600 ~cones:6 () in
   let topo = Topo.create (Tka_layout.Table2x.generate spec) in
-  Alcotest.(check bool) "multiple shards" true
-    (Array.length (Topo.cone_shards topo) > 1);
   let k = 4 in
   List.iter
     (fun mode ->
@@ -190,7 +168,7 @@ let test_table2x_sharded_invariant () =
         (fun jobs ->
           let par = at_jobs jobs (fun () -> engine_repr ~mode ~k topo) in
           Alcotest.(check string)
-            (Printf.sprintf "t2x sharded jobs=%d == jobs=1" jobs)
+            (Printf.sprintf "t2x multi-cone jobs=%d == jobs=1" jobs)
             seq par)
         [ 2; 4 ])
     [ Engine.Addition; Engine.Elimination ]
@@ -257,8 +235,6 @@ let () =
         [
           Alcotest.test_case "parallel_for covers range" `Quick test_parallel_for;
           Alcotest.test_case "map is position-stable" `Quick test_map_positions;
-          Alcotest.test_case "map_reduce folds in order" `Quick
-            test_map_reduce_ordered;
           Alcotest.test_case "exceptions propagate" `Quick
             test_exception_propagates;
           Alcotest.test_case "nested submit" `Quick test_nested_submit;
@@ -274,8 +250,8 @@ let () =
             (test_engine_jobs_invariant "i1" Engine.Elimination);
           Alcotest.test_case "i2 addition jobs {1,2,4}" `Slow
             (test_engine_jobs_invariant "i2" Engine.Addition);
-          Alcotest.test_case "table2x sharded jobs {1,2,4}" `Quick
-            test_table2x_sharded_invariant;
+          Alcotest.test_case "table2x multi-cone jobs {1,2,4}" `Quick
+            test_table2x_multi_cone_invariant;
           Alcotest.test_case "i2 elimination jobs {1,2,4}" `Slow
             (test_engine_jobs_invariant "i2" Engine.Elimination);
           Alcotest.test_case "brute force jobs {1,2,4}" `Quick

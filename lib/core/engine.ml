@@ -16,6 +16,16 @@ module Log = Tka_obs.Log
 module Metrics = Tka_obs.Metrics
 module Trace = Tka_obs.Trace
 
+(* Tables keyed by net or directed-coupling ids: those are dense small
+   ints, so the identity is a perfect hash and lookups skip the generic
+   structural hash and compare. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
+
 let log_src = Log.Src.create "engine" ~doc:"top-k aggressor enumeration"
 let m_victims = Metrics.Counter.make "engine.victims_enumerated"
 let m_runs = Metrics.Counter.make "engine.runs"
@@ -94,7 +104,7 @@ let summaries_per_cardinality = 2
 type prelude = {
   pr_prims : CN.directed array;
   pr_derate : int -> float;
-  pr_idx : (int, int) Hashtbl.t;
+  pr_idx : int Int_tbl.t;
   pr_dom_mask : Tka_util.Bitset.t array;
   pr_strong : bool array;
 }
@@ -135,8 +145,8 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
      a quarter-million buckets up front) so the sweep never pays a
      rehash-and-copy of a large table mid-run. *)
   let direct_memo_size = max 64 (min 65536 (nn / 4)) in
-  let direct_memo : (int, summary * Ilist.stats) Hashtbl.t =
-    Hashtbl.create direct_memo_size
+  let direct_memo : (summary * Ilist.stats) Int_tbl.t =
+    Int_tbl.create direct_memo_size
   in
   Log.debug log_src (fun m ->
       m "direct memo pre-sized" ~fields:[ Log.int "initial_size" direct_memo_size ]);
@@ -144,7 +154,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   (* Run-local prelude hand-over between a net's two consumers, guarded
      by [memo_mutex]; [visited.(v)] marks that [v]'s sweep visit has
      asked for its prelude. *)
-  let preludes : (int, prelude) Hashtbl.t = Hashtbl.create 64 in
+  let preludes : prelude Int_tbl.t = Int_tbl.create 64 in
   let visited = Array.make nn false in
   (* direct summaries are only requested by higher-order candidates *)
   let higher_possible = config.use_higher_order && k >= 2 in
@@ -177,18 +187,24 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   (* Envelopes of a victim's primaries, built on first use and kept for
      the rest of that victim's enumeration. *)
   let prim_env_of derate_of size =
-    let tbl = Hashtbl.create size in
+    let tbl = Int_tbl.create size in
     fun (d : CN.directed) ->
       let id = CN.directed_id d in
-      match Hashtbl.find_opt tbl id with
+      match Int_tbl.find_opt tbl id with
       | Some e -> e
       | None ->
         let e = EB.of_directed nl ~windows:mode_w d in
         let e = match derate_of id with 1. -> e | f -> Envelope.scale f e in
-        Hashtbl.replace tbl id e;
+        Int_tbl.replace tbl id e;
         e
   in
-  let build_prelude v ~victim ~interval =
+  (* The saturated t50 shift of [w - env] ([neg]) or [w + env]: with [w]
+     the victim's ramp (built once per victim) and [neg], exactly
+     [VN.delay_noise_of_envelope ~victim env]. *)
+  let crossing_noise ~victim ~neg w env =
+    VN.saturate ~victim (Envelope.crossing_delay ~victim ~neg w env)
+  in
+  let build_prelude v ~victim ~ramp ~interval =
     (* Pre-engine screening: drops candidates the filter proves inert
        before any envelope is built (the whole point — with filtering
        off, [screen] returns the input list physically unchanged and a
@@ -214,22 +230,25 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
        into [prim_arr]; dominator sets and entry membership then live in
        bitsets over [0, np), so the extension filter is a handful of
        word ands instead of id-list scans per (entry, primary) pair. *)
-    let idx_of_id = Hashtbl.create (max 16 np) in
+    let idx_of_id = Int_tbl.create (max 16 np) in
     Array.iteri
       (fun idx (d : CN.directed) ->
-        Hashtbl.replace idx_of_id (CN.directed_id d) idx)
+        Int_tbl.replace idx_of_id (CN.directed_id d) idx)
       prim_arr;
     (* [dom_mask.(i)] holds the strict dominators of primary [i] (ties
        broken by id so equal envelopes do not eliminate each other);
-       one paired scan per unordered pair sets both directions. *)
+       one paired scan per unordered pair sets both directions, with
+       each envelope's interval ends computed once. *)
+    let envs = Array.map prim_env prim_arr in
+    let ends = Array.map (Dominance.ends ~interval) envs in
     let dom_mask = Array.init np (fun _ -> Tka_util.Bitset.make np) in
     for i = 0 to np - 1 do
-      let d = prim_arr.(i) in
-      let ed = prim_env d and id = CN.directed_id d in
+      let id = CN.directed_id prim_arr.(i) in
       for i' = i + 1 to np - 1 do
-        let d' = prim_arr.(i') in
-        let id' = CN.directed_id d' in
-        let d_dom, d'_dom = Dominance.dominates_pair ~interval ed (prim_env d') in
+        let id' = CN.directed_id prim_arr.(i') in
+        let d_dom, d'_dom =
+          Dominance.dominates_pair ~interval envs.(i) ends.(i) envs.(i') ends.(i')
+        in
         if d'_dom && ((not d_dom) || id' < id) then
           Tka_util.Bitset.set dom_mask.(i) i';
         if d_dom && ((not d'_dom) || id < id') then
@@ -243,8 +262,8 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
     let () =
       let scored =
         Array.mapi
-          (fun idx d -> (idx, VN.delay_noise_of_envelope ~victim (prim_env d)))
-          prim_arr
+          (fun idx e -> (idx, crossing_noise ~victim ~neg:true ramp e))
+          envs
       in
       Array.sort (fun (_, a) (_, b) -> Float.compare b a) scored;
       Array.iteri
@@ -270,18 +289,18 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
      asks for those of nets at its own level or above), and only if it
      is not memoised yet. A missed or raced entry is recomputed
      identically, so none of this affects results. *)
-  let prelude_of ~direct v ~victim ~interval =
+  let prelude_of ~direct v ~victim ~ramp ~interval =
     Mutex.lock memo_mutex;
     if not direct then visited.(v) <- true;
-    let hit = Hashtbl.find_opt preludes v in
-    if Option.is_some hit then Hashtbl.remove preludes v;
+    let hit = Int_tbl.find_opt preludes v in
+    if Option.is_some hit then Int_tbl.remove preludes v;
     Mutex.unlock memo_mutex;
     match hit with
     | Some pr ->
       Metrics.Counter.incr m_prelude_reuses;
       (pr, prim_env_of pr.pr_derate (max 16 (Array.length pr.pr_prims)))
     | None ->
-      let pr, prim_env, coupled = build_prelude v ~victim ~interval in
+      let pr, prim_env, coupled = build_prelude v ~victim ~ramp ~interval in
       let level = Topo.net_level topo v in
       if
         direct
@@ -292,9 +311,9 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
       then begin
         Mutex.lock memo_mutex;
         let other_pending =
-          if direct then not visited.(v) else not (Hashtbl.mem direct_memo v)
+          if direct then not visited.(v) else not (Int_tbl.mem direct_memo v)
         in
-        if other_pending then Hashtbl.replace preludes v pr;
+        if other_pending then Int_tbl.replace preludes v pr;
         Mutex.unlock memo_mutex
       end;
       (pr, prim_env)
@@ -303,8 +322,9 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   let rec enumerate ~direct ~on_direct ~stats ~use_pseudo ~use_higher ~upto ~level v :
       Ilist.entry list array =
     let victim = victim_tr v in
+    let ramp = Transition.waveform victim in
     let interval = Dominance.interval ~victim in
-    let pr, prim_env = prelude_of ~direct v ~victim ~interval in
+    let pr, prim_env = prelude_of ~direct v ~victim ~ramp ~interval in
     let prim_arr = pr.pr_prims and derate_of = pr.pr_derate in
     let idx_of_id = pr.pr_idx and dom_mask = pr.pr_dom_mask in
     let strong = pr.pr_strong in
@@ -322,30 +342,20 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
              (Pseudo.envelope ~victim ~shift:(upstream_shift v)))
     in
     let total_noise =
-      lazy (VN.delay_noise_of_envelope ~victim (Lazy.force total_env))
+      lazy (crossing_noise ~victim ~neg:true ramp (Lazy.force total_env))
     in
     (* one-pass elimination objective: precompute (ramp - total envelope)
        once; the remaining noise after removing env is the crossing of
        that floor plus env *)
     let noisy_floor =
-      lazy
-        (Pwl.sub (Transition.waveform victim)
-           (Envelope.waveform (Lazy.force total_env)))
+      lazy (Pwl.sub ramp (Envelope.waveform (Lazy.force total_env)))
     in
     let objective env =
       match mode with
-      | Addition -> VN.delay_noise_of_envelope ~victim env
+      | Addition -> crossing_noise ~victim ~neg:true ramp env
       | Elimination ->
-        let restored = Pwl.add (Lazy.force noisy_floor) (Envelope.waveform env) in
-        let remaining_noise =
-          match Pwl.last_upcrossing restored 0.5 with
-          | None -> 0.
-          | Some t ->
-            Float.min
-              (Float.max 0. (t -. victim.Transition.t50))
-              (VN.saturation_slews *. victim.Transition.slew)
-        in
-        Lazy.force total_noise -. remaining_noise
+        Lazy.force total_noise
+        -. crossing_noise ~victim ~neg:false (Lazy.force noisy_floor) env
     in
     let entry set env =
       { Ilist.couplings = set; envelope = env; objective = objective env }
@@ -364,7 +374,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
       Tka_util.Bitset.clear entry_mask;
       Coupling_set.iter
         (fun id ->
-          match Hashtbl.find_opt idx_of_id id with
+          match Int_tbl.find_opt idx_of_id id with
           | Some idx -> Tka_util.Bitset.set entry_mask idx
           | None -> ())
         set
@@ -545,7 +555,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
       summaries.(a)
     else begin
       Mutex.lock memo_mutex;
-      let hit = Hashtbl.find_opt direct_memo a in
+      let hit = Int_tbl.find_opt direct_memo a in
       Mutex.unlock memo_mutex;
       let s, st =
         match hit with
@@ -562,10 +572,10 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
           let s = summary_of_ilists upto ilists in
           Mutex.lock memo_mutex;
           let e =
-            match Hashtbl.find_opt direct_memo a with
+            match Int_tbl.find_opt direct_memo a with
             | Some e -> e
             | None ->
-              Hashtbl.replace direct_memo a (s, st);
+              Int_tbl.replace direct_memo a (s, st);
               (s, st)
           in
           Mutex.unlock memo_mutex;
@@ -603,8 +613,8 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
     List.iter
       (fun (a, s, st) ->
         Mutex.lock memo_mutex;
-        if not (Hashtbl.mem direct_memo a) then
-          Hashtbl.replace direct_memo a (s, st);
+        if not (Int_tbl.mem direct_memo a) then
+          Int_tbl.replace direct_memo a (s, st);
         Mutex.unlock memo_mutex)
       cv.cv_direct;
     Option.iter (fun out -> out_ilists.(v) <- Some (sink_ilists out)) cv.cv_out
@@ -710,7 +720,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
       | Some st -> Ilist.merge_stats stats st
       | None -> ())
     (Topo.net_order topo);
-  Hashtbl.fold (fun a (_, st) acc -> (a, st) :: acc) direct_memo []
+  Int_tbl.fold (fun a (_, st) acc -> (a, st) :: acc) direct_memo []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (_, st) -> Ilist.merge_stats stats st);
   (* Prepending in net order reproduces the processing-order prepends of
@@ -725,29 +735,42 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   (* --------------------------------------------------------------- *)
   (* Sink selection                                                  *)
   (* --------------------------------------------------------------- *)
-  let outputs = N.outputs nl in
   (* For each cardinality, gather every entry of every primary output's
      irredundant list (the paper reads the whole I-list_k of the sink),
      score by the resulting circuit arrival, and keep the best few for
      exact re-ranking by the caller. *)
   let top =
     Trace.with_span ~cat:"engine" "engine.sink_selection" @@ fun () ->
+    (* A choice at [po] moves [po]'s arrival by its objective; the circuit
+       arrival is the maximum over the outputs. [Float.max] is exact,
+       commutative and associative, so each output's maximum over the
+       other outputs is computed once, from prefix and suffix maxima,
+       and a score costs one more max. [N.outputs] lists each net
+       flagged [is_output] once, so every sink has a position. *)
+    let arrival q obj =
+      match mode with
+      | Addition -> base_lat q +. obj
+      | Elimination -> noisy_lat q -. obj
+    in
+    let outs = Array.of_list (N.outputs nl) in
+    let m = Array.length outs in
+    let pos = Array.make nn (-1) in
+    Array.iteri (fun p q -> pos.(q) <- p) outs;
+    let prefix = Array.make (m + 1) Float.neg_infinity in
+    let suffix = Array.make (m + 1) Float.neg_infinity in
+    for p = 0 to m - 1 do
+      prefix.(p + 1) <- Float.max prefix.(p) (arrival outs.(p) 0.)
+    done;
+    for p = m - 1 downto 0 do
+      suffix.(p) <- Float.max suffix.(p + 1) (arrival outs.(p) 0.)
+    done;
+    let score po obj =
+      let p = pos.(po) in
+      Float.max (Float.max prefix.(p) suffix.(p + 1)) (arrival po obj)
+    in
     Array.init (k + 1) (fun i ->
         if i = 0 then []
         else begin
-          let score po obj =
-            match mode with
-            | Addition ->
-              List.fold_left
-                (fun acc q ->
-                  Float.max acc (base_lat q +. if q = po then obj else 0.))
-                Float.neg_infinity outputs
-            | Elimination ->
-              List.fold_left
-                (fun acc q ->
-                  Float.max acc (noisy_lat q -. if q = po then obj else 0.))
-                Float.neg_infinity outputs
-          in
           let scored =
             List.concat_map
               (fun (po, ilists) ->

@@ -124,14 +124,27 @@ let prune ?(capacity = default_capacity) ?(skipped_duplicates = 0) ~interval
      already kept. The envelope peaks (memoised inside the waveform, so
      each envelope folds its ordinates at most once in its lifetime)
      are staged into a flat array as the cheap prefilter ruling out
-     most pairs before the two-cursor dominance scan. *)
+     most pairs before the two-cursor dominance scan. An entry's
+     interval ends are computed at its first dominance test and kept
+     with it, so a kept entry tested against many later ones pays for
+     them once. *)
   let kept = if scan_n = 0 then [||] else Array.make scan_n arr.(order.(0)) in
   let kept_peak = Array.make scan_n 0. in
+  let kept_ends = Array.make scan_n (ref None) in
   let kept_n = ref 0 in
   let eps = Tka_util.Float_cmp.default_eps in
+  let ends_of cell e =
+    match !cell with
+    | Some x -> x
+    | None ->
+      let x = Dominance.ends ~interval e.envelope in
+      cell := Some x;
+      x
+  in
   for oi = 0 to scan_n - 1 do
     let e = arr.(order.(oi)) in
     let pe = Tka_waveform.Envelope.peak e.envelope in
+    let e_ends = ref None in
     let dominated = ref false in
     let ki = ref (!kept_n - 1) in
     (* kept is scanned newest-first, matching the prepend-list scan *)
@@ -140,7 +153,10 @@ let prune ?(capacity = default_capacity) ?(skipped_duplicates = 0) ~interval
         kept_peak.(!ki) >= pe -. eps
         && begin
              stats.checks <- stats.checks + 1;
-             Dominance.dominates ~interval kept.(!ki).envelope e.envelope
+             let k = kept.(!ki) in
+             Dominance.dominates ~interval k.envelope
+               (ends_of kept_ends.(!ki) k)
+               e.envelope (ends_of e_ends e)
            end
       then dominated := true
       else decr ki
@@ -149,6 +165,7 @@ let prune ?(capacity = default_capacity) ?(skipped_duplicates = 0) ~interval
     else begin
       kept.(!kept_n) <- e;
       kept_peak.(!kept_n) <- pe;
+      kept_ends.(!kept_n) <- e_ends;
       incr kept_n
     end
   done;

@@ -9,7 +9,10 @@
     coupling caps drawn between nets of the same or adjacent logic
     levels inside a cone (overlapping switching windows, i.e. real
     aggressors). Each cone folds its sink-less nets through a collector
-    tree into a single primary output, keeping sink selection linear.
+    tree into a single primary output, so a design has one primary
+    output per cone. (Sink selection is linear in the output count
+    either way; the trees stay because the fingerprint below pins
+    them.)
 
     Generation is fully deterministic in the spec (a single seeded
     stream, fixed draw order): the Tka_verify oracle pins a fingerprint

@@ -14,6 +14,10 @@
 val saturation_slews : float
 (** 3.0 — the per-stage saturation bound, in victim slews. *)
 
+val saturate : victim:Tka_waveform.Transition.t -> float -> float
+(** [saturate ~victim d]: [d] capped at {!saturation_slews} victim
+    slews. *)
+
 val victim_transition :
   windows:Envelope_builder.windows ->
   own_noise:float ->

@@ -34,15 +34,17 @@ let peak = Pwl.max_value
 let encapsulates ?interval a b =
   match interval with
   | None -> Pwl.dominates a b
-  | Some i -> Pwl.dominates_on i a b
+  | Some i -> Pwl.dominates_on i a (Pwl.ends i a) b (Pwl.ends i b)
 
 let noisy_waveform ~victim e = Pwl.sub (Transition.waveform victim) e
 
-let delay_noise ~victim e =
-  let noisy = noisy_waveform ~victim e in
-  match Pwl.last_upcrossing noisy 0.5 with
+let crossing_delay ~victim ~neg w e =
+  match Pwl.last_upcrossing2 ~neg w e 0.5 with
   | None -> 0.
   | Some t -> Float.max 0. (t -. victim.Transition.t50)
+
+let delay_noise ~victim e =
+  crossing_delay ~victim ~neg:true (Transition.waveform victim) e
 
 let support e = Pwl.support e
 

@@ -74,9 +74,18 @@ val delay_noise : victim:Transition.t -> t -> float
     noise, the worst case for delay). Always >= 0; 0 when the envelope
     cannot move the crossing (e.g. ends before [t50]). *)
 
+val crossing_delay : victim:Transition.t -> neg:bool -> Pwl.t -> t -> float
+(** [crossing_delay ~victim ~neg w e]: how far past the victim's [t50]
+    the last 0.5 upcrossing of [w - e] ([neg]) or [w + e] lies, 0 when
+    it lies earlier or there is none. [delay_noise] is the case
+    [w = Transition.waveform victim], [neg = true]; a caller scoring many
+    envelopes against one victim builds that ramp once. One fused
+    co-scan ({!Pwl.last_upcrossing2}): the sum is never built. *)
+
 val noisy_waveform : victim:Transition.t -> t -> Pwl.t
 (** The superposition [victim - e], clipped to [\[0, 1\]] below/above
-    nothing — the raw subtracted waveform used by [delay_noise]. *)
+    nothing — the raw subtracted waveform whose crossing [delay_noise]
+    measures. *)
 
 val support : t -> Tka_util.Interval.t option
 

@@ -146,9 +146,9 @@ let seg_index t x =
     !lo
   end
 
-let eval t x =
+(* Value at [x] given [i = seg_index t x]. *)
+let eval_seg t i x =
   let n = t.len in
-  let i = seg_index t x in
   if i < 0 then gy t 0
   else if i >= n - 1 then gy t (n - 1)
   else begin
@@ -156,6 +156,8 @@ let eval t x =
     let y0 = gy t i and y1 = gy t (i + 1) in
     y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0))
   end
+
+let eval t x = eval_seg t (seg_index t x) x
 
 let max_value t =
   if Float.is_nan t.peak then begin
@@ -311,6 +313,65 @@ let combine2 ~neg a b =
 
 let add a b = combine2 ~neg:false a b
 let sub a b = combine2 ~neg:true a b
+
+(* [last_upcrossing (combine2 ~neg a b) level] without the waveform: the
+   co-scan's points go through [simplify_into]'s rule as they come (a
+   point is kept unless it is collinear with the last kept point and
+   the next scanned one; the first and last points are always kept),
+   and [last_upcrossing]'s rightmost kept point below [level] that has
+   a successor is remembered with that successor. The points, the
+   rule and the final interpolation are those of the two-step path, so
+   the result is bit-identical. *)
+type upcross = {
+  mutable kx : float;
+  mutable ky : float;  (* last kept point *)
+  mutable cx : float;
+  mutable cy : float;  (* scanned, not yet decided *)
+  mutable bx0 : float;
+  mutable by0 : float;
+  mutable bx1 : float;
+  mutable by1 : float;  (* last kept segment rising from below [level] *)
+}
+
+let last_upcrossing2 ~neg a b level =
+  let s, p = scan_start () in
+  let u =
+    { kx = 0.; ky = 0.; cx = 0.; cy = 0.; bx0 = 0.; by0 = 0.; bx1 = 0.; by1 = 0. }
+  in
+  let found = ref false in
+  (* the kept segment (k, c) *)
+  let[@inline] segment () =
+    if u.ky < level then begin
+      found := true;
+      u.bx0 <- u.kx;
+      u.by0 <- u.ky;
+      u.bx1 <- u.cx;
+      u.by1 <- u.cy
+    end
+  in
+  let n = ref 0 in
+  while scan_next a b s p do
+    let x = p.px and y = if neg then p.pya -. p.pyb else p.pya +. p.pyb in
+    if !n = 0 then begin
+      u.kx <- x;
+      u.ky <- y
+    end
+    else begin
+      if !n >= 2 && not (collinear u.kx u.ky u.cx u.cy x y) then begin
+        segment ();
+        u.kx <- u.cx;
+        u.ky <- u.cy
+      end;
+      u.cx <- x;
+      u.cy <- y
+    end;
+    incr n
+  done;
+  let last_y = if !n >= 2 then (segment (); u.cy) else u.ky in
+  if last_y < level || not !found then None
+  else
+    let x0 = u.bx0 and x1 = u.bx1 and y0 = u.by0 and y1 = u.by1 in
+    Some (x0 +. ((x1 -. x0) *. (level -. y0) /. (y1 -. y0)))
 
 (* k-way superposition: one pass over the union of all operand
    breakpoints, allocating only the output slice. Two fronts share the
@@ -549,15 +610,60 @@ let dominates ?(eps = F.default_eps) a b =
           !ok
         end
 
-let dominates_on ?(eps = F.default_eps) interval a b =
+(* Where a waveform meets a dominance interval: its values at both
+   ends ([eval]'s, bit for bit) and [seek], the index of its first
+   breakpoint past [lo]. Computed once per waveform and interval, they
+   replace the endpoint evaluations and the scan prefix of every
+   dominance test the waveform takes part in. *)
+type ends = { lo_y : float; hi_y : float; seek : int }
+
+let ends interval t =
   let lo = Interval.lo interval and hi = Interval.hi interval in
-  let ok x = eval a x >= eval b x -. eps in
-  ok lo && ok hi
+  let i = seg_index t lo in
+  { lo_y = eval_seg t i lo; hi_y = eval t hi; seek = i + 1 }
+
+(* A co-scan of [a] and [b] started at the interval instead of at index
+   0. Starting at the first merged abscissa past [lo] would be wrong
+   only when the full scan's [x_eps] dedupe could drop that point
+   because of an earlier one, so the start steps back over merged
+   abscissae until the first one to visit lies more than [x_eps] past
+   the one before it (or nothing precedes it). The full scan emits such
+   a point whatever it emitted earlier, so with [plast] seeded to the
+   abscissa before it both scans emit the same points with the same
+   cursors from there on; the points before [lo] that the step-back
+   adds are skipped by the callers as before. *)
+let scan_seek a ea b eb =
+  let i = ref ea.seek and j = ref eb.seek in
+  let plast = ref Float.neg_infinity and go = ref true in
+  while !go && (!i > 0 || !j > 0) do
+    let pa = if !i > 0 then gx a (!i - 1) else Float.neg_infinity
+    and pb = if !j > 0 then gx b (!j - 1) else Float.neg_infinity in
+    let prev = Float.max pa pb in
+    let next =
+      Float.min
+        (if !i < a.len then gx a !i else Float.infinity)
+        (if !j < b.len then gx b !j else Float.infinity)
+    in
+    if next -. prev > x_eps then begin
+      plast := prev;
+      go := false
+    end
+    else begin
+      if !i > 0 && pa = prev then decr i;
+      if !j > 0 && pb = prev then decr j
+    end
+  done;
+  ({ si = !i; sj = !j }, { px = 0.; pya = 0.; pyb = 0.; plast = !plast })
+
+let dominates_on ?(eps = F.default_eps) interval a ea b eb =
+  let lo = Interval.lo interval and hi = Interval.hi interval in
+  ea.lo_y >= eb.lo_y -. eps
+  && ea.hi_y >= eb.hi_y -. eps
   && begin
        (* interior merged points only; the scan is ascending, so stop
           once past [hi] *)
        let good = ref true and go = ref true in
-       let s, p = scan_start () in
+       let s, p = scan_seek a ea b eb in
        while !go && scan_next a b s p do
          let x = p.px in
          if x <= lo then ()
@@ -570,18 +676,17 @@ let dominates_on ?(eps = F.default_eps) interval a b =
        !good
      end
 
-(* Both directions of [dominates_on] from one endpoint evaluation and
-   one co-scan. The merged abscissae and the values the co-scan reports
-   at them do not depend on operand order, so testing [yb >= ya - eps]
-   here is exactly the test [dominates_on interval b a] makes. *)
-let dominates_on_pair ?(eps = F.default_eps) interval a b =
+(* Both directions of [dominates_on] from one co-scan. The merged
+   abscissae and the values the co-scan reports at them do not depend
+   on operand order, so testing [yb >= ya - eps] here is exactly the
+   test [dominates_on interval b eb a ea] makes. *)
+let dominates_on_pair ?(eps = F.default_eps) interval a ea b eb =
   let lo = Interval.lo interval and hi = Interval.hi interval in
-  let alo = eval a lo and blo = eval b lo and ahi = eval a hi and bhi = eval b hi in
-  let fwd = ref (alo >= blo -. eps && ahi >= bhi -. eps)
-  and bwd = ref (blo >= alo -. eps && bhi >= ahi -. eps) in
+  let fwd = ref (ea.lo_y >= eb.lo_y -. eps && ea.hi_y >= eb.hi_y -. eps)
+  and bwd = ref (eb.lo_y >= ea.lo_y -. eps && eb.hi_y >= ea.hi_y -. eps) in
   if !fwd || !bwd then begin
     let go = ref true in
-    let s, p = scan_start () in
+    let s, p = scan_seek a ea b eb in
     while !go && scan_next a b s p do
       let x = p.px and ya = p.pya and yb = p.pyb in
       if x <= lo then ()

@@ -106,16 +106,28 @@ val dominates : ?eps:float -> t -> t -> bool
     A two-cursor co-scan with a peak prefilter; returns at the first
     violated point. *)
 
-val dominates_on : ?eps:float -> Tka_util.Interval.t -> t -> t -> bool
-(** Same, restricted to a closed interval (the dominance interval of
-    Section 3.2). *)
+type ends
+(** A waveform's values at both ends of an interval and the position
+    where a co-scan of it enters the interval. *)
+
+val ends : Tka_util.Interval.t -> t -> ends
+(** [ends i f]: computed once per waveform and interval (two binary
+    searches), then passed to every dominance test of [f] on [i]. *)
+
+val dominates_on :
+  ?eps:float -> Tka_util.Interval.t -> t -> ends -> t -> ends -> bool
+(** [dominates_on i a ea b eb]: {!dominates} restricted to the closed
+    interval [i] (the dominance interval of Section 3.2), where
+    [ea = ends i a] and [eb = ends i b]. The co-scan starts at the
+    interval, not at the first breakpoints, and visits exactly the
+    points a scan from the start would visit there. *)
 
 val dominates_on_pair :
-  ?eps:float -> Tka_util.Interval.t -> t -> t -> bool * bool
-(** [dominates_on_pair i a b] is exactly
-    [(dominates_on i a b, dominates_on i b a)], computed with one
-    evaluation of each endpoint and one co-scan that stops once both
-    directions have failed or the scan passes the interval. *)
+  ?eps:float -> Tka_util.Interval.t -> t -> ends -> t -> ends -> bool * bool
+(** [dominates_on_pair i a ea b eb] is exactly
+    [(dominates_on i a ea b eb, dominates_on i b eb a ea)], computed with
+    one co-scan that stops once both directions have failed or the scan
+    passes the interval. *)
 
 val equal : ?eps:float -> t -> t -> bool
 
@@ -127,6 +139,12 @@ val last_upcrossing : t -> float -> float option
     waveform rises through [level]. [None] if [f] never reaches [level]
     from below, or only sits at it. For a noisy rising transition this is
     the noisy [t50] when [level = 0.5]. *)
+
+val last_upcrossing2 : neg:bool -> t -> t -> float -> float option
+(** [last_upcrossing2 ~neg a b level] is
+    [last_upcrossing (if neg then sub a b else add a b) level], bit for
+    bit, from one co-scan that builds no waveform: the combined points
+    are simplified and searched as they are scanned. *)
 
 val first_upcrossing : t -> float -> float option
 

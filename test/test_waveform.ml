@@ -432,8 +432,9 @@ let kernel_qcheck_tests =
         Pwl.min_value a = expected);
     Test.make ~name:"paired dominance matches dominates_on" ~count:1000
       arb_pair_case (fun (a, b, iv) ->
-        Pwl.dominates_on_pair iv a b
-        = (Pwl.dominates_on iv a b, Pwl.dominates_on iv b a));
+        let ea = Pwl.ends iv a and eb = Pwl.ends iv b in
+        Pwl.dominates_on_pair iv a ea b eb
+        = (Pwl.dominates_on iv a ea b eb, Pwl.dominates_on iv b eb a ea));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -822,7 +823,8 @@ let kernel_bits_tests =
         && Pwl.dominates b a = Old_kernels.dominates ~eps b a);
     Test.make ~name:"dominates_on_pair matches the closure co-scan" ~count:1000
       arb_pair_case (fun (a, b, iv) ->
-        Pwl.dominates_on_pair iv a b = Old_kernels.dominates_on_pair ~eps iv a b);
+        Pwl.dominates_on_pair iv a (Pwl.ends iv a) b (Pwl.ends iv b)
+        = Old_kernels.dominates_on_pair ~eps iv a b);
     Test.make ~name:"sum is bit-identical to the old front" ~count:2000 arb_sum_operands
       (fun ws -> same_bits (Old_kernels.sum ws) (Pwl.breakpoints (Pwl.sum ws)));
     Test.make ~name:"create is bit-identical to sort-and-merge" ~count:2000

@@ -15,15 +15,17 @@ type t = {
      coupling table it was stored (or remapped) under — keys alone
      cannot catch a mismatch because they are deliberately id-free. *)
   mutable universe : Fnv.t option;
+  mutable generation : int; (* stores and clears so far, under [mutex] *)
 }
 
 let create () =
-  { tbl = Hashtbl.create 256; mutex = Mutex.create (); universe = None }
+  { tbl = Hashtbl.create 256; mutex = Mutex.create (); universe = None; generation = 0 }
 
 let clear t =
   Mutex.lock t.mutex;
   Hashtbl.reset t.tbl;
   t.universe <- None;
+  t.generation <- t.generation + 1;
   Mutex.unlock t.mutex
 
 let universe t = t.universe
@@ -34,6 +36,12 @@ let size t =
   let n = Hashtbl.length t.tbl in
   Mutex.unlock t.mutex;
   n
+
+let generation t =
+  Mutex.lock t.mutex;
+  let g = t.generation in
+  Mutex.unlock t.mutex;
+  g
 
 let find t ~mode ~net ~key =
   Mutex.lock t.mutex;
@@ -46,6 +54,7 @@ let find t ~mode ~net ~key =
 let store t ~mode ~net ~key cv =
   Mutex.lock t.mutex;
   Hashtbl.replace t.tbl (Engine.mode_tag mode, net) { e_key = key; e_cv = cv };
+  t.generation <- t.generation + 1;
   Mutex.unlock t.mutex
 
 (* ------------------------------------------------------------------ *)

@@ -44,6 +44,15 @@ val size : t -> int
 val clear : t -> unit
 (** Drop every record and the recorded universe. *)
 
+val generation : t -> int
+(** How many {!store}s and {!clear}s this cache has seen. The engine
+    stores exactly once per missed lookup, so an {!Analyzer.run} that
+    moves the generation by exactly its [rs_misses] saw no other
+    writer; while the generation then stays put, a re-run of the same
+    analysis would hit on every victim. [Tka_serve] memoizes analyses
+    on this rule. A fresh, loaded or {!remapped_copy} cache starts
+    at 0. *)
+
 val universe : t -> Fnv.t option
 (** The coupling-universe hash the stored values are expressed in
     ([None] for a fresh cache). *)

@@ -116,6 +116,7 @@ type report = {
   pr_span_count : int;
   pr_wall_s : float;  (** first start to last end *)
   pr_aggregates : agg list;  (** total-time descending *)
+  pr_requests : agg list;  (** [serve.request] spans per method *)
   pr_victims : victim list;  (** slowest first, truncated to [top] *)
   pr_alloc_hotspots : agg list;  (** self-allocation descending *)
 }
@@ -160,61 +161,78 @@ let self_times spans =
       (sp, Int64.max 0L self))
     arr
 
+(* Sum the spans [key] maps to [Some label] into one row per label,
+   total-time descending. *)
+let aggregate key with_self =
+  let rows : (string, agg ref) Hashtbl.t = Hashtbl.create 32 in
+  Array.iter
+    (fun (sp, self_ns) ->
+      match key sp with
+      | None -> ()
+      | Some label ->
+        let a =
+          match Hashtbl.find_opt rows label with
+          | Some a -> a
+          | None ->
+            let a =
+              ref
+                {
+                  ag_name = label;
+                  ag_cat = sp.Trace.sp_cat;
+                  ag_count = 0;
+                  ag_total_s = 0.;
+                  ag_self_s = 0.;
+                  ag_minor_words = 0.;
+                  ag_major_words = 0.;
+                  ag_minor_collections = 0;
+                  ag_major_collections = 0;
+                }
+            in
+            Hashtbl.replace rows label a;
+            a
+        in
+        let mw, gw, mc, gc =
+          match sp.Trace.sp_gc with
+          | Some g ->
+            ( g.Trace.gd_minor_words,
+              g.Trace.gd_major_words,
+              g.Trace.gd_minor_collections,
+              g.Trace.gd_major_collections )
+          | None -> (0., 0., 0, 0)
+        in
+        a :=
+          {
+            !a with
+            ag_count = !a.ag_count + 1;
+            ag_total_s = !a.ag_total_s +. s_of_ns sp.Trace.sp_dur_ns;
+            ag_self_s = !a.ag_self_s +. s_of_ns self_ns;
+            ag_minor_words = !a.ag_minor_words +. mw;
+            ag_major_words = !a.ag_major_words +. gw;
+            ag_minor_collections = !a.ag_minor_collections + mc;
+            ag_major_collections = !a.ag_major_collections + gc;
+          })
+    with_self;
+  Hashtbl.fold (fun _ a acc -> !a :: acc) rows []
+  |> List.sort (fun a b ->
+         match Float.compare b.ag_total_s a.ag_total_s with
+         | 0 -> String.compare a.ag_name b.ag_name
+         | c -> c)
+
+(* A [serve.request] span's row: its method, marked when the session's
+   memo answered the request's analysis. *)
+let request_label sp =
+  if sp.Trace.sp_name <> "serve.request" then None
+  else
+    let arg k = List.assoc_opt k sp.Trace.sp_args in
+    match arg "method" with
+    | Some (J.Str m) ->
+      Some (if arg "memo" = Some (J.Bool true) then m ^ " (memo)" else m)
+    | _ -> Some "?"
+
 let analyze ?(top = 10) spans =
   let spans = List.filter (fun s -> s.Trace.sp_dur_ns >= 0L) spans in
   let with_self = self_times spans in
-  let by_name : (string, agg ref) Hashtbl.t = Hashtbl.create 32 in
-  Array.iter
-    (fun (sp, self_ns) ->
-      let a =
-        match Hashtbl.find_opt by_name sp.Trace.sp_name with
-        | Some a -> a
-        | None ->
-          let a =
-            ref
-              {
-                ag_name = sp.Trace.sp_name;
-                ag_cat = sp.Trace.sp_cat;
-                ag_count = 0;
-                ag_total_s = 0.;
-                ag_self_s = 0.;
-                ag_minor_words = 0.;
-                ag_major_words = 0.;
-                ag_minor_collections = 0;
-                ag_major_collections = 0;
-              }
-          in
-          Hashtbl.replace by_name sp.Trace.sp_name a;
-          a
-      in
-      let mw, gw, mc, gc =
-        match sp.Trace.sp_gc with
-        | Some g ->
-          ( g.Trace.gd_minor_words,
-            g.Trace.gd_major_words,
-            g.Trace.gd_minor_collections,
-            g.Trace.gd_major_collections )
-        | None -> (0., 0., 0, 0)
-      in
-      a :=
-        {
-          !a with
-          ag_count = !a.ag_count + 1;
-          ag_total_s = !a.ag_total_s +. s_of_ns sp.Trace.sp_dur_ns;
-          ag_self_s = !a.ag_self_s +. s_of_ns self_ns;
-          ag_minor_words = !a.ag_minor_words +. mw;
-          ag_major_words = !a.ag_major_words +. gw;
-          ag_minor_collections = !a.ag_minor_collections + mc;
-          ag_major_collections = !a.ag_major_collections + gc;
-        })
-    with_self;
-  let aggregates =
-    Hashtbl.fold (fun _ a acc -> !a :: acc) by_name []
-    |> List.sort (fun a b ->
-           match Float.compare b.ag_total_s a.ag_total_s with
-           | 0 -> String.compare a.ag_name b.ag_name
-           | c -> c)
-  in
+  let aggregates = aggregate (fun sp -> Some sp.Trace.sp_name) with_self in
   let victims =
     List.filter_map
       (fun sp ->
@@ -275,6 +293,7 @@ let analyze ?(top = 10) spans =
     pr_span_count = List.length spans;
     pr_wall_s = wall;
     pr_aggregates = aggregates;
+    pr_requests = aggregate request_label with_self;
     pr_victims = victims;
     pr_alloc_hotspots = alloc_hotspots;
   }
@@ -318,6 +337,29 @@ let render r =
         ])
     r.pr_aggregates;
   Buffer.add_string buf (Tt.render t);
+  if r.pr_requests <> [] then begin
+    Buffer.add_string buf "\nServe requests per method:\n";
+    let t =
+      Tt.create
+        ~headers:
+          [
+            ("method", Tt.Left); ("count", Tt.Right); ("total (s)", Tt.Right);
+            ("mean (ms)", Tt.Right); ("self (s)", Tt.Right);
+          ]
+    in
+    List.iter
+      (fun a ->
+        Tt.add_row t
+          [
+            a.ag_name;
+            Tt.cell_i a.ag_count;
+            Tt.cell_f ~decimals:3 a.ag_total_s;
+            Tt.cell_f ~decimals:3 (1e3 *. a.ag_total_s /. float_of_int a.ag_count);
+            Tt.cell_f ~decimals:3 a.ag_self_s;
+          ])
+      r.pr_requests;
+    Buffer.add_string buf (Tt.render t)
+  end;
   if r.pr_victims <> [] then begin
     Buffer.add_string buf "\nSlowest victims (prune attribution):\n";
     let t =
@@ -401,6 +443,7 @@ let to_json r =
       ("span_count", J.Int r.pr_span_count);
       ("wall_s", J.Float r.pr_wall_s);
       ("spans", J.List (List.map agg_json r.pr_aggregates));
+      ("requests", J.List (List.map agg_json r.pr_requests));
       ("victims", J.List (List.map victim_json r.pr_victims));
       ("alloc_hotspots", J.List (List.map agg_json r.pr_alloc_hotspots));
     ]

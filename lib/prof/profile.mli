@@ -2,7 +2,8 @@
     from {!Tka_obs.Trace.spans}, or reconstructed from a Chrome-trace
     dump — into self/total time per span name, the slowest
     [engine.victim] spans with their prune attribution
-    (candidates/dominated/capped from the span args), and allocation
+    (candidates/dominated/capped from the span args), [tka serve]
+    handler time per RPC method (the [serve.request] spans), and allocation
     hotspots from the per-span GC deltas.
 
     Self time is computed by interval containment on one timeline, so
@@ -34,6 +35,9 @@ type report = {
   pr_span_count : int;
   pr_wall_s : float;  (** first span start to last span end *)
   pr_aggregates : agg list;  (** total-time descending *)
+  pr_requests : agg list;
+      (** [serve.request] spans, one row per method (["analyze (memo)"]
+          when the session's memo answered), total-time descending *)
   pr_victims : victim list;  (** slowest first, truncated to [top] *)
   pr_alloc_hotspots : agg list;  (** total-allocation descending *)
 }

@@ -79,8 +79,24 @@ let admitted t ~id ~params f =
       Proto.error_response ~id code msg
     | Ok reply -> reply)
 
+(* One [serve.request] span per dispatched request (batch members
+   included), named by method; an analysis verb also records whether
+   the session's memo answered any of its analyses. *)
 let rec dispatch t session ~in_batch (rq : Proto.request) =
   Metrics.Counter.incr c_requests;
+  let meth = rq.Proto.rq_method in
+  let reuses0 = Session.reuses session in
+  Tka_obs.Trace.with_span_args ~cat:"serve"
+    ~args:[ ("method", J.Str meth) ]
+    "serve.request"
+    (fun _ ->
+      match meth with
+      | "analyze" | "whatif" | "eco" | "repair" ->
+        [ ("memo", J.Bool (Session.reuses session > reuses0)) ]
+      | _ -> [])
+    (fun () -> dispatch_method t session ~in_batch rq)
+
+and dispatch_method t session ~in_batch (rq : Proto.request) =
   let id = rq.Proto.rq_id in
   let params = rq.Proto.rq_params in
   let err code msg = Proto.error_response ~id code msg in

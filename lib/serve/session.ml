@@ -12,8 +12,20 @@ module Repair = Tka_incr.Repair
 module Engine = Tka_topk.Engine
 module Elimination = Tka_topk.Elimination
 module CS = Tka_topk.Coupling_set
+module Metrics = Tka_obs.Metrics
 
 let ( let* ) = Result.bind
+
+let c_reuses = Metrics.Counter.make "serve.analysis_reuses"
+
+(* A recorded analysis of one design state under one filter, valid
+   while [m_cache] has seen no store or clear since the run. *)
+type memo = {
+  m_cache : Cache.t;  (* the analyzer's cache the run went through *)
+  m_generation : int;  (* its generation just after the run *)
+  m_elim : Elimination.t;
+  m_stats : Analyzer.run_stats;  (* as a re-run on that cache reports them *)
+}
 
 type design = {
   d_name : string;
@@ -21,7 +33,6 @@ type design = {
   d_topo : Topo.t;
   d_fp : Tka_incr.Fnv.t;
   d_cache : Cache.t;  (* the registry tenant all analyzers share *)
-  d_analyzer : Analyzer.t;  (* filter [Off] — the default *)
   d_analyzers : (Tka_filter.Mode.t, Analyzer.t) Hashtbl.t;
       (* per-filter-mode analyzers over [d_cache], created on first
          use. Config hashes include the filter mode, so results from
@@ -32,12 +43,12 @@ type design = {
       (* the all-aggressor fixpoint, a pure function of [d_nl]: computed
          by the first analysis of this design state and handed to every
          later one (forced only by this session's connection thread) *)
+  d_memo : (Tka_filter.Mode.t, memo) Hashtbl.t;
+      (* per filter mode, this state's last analysis; confined like
+         [d_analyzers] *)
 }
 
 let make_design ~name ~nl ~fp ~cache ~k =
-  let analyzer = Analyzer.with_shared_cache ~k ~cache () in
-  let analyzers = Hashtbl.create 4 in
-  Hashtbl.add analyzers Tka_filter.Mode.Off analyzer;
   let topo = Topo.create nl in
   {
     d_name = name;
@@ -45,15 +56,11 @@ let make_design ~name ~nl ~fp ~cache ~k =
     d_topo = topo;
     d_fp = fp;
     d_cache = cache;
-    d_analyzer = analyzer;
-    d_analyzers = analyzers;
+    d_analyzers = Hashtbl.create 4;
     d_k = k;
     d_fix = lazy (Tka_noise.Iterate.run topo);
+    d_memo = Hashtbl.create 4;
   }
-
-(* Every analysis of a design state goes through here, so the state's
-   fixpoint is computed at most once. *)
-let run_analyzer a d = Analyzer.run ~fixpoint:(Lazy.force d.d_fix) a d.d_topo
 
 let analyzer_for d filter =
   match Hashtbl.find_opt d.d_analyzers filter with
@@ -70,10 +77,46 @@ type t = {
   lookup : string -> Tka_cell.Cell.t option;
   default_k : int;
   mutable design : design option;
+  mutable reuses : int;
 }
 
-let create ~registry ~lookup ~default_k = { registry; lookup; default_k; design = None }
+let create ~registry ~lookup ~default_k =
+  { registry; lookup; default_k; design = None; reuses = 0 }
+
 let loaded t = Option.is_some t.design
+let reuses t = t.reuses
+
+(* Every analysis of a design state goes through here, so the state
+   computes its fixpoint at most once, and its analysis under a filter
+   at most once while no one writes to its cache. A run is recorded
+   only when the cache's generation moved by exactly the run's misses
+   (the engine stores once per miss, so any other step means another
+   tenant wrote meanwhile). A re-run on the unchanged cache would
+   return the same result and hit on every victim, so a reused reply
+   reports all of the recorded run's lookups as hits. *)
+let run_analyzer t d filter =
+  let a = analyzer_for d filter in
+  let cache = Analyzer.cache a in
+  match Hashtbl.find_opt d.d_memo filter with
+  | Some m when m.m_cache == cache && Cache.generation cache = m.m_generation ->
+    t.reuses <- t.reuses + 1;
+    Metrics.Counter.incr c_reuses;
+    (m.m_elim, m.m_stats)
+  | _ ->
+    let g0 = Cache.generation cache in
+    let elim, st = Analyzer.run ~fixpoint:(Lazy.force d.d_fix) a d.d_topo in
+    let g1 = Cache.generation cache in
+    let { Analyzer.rs_hits; rs_misses } = st in
+    if g1 - g0 = rs_misses then
+      Hashtbl.replace d.d_memo filter
+        {
+          m_cache = cache;
+          m_generation = g1;
+          m_elim = elim;
+          m_stats = { Analyzer.rs_hits = rs_hits + rs_misses; rs_misses = 0 };
+        }
+    else Hashtbl.remove d.d_memo filter;
+    (elim, st)
 
 let require t =
   match t.design with
@@ -172,7 +215,7 @@ let analyze t params =
   let* mode = bad (Proto.mode_of_params params) in
   let* filter = bad (Proto.filter_of_params params) in
   let t0 = Clock.now_s () in
-  let elim, st = run_analyzer (analyzer_for d filter) d in
+  let elim, st = run_analyzer t d filter in
   Ok (J.Obj (analysis_fields d ~mode ~filter elim st (Clock.now_s () -. t0)))
 
 (* ------------------------------------------------------------------ *)
@@ -222,7 +265,7 @@ let whatif t params =
   let* filter = bad (Proto.filter_of_params params) in
   let t0 = Clock.now_s () in
   let d', dirty = edited_design t d edits in
-  let elim, st = run_analyzer (analyzer_for d' filter) d' in
+  let elim, st = run_analyzer t d' filter in
   Ok
     (J.Obj
        (("edits", J.Int (List.length edits))
@@ -240,7 +283,7 @@ let eco t params =
         Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" d.d_k )
   else
     let t0 = Clock.now_s () in
-    let elim, st = run_analyzer d.d_analyzer d in
+    let elim, st = run_analyzer t d Tka_filter.Mode.Off in
     let rule, set = Eco.choose_fix elim ~fix_k in
     let delay_noisy = elim.Elimination.result.Engine.res_noisy_delay in
     let base =
@@ -272,7 +315,7 @@ let eco t params =
     | Some set ->
       let edits = Eco.removal_edits set in
       let d', dirty = edited_design t d edits in
-      let elim', st' = run_analyzer d'.d_analyzer d' in
+      let elim', st' = run_analyzer t d' Tka_filter.Mode.Off in
       t.design <- Some d';
       Ok
         (J.Obj

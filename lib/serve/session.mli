@@ -11,7 +11,12 @@
     (a load, an eco or repair commit, a whatif's edited copy) computes
     its all-aggressor noise fixpoint at most once and hands it to every
     analysis of that state — exact, since the fixpoint is a pure
-    function of the netlist.
+    function of the netlist. It also keeps its last analysis per
+    filter mode and answers a repeated [analyze] (or [eco]'s pre-edit
+    analysis) from it while the shared cache has seen no store since
+    ({!Tka_incr.Cache.generation}); the reply is byte-identical to a
+    re-run's, cache counters included, and counts in
+    [serve.analysis_reuses].
 
     Methods (see [docs/serving.md] for the wire reference):
 
@@ -38,6 +43,9 @@ val create :
   t
 
 val loaded : t -> bool
+
+val reuses : t -> int
+(** Analyses this session answered from a design state's memo. *)
 
 val handle :
   t -> meth:string -> params:Proto.J.t -> (Proto.J.t, Proto.error_code * string) result

@@ -249,6 +249,42 @@ let test_second_run_all_hits () =
   Alcotest.(check bool) "cached == from scratch" true
     (Eco.elim_identical scratch r2)
 
+(* The serve memo's exactness rests on this: with no other writer, a
+   run moves its cache's generation by exactly its misses (one store
+   per missed lookup), cold, warm (+0) and after an edit. *)
+let test_generation_steps_by_misses () =
+  let step az topo =
+    let cache = Analyzer.cache az in
+    let g0 = Cache.generation cache in
+    let _, st = Analyzer.run az topo in
+    (Cache.generation cache - g0, st)
+  in
+  List.iter
+    (fun jobs ->
+      at_jobs jobs @@ fun () ->
+      List.iter
+        (fun name ->
+          let nl = Option.get (B.by_name name) in
+          let topo = Topo.create nl in
+          let az = Analyzer.create ~k:3 () in
+          let label what = Printf.sprintf "%s jobs %d %s" name jobs what in
+          let d, st = step az topo in
+          Alcotest.(check int) (label "cold run misses everywhere")
+            (num_victim_lookups nl) st.Analyzer.rs_misses;
+          Alcotest.(check int) (label "cold run: generation += misses")
+            st.Analyzer.rs_misses d;
+          let d, st = step az topo in
+          Alcotest.(check int) (label "warm run misses nothing") 0 st.Analyzer.rs_misses;
+          Alcotest.(check int) (label "warm run: generation += 0") 0 d;
+          let az', nl', _ = Analyzer.apply az nl [ Edit.Remove_coupling 0 ] in
+          let d, st = step az' (Topo.create nl') in
+          Alcotest.(check bool) (label "edited run hits and misses") true
+            (st.Analyzer.rs_hits > 0 && st.Analyzer.rs_misses > 0);
+          Alcotest.(check int) (label "edited run: generation += misses")
+            st.Analyzer.rs_misses d)
+        [ "i1"; "i2"; "i3" ])
+    [ 1; 4 ]
+
 let test_edit_reanalysis_identical () =
   let nl = B.c17 () in
   let az = Analyzer.create ~k:4 () in
@@ -531,6 +567,8 @@ let () =
         [
           Alcotest.test_case "second run all hits, identical" `Quick
             test_second_run_all_hits;
+          Alcotest.test_case "generation steps by misses" `Quick
+            test_generation_steps_by_misses;
           Alcotest.test_case "edit then re-analysis identical" `Quick
             test_edit_reanalysis_identical;
           Alcotest.test_case "checkpoint round-trip" `Quick

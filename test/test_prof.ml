@@ -87,6 +87,48 @@ let test_profile_self_time () =
     checkf "totals add" 0.012 a.Profile.ag_total_s
   | _ -> Alcotest.fail "expected one aggregate")
 
+let test_profile_requests () =
+  (* serve.request spans split by method, memo-answered ones apart;
+     the analysis inside the first request is its child *)
+  let req ?memo meth ~start_ms ~dur_ms =
+    span ~cat:"serve" "serve.request" ~start_ms ~dur_ms
+      ~args:
+        (("method", J.Str meth)
+        :: (match memo with Some b -> [ ("memo", J.Bool b) ] | None -> []))
+  in
+  let r =
+    Profile.analyze
+      [
+        req "analyze" ~memo:false ~start_ms:0. ~dur_ms:20.;
+        span "incr.run" ~start_ms:1. ~dur_ms:18.;
+        req "analyze" ~memo:true ~start_ms:30. ~dur_ms:1.;
+        req "analyze" ~memo:true ~start_ms:40. ~dur_ms:2.;
+        req "metrics" ~start_ms:50. ~dur_ms:0.5;
+      ]
+  in
+  let rows =
+    List.map
+      (fun a -> (a.Profile.ag_name, a.Profile.ag_count))
+      r.Profile.pr_requests
+  in
+  Alcotest.(check (list (pair string int)))
+    "one row per method, total-time descending"
+    [ ("analyze", 1); ("analyze (memo)", 2); ("metrics", 1) ]
+    rows;
+  (match r.Profile.pr_requests with
+  | first :: memo :: _ ->
+    checkf "handler time" 0.020 first.Profile.ag_total_s;
+    checkf "self time excludes the analysis" 0.002 first.Profile.ag_self_s;
+    checkf "memo rows add up" 0.003 memo.Profile.ag_total_s
+  | _ -> Alcotest.fail "expected request rows");
+  let text = Profile.render r in
+  let has sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+    go 0
+  in
+  checkb "rendered" true (has "Serve requests per method" && has "analyze (memo)")
+
 let test_profile_victims () =
   let v name ms cand dom cap =
     span "engine.victim" ~start_ms:0. ~dur_ms:ms
@@ -436,6 +478,7 @@ let () =
         [
           Alcotest.test_case "self time" `Quick test_profile_self_time;
           Alcotest.test_case "victim attribution" `Quick test_profile_victims;
+          Alcotest.test_case "requests per method" `Quick test_profile_requests;
           Alcotest.test_case "alloc hotspots" `Quick
             test_profile_alloc_hotspots;
           Alcotest.test_case "chrome trace round trip" `Quick

@@ -461,24 +461,61 @@ let test_concurrent_sessions () =
    it, eco's pre-edit analysis included, reuses it, and the design an
    eco commits keeps the one its post-edit analysis computed. Replies
    stay byte-identical to a fresh analyzer's. *)
+(* Each design state computes its fixpoint once, and its analysis
+   once per filter while nobody writes to its cache: the replies the
+   session's memo answers are byte-identical to a genuine re-run's,
+   cache counters included. *)
 let test_fixpoint_reuse () =
   let nl = Option.get (B.by_name "i1") in
+  let body = Nf.print nl in
   let runs = Metrics.Counter.make "iterate.runs" in
+  let engine_runs = Metrics.Counter.make "engine.runs" in
+  let reuses = Metrics.Counter.make "serve.analysis_reuses" in
   Metrics.with_enabled true @@ fun () ->
-  let srv = make_server () in
-  let sess = session srv in
-  ignore
-    (result_exn "load"
-       (rpc srv sess "load" (J.Obj [ ("netlist", J.Str (Nf.print nl)); ("k", J.Int 4) ])));
-  let r0 = Metrics.Counter.value runs in
-  let replies =
-    List.map
-      (fun params -> strip_volatile (result_exn "analyze" (rpc srv sess "analyze" params)))
-      [ J.Obj []; J.Obj [ ("mode", J.Str "add") ]; J.Obj [] ]
+  (* engine runs of one analysis (both dual modes) *)
+  let per_analysis =
+    let e0 = Metrics.Counter.value engine_runs in
+    ignore (Analyzer.run (Analyzer.create ~k:4 ()) (Topo.create (Nf.parse ~lookup body)));
+    Metrics.Counter.value engine_runs - e0
   in
-  Alcotest.(check int) "three analyses, one fixpoint" 1 (Metrics.Counter.value runs - r0);
+  let srv = make_server () in
+  let loaded ?(k = 4) () =
+    let sess = session srv in
+    ignore
+      (result_exn "load"
+         (rpc srv sess "load" (J.Obj [ ("netlist", J.Str body); ("k", J.Int k) ])));
+    sess
+  in
+  let analyze ?(params = J.Obj []) sess = result_exn "analyze" (rpc srv sess "analyze" params) in
+  let strip_elapsed = function
+    | J.Obj kvs -> J.to_string (J.Obj (List.filter (fun (k, _) -> k <> "elapsed_s") kvs))
+    | j -> J.to_string j
+  in
+  (* what the counters moved by across [f] *)
+  let moved f =
+    let i0 = Metrics.Counter.value runs
+    and e0 = Metrics.Counter.value engine_runs
+    and r0 = Metrics.Counter.value reuses in
+    let x = f () in
+    ( x,
+      ( Metrics.Counter.value runs - i0,
+        Metrics.Counter.value engine_runs - e0,
+        Metrics.Counter.value reuses - r0 ) )
+  in
+  let check_moved what (i, e, r) (i', e', r') =
+    Alcotest.(check (list int)) (what ^ ": fixpoints, engine runs, reuses") [ i; e; r ] [ i'; e'; r' ]
+  in
+  let sess = loaded () in
+  let replies, c =
+    moved (fun () ->
+        List.map
+          (fun params -> analyze ~params sess)
+          [ J.Obj []; J.Obj [ ("mode", J.Str "add") ]; J.Obj [] ])
+  in
+  check_moved "three analyses" (1, per_analysis, 2) c;
+  let replies = List.map strip_volatile replies in
   (* the reference: a fresh analyzer on the netlist the session parsed *)
-  let parsed = Nf.parse ~lookup (Nf.print nl) in
+  let parsed = Nf.parse ~lookup body in
   let elim, _ = Analyzer.run (Analyzer.create ~k:4 ()) (Topo.create parsed) in
   let fresh mode =
     let res =
@@ -521,15 +558,59 @@ let test_fixpoint_reuse () =
       Alcotest.(check string) "reply equals a fresh analyzer's"
         (J.to_string (fresh mode)) (J.to_string r))
     [ `Elim; `Add; `Elim ] replies;
-  (* eco: the pre-edit analysis reuses the loaded state's fixpoint, the
-     post-edit one computes the committed state's, which the next
-     analysis reuses *)
-  let r1 = Metrics.Counter.value runs in
-  let eco = result_exn "eco" (rpc srv sess "eco" (J.Obj [])) in
+  (* a genuine re-run on the unchanged cache: another session's first
+     analysis of the same design; it hits everywhere and stores
+     nothing, so the memo stays valid *)
+  let add = J.Obj [ ("mode", J.Str "add") ] in
+  let memo_add, c = moved (fun () -> analyze ~params:add sess) in
+  check_moved "memo answers add" (0, 0, 1) c;
+  let genuine_add, c = moved (fun () -> analyze ~params:add (loaded ())) in
+  check_moved "genuine re-run" (1, per_analysis, 0) c;
+  Alcotest.(check int) "a re-run misses nothing" 0 (int_member "cache_misses" genuine_add);
+  Alcotest.(check string) "memo reply == genuine re-run, counters included"
+    (strip_elapsed genuine_add) (strip_elapsed memo_add);
+  let memo_elim, c = moved (fun () -> analyze sess) in
+  check_moved "memo survives a cache reader" (0, 0, 1) c;
+  Alcotest.(check string) "memo reply == genuine re-run (elim)"
+    (strip_elapsed (analyze (loaded ()))) (strip_elapsed memo_elim);
+  (* a whatif writes only to its edited fingerprint's cache *)
+  ignore
+    (result_exn "whatif"
+       (rpc srv sess "whatif"
+          (J.Obj
+             [
+               ( "edits",
+                 J.List [ J.Obj [ ("op", J.Str "remove_coupling"); ("coupling", J.Int 0) ] ] );
+             ])));
+  let after_whatif, c = moved (fun () -> analyze sess) in
+  check_moved "memo survives a whatif" (0, 0, 1) c;
+  Alcotest.(check string) "same reply after the whatif" (strip_elapsed memo_elim)
+    (strip_elapsed after_whatif);
+  (* a co-tenant with another k shares the cache but not the keys: its
+     analysis overwrites every slot, so the next one runs for real *)
+  ignore (analyze (loaded ~k:3 ()));
+  let rerun, c = moved (fun () -> analyze sess) in
+  check_moved "a co-tenant's stores end the memo" (0, per_analysis, 0) c;
+  Alcotest.(check int) "the re-run misses everywhere"
+    (int_member "cache_hits" memo_elim)
+    (int_member "cache_misses" rerun);
+  Alcotest.(check string) "same result after the re-run"
+    (J.to_string (strip_volatile memo_elim))
+    (J.to_string (strip_volatile rerun));
+  (* eco: the pre-edit analysis is answered by the memo, the post-edit
+     one computes the committed state's fixpoint and analysis, which
+     answer the next analyze *)
+  let eco, c = moved (fun () -> result_exn "eco" (rpc srv sess "eco" (J.Obj []))) in
   Alcotest.(check bool) "eco committed an edit" true (int_member "edits" eco > 0);
-  ignore (result_exn "analyze" (rpc srv sess "analyze" (J.Obj [])));
-  Alcotest.(check int) "eco and the next analysis, one fixpoint" 1
-    (Metrics.Counter.value runs - r1)
+  check_moved "eco" (1, per_analysis, 1) c;
+  Alcotest.(check int) "eco's pre-edit analysis is the memo's"
+    (int_member "cache_misses" rerun) (int_member "analysis_hits" eco);
+  let next, c = moved (fun () -> analyze sess) in
+  check_moved "the analysis after eco" (0, 0, 1) c;
+  Alcotest.(check int) "all of eco's lookups hit"
+    (int_member "cache_hits" eco + int_member "cache_misses" eco)
+    (int_member "cache_hits" next);
+  Alcotest.(check int) "nothing missed" 0 (int_member "cache_misses" next)
 
 (* ------------------------------------------------------------------ *)
 (* Shared victim cache across sessions                                *)

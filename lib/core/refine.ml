@@ -1,4 +1,6 @@
 module Iterate = Tka_noise.Iterate
+module Trace = Tka_obs.Trace
+module J = Tka_obs.Jsonx
 
 let binomial n k =
   if k < 0 || k > n then 0
@@ -134,7 +136,11 @@ let pool t i =
 
 (* exact scores through the shared ctx; the first strictly better delay
    wins *)
-let best_of t sets =
+let best_of t ~k sets =
+  Trace.with_span ~cat:"refine"
+    ~args:[ ("k", J.Int k); ("sets", J.Int (List.length sets)) ]
+    "refine.best_choice"
+  @@ fun () ->
   let better = Engine.better (mode t) in
   match
     List.map (fun s -> (s, exact_delay ~mode:(mode t) ~ctx:t.ctx t.topo s)) sets
@@ -146,7 +152,7 @@ let best_of t sets =
          (fun (bs, bd) (s, d) -> if better d bd then (s, d) else (bs, bd))
          first rest)
 
-let best_choice t i = best_of t (pool t i)
+let best_choice t i = best_of t ~k:i (pool t i)
 
 let evaluate t i =
   match best_choice t i with
@@ -172,5 +178,5 @@ let evaluate_curve t ~ks =
         (fun (s, d) ->
           best := Some (s, d);
           (k, s, d))
-        (best_of t cands))
+        (best_of t ~k cands))
     ks

@@ -8,6 +8,7 @@ module CP = Tka_sta.Critical_path
 module Iterate = Tka_noise.Iterate
 module J = Tka_obs.Jsonx
 module Log = Tka_obs.Log
+module Trace = Tka_obs.Trace
 
 let log_src = Log.Src.create "repair" ~doc:"autonomous ECO repair loop"
 
@@ -357,6 +358,8 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
      analyzer was never touched, which is what makes rollback
      bit-exact. *)
   let trial edits =
+    Trace.with_span ~cat:"incr" ~args:[ ("edits", J.Int (List.length edits)) ] "repair.trial"
+    @@ fun () ->
     let az', nl', dirty = Analyzer.apply !az !nl_cur edits in
     let topo' = Topo.create nl' in
     let fx' = Iterate.run topo' in

@@ -8,6 +8,16 @@
 type windows = Tka_circuit.Netlist.net_id -> Tka_sta.Timing_window.t
 (** Window accessor, usually [Tka_sta.Analysis.window a]. *)
 
+val swept_pulse :
+  Tka_circuit.Netlist.t ->
+  windows:windows ->
+  Coupled_noise.directed ->
+  Tka_util.Interval.t * Tka_waveform.Pulse.t
+(** The onset window and pulse {!of_directed} sweeps:
+    [of_directed nl ~windows d] is [Envelope.of_pulse ~window p] for
+    [(window, p) = swept_pulse nl ~windows d]. A victim's aggressors
+    are superposed from these with {!Tka_waveform.Envelope.of_pulses}. *)
+
 val of_directed :
   Tka_circuit.Netlist.t ->
   windows:windows ->
@@ -35,20 +45,3 @@ val with_window :
 (** Envelope with an explicitly supplied aggressor window (used by the
     elimination analysis to model a window that {e shrinks} when the
     aggressor's own fanin noise is fixed). *)
-
-val unconstrained :
-  Tka_circuit.Netlist.t ->
-  windows:windows ->
-  span:Tka_util.Interval.t ->
-  Coupled_noise.directed ->
-  Tka_waveform.Envelope.t
-(** Envelope when the aggressor may switch anywhere such that the pulse
-    covers [span] — the infinite-timing-window bound used for the upper
-    end of the dominance interval (Section 3.2). *)
-
-val combined :
-  Tka_circuit.Netlist.t ->
-  windows:windows ->
-  Coupled_noise.directed list ->
-  Tka_waveform.Envelope.t
-(** Superposition of several aggressors' envelopes (Fig. 3). *)

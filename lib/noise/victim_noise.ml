@@ -2,7 +2,6 @@ module N = Tka_circuit.Netlist
 module TW = Tka_sta.Timing_window
 module Envelope = Tka_waveform.Envelope
 module Transition = Tka_waveform.Transition
-module Interval = Tka_util.Interval
 
 let saturation_slews = 3.0
 
@@ -27,53 +26,5 @@ let delay_noise nl ~windows ?(own_noise = 0.) ~victim ds =
   | [] -> 0.
   | _ :: _ ->
     let v = victim_transition ~windows ~own_noise victim in
-    let env = Envelope.combine (List.map (Envelope_builder.of_directed nl ~windows) ds) in
+    let env = Envelope.of_pulses (List.map (Envelope_builder.swept_pulse nl ~windows) ds) in
     delay_noise_of_envelope ~victim:v env
-
-(* For the infinite-window bound the envelopes must cover every instant
-   that could matter: from the victim's transition start out past the
-   point the stacked envelopes could push the crossing. A span of
-   t50 +- (sum of peaks) * slew * margin is a safe overestimate; we use
-   a generous fixed window derived from the victim transition and the
-   total pulse tails. *)
-let upper_bound nl ~windows ?(own_noise = 0.) ~victim ds =
-  match ds with
-  | [] -> 0.
-  | _ :: _ ->
-    let v = victim_transition ~windows ~own_noise victim in
-    let pulses =
-      List.map
-        (fun d ->
-          let w : TW.t = windows d.Coupled_noise.dc_aggressor in
-          Coupled_noise.pulse nl ~agg_slew:w.TW.slew_late d)
-        ds
-    in
-    let total_tail =
-      List.fold_left
-        (fun acc p -> acc +. Tka_waveform.Pulse.end_time p)
-        0. pulses
-    in
-    let t50 = v.Transition.t50 in
-    (* The span must also cover wherever the *constrained* envelopes
-       could act, else the bound would miss late-switching aggressors. *)
-    let latest_action =
-      List.fold_left2
-        (fun acc d p ->
-          let w : TW.t = windows d.Coupled_noise.dc_aggressor in
-          Float.max acc
-            (Interval.hi (TW.onset_interval w) +. Tka_waveform.Pulse.end_time p))
-        (t50 +. v.Transition.slew) ds pulses
-    in
-    let span =
-      Interval.make (t50 -. v.Transition.slew) (latest_action +. total_tail)
-    in
-    let env =
-      Envelope.combine
-        (List.map (Envelope_builder.unconstrained nl ~windows ~span) ds)
-    in
-    delay_noise_of_envelope ~victim:v env
-
-let dominance_interval nl ~windows ?(own_noise = 0.) ~victim ds =
-  let v = victim_transition ~windows ~own_noise victim in
-  let ub = upper_bound nl ~windows ~own_noise ~victim ds in
-  Interval.make v.Transition.t50 (v.Transition.t50 +. Float.max 1e-6 ub)

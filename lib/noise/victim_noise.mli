@@ -40,25 +40,3 @@ val delay_noise :
 val delay_noise_of_envelope :
   victim:Tka_waveform.Transition.t -> Tka_waveform.Envelope.t -> float
 (** Same, with an already-built combined envelope. *)
-
-val upper_bound :
-  Tka_circuit.Netlist.t ->
-  windows:Envelope_builder.windows ->
-  ?own_noise:float ->
-  victim:Tka_circuit.Netlist.net_id ->
-  Coupled_noise.directed list ->
-  float
-(** Delay noise if every aggressor had an infinite timing window — the
-    upper end of the dominance interval (Section 3.2). Always >= the
-    constrained {!delay_noise}. *)
-
-val dominance_interval :
-  Tka_circuit.Netlist.t ->
-  windows:Envelope_builder.windows ->
-  ?own_noise:float ->
-  victim:Tka_circuit.Netlist.net_id ->
-  Coupled_noise.directed list ->
-  Tka_util.Interval.t
-(** [\[t50, t50 + upper_bound\]]: the interval over which envelope
-    dominance must hold to imply delay-noise dominance at this
-    victim. *)

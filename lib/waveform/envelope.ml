@@ -4,9 +4,17 @@ type t = Pwl.t
 
 let of_waveform w = Pwl.clip_min 0. w
 
-let of_pulse ~window p =
-  let base = Pwl.shift_x (Interval.lo window -. p.Pulse.onset) (Pulse.waveform p) in
-  Pwl.sliding_max ~window:(Interval.width window) base
+(* [Pwl.sum_swept]'s record of a pulse: its breakpoints, the shift that
+   puts its onset at the window's start, and the window's width. *)
+let place buf s (window, p) =
+  let o = s + (2 * Pulse.points) in
+  Pulse.write_points p buf s;
+  buf.(o) <- Interval.lo window -. p.Pulse.onset;
+  buf.(o + 1) <- Interval.width window
+
+let of_pulses wps = Pwl.sum_swept ~points:Pulse.points place wps
+
+let of_pulse ~window p = of_pulses [ (window, p) ]
 
 let zero = Pwl.zero
 

@@ -26,6 +26,14 @@ val waveform : t -> Pwl.t
     linear tail dropping to [peak/2] after one [decay] constant and to 0
     after three; 0 afterwards. Always satisfies [Pwl.is_unimodal]. *)
 
+val points : int
+(** 4, the breakpoint count of {!waveform}. *)
+
+val write_points : t -> float array -> int -> unit
+(** [write_points p a o] stores {!waveform}'s breakpoints [(x, y)]
+    interleaved at [a.(o) .. a.(o + 2 * points - 1)], before
+    {!Pwl.create} sees them. *)
+
 val peak_time : t -> float
 (** [onset + rise]. *)
 

@@ -374,9 +374,9 @@ let last_upcrossing2 ~neg a b level =
     Some (x0 +. ((x1 -. x0) *. (level -. y0) /. (y1 -. y0)))
 
 (* k-way superposition: one pass over the union of all operand
-   breakpoints, allocating only the output slice. Two fronts share the
-   cursor invariant of the co-scan above ([idx.(c)] = first unconsumed
-   breakpoint of operand c):
+   breakpoints, written into a slice the caller allocated. Two fronts
+   share the cursor invariant of the co-scan above ([idx.(c)] = first
+   unconsumed breakpoint of operand c):
 
    - [sum_scan], the general one, finds the next abscissa by a linear
      min-scan and evaluates every operand at every output point. It
@@ -391,11 +391,9 @@ let last_upcrossing2 ~neg a b level =
      is never -0. and adding a zero leaves it unchanged. The result is
      therefore bit-identical to [sum_scan]'s. With three operands or
      fewer the heap costs more than the scans it saves. *)
-let sum_scan ops =
+let sum_scan ops buf off =
   let r = Array.length ops in
   let idx = Array.make r 0 in
-  let cap = Array.fold_left (fun acc o -> acc + o.len) 0 ops in
-  let buf, off = Arena.alloc (2 * cap) in
   let m = ref 0 in
   let last = ref Float.neg_infinity in
   let go = ref true in
@@ -426,7 +424,7 @@ let sum_scan ops =
       done
     end
   done;
-  finish buf off ~cap !m
+  !m
 
 let zero_ended o =
   gy o 0 = 0.
@@ -434,11 +432,9 @@ let zero_ended o =
   && Float.is_finite (gx o 0)
   && Float.is_finite (gx o (o.len - 1))
 
-let sum_heap ops =
+let sum_heap ops buf off =
   let r = Array.length ops in
   let idx = Array.make r 0 in
-  let cap = Array.fold_left (fun acc o -> acc + o.len) 0 ops in
-  let buf, off = Arena.alloc (2 * cap) in
   (* min-heap of (next abscissa, operand) *)
   let hx = Array.make r 0. and hc = Array.make r 0 in
   let size = ref 0 in
@@ -525,15 +521,23 @@ let sum_heap ops =
       sift_down 0
     done
   done;
-  finish buf off ~cap !m
+  !m
+
+(* Writes the sum of [ops] (two or more) at (buf, off), which has room
+   for their total breakpoint count and overlaps none of them; returns
+   the points written, not yet simplified. *)
+let sum_into ops buf off =
+  if Array.length ops <= 3 || not (Array.for_all zero_ended ops) then sum_scan ops buf off
+  else sum_heap ops buf off
 
 let sum = function
   | [] -> zero
   | [ w ] -> w
   | ws ->
     let ops = Array.of_list ws in
-    if Array.length ops <= 3 || not (Array.for_all zero_ended ops) then sum_scan ops
-    else sum_heap ops
+    let cap = Array.fold_left (fun acc o -> acc + o.len) 0 ops in
+    let buf, off = Arena.alloc (2 * cap) in
+    finish buf off ~cap (sum_into ops buf off)
 
 (* Pointwise max/min need the crossing abscissae inserted: within one
    cell of the co-scan both functions are linear, so they cross at most
@@ -754,12 +758,12 @@ let crossings t level =
   done;
   List.rev !out
 
-let is_unimodal ?(eps = F.default_eps) t =
-  let n = t.len in
+(* [is_unimodal] on the [n] breakpoints at (buf, off) *)
+let unimodal_in eps buf off n =
   let rec go i seen_down =
     if i >= n - 1 then true
     else begin
-      let dy = gy t (i + 1) -. gy t i in
+      let dy = buf.(off + (2 * (i + 1)) + 1) -. buf.(off + (2 * i) + 1) in
       if dy > eps then (not seen_down) && go (i + 1) false
       else if dy < -.eps then go (i + 1) true
       else go (i + 1) seen_down
@@ -767,43 +771,165 @@ let is_unimodal ?(eps = F.default_eps) t =
   in
   go 0 false
 
+let is_unimodal ?(eps = F.default_eps) t = unimodal_in eps t.buf t.off t.len
+
+(* [F.not_nan] on a breakpoint, inline: a call would box both floats. *)
+let[@inline] put_point buf off m x y =
+  if Float.is_nan x then invalid_arg "Pwl: breakpoint abscissa: NaN";
+  if Float.is_nan y then invalid_arg "Pwl: breakpoint ordinate: NaN";
+  buf.(off + (2 * m)) <- x;
+  buf.(off + (2 * m) + 1) <- y
+
+(* The sweep of the [n] unimodal breakpoints at (src, so) over a window
+   wider than [x_eps]: the rising part, the flat top, then the falling
+   part shifted by the window, written unsimplified at (dst, doff),
+   which must not overlap the source. Returns the count written, at
+   most [n + 2]. *)
+let sweep_points src so n ~window dst doff =
+  (* [max_value]'s scan *)
+  let peak = ref src.(so + 1) in
+  for i = 1 to n - 1 do
+    if src.(so + (2 * i) + 1) > !peak then peak := src.(so + (2 * i) + 1)
+  done;
+  let peak = !peak in
+  (* first and last abscissae attaining the peak, by [F.approx] *)
+  let xp_first = ref src.(so) and xp_last = ref src.(so) and found = ref false in
+  for i = 0 to n - 1 do
+    let y = src.(so + (2 * i) + 1) in
+    if y = peak || Float.abs (y -. peak) <= F.default_eps then begin
+      if not !found then xp_first := src.(so + (2 * i));
+      xp_last := src.(so + (2 * i));
+      found := true
+    end
+  done;
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    let x = src.(so + (2 * i)) in
+    if x < !xp_first -. x_eps then begin
+      put_point dst doff !m x src.(so + (2 * i) + 1);
+      incr m
+    end
+  done;
+  put_point dst doff !m !xp_first peak;
+  put_point dst doff (!m + 1) (!xp_last +. window) peak;
+  m := !m + 2;
+  for i = 0 to n - 1 do
+    let x = src.(so + (2 * i)) in
+    if x > !xp_last +. x_eps then begin
+      put_point dst doff !m (x +. window) src.(so + (2 * i) + 1);
+      incr m
+    end
+  done;
+  !m
+
 let sliding_max ~window t =
   if window < 0. then invalid_arg "Pwl.sliding_max: negative window";
   if not (is_unimodal t) then
     invalid_arg "Pwl.sliding_max: waveform is not unimodal";
   if window <= x_eps then t
   else begin
-    let n = t.len in
-    let peak = max_value t in
-    (* first and last abscissae attaining the peak *)
-    let xp_first = ref (gx t 0) and xp_last = ref (gx t 0) and found = ref false in
-    for i = 0 to n - 1 do
-      if F.approx (gy t i) peak then begin
-        if not !found then xp_first := gx t i;
-        xp_last := gx t i;
-        found := true
-      end
-    done;
-    (* rising part, the flat top, then the falling part shifted by the
-       window, written straight into one slice *)
-    let cap = n + 2 in
+    let cap = t.len + 2 in
     let buf, off = Arena.alloc (2 * cap) in
-    let m = ref 0 in
-    let put x y =
-      buf.(off + (2 * !m)) <- F.not_nan ~what:"Pwl: breakpoint abscissa" x;
-      buf.(off + (2 * !m) + 1) <- F.not_nan ~what:"Pwl: breakpoint ordinate" y;
-      incr m
-    in
-    for i = 0 to n - 1 do
-      if gx t i < !xp_first -. x_eps then put (gx t i) (gy t i)
-    done;
-    put !xp_first peak;
-    put (!xp_last +. window) peak;
-    for i = 0 to n - 1 do
-      if gx t i > !xp_last +. x_eps then put (gx t i +. window) (gy t i)
-    done;
-    finish buf off ~cap !m
+    finish buf off ~cap (sweep_points t.buf t.off t.len ~window buf off)
   end
+
+(* ------------------------------------------------------------------ *)
+(* Swept pulses                                                       *)
+(* ------------------------------------------------------------------ *)
+(* [sum_swept] fuses [create], [shift_x], [sliding_max] and [sum] for
+   the superposition of noise envelopes: each operand's points are
+   written, simplified, shifted and swept inside one arena slice, with
+   the same float operations in the same order as the composed path,
+   and the sum is written into the front of that slice by the same
+   fronts as [sum]. Only points closer than [x_eps] — which [create]
+   sorts and merges, or rejects — take the composed path, and are
+   counted. *)
+
+let m_sweep_fallbacks = Tka_obs.Metrics.Counter.make "noise.envelope_fallbacks"
+
+(* One operand: the [k] points at buf.(s) go through [create]'s
+   well-spaced path into scratch at buf.(o + 2 (k + 2)), are shifted by
+   buf.(s + 2k) and swept over buf.(s + 2k + 1) into buf.(o), which has
+   room for the [k + 2] points a sweep may write. Returns the point
+   count, or -1 when the points are not well spaced. *)
+let sweep_one buf o s k =
+  let spaced = ref true in
+  for i = 1 to k - 1 do
+    if not (buf.(s + (2 * i)) -. buf.(s + (2 * (i - 1))) > x_eps) then spaced := false
+  done;
+  if not !spaced then -1
+  else begin
+    let t = o + (2 * (k + 2)) in
+    for i = 0 to k - 1 do
+      put_point buf t i buf.(s + (2 * i)) buf.(s + (2 * i) + 1)
+    done;
+    let n = simplify_into buf t k in
+    let d = buf.(s + (2 * k)) and window = buf.(s + (2 * k) + 1) in
+    for i = 0 to n - 1 do
+      buf.(t + (2 * i)) <- buf.(t + (2 * i)) +. d
+    done;
+    if window < 0. then invalid_arg "Pwl.sliding_max: negative window";
+    if not (unimodal_in F.default_eps buf t n) then
+      invalid_arg "Pwl.sliding_max: waveform is not unimodal";
+    if window <= x_eps then begin
+      Array.blit buf t buf o (2 * n);
+      n
+    end
+    else simplify_into buf o (sweep_points buf t n ~window buf o)
+  end
+
+(* [sliding_max (shift_x (create pts))] for the record at buf.(s), the
+   composed path [sweep_one] declines *)
+let sweep_composed buf s k =
+  Tka_obs.Metrics.Counter.incr m_sweep_fallbacks;
+  let pts = List.init k (fun i -> (buf.(s + (2 * i)), buf.(s + (2 * i) + 1))) in
+  sliding_max ~window:buf.(s + (2 * k) + 1) (shift_x buf.(s + (2 * k)) (create pts))
+
+(* Writes the record of each of [xs] in turn at buf.(s) and sweeps it
+   into ops.(c) and on, packing the operands from buf.(p). *)
+let rec sweep_all write buf s k ops c p = function
+  | [] -> ()
+  | x :: tl ->
+    write buf s x;
+    let m = sweep_one buf p s k in
+    if m >= 0 then begin
+      ops.(c) <- mk buf p m;
+      sweep_all write buf s k ops (c + 1) (p + (2 * m)) tl
+    end
+    else begin
+      ops.(c) <- sweep_composed buf s k;
+      sweep_all write buf s k ops (c + 1) p tl
+    end
+
+let sum_swept ~points:k write xs =
+  if k < 1 then invalid_arg "Pwl.sum_swept: points must be positive";
+  let cap = k + 2 in
+  match xs with
+  | [] -> zero
+  | [ x ] ->
+    (* the operand, then one scratch, then its record *)
+    let alloc = (2 * (cap + k)) + (2 * k) + 2 in
+    let buf, off = Arena.alloc alloc in
+    let s = off + (2 * (cap + k)) in
+    write buf s x;
+    let m = sweep_one buf off s k in
+    if m >= 0 then begin
+      Arena.shrink_last buf off ~alloc ~used:(2 * m);
+      mk buf off m
+    end
+    else sweep_composed buf s k
+  | _ :: _ :: _ ->
+    (* the sum's points, the operands', one scratch, then the record
+       being swept *)
+    let n = List.length xs in
+    let total = (2 * n * cap) + k in
+    let alloc = (2 * total) + (2 * k) + 2 in
+    let buf, off = Arena.alloc alloc in
+    let ops = Array.make n zero in
+    sweep_all write buf (off + (2 * total)) k ops 0 (off + (2 * n * cap)) xs;
+    let m = simplify_into buf off (sum_into ops buf off) in
+    Arena.shrink_last buf off ~alloc ~used:(2 * m);
+    mk buf off m
 
 let area t =
   let n = t.len in

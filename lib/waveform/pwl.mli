@@ -161,6 +161,18 @@ val sliding_max : window:float -> t -> t
     paper. Requires [f] to be unimodal (non-decreasing then
     non-increasing); raises [Invalid_argument] otherwise. *)
 
+val sum_swept : points:int -> (float array -> int -> 'a -> unit) -> 'a list -> t
+(** [sum_swept ~points:k write xs] superposes swept pulses. For each
+    [x] of [xs], in order, [write buf s x] stores one record of
+    [2k + 2] floats at [buf.(s)]: [k] breakpoints [(x, y)]
+    interleaved, then a shift [d] and a window [w]. The result is,
+    bit for bit and with the same exceptions,
+    [sum (List.map (fun (pts, d, w) -> sliding_max ~window:w (shift_x d
+    (create pts))) records)] — built in one arena slice, with no
+    intermediate waveform. Records whose points are closer than the
+    merge tolerance take that composed path and bump the
+    [noise.envelope_fallbacks] counter. *)
+
 val is_unimodal : ?eps:float -> t -> bool
 
 val area : t -> float

@@ -40,8 +40,16 @@ let registered () =
   | Tka_obs.Jsonx.Obj fields -> List.map fst fields
   | _ -> Alcotest.fail "metrics registry did not export an object"
 
+(* [dune runtest] runs this in _build/default/test, next to the copy of
+   docs/ its rule depends on; [dune exec test/test_metrics_doc.exe] runs
+   it in the repository root. *)
+let doc_path () =
+  match List.find_opt Sys.file_exists [ "docs/observability.md"; "../docs/observability.md" ] with
+  | Some p -> p
+  | None -> Alcotest.fail "docs/observability.md not found from the working directory"
+
 let test_documented () =
-  let doc = documented "../docs/observability.md" in
+  let doc = documented (doc_path ()) in
   let reg = registered () in
   Alcotest.(check bool) "the table parses" true (List.length doc >= 20);
   Alcotest.(check bool) "the serve library registered its metrics" true

@@ -136,19 +136,6 @@ let test_envelope_with_window_override () =
   Alcotest.(check bool) "explicit window equals implicit" true
     (Envelope.equal same (EB.of_directed nl ~windows:w d))
 
-let test_unconstrained_covers_constrained () =
-  let nl = two_chains ~stages:2 ~coupling:0.004 in
-  let _, w = windows_of nl in
-  let v2 = (N.find_net_exn nl "v2").N.net_id in
-  let d = List.hd (CN.aggressors_of_victim nl v2) in
-  let e = EB.of_directed nl ~windows:w d in
-  match Envelope.support e with
-  | None -> Alcotest.fail "expected support"
-  | Some span ->
-    let u = EB.unconstrained nl ~windows:w ~span d in
-    Alcotest.(check bool) "unconstrained dominates on its span" true
-      (Envelope.encapsulates ~interval:span u e)
-
 (* ------------------------------------------------------------------ *)
 (* Victim_noise                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -158,18 +145,6 @@ let test_delay_noise_empty () =
   let _, w = windows_of nl in
   let v = (N.find_net_exn nl "v1").N.net_id in
   check_f6 "no aggressors no noise" 0. (VN.delay_noise nl ~windows:w ~victim:v [])
-
-let test_delay_noise_upper_bound_dominates () =
-  let nl = two_chains ~stages:3 ~coupling:0.006 in
-  let _, w = windows_of nl in
-  List.iter
-    (fun name ->
-      let v = (N.find_net_exn nl name).N.net_id in
-      let ds = CN.aggressors_of_victim nl v in
-      let d = VN.delay_noise nl ~windows:w ~victim:v ds in
-      let ub = VN.upper_bound nl ~windows:w ~victim:v ds in
-      Alcotest.(check bool) (name ^ " ub >= noise") true (ub >= d -. 1e-9))
-    [ "v1"; "v2"; "v3" ]
 
 let test_delay_noise_monotone_in_set () =
   let nl = two_chains ~stages:3 ~coupling:0.006 in
@@ -192,16 +167,6 @@ let test_saturation_cap () =
   Alcotest.(check bool) "capped" true
     (d <= (VN.saturation_slews *. 0.05) +. 1e-9);
   Alcotest.(check bool) "at cap" true (d >= (VN.saturation_slews *. 0.05) -. 1e-6)
-
-let test_dominance_interval_anchored () =
-  let nl = two_chains ~stages:2 ~coupling:0.004 in
-  let _, w = windows_of nl in
-  let v = (N.find_net_exn nl "v2").N.net_id in
-  let ds = CN.aggressors_of_victim nl v in
-  let i = VN.dominance_interval nl ~windows:w ~victim:v ds in
-  let t50 = (w v).TW.lat in
-  check_f6 "starts at t50" t50 (Tka_util.Interval.lo i);
-  Alcotest.(check bool) "positive width" true (Tka_util.Interval.width i > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* Iterate                                                            *)
@@ -496,15 +461,12 @@ let () =
         [
           Alcotest.test_case "window sweep" `Quick test_envelope_window_sweep;
           Alcotest.test_case "window override" `Quick test_envelope_with_window_override;
-          Alcotest.test_case "unconstrained" `Quick test_unconstrained_covers_constrained;
         ] );
       ( "victim_noise",
         [
           Alcotest.test_case "empty" `Quick test_delay_noise_empty;
-          Alcotest.test_case "upper bound" `Quick test_delay_noise_upper_bound_dominates;
           Alcotest.test_case "monotone in set" `Quick test_delay_noise_monotone_in_set;
           Alcotest.test_case "saturation" `Quick test_saturation_cap;
-          Alcotest.test_case "dominance interval" `Quick test_dominance_interval_anchored;
         ] );
       ( "monte_carlo",
         [

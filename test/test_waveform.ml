@@ -510,12 +510,12 @@ module Old_kernels = struct
       y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0))
     end
 
-  let sum ws =
-    match ws with
+  let sum_pts ops =
+    match ops with
     | [] -> Pwl.breakpoints Pwl.zero
-    | [ w ] -> Pwl.breakpoints w
-    | ws ->
-      let ops = Array.of_list (List.map (fun w -> Array.of_list (Pwl.breakpoints w)) ws) in
+    | [ o ] -> o
+    | ops ->
+      let ops = Array.of_list (List.map Array.of_list ops) in
       let r = Array.length ops in
       let idx = Array.make r 0 in
       let out = ref [] in
@@ -545,6 +545,8 @@ module Old_kernels = struct
         end
       done;
       simplify (Array.of_list (List.rev !out))
+
+  let sum ws = sum_pts (List.map Pwl.breakpoints ws)
 
   (* the closure-per-point co-scan the binary kernels used to share *)
   let co_scan2 a b f =
@@ -632,13 +634,23 @@ module Old_kernels = struct
           end);
     (!fwd, !bwd)
 
-  let sliding_max ~window t =
+  let is_unimodal bps =
+    let rec go seen_down = function
+      | (_, y0) :: ((_, y1) :: _ as tl) ->
+        let dy = y1 -. y0 in
+        if dy > F.default_eps then (not seen_down) && go false tl
+        else if dy < -.F.default_eps then go true tl
+        else go seen_down tl
+      | [ _ ] | [] -> true
+    in
+    go false bps
+
+  let sliding_max_pts ~window bps =
     if window < 0. then invalid_arg "Pwl.sliding_max: negative window";
-    if not (Pwl.is_unimodal t) then invalid_arg "Pwl.sliding_max: waveform is not unimodal";
-    let bps = Pwl.breakpoints t in
+    if not (is_unimodal bps) then invalid_arg "Pwl.sliding_max: waveform is not unimodal";
     if window <= x_eps then bps
     else begin
-      let peak = Pwl.max_value t in
+      let peak = List.fold_left (fun m (_, y) -> if y > m then y else m) (snd (List.hd bps)) bps in
       let xp_first = ref (fst (List.hd bps)) and xp_last = ref (fst (List.hd bps)) in
       let found = ref false in
       List.iter
@@ -656,6 +668,25 @@ module Old_kernels = struct
       in
       of_points (rising @ [ (!xp_first, peak); (!xp_last +. window, peak) ] @ falling)
     end
+
+  let sliding_max ~window t = sliding_max_pts ~window (Pwl.breakpoints t)
+
+  (* The composed envelope of a pulse swept over an onset window:
+     [Pulse.waveform] through [Pwl.create], then [Pwl.shift_x] and
+     [Pwl.sliding_max]. *)
+  let envelope ~window (p : Pulse.t) =
+    let peak_time = p.onset +. p.rise in
+    let pts =
+      create
+        [
+          (p.onset, 0.);
+          (peak_time, p.peak);
+          (peak_time +. p.decay, p.peak /. 2.);
+          (p.onset +. p.rise +. (3. *. p.decay), 0.);
+        ]
+    in
+    let d = Interval.lo window -. p.onset in
+    sliding_max_pts ~window:(Interval.width window) (List.map (fun (x, y) -> (x +. d, y)) pts)
 end
 
 let same_bits expect got =
@@ -801,6 +832,64 @@ let arb_sliding_case =
       in
       return (w, window))
 
+(* Swept pulses for [Envelope.of_pulse]/[of_pulses]: onsets and window
+   starts off the dyadic grid (so a reordered addition shows in the
+   last bits), windows that are points, narrower than x_eps or wide,
+   peaks so small that half the peak is within F.approx of it, and
+   rise or decay times at or below x_eps, which take [Pwl.create]'s
+   merge (or its conflicting-values error). *)
+let swept_gen =
+  QCheck.Gen.(
+    let* peak =
+      frequency
+        [ (6, float_range 0.01 0.9); (2, oneofl [ 1e-10; 5e-10; 1.5e-9; 2e-9; 3e-9 ]) ]
+    and* rise = frequency [ (8, float_range 0.005 0.4); (1, oneofl [ 1e-13; 1e-12 ]) ]
+    and* decay = frequency [ (8, float_range 0.005 0.6); (1, oneofl [ 5e-13; 1e-12 ]) ]
+    and* onset = frequency [ (1, return 0.); (2, float_range (-1.) 1.) ]
+    and* lo = float_range (-2.) 3.
+    and* width =
+      frequency
+        [ (2, return 0.); (1, oneofl [ 5e-13; 1e-12; 2e-12 ]); (5, float_range 0. 2.5) ]
+    in
+    let window = if width = 0. then Interval.point lo else Interval.make lo (lo +. width) in
+    return (window, Pulse.make ~onset ~peak ~rise ~decay))
+
+let print_swept (window, p) =
+  Printf.sprintf "[%h, %h] %s" (Interval.lo window) (Interval.hi window)
+    (Format.asprintf "%a" Pulse.pp p)
+
+(* 1-3 operands take the scan front, 4 or more the heap front *)
+let arb_swept_list =
+  QCheck.make
+    ~print:(fun wps -> String.concat " | " (List.map print_swept wps))
+    QCheck.Gen.(
+      let* n = frequency [ (1, return 1); (2, int_range 2 3); (4, int_range 4 10) ] in
+      list_repeat n swept_gen)
+
+let arb_derated =
+  QCheck.make
+    ~print:(fun (wp, f) -> Printf.sprintf "%s derate %h" (print_swept wp) f)
+    QCheck.Gen.(pair swept_gen (frequency [ (1, return 1.); (3, float_range 0. 1.) ]))
+
+let swept_bits_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"of_pulse is bit-identical to the composed path" ~count:3000 arb_derated
+      (fun ((window, p), f) ->
+        same_outcome
+          (fun () -> List.map (fun (x, y) -> (x, f *. y)) (Old_kernels.envelope ~window p))
+          (fun () ->
+            let e = Envelope.of_pulse ~window p in
+            let e = if f = 1. then e else Envelope.scale f e in
+            Pwl.breakpoints (Envelope.waveform e)));
+    Test.make ~name:"of_pulses is bit-identical to the composed sum" ~count:3000
+      arb_swept_list (fun wps ->
+        same_outcome
+          (fun () ->
+            Old_kernels.sum_pts (List.map (fun (window, p) -> Old_kernels.envelope ~window p) wps))
+          (fun () -> Pwl.breakpoints (Envelope.waveform (Envelope.of_pulses wps))));
+  ]
+
 let kernel_bits_tests =
   let open QCheck in
   let eps = Tka_util.Float_cmp.default_eps in
@@ -928,5 +1017,6 @@ let () =
         Alcotest.test_case "NaN breakpoints rejected" `Quick test_nan_rejected
         :: List.map QCheck_alcotest.to_alcotest kernel_qcheck_tests );
       ("kernel bits", List.map QCheck_alcotest.to_alcotest kernel_bits_tests);
+      ("one pass", List.map QCheck_alcotest.to_alcotest swept_bits_tests);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

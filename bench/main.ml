@@ -884,7 +884,7 @@ let run_rerank_ctx o =
   let nl = B.generate { validation_spec with B.sp_name = "kmemo" } in
   let topo = Topo.create nl in
   let sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
-  let ctx = Iterate.context topo in
+  let ctx = Iterate.context (Iterate.run topo) in
   let delay ?ctx s = Refine.exact_delay ~mode:Engine.Addition ?ctx topo s in
   List.iter
     (fun s ->

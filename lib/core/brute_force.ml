@@ -79,10 +79,11 @@ let consider ~mode best set d =
 (* One domain's share: scan ranks [rank, rank + count), tracking the
    local best / evaluation count / completion under the shared wall
    clock deadline. Every set of the range is scored through one
-   re-ranking ctx of its own: a ctx never crosses domains, and the
-   scores are the same bits as fresh evaluations. *)
-let scan_range ~t0 ~budget_s ~n ~k ~mode topo (rank, count) =
-  let ctx = Iterate.context topo in
+   re-ranking ctx of its own, made from the shared all-aggressor
+   [fixpoint]: a ctx never crosses domains, and the scores are the same
+   bits as fresh evaluations. *)
+let scan_range ~t0 ~budget_s ~n ~k ~mode ~fixpoint topo (rank, count) =
+  let ctx = Iterate.context fixpoint in
   let best = ref None in
   let evaluated = ref 0 in
   let completed = ref true in
@@ -110,9 +111,10 @@ let search ?(budget_s = 60.) ~mode ~k topo =
   (* The rank-range split needs an exact [total] (no overflow
      saturation) and only pays off with work to share. *)
   let use_parallel = jobs > 1 && total < max_int && total >= 2 * jobs in
+  let fixpoint = Iterate.run topo in
   let best, evaluated, completed =
     if not use_parallel then
-      scan_range ~t0 ~budget_s ~n ~k ~mode topo (0, total)
+      scan_range ~t0 ~budget_s ~n ~k ~mode ~fixpoint topo (0, total)
     else begin
       let per = max 1 (total / (jobs * 4)) in
       let chunks =
@@ -124,7 +126,7 @@ let search ?(budget_s = 60.) ~mode ~k topo =
       in
       let results =
         Pool.map ~chunk:1 pool
-          (scan_range ~t0 ~budget_s ~n ~k ~mode topo)
+          (scan_range ~t0 ~budget_s ~n ~k ~mode ~fixpoint topo)
           chunks
       in
       (* Ordered reduction in rank order: merging local bests with the

@@ -17,7 +17,8 @@
     {!Refine.exact_delay} and ranked by {!Engine.better}, like the
     exact re-ranking; each rank range scores its subsets through one
     {!Tka_noise.Iterate.ctx} of its own (never shared across domains;
-    scores bit-identical to fresh runs).
+    scores bit-identical to fresh runs), all made from one
+    all-aggressor fixpoint.
     Runtimes are monotonic wall-clock seconds ({!Tka_obs.Clock}). *)
 
 type outcome = {

@@ -77,24 +77,23 @@ let compute ?(capacity = Ilist.default_capacity) ?(use_pseudo = true)
     ?(use_higher_order = true) ?(filter = Tka_filter.Mode.Off) ?fixpoint
     ?victim_cache ~mode ~k topo =
   let config = { Engine.k; capacity; use_pseudo; use_higher_order; filter } in
+  (* one all-aggressor fixpoint for the engine runs and the exact
+     scores *)
+  let fixpoint = match fixpoint with Some f -> f | None -> Iterate.run topo in
   (* each mode has its own cache view: keys hash the mode *)
-  let engine ?fixpoint m =
-    Engine.compute ~config ?fixpoint
+  let engine m =
+    Engine.compute ~config ~fixpoint
       ?victim_cache:(Option.bind victim_cache (fun f -> f m))
       ~mode:m topo
   in
   let result, dual =
     match mode with
-    | Engine.Addition -> (engine ?fixpoint Engine.Addition, None)
+    | Engine.Addition -> (engine Engine.Addition, None)
     | Engine.Elimination ->
-      (* the two dual enumerations share one all-aggressor fixpoint *)
-      let fixpoint =
-        match fixpoint with Some f -> f | None -> Iterate.run topo
-      in
-      let dual = engine ~fixpoint Engine.Addition in
-      (engine ~fixpoint Engine.Elimination, Some dual)
+      let dual = engine Engine.Addition in
+      (engine Engine.Elimination, Some dual)
   in
-  { result; dual; topo; ctx = Iterate.context topo }
+  { result; dual; topo; ctx = Iterate.context fixpoint }
 
 let mode t = t.result.Engine.res_mode
 

@@ -58,8 +58,9 @@ type t = {
           misses. *)
   topo : Tka_circuit.Topo.t;
   ctx : Tka_noise.Iterate.ctx;
-      (** shared by every exact score below: the pool's near-identical
-          sets share the noiseless base and most victim evaluations.
+      (** made from the all-aggressor fixpoint the engines read and
+          shared by every exact score below: the pool's near-identical
+          sets share its base, its passes and most victim evaluations.
           Not thread-safe: re-rank a given [t] from one thread at a
           time. *)
 }
@@ -76,8 +77,9 @@ val compute :
   Tka_circuit.Topo.t ->
   t
 (** Enumerate the top-i sets of [mode] for every [i <= k]. Elimination
-    also runs the dual addition enumeration; the two share one
-    all-aggressor fixpoint, which [fixpoint] can supply precomputed.
+    also runs the dual addition enumeration. One all-aggressor
+    fixpoint, which [fixpoint] can supply precomputed, serves the
+    engine run(s) and the exact scores' [ctx].
     [filter] (default [Off]) selects the pre-engine aggressor pruning.
     [victim_cache] supplies the per-mode result cache of the
     incremental layer ([Tka_incr]); each engine run is keyed separately

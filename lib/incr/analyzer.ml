@@ -16,19 +16,10 @@ type t = { a_config : Engine.config; mutable a_cache : Cache.t }
 
 type run_stats = { rs_hits : int; rs_misses : int }
 
-let create ?(capacity = Tka_topk.Ilist.default_capacity) ?(use_pseudo = true)
-    ?(use_higher_order = true) ?(filter = Tka_filter.Mode.Off) ~k () =
+let create ?(filter = Tka_filter.Mode.Off) ?cache ~k () =
   {
-    a_config = { Engine.k; capacity; use_pseudo; use_higher_order; filter };
-    a_cache = Cache.create ();
-  }
-
-let with_shared_cache ?(capacity = Tka_topk.Ilist.default_capacity)
-    ?(use_pseudo = true) ?(use_higher_order = true)
-    ?(filter = Tka_filter.Mode.Off) ~k ~cache () =
-  {
-    a_config = { Engine.k; capacity; use_pseudo; use_higher_order; filter };
-    a_cache = cache;
+    a_config = { (Engine.default_config ~k) with Engine.filter };
+    a_cache = (match cache with Some c -> c | None -> Cache.create ());
   }
 
 let config t = t.a_config
@@ -157,11 +148,8 @@ let run ?fixpoint t topo =
       }
   in
   let elim =
-    Elimination.compute ~capacity:t.a_config.Engine.capacity
-      ~use_pseudo:t.a_config.Engine.use_pseudo
-      ~use_higher_order:t.a_config.Engine.use_higher_order
-      ~filter:t.a_config.Engine.filter ~fixpoint:fix ~victim_cache:view
-      ~k:t.a_config.Engine.k topo
+    Elimination.compute ~filter:t.a_config.Engine.filter ~fixpoint:fix
+      ~victim_cache:view ~k:t.a_config.Engine.k topo
   in
   let stats = { rs_hits = Atomic.get hits; rs_misses = Atomic.get misses } in
   Log.info log_src (fun m ->

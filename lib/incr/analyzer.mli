@@ -31,40 +31,23 @@ type run_stats = {
   rs_misses : int;  (** victims enumerated (then stored) *)
 }
 
-val create :
-  ?capacity:int ->
-  ?use_pseudo:bool ->
-  ?use_higher_order:bool ->
-  ?filter:Tka_filter.Mode.t ->
-  k:int ->
-  unit ->
-  t
-(** Same knobs and defaults as {!Tka_topk.Elimination.compute}; the
-    config is fixed for the session because it is hashed into every
-    cache key (the filter mode included — results computed under
-    different filter modes never alias). *)
+val create : ?filter:Tka_filter.Mode.t -> ?cache:Cache.t -> k:int -> unit -> t
+(** The engine config is {!Tka_topk.Engine.default_config} with [k]
+    and [filter] (default [Off]), fixed for the session because it is
+    hashed into every cache key (results computed under different
+    filter modes never alias).
 
-val with_shared_cache :
-  ?capacity:int ->
-  ?use_pseudo:bool ->
-  ?use_higher_order:bool ->
-  ?filter:Tka_filter.Mode.t ->
-  k:int ->
-  cache:Cache.t ->
-  unit ->
-  t
-(** Like {!create} but analyzing through an {e injected} cache instead
-    of a freshly owned one — the daemon path ([Tka_serve]): one victim
-    cache per design fingerprint, shared by every session analyzing
-    that design, so a second tenant hits warm on the first victim.
-    The injected cache may be consulted and populated concurrently by
-    any number of sessions (it is mutex-guarded, and the engine's
-    determinism contract makes racing stores write identical values).
-
-    {!apply} leaves the injected cache untouched, so co-tenants still
-    analyzing the unedited design are unaffected. {!load_checkpoint}
-    {e replaces} the session's cache reference, detaching it from the
-    shared one. *)
+    Without [cache] the analyzer owns a fresh cache. With it, it
+    analyzes through that {e injected} cache — the daemon path
+    ([Tka_serve]): one victim cache per design fingerprint, shared by
+    every session analyzing that design, so a second tenant hits warm
+    on the first victim. The injected cache may be consulted and
+    populated concurrently by any number of sessions (it is
+    mutex-guarded, and the engine's determinism contract makes racing
+    stores write identical values). {!apply} leaves it untouched, so
+    co-tenants still analyzing the unedited design are unaffected.
+    {!load_checkpoint} {e replaces} the session's cache reference,
+    detaching it from the shared one. *)
 
 val config : t -> Tka_topk.Engine.config
 val cache : t -> Cache.t

@@ -26,26 +26,39 @@ let strengthen_cell ~factor (cell : Tka_cell.Cell.t) =
     ~intrinsic_slew:cell.Cell.intrinsic_slew
     ~slew_resistance:(cell.Cell.slew_resistance /. factor)
 
-let validate nl = function
-  | Remove_coupling c ->
-    if c < 0 || c >= N.num_couplings nl then
-      invalid_arg "Edit.apply: coupling id out of range"
-  | Scale_coupling { coupling; factor } ->
-    if coupling < 0 || coupling >= N.num_couplings nl then
-      invalid_arg "Edit.apply: coupling id out of range";
-    if not (factor >= 0. && factor <= 1.) then
-      invalid_arg "Edit.apply: scale factor outside [0, 1]"
-  | Resize_driver { gate; _ } ->
-    if gate < 0 || gate >= N.num_gates nl then
-      invalid_arg "Edit.apply: gate id out of range"
-  | Strengthen_driver { gate; factor } ->
-    if gate < 0 || gate >= N.num_gates nl then
-      invalid_arg "Edit.apply: gate id out of range";
-    if not (Float.is_finite factor && factor > 0.) then
-      invalid_arg "Edit.apply: strengthen factor must be finite and positive"
+(* The factor rules, shared by the wire format and [check]. *)
+let scale_ok f = f >= 0. && f <= 1.
+let strengthen_ok f = Float.is_finite f && f > 0.
+
+let check nl edits =
+  let ( let* ) = Result.bind in
+  let nc = N.num_couplings nl and ng = N.num_gates nl in
+  let in_range what i n =
+    if i >= 0 && i < n then Ok ()
+    else Error (Printf.sprintf "%s %d out of range (design has %d)" what i n)
+  in
+  let factor ok what f =
+    if ok f then Ok () else Error (Printf.sprintf "%s factor %g out of range" what f)
+  in
+  List.fold_left
+    (fun acc e ->
+      let* () = acc in
+      match e with
+      | Remove_coupling c -> in_range "coupling" c nc
+      | Scale_coupling { coupling = c; factor = f } ->
+        let* () = in_range "coupling" c nc in
+        factor scale_ok "scale_coupling" f
+      | Resize_driver { gate = g; _ } -> in_range "gate" g ng
+      | Strengthen_driver { gate = g; factor = f } ->
+        let* () = in_range "gate" g ng in
+        factor strengthen_ok "strengthen_driver" f)
+    (Ok ()) edits
+
+let validate nl edits =
+  match check nl edits with Ok () -> () | Error m -> invalid_arg ("Edit.apply: " ^ m)
 
 let apply nl edits =
-  List.iter (validate nl) edits;
+  validate nl edits;
   let nc = N.num_couplings nl in
   (* compose the script into per-coupling final caps and per-gate cells *)
   let factor = Array.make nc 1. in
@@ -112,10 +125,9 @@ let touched_nets nl edits =
       out := n :: !out
     end
   in
+  validate nl edits;
   List.iter
-    (fun e ->
-      validate nl e;
-      match e with
+    (function
       | Remove_coupling c | Scale_coupling { coupling = c; _ } ->
         let cp = N.coupling nl c in
         add cp.N.net_a;
@@ -164,28 +176,36 @@ let of_json ~lookup j =
     | _ -> None
   in
   let str key = match J.member key j with Some (J.Str s) -> Some s | _ -> None in
-  match str "op" with
-  | Some "remove_coupling" -> (
+  match J.member "op" j with
+  | Some (J.Str "remove_coupling") -> (
     match int "coupling" with
     | Some c -> Ok (Remove_coupling c)
     | None -> Error "remove_coupling needs an integer \"coupling\"")
-  | Some "scale_coupling" -> (
+  | Some (J.Str "scale_coupling") -> (
     match (int "coupling", num "factor") with
-    | Some c, Some f -> Ok (Scale_coupling { coupling = c; factor = f })
-    | _ -> Error "scale_coupling needs \"coupling\" and \"factor\"")
-  | Some "resize_driver" -> (
+    | Some c, Some f when scale_ok f -> Ok (Scale_coupling { coupling = c; factor = f })
+    | _ -> Error "scale_coupling needs an integer \"coupling\" and a \"factor\" in [0,1]")
+  | Some (J.Str "resize_driver") -> (
     match (int "gate", str "cell") with
     | Some g, Some name -> (
       match lookup name with
       | Some cell -> Ok (Resize_driver { gate = g; cell })
       | None -> Error (Printf.sprintf "unknown cell %S" name))
-    | _ -> Error "resize_driver needs \"gate\" and \"cell\"")
-  | Some "strengthen_driver" -> (
+    | _ -> Error "resize_driver needs an integer \"gate\" and a string \"cell\"")
+  | Some (J.Str "strengthen_driver") -> (
     match (int "gate", num "factor") with
-    | Some g, Some f -> Ok (Strengthen_driver { gate = g; factor = f })
-    | _ -> Error "strengthen_driver needs \"gate\" and \"factor\"")
-  | Some op -> Error (Printf.sprintf "unknown edit op %S" op)
-  | None -> Error "edit needs a string \"op\""
+    | Some g, Some f when strengthen_ok f -> Ok (Strengthen_driver { gate = g; factor = f })
+    | _ -> Error "strengthen_driver needs an integer \"gate\" and a positive \"factor\"")
+  | Some (J.Str op) -> Error (Printf.sprintf "unknown edit op %S" op)
+  | Some _ -> Error "\"op\" must be a string"
+  | None -> Error "missing \"op\""
+
+let list_of_json ~lookup items =
+  List.fold_left
+    (fun acc item ->
+      Result.bind acc (fun es -> Result.map (fun e -> e :: es) (of_json ~lookup item)))
+    (Ok []) items
+  |> Result.map List.rev
 
 let pp ppf = function
   | Remove_coupling c -> Format.fprintf ppf "remove-coupling %d" c

@@ -37,6 +37,11 @@ type t =
       factor : float;  (** finite and > 0; > 1 strengthens *)
     }
 
+val check : Tka_circuit.Netlist.t -> t list -> (unit, string) result
+(** [Error] names the first edit with an id out of range for the
+    netlist (["coupling 7 out of range (design has 5)"], likewise for a
+    gate) or a factor outside its rule. *)
+
 val apply :
   Tka_circuit.Netlist.t ->
   t list ->
@@ -50,14 +55,14 @@ val apply :
     map ([None] for couplings that were removed or scaled to zero).
     Net and gate ids are unchanged by construction.
 
-    @raise Invalid_argument on an out-of-range id or a factor outside
-    [0, 1]. *)
+    @raise Invalid_argument with {!check}'s message when it fails. *)
 
 val touched_nets : Tka_circuit.Netlist.t -> t list -> Tka_circuit.Netlist.net_id list
 (** The nets whose {e local} electrical parameters the script changes
     (deduplicated): both sides of an edited coupling; for a driver
     resize, the gate's output net and its input nets (whose loads see
-    the new pin capacitances). Seeds for {!Dirty.closure}. *)
+    the new pin capacitances). Seeds for {!Dirty.closure}.
+    @raise Invalid_argument like {!apply}. *)
 
 val to_json : t -> Tka_obs.Jsonx.t
 (** One edit as a JSON object — the wire/journal format shared with
@@ -71,6 +76,15 @@ val to_json : t -> Tka_obs.Jsonx.t
 val of_json :
   lookup:(string -> Tka_cell.Cell.t option) -> Tka_obs.Jsonx.t -> (t, string) result
 (** Inverse of {!to_json}; [lookup] resolves a [resize_driver] cell
-    name (e.g. {!Tka_cell.Default_lib.find}). *)
+    name (e.g. {!Tka_cell.Default_lib.find}). Ids must be integers; a
+    [scale_coupling] factor must be a number in [0, 1] and a
+    [strengthen_driver] factor a finite number > 0. Ranges against a
+    netlist are {!check}'s job. *)
+
+val list_of_json :
+  lookup:(string -> Tka_cell.Cell.t option) ->
+  Tka_obs.Jsonx.t list ->
+  (t list, string) result
+(** {!of_json} of each item, in order; the first [Error] wins. *)
 
 val pp : Format.formatter -> t -> unit

@@ -113,14 +113,7 @@ let entry_of_json ~lookup j =
   in
   let* en_edits =
     match J.member "edits" j with
-    | Some (J.List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* e = Edit.of_json ~lookup item in
-          Ok (e :: acc))
-        (Ok []) items
-      |> Result.map List.rev
+    | Some (J.List items) -> Edit.list_of_json ~lookup items
     | _ -> Error "journal entry: missing list field \"edits\""
   in
   let* en_delay_before = num "delay_before_ns" in
@@ -455,10 +448,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
     else
       let cfg = Analyzer.config !az in
       let scratch =
-        Elimination.compute ~capacity:cfg.Engine.capacity
-          ~use_pseudo:cfg.Engine.use_pseudo
-          ~use_higher_order:cfg.Engine.use_higher_order
-          ~filter:cfg.Engine.filter ~k:cfg.Engine.k
+        Elimination.compute ~filter:cfg.Engine.filter ~k:cfg.Engine.k
           (Topo.create !nl_cur)
       in
       Eco.elim_identical scratch !elim_cur

@@ -40,10 +40,14 @@ let directed_of_coupling nl ~victim cid =
     dc_aggressor = N.coupling_partner nl cid victim;
   }
 
+(* the victim's total cap [ct] and holding time constant [tau] *)
+let peak_of ~ct ~tau ~coupling_cap ~agg_slew =
+  coupling_cap /. ct *. (tau /. (tau +. (agg_slew /. 2.)))
+
 let peak nl ~victim ~coupling_cap ~agg_slew =
   let ct = N.total_cap nl victim in
   let tau = DC.holding_resistance nl victim *. ct in
-  coupling_cap /. ct *. (tau /. (tau +. (agg_slew /. 2.)))
+  peak_of ~ct ~tau ~coupling_cap ~agg_slew
 
 let pulse nl ~agg_slew d =
   let c = N.coupling nl d.dc_coupling in
@@ -51,5 +55,5 @@ let pulse nl ~agg_slew d =
   let tau = DC.holding_resistance nl d.dc_victim *. ct in
   let agg_slew = Float.max 1e-6 agg_slew in
   Tka_waveform.Pulse.make ~onset:0.
-    ~peak:(peak nl ~victim:d.dc_victim ~coupling_cap:c.N.coupling_cap ~agg_slew)
+    ~peak:(peak_of ~ct ~tau ~coupling_cap:c.N.coupling_cap ~agg_slew)
     ~rise:agg_slew ~decay:tau

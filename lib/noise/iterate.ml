@@ -19,12 +19,17 @@ let g_residual = Metrics.Gauge.make "iterate.last_residual_ns"
 
 type active = All | Only of int list | Except of int list
 
+(* One pass of an all-aggressor run: the STA it read and the noise
+   vector after it. *)
+type pass = { ps_sta : Analysis.t; ps_noise : float array }
+
 type t = {
   analysis : Analysis.t;
   base : Analysis.t;
   noise : float array;
   iterations : int;
   converged : bool;
+  passes : pass array option;
 }
 
 (* Victim-noise memo key: every input [Victim_noise.delay_noise] reads —
@@ -54,29 +59,18 @@ end
 
 module Victim_memo = Hashtbl.Make (Victim_key)
 
-(* The all-aggressor run from noiseless, recorded pass by pass: the
-   reference an elimination score is a patch on. Pass [p] holds the STA
-   it read, the noise vector after it, each victim's |delta| in it, and
-   the victims by decreasing delta (NaN first, as it wins any max). *)
-type ref_pass = {
-  rp_sta : Analysis.t;
-  rp_noise : float array;
-  rp_delta : float array;
-  rp_order : N.net_id array;
-}
-
-type reference = {
-  rf_passes : ref_pass array;
-  rf_final : Analysis.t;  (* the STA of the last recorded noise vector *)
-}
+(* Derived from a run's passes on the first [Except] score: each
+   victim's |delta| in each pass, and the victims by decreasing delta
+   (NaN first, as it wins any max). *)
+type deltas = { dl_delta : float array; dl_order : N.net_id array }
 
 type ctx = {
-  cx_topo : Topo.t;
-  cx_base : Analysis.t Lazy.t;
+  cx_run : t;  (* the all-aggressor run every score starts from *)
+  cx_passes : pass array;  (* its recorded passes *)
   cx_aggressors : Coupled_noise.directed list array Lazy.t;
   cx_partners : N.net_id array array Lazy.t;  (* per net: the nets coupled to it *)
+  cx_deltas : deltas array Lazy.t;  (* per recorded pass *)
   cx_victims : float Victim_memo.t;
-  mutable cx_reference : reference option;
 }
 
 (* The victim memo starts over once it holds this many entries: a
@@ -93,19 +87,6 @@ let coupling_partners nl =
   Array.init (N.num_nets nl) (fun m ->
       Array.of_list
         (List.map (fun c -> N.coupling_partner nl c m) (N.couplings_of_net nl m)))
-
-(* Everything is built on first use, so a ctx that is never scored
-   through costs nothing. *)
-let context topo =
-  let nl = Topo.netlist topo in
-  {
-    cx_topo = topo;
-    cx_base = lazy (Analysis.run topo);
-    cx_aggressors = lazy (all_aggressors nl);
-    cx_partners = lazy (coupling_partners nl);
-    cx_victims = Victim_memo.create 256;
-    cx_reference = None;
-  }
 
 let victim_key (windows : Envelope_builder.windows) ~own_noise ~victim ds =
   let key = Array.make (4 + (5 * List.length ds)) 0. in
@@ -252,40 +233,38 @@ let by_delta_desc a b =
   | false, true -> 1
   | false, false -> Float.compare b a
 
-(* The ctx's all-aggressor run from noiseless, recorded on first use
-   through the ctx's memo. *)
-let reference cx nl =
-  match cx.cx_reference with
-  | Some r -> r
-  | None ->
-    let all = Lazy.force cx.cx_aggressors in
-    let nn = Array.length all in
-    let passes = ref [] and before = ref (Array.make nn 0.) in
-    let on_pass sta noise =
-      let after = Array.copy noise in
-      (* the very float operation the loop's residual applies *)
-      let delta = Array.init nn (fun v -> Float.abs (after.(v) -. !before.(v))) in
-      let order = Array.init nn Fun.id in
+(* Each pass's |delta| from consecutive noise vectors, by the very
+   float operation the loop's residual applies. *)
+let deltas run passes =
+  let before = ref (Array.make (Array.length run.noise) 0.) in
+  Array.map
+    (fun { ps_noise = after; _ } ->
+      let delta = Array.mapi (fun v n -> Float.abs (n -. !before.(v))) after in
+      let order = Array.init (Array.length after) Fun.id in
       Array.sort (fun a b -> by_delta_desc delta.(a) delta.(b)) order;
-      passes :=
-        { rp_sta = sta; rp_noise = after; rp_delta = delta; rp_order = order }
-        :: !passes;
-      before := after
-    in
-    let final, _, _, _, _ =
-      fixpoint ~on_pass (Some cx) nl ~aggressors:all
-        ~max_iterations:default_max_iterations ~tolerance:default_tolerance
-        ~noise:(Array.make nn 0.) ~sta:(Lazy.force cx.cx_base) ~seeds:[] ~iterations:0
-        ~residual:0.
-    in
-    Metrics.Counter.incr m_runs;
-    let r = { rf_passes = Array.of_list (List.rev !passes); rf_final = final } in
-    cx.cx_reference <- Some r;
-    r
+      before := after;
+      { dl_delta = delta; dl_order = order })
+    passes
 
-(* An [Except] run from noiseless as a patch on the reference. In pass
-   p a victim is re-evaluated only on the frontier: the touched
-   victims, the victims [diff] whose noise differs from the
+(* Everything but the run is built on first use, so a ctx that is never
+   scored through costs nothing. *)
+let context run =
+  match run.passes with
+  | None -> invalid_arg "Iterate.context: not an all-aggressor run"
+  | Some passes ->
+    let nl = Analysis.netlist run.base in
+    {
+      cx_run = run;
+      cx_passes = passes;
+      cx_aggressors = lazy (all_aggressors nl);
+      cx_partners = lazy (coupling_partners nl);
+      cx_deltas = lazy (deltas run passes);
+      cx_victims = Victim_memo.create 256;
+    }
+
+(* An [Except] run from noiseless as a patch on the ctx's run, the
+   reference. In pass p a victim is re-evaluated only on the frontier:
+   the touched victims, the victims [diff] whose noise differs from the
    reference's, the nets whose window moved against the reference's
    pass-p STA, and their coupling partners. Every other victim has the
    reference's pass-p inputs bit for bit, so it takes the reference's
@@ -293,21 +272,21 @@ let reference cx nl =
    off-frontier victim in the reference's order. A run that outlasts
    the recording carries on with the full loop. *)
 let run_except cx nl ~aggressors ~touched ~max_iterations ~tolerance =
-  let rf = reference cx nl in
+  let rf = cx.cx_passes and ds = Lazy.force cx.cx_deltas in
   let partners = Lazy.force cx.cx_partners in
-  let recorded = Array.length rf.rf_passes in
-  let sta_after p = if p < recorded then rf.rf_passes.(p).rp_sta else rf.rf_final in
+  let recorded = Array.length rf in
+  let sta_after p = if p < recorded then rf.(p).ps_sta else cx.cx_run.analysis in
   let noise = ref (Array.make (Array.length aggressors) 0.) and diff = ref [] in
   let stamp = Array.make (Array.length aggressors) 0 in
   let iterations = ref 0 and converged = ref false and residual = ref 0. in
   while (not !converged) && !iterations < max_iterations && !iterations < recorded do
     incr iterations;
     let p = !iterations in
-    let rp = rf.rf_passes.(p - 1) in
+    let rp = rf.(p - 1) and dl = ds.(p - 1) in
     let delta =
       pass nl p @@ fun () ->
       let a, moved =
-        Analysis.update ~seeds:!diff rp.rp_sta ~extra_lat:(Array.get !noise)
+        Analysis.update ~seeds:!diff rp.ps_sta ~extra_lat:(Array.get !noise)
       in
       let frontier = ref [] and size = ref 0 in
       let add v =
@@ -326,7 +305,7 @@ let run_except cx nl ~aggressors ~touched ~max_iterations ~tolerance =
         moved;
       Metrics.Counter.add m_frontier !size;
       let w = Analysis.window a in
-      let old = !noise and fresh = Array.copy rp.rp_noise in
+      let old = !noise and fresh = Array.copy rp.ps_noise in
       let delta = ref 0. and differs = ref [] in
       List.iter
         (fun v ->
@@ -335,11 +314,11 @@ let run_except cx nl ~aggressors ~touched ~max_iterations ~tolerance =
               aggressors.(v)
           in
           delta := Float.max !delta (Float.abs (n -. old.(v)));
-          if not (same_bits n rp.rp_noise.(v)) then differs := v :: !differs;
+          if not (same_bits n rp.ps_noise.(v)) then differs := v :: !differs;
           fresh.(v) <- n)
         !frontier;
-      (match Array.find_opt (fun v -> stamp.(v) <> p) rp.rp_order with
-      | Some v -> delta := Float.max !delta rp.rp_delta.(v)
+      (match Array.find_opt (fun v -> stamp.(v) <> p) dl.dl_order with
+      | Some v -> delta := Float.max !delta dl.dl_delta.(v)
       | None -> ());
       noise := fresh;
       diff := !differs;
@@ -370,10 +349,18 @@ let run ?(active = All)
     match ctx with
     | None -> (Analysis.run topo, all_aggressors nl)
     | Some cx ->
-      if cx.cx_topo != topo then invalid_arg "Iterate.run: ctx built for another topology";
-      (Lazy.force cx.cx_base, Lazy.force cx.cx_aggressors)
+      if Analysis.topo cx.cx_run.base != topo then
+        invalid_arg "Iterate.run: ctx built for another topology";
+      (cx.cx_run.base, Lazy.force cx.cx_aggressors)
   in
   let aggressors, touched = aggressor_lists nl all active in
+  (* an all-aggressor run keeps each pass, for {!context} *)
+  let recording = match active with All -> Some (ref []) | Only _ | Except _ -> None in
+  let on_pass =
+    Option.map
+      (fun r sta noise -> r := { ps_sta = sta; ps_noise = Array.copy noise } :: !r)
+      recording
+  in
   let final, noise, iterations, converged, residual =
     match (ctx, active) with
     | Some cx, Except _ ->
@@ -385,7 +372,7 @@ let run ?(active = All)
         | Only _ -> Some (Array.of_list touched)
         | All | Except _ -> None
       in
-      fixpoint ?victims ctx nl ~aggressors ~max_iterations ~tolerance
+      fixpoint ?on_pass ?victims ctx nl ~aggressors ~max_iterations ~tolerance
         ~noise:(Array.make nn 0.) ~sta:base ~seeds:[] ~iterations:0 ~residual:0.
   in
   Metrics.Counter.incr m_runs;
@@ -403,7 +390,8 @@ let run ?(active = All)
           "noise iteration did not converge in %d sweeps on %s" max_iterations
           (N.name nl))
   end;
-  { analysis = final; base; noise; iterations; converged }
+  let passes = Option.map (fun r -> Array.of_list (List.rev !r)) recording in
+  { analysis = final; base; noise; iterations; converged; passes }
 
 let circuit_delay t = Analysis.circuit_delay t.analysis
 let noiseless_delay t = Analysis.circuit_delay t.base

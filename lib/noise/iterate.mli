@@ -30,29 +30,41 @@ type active =
     every other victim shares the all-aggressor list ([Except]) or has
     none ([Only]). *)
 
+type pass
+(** One pass of an all-aggressor run: the STA it read and the noise
+    vector after it. Never written after the run, so ctxs on different
+    domains can share it. *)
+
 type t = {
   analysis : Tka_sta.Analysis.t;  (** final STA, windows include noise *)
   base : Tka_sta.Analysis.t;  (** noiseless STA of the same netlist *)
   noise : float array;  (** per-net delay noise at the fixpoint *)
   iterations : int;  (** sweeps executed *)
   converged : bool;
+  passes : pass array option;
+      (** [All] runs: every pass, in order — what {!context} patches
+          on; [None] under [Only]/[Except] *)
 }
 
 type ctx
 (** State shared by many {!run}s on one topology, for the exact
-    re-ranking loops that score hundreds of nearby coupling sets: the
-    noiseless base STA, each victim's all-aggressor list and coupling
-    partners, a victim-noise memo keyed by every input of
+    re-ranking loops that score hundreds of nearby coupling sets. A ctx
+    is made from an all-aggressor run, the {e reference}: its noiseless
+    base STA is the run's [base], and [Except] scores patch on the
+    run's recorded passes. Built on first use from there: each victim's
+    all-aggressor list and coupling partners, each pass's per-victim
+    |delta| and the victims by delta (on the first [Except] score), and
+    a victim-noise memo keyed by every input of
     {!Victim_noise.delay_noise} (victim id, LAT, late slew, own noise,
     and each active aggressor's directed id and full window, compared
-    bit for bit), and the {e reference run}: the all-aggressor run from
-    noiseless, recorded pass by pass (the STA each pass read, the noise
-    after it, each victim's |delta| and the victims by delta) on the
-    first [Except] score. Results through a ctx are bitwise-identical to
-    results without one. Built lazily on first use. NOT thread-safe:
-    confine a ctx to one sequential loop, one domain. *)
+    bit for bit). Results through a ctx are bitwise-identical to
+    results without one. NOT thread-safe: confine a ctx to one
+    sequential loop, one domain; ctxs made from the same run may live
+    on different domains. *)
 
-val context : Tka_circuit.Topo.t -> ctx
+val context : t -> ctx
+(** [context run] scores through [run], which must be an [All] run
+    ({!run}'s default), else [Invalid_argument]. *)
 
 val run :
   ?active:active ->
@@ -66,16 +78,18 @@ val run :
 
     Every pass re-times by a seeded {!Tka_sta.Analysis.update} from the
     victims whose noise moved in the pass before (the first pass reads
-    the noiseless base directly), and so does the final STA. Under [Only] no victim outside the set can carry noise,
-    so each pass evaluates just the set's victims. With [ctx] (which
-    must have been built for [topo], else [Invalid_argument]) the base
+    the noiseless base directly), and so does the final STA. An [All]
+    run keeps each pass's STA and noise vector in [passes]. Under
+    [Only] no victim outside the set can carry noise,
+    so each pass evaluates just the set's victims. With [ctx] (whose
+    run must be on [topo], else [Invalid_argument]) the base
     and aggressor lists are shared across runs and victim evaluations
     go through the ctx's memo ([iterate.victim_memo_hits]/[_misses]);
     without it nothing is memoised — on a single fixpoint the memo
     costs more than it saves.
 
-    An [Except] run through a ctx is a patch on
-    the ctx's reference run: pass p starts from a seeded update of the
+    An [Except] run through a ctx is a patch on the run the ctx was
+    made from, the reference: pass p starts from a seeded update of the
     reference's pass-p STA, and re-evaluates only the {e frontier} —
     the victims the set touches, those whose noise differs from the
     reference's, the nets whose window moved, and their coupling

@@ -140,55 +140,7 @@ let filter_of_params p =
   | Some _ -> Error "\"filter\" must be \"none\", \"window\" or \"logic\""
 
 let edits_of_params ~lookup p =
-  let ( let* ) = Result.bind in
-  let edit j =
-    let* op = param_string j "op" in
-    match op with
-    | "remove_coupling" -> (
-      match J.member "coupling" j with
-      | Some (J.Int c) -> Ok (Tka_incr.Edit.Remove_coupling c)
-      | _ -> Error "remove_coupling needs an integer \"coupling\"")
-    | "scale_coupling" -> (
-      match (J.member "coupling" j, J.member "factor" j) with
-      | Some (J.Int c), Some (J.Float f) when f >= 0. && f <= 1. ->
-        Ok (Tka_incr.Edit.Scale_coupling { coupling = c; factor = f })
-      | Some (J.Int c), Some (J.Int 0) ->
-        Ok (Tka_incr.Edit.Scale_coupling { coupling = c; factor = 0. })
-      | Some (J.Int c), Some (J.Int 1) ->
-        Ok (Tka_incr.Edit.Scale_coupling { coupling = c; factor = 1. })
-      | _ ->
-        Error "scale_coupling needs an integer \"coupling\" and a \"factor\" in [0,1]"
-      )
-    | "resize_driver" -> (
-      match (J.member "gate" j, J.member "cell" j) with
-      | Some (J.Int g), Some (J.Str cell_name) -> (
-        match lookup cell_name with
-        | Some cell -> Ok (Tka_incr.Edit.Resize_driver { gate = g; cell })
-        | None -> Error (Printf.sprintf "unknown cell %S" cell_name))
-      | _ -> Error "resize_driver needs an integer \"gate\" and a string \"cell\"")
-    | "strengthen_driver" -> (
-      let factor =
-        match J.member "factor" j with
-        | Some (J.Float f) -> Some f
-        | Some (J.Int i) -> Some (float_of_int i)
-        | _ -> None
-      in
-      match (J.member "gate" j, factor) with
-      | Some (J.Int g), Some f when Float.is_finite f && f > 0. ->
-        Ok (Tka_incr.Edit.Strengthen_driver { gate = g; factor = f })
-      | _ ->
-        Error
-          "strengthen_driver needs an integer \"gate\" and a positive \"factor\"")
-    | op -> Error (Printf.sprintf "unknown edit op %S" op)
-  in
   match J.member "edits" p with
-  | Some (J.List l) ->
-    List.fold_left
-      (fun acc j ->
-        let* acc = acc in
-        let* e = edit j in
-        Ok (e :: acc))
-      (Ok []) l
-    |> Result.map List.rev
+  | Some (J.List l) -> Tka_incr.Edit.list_of_json ~lookup l
   | Some _ -> Error "\"edits\" must be a list"
   | None -> Error "missing \"edits\""

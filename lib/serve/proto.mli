@@ -80,9 +80,6 @@ val edits_of_params :
   lookup:(string -> Tka_cell.Cell.t option) ->
   J.t ->
   (Tka_incr.Edit.t list, string) result
-(** ["edits"]: a list of
-    [{"op":"remove_coupling","coupling":3}],
-    [{"op":"scale_coupling","coupling":3,"factor":0.5}],
-    [{"op":"resize_driver","gate":2,"cell":"NAND2_X2"}] or
-    [{"op":"strengthen_driver","gate":2,"factor":1.5}] objects.
-    Range checks against the target netlist are the session's job. *)
+(** ["edits"]: a list of edits in {!Tka_incr.Edit.to_json}'s format,
+    decoded by {!Tka_incr.Edit.list_of_json}. Range checks against the
+    target netlist are the session's job ({!Tka_incr.Edit.check}). *)

@@ -67,7 +67,7 @@ let analyzer_for d filter =
   | Some a -> a
   | None ->
     let a =
-      Analyzer.with_shared_cache ~k:d.d_k ~filter ~cache:d.d_cache ()
+      Analyzer.create ~k:d.d_k ~filter ~cache:d.d_cache ()
     in
     Hashtbl.add d.d_analyzers filter a;
     a
@@ -222,27 +222,6 @@ let analyze t params =
 (* whatif / eco                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let validate_edits d edits =
-  let nc = N.num_couplings d.d_nl and ng = N.num_gates d.d_nl in
-  List.fold_left
-    (fun acc e ->
-      let* () = acc in
-      match e with
-      | Edit.Remove_coupling c | Edit.Scale_coupling { coupling = c; _ } ->
-        if c < 0 || c >= nc then
-          Error
-            ( Proto.Bad_request,
-              Printf.sprintf "coupling %d out of range (design has %d)" c nc )
-        else Ok ()
-      | Edit.Resize_driver { gate = g; _ }
-      | Edit.Strengthen_driver { gate = g; _ } ->
-        if g < 0 || g >= ng then
-          Error
-            ( Proto.Bad_request,
-              Printf.sprintf "gate %d out of range (design has %d)" g ng )
-        else Ok ())
-    (Ok ()) edits
-
 (* Build the edited design as a *new* registry tenant: the edited
    fingerprint's cache is seeded (first arrival only) with a remapped
    copy of the base cache, which stays valid for co-tenants. *)
@@ -260,7 +239,7 @@ let edited_design t d edits =
 let whatif t params =
   let* d = require t in
   let* edits = bad (Proto.edits_of_params ~lookup:t.lookup params) in
-  let* () = validate_edits d edits in
+  let* () = bad (Edit.check d.d_nl edits) in
   let* mode = bad (Proto.mode_of_params params) in
   let* filter = bad (Proto.filter_of_params params) in
   let t0 = Clock.now_s () in

@@ -3,7 +3,7 @@
 
     A session owns no victim cache — it attaches to the {!Registry}
     cache for its design's fingerprint through
-    {!Tka_incr.Analyzer.with_shared_cache}, so every result it
+    {!Tka_incr.Analyzer.create}[ ~cache], so every result it
     enumerates is immediately reusable by co-tenants (and vice versa).
     All results are {e bit-identical} to the equivalent one-shot CLI
     run at any jobs count: the session only composes the analyzer and

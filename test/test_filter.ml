@@ -503,7 +503,7 @@ let test_ctx_memo_identity () =
   let nl = pair_netlist () in
   let topo = Topo.create nl in
   let id = CN.directed_id (victim_directed nl) in
-  let ctx = Iterate.context topo in
+  let ctx = Iterate.context (Iterate.run topo) in
   List.iter
     (fun active ->
       let run ctx = Iterate.circuit_delay (Iterate.run ~active ?ctx topo) in

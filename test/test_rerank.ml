@@ -121,6 +121,7 @@ let reference ?(tolerance = 1e-4) ~active ~max_iterations topo =
     noise;
     iterations = !iterations;
     converged = !converged;
+    passes = None;
   }
 
 let same_result nn (a : Iterate.t) (b : Iterate.t) =
@@ -169,6 +170,9 @@ let expected topo q =
     ~active:(fun d -> CS.mem (Coupled_noise.directed_id d) q.q_set <> q.q_excludes)
     ~max_iterations:q.q_max_iterations topo
 
+(* a ctx made from the all-aggressor run, as the re-ranking makes it *)
+let context topo = Iterate.context (Iterate.run topo)
+
 let run_query ?ctx topo q =
   Iterate.run ~active:(active q) ~max_iterations:q.q_max_iterations
     ~tolerance:q.q_tolerance ?ctx topo
@@ -177,7 +181,7 @@ let run_query ?ctx topo q =
    reference; the first mismatch fails with its query *)
 let all_match topo qs =
   let nn = N.num_nets (Topo.netlist topo) in
-  let ctx = Iterate.context topo in
+  let ctx = context topo in
   List.for_all
     (fun q ->
       let expect = expected topo q in
@@ -204,11 +208,11 @@ let prop_ctx_order_independent =
       let nn = N.num_nets (Topo.netlist topo) in
       let qs = random_queries rng topo 8 in
       let forward =
-        let ctx = Iterate.context topo in
+        let ctx = context topo in
         List.map (run_query ~ctx topo) qs
       in
       let backward =
-        let ctx = Iterate.context topo in
+        let ctx = context topo in
         List.rev (List.map (run_query ~ctx topo) (List.rev qs))
       in
       List.for_all2 (same_result nn) forward backward)
@@ -270,7 +274,7 @@ let test_cap_hit_reported () =
      and the ctx path says so exactly as the reference does *)
   let topo = Topo.create (Gen.medium_circuit (Rng.create 11)) in
   let q = query CS.empty ~excludes:true ~max_iterations:1 in
-  let r = run_query ~ctx:(Iterate.context topo) topo q in
+  let r = run_query ~ctx:(context topo) topo q in
   Alcotest.(check int) "one pass" 1 r.Iterate.iterations;
   Alcotest.(check bool) "not converged" false r.Iterate.converged
 
@@ -279,9 +283,74 @@ let test_ctx_rejects_other_topology () =
   let other = Topo.create (Gen.small_circuit (Rng.create 5)) in
   Alcotest.(check bool) "other topology rejected" true
     (try
-       ignore (Iterate.run ~ctx:(Iterate.context topo) other);
+       ignore (Iterate.run ~ctx:(context topo) other);
        false
      with Invalid_argument _ -> true)
+
+let test_ctx_rejects_partial_run () =
+  let topo = Topo.create (Gen.small_circuit (Rng.create 5)) in
+  Alcotest.(check bool) "Only run rejected" true
+    (try
+       ignore (Iterate.context (Iterate.run ~active:(Iterate.Only [ 0 ]) topo));
+       false
+     with Invalid_argument _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* One all-aggressor run per design state                             *)
+(* ------------------------------------------------------------------ *)
+
+let counter name =
+  match Tka_obs.Metrics.find_counter name with
+  | Some c -> Tka_obs.Metrics.Counter.value c
+  | None -> 0
+
+(* what [f] adds to [sta.runs] and [iterate.runs], with its result *)
+let runs_of f =
+  Tka_obs.Metrics.with_enabled true @@ fun () ->
+  let sta = counter "sta.runs" and iterate = counter "iterate.runs" in
+  let r = f () in
+  (counter "sta.runs" - sta, counter "iterate.runs" - iterate, r)
+
+let check_runs ~scores (sta, iterate) =
+  Alcotest.(check int) "one noiseless STA" 1 sta;
+  Alcotest.(check int) "one all-aggressor run, then one run per score" (1 + scores)
+    iterate
+
+(* a ranking at k = 1..3: the fixpoint its engines read, then one exact
+   run per set of each pool *)
+let test_one_run_per_ranking mode () =
+  let topo = bench "i1" in
+  let ks = [ 1; 2; 3 ] in
+  let sta, iterate, scores =
+    runs_of (fun () ->
+        let r, evaluate =
+          match mode with
+          | Tka_topk.Engine.Addition ->
+            let a = Tka_topk.Addition.compute ~k:3 topo in
+            (Tka_topk.Addition.ranking a, Tka_topk.Addition.evaluate a)
+          | Tka_topk.Engine.Elimination ->
+            let e = Tka_topk.Elimination.compute ~k:3 topo in
+            (Tka_topk.Elimination.ranking e, Tka_topk.Elimination.evaluate e)
+        in
+        List.iter (fun i -> ignore (evaluate i)) ks;
+        List.fold_left (fun n i -> n + List.length (Tka_topk.Refine.pool r i)) 0 ks)
+  in
+  Alcotest.(check bool) "scored sets" true (scores > 0);
+  check_runs ~scores (sta, iterate)
+
+let test_one_run_per_brute_force jobs () =
+  let before = Tka_parallel.Pool.default_jobs () in
+  Tka_parallel.Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Tka_parallel.Pool.set_default_jobs before)
+  @@ fun () ->
+  let topo = Topo.create (Gen.small_circuit (Rng.create 5)) in
+  let sta, iterate, out =
+    runs_of (fun () -> Tka_topk.Brute_force.elimination ~k:2 topo)
+  in
+  Alcotest.(check bool) "completed" true out.Tka_topk.Brute_force.bf_completed;
+  Alcotest.(check bool) "split across the jobs" true
+    (out.Tka_topk.Brute_force.bf_total >= 2 * jobs);
+  check_runs ~scores:out.Tka_topk.Brute_force.bf_evaluated (sta, iterate)
 
 let () =
   Alcotest.run "tka_rerank"
@@ -301,6 +370,16 @@ let () =
           Alcotest.test_case "tolerance below the reference falls back" `Quick
             test_fallback;
           Alcotest.test_case "one and two passes" `Quick test_short_caps;
+          Alcotest.test_case "partial run rejected" `Quick test_ctx_rejects_partial_run;
+        ] );
+      ( "one run",
+        [
+          Alcotest.test_case "addition ranking" `Quick
+            (test_one_run_per_ranking Tka_topk.Engine.Addition);
+          Alcotest.test_case "elimination ranking" `Quick
+            (test_one_run_per_ranking Tka_topk.Engine.Elimination);
+          Alcotest.test_case "brute force, jobs 1" `Quick (test_one_run_per_brute_force 1);
+          Alcotest.test_case "brute force, jobs 4" `Quick (test_one_run_per_brute_force 4);
         ] );
       ( "benchmarks",
         List.map

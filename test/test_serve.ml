@@ -313,6 +313,80 @@ let test_dispatch_errors () =
     "error reply echoes the request id" true
     (J.member "id" reply = Some (J.Str "abc"))
 
+(* The RPC and the repair journal decode edits alike: each bad edit is
+   a bad_request with the wire message, and a journal entry carrying it
+   does not decode. *)
+let test_bad_edits () =
+  let srv = make_server () in
+  let sess = session srv in
+  load_tiny srv sess;
+  let nc = N.num_couplings (B.tiny ()) in
+  let edit kvs = J.Obj kvs in
+  let scale f =
+    edit [ ("op", J.Str "scale_coupling"); ("coupling", J.Int 0); ("factor", f) ]
+  and strengthen f =
+    edit [ ("op", J.Str "strengthen_driver"); ("gate", J.Int 0); ("factor", f) ]
+  in
+  let scale_msg = "scale_coupling needs an integer \"coupling\" and a \"factor\" in [0,1]"
+  and strengthen_msg =
+    "strengthen_driver needs an integer \"gate\" and a positive \"factor\""
+  in
+  let undecodable =
+    [
+      (scale (J.Int 5), scale_msg);
+      (scale (J.Float 1.5), scale_msg);
+      (scale (J.Float (-0.25)), scale_msg);
+      (scale (J.Float Float.nan), scale_msg);
+      (strengthen (J.Int 0), strengthen_msg);
+      (strengthen (J.Float (-1.5)), strengthen_msg);
+      (strengthen (J.Float Float.infinity), strengthen_msg);
+      ( edit [ ("op", J.Str "remove_coupling"); ("coupling", J.Str "3") ],
+        "remove_coupling needs an integer \"coupling\"" );
+      ( edit [ ("op", J.Str "resize_driver"); ("gate", J.Int 0); ("cell", J.Str "NOPE") ],
+        "unknown cell \"NOPE\"" );
+      (edit [ ("op", J.Str "frob") ], "unknown edit op \"frob\"");
+      (edit [ ("op", J.Int 3) ], "\"op\" must be a string");
+      (edit [ ("coupling", J.Int 0) ], "missing \"op\"");
+    ]
+  in
+  let rpc_error e =
+    match
+      Proto.response_result
+        (rpc srv sess "whatif" (J.Obj [ ("edits", J.List [ e ]) ]))
+    with
+    | Error (code, msg) -> (Proto.code_to_string code, msg)
+    | Ok _ -> Alcotest.failf "whatif accepted %s" (J.to_string e)
+  in
+  let entry e =
+    Tka_incr.Repair.entry_of_json ~lookup:Tka_cell.Default_lib.find
+      (J.Obj
+         [
+           ("iter", J.Int 1); ("move", J.Str "space"); ("accepted", J.Bool true);
+           ("edits", J.List [ e ]); ("delay_before_ns", J.Float 1.);
+           ("delay_after_ns", J.Float 1.); ("tns_before_ns", J.Float 0.);
+           ("tns_after_ns", J.Float 0.); ("dirty_nets", J.Int 0);
+           ("cache_hits", J.Int 0); ("cache_misses", J.Int 0);
+         ])
+  in
+  Alcotest.(check bool) "a good edit decodes in the journal" true
+    (Result.is_ok (entry (scale (J.Float 0.5))));
+  List.iter
+    (fun (e, msg) ->
+      Alcotest.(check (pair string string))
+        (J.to_string e) ("bad_request", msg) (rpc_error e);
+      Alcotest.(check (result unit string))
+        ("journal " ^ J.to_string e) (Error msg)
+        (Result.map ignore (entry e)))
+    undecodable;
+  (* ids are checked against the design: by the RPC, and by replay *)
+  let far = edit [ ("op", J.Str "remove_coupling"); ("coupling", J.Int 99_999) ] in
+  let range_msg = Printf.sprintf "coupling 99999 out of range (design has %d)" nc in
+  Alcotest.(check (pair string string)) "out of range" ("bad_request", range_msg)
+    (rpc_error far);
+  Alcotest.check_raises "replay raises the same message"
+    (Invalid_argument ("Edit.apply: " ^ range_msg))
+    (fun () -> ignore (Tka_incr.Edit.apply (B.tiny ()) [ Tka_incr.Edit.Remove_coupling 99_999 ]))
+
 let test_batch () =
   let srv = make_server () in
   let sess = session srv in
@@ -1085,6 +1159,7 @@ let () =
       ( "dispatch",
         [
           Alcotest.test_case "errors" `Quick test_dispatch_errors;
+          Alcotest.test_case "bad edits" `Quick test_bad_edits;
           Alcotest.test_case "batch" `Quick test_batch;
           Alcotest.test_case "shutdown" `Quick test_shutdown;
           Alcotest.test_case "metrics" `Quick test_metrics_rpc;

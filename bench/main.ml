@@ -731,8 +731,6 @@ let run_eco o =
     report.Tka_incr.Eco.eco_t_full_s report.Tka_incr.Eco.eco_t_incr_s
     report.Tka_incr.Eco.eco_speedup report.Tka_incr.Eco.eco_cache_hits
     report.Tka_incr.Eco.eco_cache_misses;
-  Printf.printf "  warm re-verify (all hits): %.2f s (%.1fx)\n"
-    report.Tka_incr.Eco.eco_t_warm_s report.Tka_incr.Eco.eco_speedup_warm;
   Printf.printf "  results identical to scratch: %s\n%!"
     (if report.Tka_incr.Eco.eco_identical then "yes"
      else "NO (incremental correctness violation!)");

@@ -802,7 +802,7 @@ let eco_cmd =
         (match r.Tka_incr.Eco.eco_set with
         | None -> Printf.printf "  no elimination candidates; nothing to fix\n"
         | Some s ->
-          Printf.printf "  removing %d coupling(s):\n%s"
+          Printf.printf "  removing %d coupling(s):\n%s\n"
             (List.length r.Tka_incr.Eco.eco_edits)
             (Tka_topk.Coupling_set.describe nl s));
         Printf.printf "  noisy delay %.4f ns -> %.4f ns after fix\n"
@@ -811,8 +811,6 @@ let eco_cmd =
           "  re-verify: full %.3f s, incremental %.3f s (%.1fx speedup)\n"
           r.Tka_incr.Eco.eco_t_full_s r.Tka_incr.Eco.eco_t_incr_s
           r.Tka_incr.Eco.eco_speedup;
-        Printf.printf "  warm re-verify (all hits): %.3f s (%.1fx)\n"
-          r.Tka_incr.Eco.eco_t_warm_s r.Tka_incr.Eco.eco_speedup_warm;
         Printf.printf "  dirty nets %d, cache hits %d, misses %d\n"
           r.Tka_incr.Eco.eco_dirty_nets r.Tka_incr.Eco.eco_cache_hits
           r.Tka_incr.Eco.eco_cache_misses;

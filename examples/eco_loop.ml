@@ -14,9 +14,7 @@
 module N = Tka_circuit.Netlist
 module V = Tka_circuit.Verilog_lite
 module Spef = Tka_circuit.Spef_lite
-module Topo = Tka_circuit.Topo
 module Lib = Tka_cell.Default_lib
-module Iterate = Tka_noise.Iterate
 module Elimination = Tka_topk.Elimination
 module CS = Tka_topk.Coupling_set
 module Analyzer = Tka_incr.Analyzer
@@ -104,14 +102,13 @@ let () =
   Printf.printf "%d-bit ripple adder: %d gates, %d nets, %d couplings\n\n" bits
     (N.num_gates nl) (N.num_nets nl) (N.num_couplings nl);
 
-  let rec round i az nl =
-    let topo = Topo.create nl in
-    let elim, st = Analyzer.run az topo in
+  let rec round i az =
+    let elim, st = Analyzer.run az in
     Printf.printf "round %d: delay %.4f ns (cache: %d hits, %d misses)\n" i
       (Elimination.all_aggressor_delay elim)
       st.Analyzer.rs_hits st.Analyzer.rs_misses;
     (* every round, re-check the incremental contract from scratch *)
-    if not (Eco.elim_identical (Elimination.compute ~k:3 topo) elim) then
+    if not (Eco.elim_identical (Elimination.compute ~k:3 (Analyzer.topo az)) elim) then
       failwith "incremental result diverged from scratch";
     match
       if i > 3 then None
@@ -121,10 +118,10 @@ let () =
     | Some (set, fixed_delay) ->
       Printf.printf "  fix: remove %s  (delay -> %.4f ns)\n"
         (String.concat ", "
-           (Tka_topk.Report.set_lines nl set))
+           (Tka_topk.Report.set_lines (Analyzer.netlist az) set))
         fixed_delay;
-      let az', nl', dirty = Analyzer.apply az nl (removal_edits set) in
+      let az', dirty = Analyzer.apply az (removal_edits set) in
       Printf.printf "  dirty closure: %d nets\n" dirty;
-      round (i + 1) az' nl'
+      round (i + 1) az'
   in
-  round 1 (Analyzer.create ~k:3 ()) nl
+  round 1 (Analyzer.create ~k:3 nl)

@@ -4,11 +4,8 @@ type t = {
   ctx : Tka_noise.Iterate.ctx;
 }
 
-let compute ?capacity ?use_pseudo ?use_higher_order ?filter ?fixpoint ~k topo =
-  let r =
-    Refine.compute ?capacity ?use_pseudo ?use_higher_order ?filter ?fixpoint
-      ~mode:Engine.Addition ~k topo
-  in
+let compute ?filter ?fixpoint ~k topo =
+  let r = Refine.compute ?filter ?fixpoint ~mode:Engine.Addition ~k topo in
   { result = r.Refine.result; topo; ctx = r.Refine.ctx }
 
 let ranking t = { Refine.result = t.result; dual = None; topo = t.topo; ctx = t.ctx }

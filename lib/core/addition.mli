@@ -13,9 +13,6 @@ type t = {
 }
 
 val compute :
-  ?capacity:int ->
-  ?use_pseudo:bool ->
-  ?use_higher_order:bool ->
   ?filter:Tka_filter.Mode.t ->
   ?fixpoint:Tka_noise.Iterate.t ->
   k:int ->

@@ -5,11 +5,9 @@ type t = {
   dual : Engine.result;
 }
 
-let compute ?capacity ?use_pseudo ?use_higher_order ?filter ?fixpoint
-    ?victim_cache ~k topo =
+let compute ?filter ?fixpoint ?victim_cache ~k topo =
   let r =
-    Refine.compute ?capacity ?use_pseudo ?use_higher_order ?filter ?fixpoint
-      ?victim_cache ~mode:Engine.Elimination ~k topo
+    Refine.compute ?filter ?fixpoint ?victim_cache ~mode:Engine.Elimination ~k topo
   in
   { result = r.Refine.result; topo; ctx = r.Refine.ctx; dual = Option.get r.Refine.dual }
 

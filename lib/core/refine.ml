@@ -73,10 +73,8 @@ type t = {
   ctx : Iterate.ctx;
 }
 
-let compute ?(capacity = Ilist.default_capacity) ?(use_pseudo = true)
-    ?(use_higher_order = true) ?(filter = Tka_filter.Mode.Off) ?fixpoint
-    ?victim_cache ~mode ~k topo =
-  let config = { Engine.k; capacity; use_pseudo; use_higher_order; filter } in
+let compute ?(filter = Tka_filter.Mode.Off) ?fixpoint ?victim_cache ~mode ~k topo =
+  let config = { (Engine.default_config ~k) with Engine.filter } in
   (* one all-aggressor fixpoint for the engine runs and the exact
      scores *)
   let fixpoint = match fixpoint with Some f -> f | None -> Iterate.run topo in

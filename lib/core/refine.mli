@@ -66,9 +66,6 @@ type t = {
 }
 
 val compute :
-  ?capacity:int ->
-  ?use_pseudo:bool ->
-  ?use_higher_order:bool ->
   ?filter:Tka_filter.Mode.t ->
   ?fixpoint:Tka_noise.Iterate.t ->
   ?victim_cache:(Engine.mode -> Engine.victim_cache option) ->

@@ -49,8 +49,8 @@ val generation : t -> int
     stores exactly once per missed lookup, so an {!Analyzer.run} that
     moves the generation by exactly its [rs_misses] saw no other
     writer; while the generation then stays put, a re-run of the same
-    analysis would hit on every victim. [Tka_serve] memoizes analyses
-    on this rule. A fresh, loaded or {!remapped_copy} cache starts
+    analysis would hit on every victim. {!Analyzer.run} memoizes a
+    design state's analyses on this rule. A fresh, loaded or {!remapped_copy} cache starts
     at 0. *)
 
 val universe : t -> Fnv.t option

@@ -8,7 +8,8 @@
     checking the results are bit-identical. The report carries the
     speedup and the identity verdict; the bench harness and the
     [tka eco] subcommand serialise it as the [eco] section of
-    [BENCH_topk.json]. *)
+    [BENCH_topk.json]. The fix step between the two analyses ({!fix})
+    is shared with the serve [eco] RPC. *)
 
 type rule = Rule_elim | Rule_dual | Rule_none
 (** Which engine produced the applied fix set: the elimination rule,
@@ -27,7 +28,7 @@ type report = {
   eco_set : Tka_topk.Coupling_set.t option;
       (** the applied elimination set ([None] if the design has no
           candidates — then no edit is applied and the "re-analysis"
-          is a pure warm rerun) *)
+          is the initial analysis again) *)
   eco_edits : Edit.t list;
   eco_delay_noisy : float;  (** all-aggressor delay before the fix, ns *)
   eco_delay_fixed : float;  (** all-aggressor delay after the fix, ns *)
@@ -39,16 +40,10 @@ type report = {
   eco_cache_misses : int;  (** victims re-enumerated *)
   eco_t_full_s : float;  (** from-scratch re-analysis wall time *)
   eco_t_incr_s : float;  (** incremental re-analysis wall time *)
-  eco_t_warm_s : float;
-      (** warm re-verify wall time: a second incremental run on the
-          unchanged edited design, where every victim hits — the
-          incremental floor (fixpoint + fingerprints + installation),
-          i.e. what a checkpoint warm start costs *)
   eco_speedup : float;  (** [t_full / t_incr] *)
-  eco_speedup_warm : float;  (** [t_full / t_warm] *)
   eco_identical : bool;
-      (** bit-identity of both the incremental and the warm re-analysis
-          against the from-scratch one *)
+      (** bit-identity of the incremental re-analysis against the
+          from-scratch one *)
 }
 
 val results_identical : Tka_topk.Engine.result -> Tka_topk.Engine.result -> bool
@@ -63,13 +58,30 @@ val choose_fix :
   Tka_topk.Elimination.t -> fix_k:int -> rule * Tka_topk.Coupling_set.t option
 (** The eco fix rule: the elimination set of cardinality [fix_k] when
     the elimination engine has one, else the dual (addition) engine's
-    (logged at info), else none (logged as a warning). Shared by
-    {!run} and the serve [eco] RPC. *)
+    (logged at info), else none (logged as a warning). *)
 
 val removal_edits : Tka_topk.Coupling_set.t -> Edit.t list
 (** One {!Edit.Remove_coupling} per physical cap of a set of directed
     couplings (both sides of a cap collapse to one edit), in ascending
     cap order. *)
+
+type fix = {
+  fx_set : Tka_topk.Coupling_set.t;  (** the chosen set *)
+  fx_edits : Edit.t list;  (** its {!removal_edits} *)
+  fx_state : Analyzer.t;  (** the edited design state *)
+  fx_dirty : int;  (** {!Dirty.closure} size of the edit *)
+}
+
+val fix :
+  ?cache:(Tka_circuit.Netlist.t -> seed:(unit -> Cache.t) -> Cache.t) ->
+  Analyzer.t ->
+  Tka_topk.Elimination.t ->
+  fix_k:int ->
+  rule * fix option
+(** The eco step over a design state and its analysis: {!choose_fix},
+    then {!Analyzer.apply}[ ?cache] of the set's {!removal_edits}
+    ([None] and no edit when no set exists). The caller runs the
+    post-edit analysis. Shared by {!run} and the serve [eco] RPC. *)
 
 val run :
   ?k:int ->

@@ -1,5 +1,4 @@
 module N = Tka_circuit.Netlist
-module Topo = Tka_circuit.Topo
 module Engine = Tka_topk.Engine
 module Elimination = Tka_topk.Elimination
 module CS = Tka_topk.Coupling_set
@@ -221,7 +220,8 @@ let strengthen_factor = 1.5
      same preference order as [Eco.run]);
    - strengthen: the driver of the noisiest net on the worst violating
      endpoint's critical path. *)
-let candidates nl (fx : Iterate.t) elim ~fix_k ~target =
+let candidates a elim ~fix_k ~target =
+  let fx = Analyzer.fixpoint a in
   let an = fx.Iterate.analysis in
   let violating =
     Analysis.output_arrivals an
@@ -265,7 +265,7 @@ let candidates nl (fx : Iterate.t) elim ~fix_k ~target =
       CP.to_output an worst_po
       |> List.filter_map (fun (st : CP.step) ->
              let n = st.CP.step_net in
-             match N.driver_gate nl n with
+             match N.driver_gate (Analyzer.netlist a) n with
              | Some g -> Some (g.N.gate_id, Iterate.net_noise fx n)
              | None -> None)
       |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
@@ -292,7 +292,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
     invalid_arg "Repair.run: recover outside [0, 1]";
   let wall = Tka_obs.Clock.now_s in
   let t_start = wall () in
-  let az = ref (Analyzer.create ~k ~filter ()) in
+  let az = ref (Analyzer.create ~k nl) in
   Option.iter (Analyzer.warm_start !az) checkpoint;
   let save_ckpt () =
     if not dry_run then
@@ -300,16 +300,8 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       | Some path -> Analyzer.save_checkpoint !az path
       | None -> ()
   in
-  let nl_cur = ref nl in
-  let topo0 = Topo.create nl in
-  (* the loop computes each state's fixpoint itself (and hands it to
-     [Analyzer.run]) because candidate targeting needs the per-output
-     noisy arrivals and per-net noise — [Iterate.run] is exactly what
-     the analyzer would have run internally, so results are unchanged *)
-  let fx0 = Iterate.run topo0 in
-  let elim0, _ = Analyzer.run ~fixpoint:fx0 !az topo0 in
+  let elim0, _ = Analyzer.run ~filter !az in
   let elim_cur = ref elim0 in
-  let fx_cur = ref fx0 in
   save_ckpt ();
   let noiseless = Elimination.noiseless_delay elim0 in
   let initial = Elimination.all_aggressor_delay elim0 in
@@ -339,29 +331,29 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       flush oc
     | None -> ()
   in
-  let delay () = Iterate.circuit_delay !fx_cur in
-  let tns_cur () = tns !fx_cur.Iterate.analysis ~target in
+  (* candidate targeting and the TNS read each state's fixpoint: the
+     one its analysis ran on *)
+  let delay () = Iterate.circuit_delay (Analyzer.fixpoint !az) in
+  let tns_cur () = tns (Analyzer.fixpoint !az).Iterate.analysis ~target in
   let curve = ref [ (0, initial) ] in
   let applied = ref 0 in
   let iter = ref 0 in
   let outcome = ref (if tns_cur () <= 0. then Some Target_met else None) in
-  (* Trial a candidate on a *snapshot*: [Analyzer.apply] re-analyzes
-     the edited design through a remapped copy of the live analyzer's
-     cache. Rejecting the candidate is then a no-op — the pre-edit
-     analyzer was never touched, which is what makes rollback
-     bit-exact. *)
-  let trial edits =
+  (* Trial a candidate on a *snapshot*: [Analyzer.apply] makes the
+     edited state over a remapped copy of the live state's cache.
+     Rejecting the candidate is then a no-op — the pre-edit state was
+     never touched, which is what makes rollback bit-exact. *)
+  let trial (mv, edits) =
     Trace.with_span ~cat:"incr" ~args:[ ("edits", J.Int (List.length edits)) ] "repair.trial"
     @@ fun () ->
-    let az', nl', dirty = Analyzer.apply !az !nl_cur edits in
-    let topo' = Topo.create nl' in
-    let fx' = Iterate.run topo' in
-    let elim', st = Analyzer.run ~fixpoint:fx' az' topo' in
-    (az', nl', fx', elim', dirty, st)
+    let az', dirty = Analyzer.apply !az edits in
+    let tns_after = tns (Analyzer.fixpoint az').Iterate.analysis ~target in
+    let elim', st = Analyzer.run ~filter az' in
+    (mv, edits, az', elim', dirty, st, tns_after)
   in
   while !outcome = None do
     incr iter;
-    let cands = candidates !nl_cur !fx_cur !elim_cur ~fix_k ~target in
+    let cands = candidates !az !elim_cur ~fix_k ~target in
     if cands = [] then outcome := Some No_candidates
     else begin
       let fitting =
@@ -371,21 +363,14 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       else begin
         let before = delay () in
         let tns_before = tns_cur () in
-        let trials =
-          List.map
-            (fun (mv, es) ->
-              let az', nl', fx', elim', dirty, st = trial es in
-              let tns_after = tns fx'.Iterate.analysis ~target in
-              (mv, es, az', nl', fx', elim', dirty, st, tns_after))
-            fitting
-        in
+        let trials = List.map trial fitting in
         (* lowest resulting TNS wins; first in move order on a tie *)
         let best =
           List.fold_left
             (fun acc t ->
-              let _, _, _, _, _, _, _, _, after = t in
+              let _, _, _, _, _, _, after = t in
               match acc with
-              | Some (_, _, _, _, _, _, _, _, best_after)
+              | Some (_, _, _, _, _, _, best_after)
                 when best_after <= after ->
                 acc
               | _ -> Some t)
@@ -393,12 +378,12 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
         in
         let best_after =
           match best with
-          | Some (_, _, _, _, _, _, _, _, a) -> a
+          | Some (_, _, _, _, _, _, a) -> a
           | None -> infinity
         in
         let improves = best_after < tns_before in
         List.iter
-          (fun ((mv, es, az', nl', fx', elim', dirty, st, tns_after) as t) ->
+          (fun ((mv, es, az', elim', dirty, st, tns_after) as t) ->
             let accepted =
               improves && match best with Some b -> b == t | None -> false
             in
@@ -409,7 +394,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
                 en_edits = es;
                 en_accepted = accepted;
                 en_delay_before = before;
-                en_delay_after = Iterate.circuit_delay fx';
+                en_delay_after = Iterate.circuit_delay (Analyzer.fixpoint az');
                 en_tns_before = tns_before;
                 en_tns_after = tns_after;
                 en_dirty_nets = dirty;
@@ -418,11 +403,9 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
               };
             if accepted then begin
               az := az';
-              nl_cur := nl';
-              fx_cur := fx';
               elim_cur := elim';
               applied := !applied + List.length es;
-              curve := (!applied, Iterate.circuit_delay fx') :: !curve;
+              curve := (!applied, delay ()) :: !curve;
               save_ckpt ();
               Log.info log_src (fun m ->
                   m
@@ -446,11 +429,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
   let identical =
     if not verify then true
     else
-      let cfg = Analyzer.config !az in
-      let scratch =
-        Elimination.compute ~filter:cfg.Engine.filter ~k:cfg.Engine.k
-          (Topo.create !nl_cur)
-      in
+      let scratch = Elimination.compute ~filter ~k (Analyzer.topo !az) in
       Eco.elim_identical scratch !elim_cur
   in
   let report =
@@ -474,7 +453,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       rp_t_total_s = wall () -. t_start;
     }
   in
-  (report, !nl_cur, !elim_cur)
+  (report, Analyzer.netlist !az, !elim_cur)
 
 let report_json r =
   J.Obj

@@ -20,10 +20,11 @@
     - {e strengthen}: {!Edit.Strengthen_driver} on the driver of the
       noisiest net along the worst endpoint's critical path —
 
-    then {e trials} every candidate on a snapshot of the incremental
-    analyzer (a {!Cache.remapped_copy} of the victim cache, so the
-    pre-edit state is never mutated), accepts the candidate with the
-    lowest resulting TNS, and discards the rest. A candidate that does
+    then {e trials} every candidate on a snapshot: the edited design
+    state from {!Analyzer.apply} (over a {!Cache.remapped_copy} of the
+    victim cache, so the pre-edit state is never mutated), whose
+    fixpoint gives the TNS. It accepts the candidate with the lowest
+    resulting TNS and discards the rest. A candidate that does
     not strictly reduce the TNS is rolled back simply by never
     adopting its snapshot — the pre-edit analysis survives
     bit-identically. The loop stops when the delay target is met, the

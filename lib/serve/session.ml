@@ -2,10 +2,7 @@ module J = Tka_obs.Jsonx
 module Clock = Tka_obs.Clock
 module N = Tka_circuit.Netlist
 module Nf = Tka_circuit.Netlist_format
-module Topo = Tka_circuit.Topo
 module Analyzer = Tka_incr.Analyzer
-module Cache = Tka_incr.Cache
-module Dirty = Tka_incr.Dirty
 module Edit = Tka_incr.Edit
 module Eco = Tka_incr.Eco
 module Repair = Tka_incr.Repair
@@ -18,59 +15,11 @@ let ( let* ) = Result.bind
 
 let c_reuses = Metrics.Counter.make "serve.analysis_reuses"
 
-(* A recorded analysis of one design state under one filter, valid
-   while [m_cache] has seen no store or clear since the run. *)
-type memo = {
-  m_cache : Cache.t;  (* the analyzer's cache the run went through *)
-  m_generation : int;  (* its generation just after the run *)
-  m_elim : Elimination.t;
-  m_stats : Analyzer.run_stats;  (* as a re-run on that cache reports them *)
-}
-
 type design = {
   d_name : string;
-  d_nl : N.t;
-  d_topo : Topo.t;
-  d_fp : Tka_incr.Fnv.t;
-  d_cache : Cache.t;  (* the registry tenant all analyzers share *)
-  d_analyzers : (Tka_filter.Mode.t, Analyzer.t) Hashtbl.t;
-      (* per-filter-mode analyzers over [d_cache], created on first
-         use. Config hashes include the filter mode, so results from
-         different modes never alias inside the shared cache. The
-         table is confined to this session's connection thread. *)
-  d_k : int;
-  d_fix : Tka_noise.Iterate.t Lazy.t;
-      (* the all-aggressor fixpoint, a pure function of [d_nl]: computed
-         by the first analysis of this design state and handed to every
-         later one (forced only by this session's connection thread) *)
-  d_memo : (Tka_filter.Mode.t, memo) Hashtbl.t;
-      (* per filter mode, this state's last analysis; confined like
-         [d_analyzers] *)
+  d_fp : Tka_incr.Fnv.t;  (* the registry key of [d_az]'s netlist *)
+  d_az : Analyzer.t;  (* over the registry tenant for [d_fp] *)
 }
-
-let make_design ~name ~nl ~fp ~cache ~k =
-  let topo = Topo.create nl in
-  {
-    d_name = name;
-    d_nl = nl;
-    d_topo = topo;
-    d_fp = fp;
-    d_cache = cache;
-    d_analyzers = Hashtbl.create 4;
-    d_k = k;
-    d_fix = lazy (Tka_noise.Iterate.run topo);
-    d_memo = Hashtbl.create 4;
-  }
-
-let analyzer_for d filter =
-  match Hashtbl.find_opt d.d_analyzers filter with
-  | Some a -> a
-  | None ->
-    let a =
-      Analyzer.create ~k:d.d_k ~filter ~cache:d.d_cache ()
-    in
-    Hashtbl.add d.d_analyzers filter a;
-    a
 
 type t = {
   registry : Registry.t;
@@ -86,37 +35,15 @@ let create ~registry ~lookup ~default_k =
 let loaded t = Option.is_some t.design
 let reuses t = t.reuses
 
-(* Every analysis of a design state goes through here, so the state
-   computes its fixpoint at most once, and its analysis under a filter
-   at most once while no one writes to its cache. A run is recorded
-   only when the cache's generation moved by exactly the run's misses
-   (the engine stores once per miss, so any other step means another
-   tenant wrote meanwhile). A re-run on the unchanged cache would
-   return the same result and hit on every victim, so a reused reply
-   reports all of the recorded run's lookups as hits. *)
+(* Every analysis goes through here, to count the ones a design
+   state answered from its last analysis. *)
 let run_analyzer t d filter =
-  let a = analyzer_for d filter in
-  let cache = Analyzer.cache a in
-  match Hashtbl.find_opt d.d_memo filter with
-  | Some m when m.m_cache == cache && Cache.generation cache = m.m_generation ->
+  let ((_, st) as r) = Analyzer.run ~filter d.d_az in
+  if st.Analyzer.rs_reused then begin
     t.reuses <- t.reuses + 1;
-    Metrics.Counter.incr c_reuses;
-    (m.m_elim, m.m_stats)
-  | _ ->
-    let g0 = Cache.generation cache in
-    let elim, st = Analyzer.run ~fixpoint:(Lazy.force d.d_fix) a d.d_topo in
-    let g1 = Cache.generation cache in
-    let { Analyzer.rs_hits; rs_misses } = st in
-    if g1 - g0 = rs_misses then
-      Hashtbl.replace d.d_memo filter
-        {
-          m_cache = cache;
-          m_generation = g1;
-          m_elim = elim;
-          m_stats = { Analyzer.rs_hits = rs_hits + rs_misses; rs_misses = 0 };
-        }
-    else Hashtbl.remove d.d_memo filter;
-    (elim, st)
+    Metrics.Counter.incr c_reuses
+  end;
+  r
 
 let require t =
   match t.design with
@@ -127,12 +54,13 @@ let bad r = Result.map_error (fun m -> (Proto.Bad_request, m)) r
 let hex_fp fp = Printf.sprintf "%016Lx" fp
 
 let design_info d =
+  let nl = Analyzer.netlist d.d_az in
   [
     ("design", J.Str d.d_name);
-    ("nets", J.Int (N.num_nets d.d_nl));
-    ("gates", J.Int (N.num_gates d.d_nl));
-    ("couplings", J.Int (N.num_couplings d.d_nl));
-    ("k", J.Int d.d_k);
+    ("nets", J.Int (N.num_nets nl));
+    ("gates", J.Int (N.num_gates nl));
+    ("couplings", J.Int (N.num_couplings nl));
+    ("k", J.Int (Analyzer.k d.d_az));
     ("fingerprint", J.Str (hex_fp d.d_fp));
   ]
 
@@ -155,7 +83,7 @@ let load t params =
       let name = Option.value ~default:(N.name nl) name_opt in
       let fp = Registry.fingerprint nl in
       let cache = Registry.attach t.registry ~fp in
-      let d = make_design ~name ~nl ~fp ~cache ~k in
+      let d = { d_name = name; d_fp = fp; d_az = Analyzer.create ~cache ~k nl } in
       t.design <- Some d;
       Ok (J.Obj (design_info d))
 
@@ -201,7 +129,7 @@ let analysis_fields d ~mode ~filter elim (st : Analyzer.run_stats) elapsed =
     ("design", J.Str d.d_name);
     ("mode", J.Str (Proto.mode_name mode));
     ("filter", J.Str (Proto.filter_name filter));
-    ("k", J.Int d.d_k);
+    ("k", J.Int (Analyzer.k d.d_az));
     ("noiseless_delay_ns", J.Float res.Engine.res_noiseless_delay);
     ("all_aggressor_delay_ns", J.Float res.Engine.res_noisy_delay);
     ("per_k", per_k_json res);
@@ -222,24 +150,22 @@ let analyze t params =
 (* whatif / eco                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Build the edited design as a *new* registry tenant: the edited
+(* The edited design is a *new* registry tenant: the edited
    fingerprint's cache is seeded (first arrival only) with a remapped
    copy of the base cache, which stays valid for co-tenants. *)
+let edited_cache t fp' nl' ~seed =
+  fp' := Registry.fingerprint nl';
+  Registry.attach_seeded t.registry ~fp:!fp' ~seed
+
 let edited_design t d edits =
-  let nl', phys_map = Edit.apply d.d_nl edits in
-  let dirty = Dirty.count (Dirty.closure d.d_topo (Edit.touched_nets d.d_nl edits)) in
-  let fp' = Registry.fingerprint nl' in
-  let cache' =
-    Registry.attach_seeded t.registry ~fp:fp' ~seed:(fun () ->
-        Cache.remapped_copy d.d_cache phys_map)
-  in
-  let d' = make_design ~name:d.d_name ~nl:nl' ~fp:fp' ~cache:cache' ~k:d.d_k in
-  (d', dirty)
+  let fp' = ref d.d_fp in
+  let az', dirty = Analyzer.apply ~cache:(edited_cache t fp') d.d_az edits in
+  ({ d with d_fp = !fp'; d_az = az' }, dirty)
 
 let whatif t params =
   let* d = require t in
   let* edits = bad (Proto.edits_of_params ~lookup:t.lookup params) in
-  let* () = bad (Edit.check d.d_nl edits) in
+  let* () = bad (Edit.check (Analyzer.netlist d.d_az) edits) in
   let* mode = bad (Proto.mode_of_params params) in
   let* filter = bad (Proto.filter_of_params params) in
   let t0 = Clock.now_s () in
@@ -250,20 +176,21 @@ let whatif t params =
        (("edits", J.Int (List.length edits))
        :: ("dirty_nets", J.Int dirty)
        :: ("fingerprint", J.Str (hex_fp d'.d_fp))
-       :: analysis_fields { d' with d_name = d.d_name } ~mode ~filter elim st
-            (Clock.now_s () -. t0)))
+       :: analysis_fields d' ~mode ~filter elim st (Clock.now_s () -. t0)))
 
 let eco t params =
   let* d = require t in
   let* fix_k = bad (Proto.param_int_default params "fix_k" 1) in
-  if fix_k < 1 || fix_k > d.d_k then
+  let k = Analyzer.k d.d_az in
+  if fix_k < 1 || fix_k > k then
     Error
       ( Proto.Bad_request,
-        Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" d.d_k )
+        Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" k )
   else
     let t0 = Clock.now_s () in
     let elim, st = run_analyzer t d Tka_filter.Mode.Off in
-    let rule, set = Eco.choose_fix elim ~fix_k in
+    let fp' = ref d.d_fp in
+    let rule, fix = Eco.fix ~cache:(edited_cache t fp') d.d_az elim ~fix_k in
     let delay_noisy = elim.Elimination.result.Engine.res_noisy_delay in
     let base =
       [
@@ -275,7 +202,7 @@ let eco t params =
         ("analysis_misses", J.Int st.Analyzer.rs_misses);
       ]
     in
-    match set with
+    match fix with
     | None ->
       (* nothing to fix: no edit, the session's design is unchanged *)
       Ok
@@ -291,9 +218,8 @@ let eco t params =
                ("fingerprint", J.Str (hex_fp d.d_fp));
                ("elapsed_s", J.Float (Clock.now_s () -. t0));
              ]))
-    | Some set ->
-      let edits = Eco.removal_edits set in
-      let d', dirty = edited_design t d edits in
+    | Some { Eco.fx_set = set; fx_edits = edits; fx_state; fx_dirty = dirty } ->
+      let d' = { d with d_fp = !fp'; d_az = fx_state } in
       let elim', st' = run_analyzer t d' Tka_filter.Mode.Off in
       t.design <- Some d';
       Ok
@@ -307,7 +233,7 @@ let eco t params =
                  J.Float elim'.Elimination.result.Engine.res_noisy_delay );
                ("cache_hits", J.Int st'.Analyzer.rs_hits);
                ("cache_misses", J.Int st'.Analyzer.rs_misses);
-               ("couplings", J.Int (N.num_couplings d'.d_nl));
+               ("couplings", J.Int (N.num_couplings (Analyzer.netlist fx_state)));
                ("fingerprint", J.Str (hex_fp d'.d_fp));
                ("elapsed_s", J.Float (Clock.now_s () -. t0));
              ]))
@@ -332,10 +258,11 @@ let repair t params =
   let* dry_run = bad (Proto.param_bool_default params "dry_run" false) in
   let* verify = bad (Proto.param_bool_default params "verify" false) in
   let* filter = bad (Proto.filter_of_params params) in
-  if fix_k < 1 || fix_k > d.d_k then
+  let k = Analyzer.k d.d_az in
+  if fix_k < 1 || fix_k > k then
     Error
       ( Proto.Bad_request,
-        Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" d.d_k )
+        Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" k )
   else if budget < 0 then Error (Proto.Bad_request, "\"budget\" must be >= 0")
   else
     let recover = Option.value ~default:0.5 recover_opt in
@@ -345,8 +272,8 @@ let repair t params =
       match
         (* no [journal]/[checkpoint] paths: an RPC never writes files;
            [dry_run] here only controls whether the result is committed *)
-        Repair.run ~k:d.d_k ~fix_k ~budget ?target_delay:target_ns ~recover
-          ~dry_run ~verify ~filter d.d_nl
+        Repair.run ~k ~fix_k ~budget ?target_delay:target_ns ~recover
+          ~dry_run ~verify ~filter (Analyzer.netlist d.d_az)
       with
       | exception Invalid_argument m -> Error (Proto.Bad_request, m)
       | report, nl', _elim ->
@@ -358,10 +285,7 @@ let repair t params =
           else begin
             let fp' = Registry.fingerprint nl' in
             let cache' = Registry.attach t.registry ~fp:fp' in
-            let d' =
-              make_design ~name:d.d_name ~nl:nl' ~fp:fp' ~cache:cache'
-                ~k:d.d_k
-            in
+            let d' = { d with d_fp = fp'; d_az = Analyzer.create ~cache:cache' ~k nl' } in
             t.design <- Some d';
             d'
           end

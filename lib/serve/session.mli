@@ -1,20 +1,17 @@
 (** One tenant's conversation with the daemon: a loaded design and the
     session-scoped RPC methods over it.
 
-    A session owns no victim cache — it attaches to the {!Registry}
-    cache for its design's fingerprint through
-    {!Tka_incr.Analyzer.create}[ ~cache], so every result it
-    enumerates is immediately reusable by co-tenants (and vice versa).
-    All results are {e bit-identical} to the equivalent one-shot CLI
-    run at any jobs count: the session only composes the analyzer and
-    the engine, both of which carry that contract. Each design state
-    (a load, an eco or repair commit, a whatif's edited copy) computes
-    its all-aggressor noise fixpoint at most once and hands it to every
-    analysis of that state — exact, since the fixpoint is a pure
-    function of the netlist. It also keeps its last analysis per
-    filter mode and answers a repeated [analyze] (or [eco]'s pre-edit
-    analysis) from it while the shared cache has seen no store since
-    ({!Tka_incr.Cache.generation}); the reply is byte-identical to a
+    A session owns no victim cache — its design state is a
+    {!Tka_incr.Analyzer.create}[ ~cache] over the {!Registry} cache for
+    its design's fingerprint, so every result it enumerates is
+    immediately reusable by co-tenants (and vice versa). All results
+    are {e bit-identical} to the equivalent one-shot CLI run at any
+    jobs count: the session only composes the analyzer and the engine,
+    both of which carry that contract. Each design state (a load, an
+    eco or repair commit, a whatif's edited copy) is one analyzer,
+    which computes its fixpoint once and answers a repeated [analyze]
+    (or [eco]'s pre-edit analysis) from its last analysis under that
+    filter ({!Tka_incr.Analyzer.run}); the reply is byte-identical to a
     re-run's, cache counters included, and counts in
     [serve.analysis_reuses].
 
@@ -27,8 +24,9 @@
     - [whatif]: apply an edit script to a {e copy}, analyze it against
       a cache seeded from the base design's
       ({!Tka_incr.Cache.remapped_copy}), leave the session unchanged;
-    - [eco]: pick the top elimination set, commit its removal edits,
-      re-analyze incrementally — the session's design advances.
+    - [eco]: pick the top elimination set, commit its removal edits
+      ({!Tka_incr.Eco.fix}, the step [tka eco] runs too), re-analyze
+      incrementally — the session's design advances.
 
     Concurrency: one session is driven by one connection thread, but
     many sessions run concurrently; everything shared (registry,

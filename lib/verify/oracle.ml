@@ -391,12 +391,11 @@ let incremental ~k nl edits =
   match edits with
   | [] -> Skip "empty edit script"
   | _ :: _ ->
-    let az = Analyzer.create ~k () in
-    let _warmup = Analyzer.run az (Topo.create nl) in
-    let az', nl', _dirty = Analyzer.apply az nl edits in
-    let topo' = Topo.create nl' in
-    let incr, _stats = Analyzer.run az' topo' in
-    let full = Elimination.compute ~k topo' in
+    let az = Analyzer.create ~k nl in
+    let _warmup = Analyzer.run az in
+    let az', _dirty = Analyzer.apply az edits in
+    let incr, _stats = Analyzer.run az' in
+    let full = Elimination.compute ~k (Analyzer.topo az') in
     if Eco.elim_identical full incr then Pass
     else
       Fail

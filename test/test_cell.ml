@@ -353,69 +353,6 @@ let test_corner_library () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* NLDM tables                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Nldm = Tka_cell.Nldm
-
-let small_table () =
-  Nldm.create ~slews:[| 0.01; 0.1 |] ~loads:[| 0.001; 0.01; 0.1 |]
-    ~values:[| [| 1.; 2.; 3. |]; [| 2.; 4.; 6. |] |]
-
-let test_nldm_create_validation () =
-  let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "non-increasing axis" true
-    (bad (fun () ->
-         Nldm.create ~slews:[| 0.1; 0.1 |] ~loads:[| 0.; 1. |]
-           ~values:[| [| 1.; 1. |]; [| 1.; 1. |] |]));
-  Alcotest.(check bool) "one-point axis" true
-    (bad (fun () ->
-         Nldm.create ~slews:[| 0.1 |] ~loads:[| 0.; 1. |] ~values:[| [| 1.; 1. |] |]));
-  Alcotest.(check bool) "ragged rows" true
-    (bad (fun () ->
-         Nldm.create ~slews:[| 0.01; 0.1 |] ~loads:[| 0.; 1. |]
-           ~values:[| [| 1.; 1. |]; [| 1. |] |]))
-
-let test_nldm_grid_points_exact () =
-  let t = small_table () in
-  check_f "corner" 1. (Nldm.lookup t ~input_slew:0.01 ~load:0.001);
-  check_f "middle column" 4. (Nldm.lookup t ~input_slew:0.1 ~load:0.01);
-  check_f "far corner" 6. (Nldm.lookup t ~input_slew:0.1 ~load:0.1)
-
-let test_nldm_bilinear_midpoint () =
-  let t = small_table () in
-  (* midpoint of the first cell: mean of the four corners *)
-  check_f "midpoint" 2.25 (Nldm.lookup t ~input_slew:0.055 ~load:0.0055)
-
-let test_nldm_clamping () =
-  let t = small_table () in
-  check_f "below both axes" 1. (Nldm.lookup t ~input_slew:0.0001 ~load:0.00001);
-  check_f "above both axes" 6. (Nldm.lookup t ~input_slew:10. ~load:10.)
-
-let test_nldm_of_linear_matches_model () =
-  let c = mk_cell () in
-  let delay_t, slew_t = Nldm.of_linear c in
-  (* exact at grid points *)
-  Array.iter
-    (fun s ->
-      Array.iter
-        (fun l ->
-          check_f "delay grid"
-            (DM.gate_delay ~cell:c ~load:l)
-            (Nldm.lookup delay_t ~input_slew:s ~load:l);
-          check_f "slew grid"
-            (DM.output_slew ~cell:c ~input_slew:s ~load:l)
-            (Nldm.lookup slew_t ~input_slew:s ~load:l))
-        (Nldm.loads delay_t))
-    (Nldm.slews delay_t);
-  (* affine in load => exact between load points too *)
-  check_f "between grid points"
-    (DM.gate_delay ~cell:c ~load:0.0123)
-    (Nldm.lookup delay_t ~input_slew:0.03 ~load:0.0123);
-  Alcotest.(check bool) "monotone in load" true (Nldm.monotone_in_load delay_t);
-  Alcotest.(check bool) "slew monotone in load" true (Nldm.monotone_in_load slew_t)
-
-(* ------------------------------------------------------------------ *)
 (* QCheck                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -459,14 +396,6 @@ let () =
           Alcotest.test_case "complete" `Quick test_lib_complete;
           Alcotest.test_case "drive ordering" `Quick test_lib_drive_ordering;
           Alcotest.test_case "arity query" `Quick test_lib_arity_query;
-        ] );
-      ( "nldm",
-        [
-          Alcotest.test_case "validation" `Quick test_nldm_create_validation;
-          Alcotest.test_case "grid exact" `Quick test_nldm_grid_points_exact;
-          Alcotest.test_case "bilinear midpoint" `Quick test_nldm_bilinear_midpoint;
-          Alcotest.test_case "clamping" `Quick test_nldm_clamping;
-          Alcotest.test_case "of_linear" `Quick test_nldm_of_linear_matches_model;
         ] );
       ( "corner",
         [

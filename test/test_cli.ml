@@ -82,6 +82,25 @@ let test_bad_value_exit_1 () =
         (contains ~sub:"internal error" text))
     [ [ "topk"; "-k"; "0" ]; [ "sensitivity"; "--trials"; "0" ] ]
 
+(* [tka eco] lists the removed couplings on their own line: the delay
+   line that follows starts a line of its own. *)
+let test_eco_lines () =
+  let d = temp_dir () in
+  let net = Filename.concat d "i1.tka" in
+  Alcotest.(check int) "gen" 0 (run [ "gen"; "-b"; "i1"; "-o"; net ]);
+  let out = Filename.concat d "eco.txt" in
+  Alcotest.(check int) "eco exit code" 0
+    (Sys.command
+       (Filename.quote_command tka [ "eco"; "-k"; "5"; net ] ~stdout:out
+          ~stderr:Filename.null));
+  let lines = String.split_on_char '\n' (read_file out) in
+  Alcotest.(check bool) "a line starts with the noisy delay" true
+    (List.exists (fun l -> String.starts_with ~prefix:"  noisy delay" l) lines);
+  Alcotest.(check bool) "no line glues it to the set" false
+    (List.exists
+       (fun l -> contains ~sub:"noisy delay" l && not (String.starts_with ~prefix:"  noisy delay" l))
+       lines)
+
 let () =
   Alcotest.run "tka_cli"
     [
@@ -90,5 +109,6 @@ let () =
           Alcotest.test_case "dumps survive exit 4" `Quick test_repair_exit_4;
           Alcotest.test_case "dumps survive an input error" `Quick test_error_exit_1;
           Alcotest.test_case "bad flag values exit 1" `Quick test_bad_value_exit_1;
+          Alcotest.test_case "eco delay on its own line" `Quick test_eco_lines;
         ] );
     ]

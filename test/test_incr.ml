@@ -231,21 +231,24 @@ let test_dirty_closure () =
 
 let num_victim_lookups nl = 2 * N.num_nets nl (* both dual modes *)
 
+(* A second run on the same state is answered from its memo, so the
+   genuine all-hit re-run — every victim installed from the cache —
+   goes through a fresh state over the same cache. *)
 let test_second_run_all_hits () =
   let nl = B.tiny () in
-  let topo = Topo.create nl in
-  let az = Analyzer.create ~k:4 () in
-  let r1, st1 = Analyzer.run az topo in
+  let az = Analyzer.create ~k:4 nl in
+  let r1, st1 = Analyzer.run az in
   Alcotest.(check int) "first run misses everywhere"
     (num_victim_lookups nl) st1.Analyzer.rs_misses;
   Alcotest.(check int) "first run has no hits" 0 st1.Analyzer.rs_hits;
-  let r2, st2 = Analyzer.run az topo in
+  let r2, st2 = Analyzer.run (Analyzer.create ~cache:(Analyzer.cache az) ~k:4 nl) in
+  Alcotest.(check bool) "second run is a run" false st2.Analyzer.rs_reused;
   Alcotest.(check int) "second run hits everywhere"
     (num_victim_lookups nl) st2.Analyzer.rs_hits;
   Alcotest.(check int) "second run misses nothing" 0 st2.Analyzer.rs_misses;
   Alcotest.(check bool) "second run bit-identical" true
     (Eco.elim_identical r1 r2);
-  let scratch = Elimination.compute ~k:4 topo in
+  let scratch = Elimination.compute ~k:4 (Topo.create nl) in
   Alcotest.(check bool) "cached == from scratch" true
     (Eco.elim_identical scratch r2)
 
@@ -253,10 +256,11 @@ let test_second_run_all_hits () =
    run moves its cache's generation by exactly its misses (one store
    per missed lookup), cold, warm (+0) and after an edit. *)
 let test_generation_steps_by_misses () =
-  let step az topo =
+  let step az =
     let cache = Analyzer.cache az in
     let g0 = Cache.generation cache in
-    let _, st = Analyzer.run az topo in
+    let _, st = Analyzer.run az in
+    Alcotest.(check bool) "a run, not a memo answer" false st.Analyzer.rs_reused;
     (Cache.generation cache - g0, st)
   in
   List.iter
@@ -265,19 +269,18 @@ let test_generation_steps_by_misses () =
       List.iter
         (fun name ->
           let nl = Option.get (B.by_name name) in
-          let topo = Topo.create nl in
-          let az = Analyzer.create ~k:3 () in
+          let az = Analyzer.create ~k:3 nl in
           let label what = Printf.sprintf "%s jobs %d %s" name jobs what in
-          let d, st = step az topo in
+          let d, st = step az in
           Alcotest.(check int) (label "cold run misses everywhere")
             (num_victim_lookups nl) st.Analyzer.rs_misses;
           Alcotest.(check int) (label "cold run: generation += misses")
             st.Analyzer.rs_misses d;
-          let d, st = step az topo in
+          let d, st = step (Analyzer.create ~cache:(Analyzer.cache az) ~k:3 nl) in
           Alcotest.(check int) (label "warm run misses nothing") 0 st.Analyzer.rs_misses;
           Alcotest.(check int) (label "warm run: generation += 0") 0 d;
-          let az', nl', _ = Analyzer.apply az nl [ Edit.Remove_coupling 0 ] in
-          let d, st = step az' (Topo.create nl') in
+          let az', _ = Analyzer.apply az [ Edit.Remove_coupling 0 ] in
+          let d, st = step az' in
           Alcotest.(check bool) (label "edited run hits and misses") true
             (st.Analyzer.rs_hits > 0 && st.Analyzer.rs_misses > 0);
           Alcotest.(check int) (label "edited run: generation += misses")
@@ -287,40 +290,45 @@ let test_generation_steps_by_misses () =
 
 let test_edit_reanalysis_identical () =
   let nl = B.c17 () in
-  let az = Analyzer.create ~k:4 () in
-  let _ = Analyzer.run az (Topo.create nl) in
-  let az', nl', dirty = Analyzer.apply az nl [ Edit.Remove_coupling 0 ] in
+  let az = Analyzer.create ~k:4 nl in
+  let _ = Analyzer.run az in
+  let az', dirty = Analyzer.apply az [ Edit.Remove_coupling 0 ] in
   Alcotest.(check bool) "dirty set non-empty" true (dirty > 0);
-  let topo' = Topo.create nl' in
-  let incr, st = Analyzer.run az' topo' in
-  let scratch = Elimination.compute ~k:4 topo' in
+  let nl' = Analyzer.netlist az' in
+  let incr, st = Analyzer.run az' in
+  let scratch = Elimination.compute ~k:4 (Topo.create nl') in
   Alcotest.(check bool) "incremental == scratch after edit" true
     (Eco.elim_identical scratch incr);
   Alcotest.(check int) "every victim looked up"
     (num_victim_lookups nl')
     (st.Analyzer.rs_hits + st.Analyzer.rs_misses);
-  (* apply never mutates its argument: the pre-edit analyzer still hits
+  (* a genuine all-hit re-run of the edited design installs every
+     victim from the populated cache, bit-identically *)
+  let warm, st' = Analyzer.run (Analyzer.create ~cache:(Analyzer.cache az') ~k:4 nl') in
+  Alcotest.(check int) "all-hit re-run hits everywhere" (num_victim_lookups nl')
+    st'.Analyzer.rs_hits;
+  Alcotest.(check bool) "all-hit re-run == scratch" true (Eco.elim_identical scratch warm);
+  (* apply never mutates its argument: the pre-edit cache still hits
      everywhere on the unedited design *)
-  let _, st0 = Analyzer.run az (Topo.create nl) in
+  let _, st0 = Analyzer.run (Analyzer.create ~cache:(Analyzer.cache az) ~k:4 nl) in
   Alcotest.(check int) "pre-edit analyzer untouched" (num_victim_lookups nl)
     st0.Analyzer.rs_hits
 
 let test_checkpoint_roundtrip () =
   let nl = B.tiny () in
-  let topo = Topo.create nl in
-  let az = Analyzer.create ~k:4 () in
-  let r1, _ = Analyzer.run az topo in
+  let az = Analyzer.create ~k:4 nl in
+  let r1, _ = Analyzer.run az in
   let path = Filename.temp_file "tka_incr_test" ".ndjson" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       Analyzer.save_checkpoint az path;
-      let az2 = Analyzer.create ~k:4 () in
+      let az2 = Analyzer.create ~k:4 nl in
       Analyzer.load_checkpoint az2 path;
       Alcotest.(check int) "all records round-trip"
         (Cache.size (Analyzer.cache az))
         (Cache.size (Analyzer.cache az2));
-      let r2, st = Analyzer.run az2 topo in
+      let r2, st = Analyzer.run az2 in
       Alcotest.(check int) "warm start hits everywhere"
         (num_victim_lookups nl) st.Analyzer.rs_hits;
       Alcotest.(check bool) "warm result bit-identical" true
@@ -328,12 +336,11 @@ let test_checkpoint_roundtrip () =
       (* a foreign checkpoint names a different coupling table, so the
          universe guard flushes it wholesale before the run consults
          anything — results stay correct *)
-      let az3 = Analyzer.create ~k:4 () in
+      let az3 = Analyzer.create ~k:4 (B.c17 ()) in
       Analyzer.load_checkpoint az3 path;
-      let other = Topo.create (B.c17 ()) in
-      let r3, _ = Analyzer.run az3 other in
+      let r3, _ = Analyzer.run az3 in
       Alcotest.(check bool) "foreign checkpoint still correct" true
-        (Eco.elim_identical (Elimination.compute ~k:4 other) r3))
+        (Eco.elim_identical (Elimination.compute ~k:4 (Topo.create (B.c17 ()))) r3))
 
 (* The id-aliasing trap the universe guard exists for: a checkpoint
    saved after an edit carries coupling ids compacted to the edited
@@ -342,23 +349,22 @@ let test_checkpoint_roundtrip () =
    universe flushes the cache first. *)
 let test_checkpoint_universe_guard () =
   let nl = B.c17 () in
-  let az = Analyzer.create ~k:4 () in
-  let _ = Analyzer.run az (Topo.create nl) in
-  let az', nl', _ = Analyzer.apply az nl [ Edit.Remove_coupling 0 ] in
-  let _ = Analyzer.run az' (Topo.create nl') in
+  let az = Analyzer.create ~k:4 nl in
+  let _ = Analyzer.run az in
+  let az', _ = Analyzer.apply az [ Edit.Remove_coupling 0 ] in
+  let _ = Analyzer.run az' in
   let path = Filename.temp_file "tka_incr_test" ".ndjson" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       Analyzer.save_checkpoint az' path;
-      let az2 = Analyzer.create ~k:4 () in
+      let az2 = Analyzer.create ~k:4 nl in
       Analyzer.load_checkpoint az2 path;
-      let topo = Topo.create nl in
-      let r, st = Analyzer.run az2 topo in
+      let r, st = Analyzer.run az2 in
       Alcotest.(check int) "mismatched universe hits nothing" 0
         st.Analyzer.rs_hits;
       Alcotest.(check bool) "results identical after flush" true
-        (Eco.elim_identical (Elimination.compute ~k:4 topo) r))
+        (Eco.elim_identical (Elimination.compute ~k:4 (Topo.create nl)) r))
 
 let test_checkpoint_rejects_garbage () =
   let path = Filename.temp_file "tka_incr_test" ".ndjson" in
@@ -373,6 +379,44 @@ let test_checkpoint_rejects_garbage () =
            ignore (Cache.load path);
            false
          with Failure _ -> true))
+
+(* Runs of [Analysis.run] (the noiseless STA every fixpoint starts
+   from) while [f] runs. *)
+let sta_runs f =
+  let runs () = Tka_obs.Metrics.Counter.value (Option.get (Tka_obs.Metrics.find_counter "sta.runs")) in
+  Tka_obs.Metrics.with_enabled true (fun () ->
+      let before = runs () in
+      let x = f () in
+      (runs () - before, x))
+
+(* A state computes its all-aggressor fixpoint once and hands it to
+   every analysis of that state, whatever the filter; a repeated
+   analysis is a memo answer that reports an all-hit re-run. *)
+let test_one_fixpoint_per_state () =
+  let nl = Option.get (B.by_name "i1") in
+  let az = Analyzer.create ~k:3 nl in
+  let n, (_, (win, _)) =
+    sta_runs (fun () ->
+        let off = Analyzer.run az in
+        (off, Analyzer.run ~filter:Tka_filter.Mode.Window az))
+  in
+  Alcotest.(check int) "two filters, one fixpoint" 1 n;
+  Alcotest.(check bool) "window run identical to scratch" true
+    (Eco.elim_identical
+       (Elimination.compute ~filter:Tka_filter.Mode.Window ~k:3 (Topo.create nl))
+       win);
+  (* the window run stored into the cache after the [Off] one, so only
+     the window analysis is still current *)
+  let n, (again, st) = sta_runs (fun () -> Analyzer.run ~filter:Tka_filter.Mode.Window az) in
+  Alcotest.(check int) "repeat runs nothing" 0 n;
+  Alcotest.(check bool) "repeat is reused" true st.Analyzer.rs_reused;
+  Alcotest.(check bool) "repeat returns the analysis" true (again == win);
+  Alcotest.(check int) "repeat reports all hits" (num_victim_lookups nl)
+    st.Analyzer.rs_hits;
+  (* the loop's three analyses: initial, from scratch, incremental *)
+  let n, (r, _) = sta_runs (fun () -> Eco.run ~k:5 ~fix_k:1 nl) in
+  Alcotest.(check int) "eco runs three analyses" 3 n;
+  Alcotest.(check bool) "eco identical" true r.Eco.eco_identical
 
 let test_eco_loop () =
   let r, _ = Eco.run ~k:4 ~fix_k:1 (B.c17 ()) in
@@ -530,18 +574,19 @@ let test_random_edit_sequences =
       List.for_all
         (fun jobs ->
           at_jobs jobs (fun () ->
-              let az = Analyzer.create ~k:4 () in
-              let _ = Analyzer.run az (Topo.create nl0) in
-              let step az nl =
-                let edits = random_edits nl rand (1 + rand 2) in
-                let az', nl', _ = Analyzer.apply az nl edits in
-                let topo' = Topo.create nl' in
-                let incr, _ = Analyzer.run az' topo' in
-                let scratch = Elimination.compute ~k:4 topo' in
-                (az', nl', Eco.elim_identical scratch incr)
+              let az = Analyzer.create ~k:4 nl0 in
+              let _ = Analyzer.run az in
+              let step az =
+                let edits = random_edits (Analyzer.netlist az) rand (1 + rand 2) in
+                let az', _ = Analyzer.apply az edits in
+                let incr, _ = Analyzer.run az' in
+                let scratch =
+                  Elimination.compute ~k:4 (Topo.create (Analyzer.netlist az'))
+                in
+                (az', Eco.elim_identical scratch incr)
               in
-              let az1, nl1, ok1 = step az nl0 in
-              let _, _, ok2 = step az1 nl1 in
+              let az1, ok1 = step az in
+              let _, ok2 = step az1 in
               ok1 && ok2))
         [ 1; 4 ])
 
@@ -578,6 +623,8 @@ let () =
           Alcotest.test_case "checkpoint rejects garbage" `Quick
             test_checkpoint_rejects_garbage;
           Alcotest.test_case "eco loop" `Quick test_eco_loop;
+          Alcotest.test_case "one fixpoint per state" `Quick
+            test_one_fixpoint_per_state;
         ] );
       ( "repair",
         [

@@ -427,7 +427,7 @@ let test_determinism_across_jobs () =
   let reference =
     at_jobs 1 (fun () ->
         let nl = B.tiny () in
-        let elim, _ = Analyzer.run (Analyzer.create ~k:4 ()) (Topo.create nl) in
+        let elim, _ = Analyzer.run (Analyzer.create ~k:4 nl) in
         elim.Tka_topk.Elimination.result.Tka_topk.Engine.res_noisy_delay)
   in
   let analyze_stripped srv sess =
@@ -549,7 +549,7 @@ let test_fixpoint_reuse () =
   (* engine runs of one analysis (both dual modes) *)
   let per_analysis =
     let e0 = Metrics.Counter.value engine_runs in
-    ignore (Analyzer.run (Analyzer.create ~k:4 ()) (Topo.create (Nf.parse ~lookup body)));
+    ignore (Analyzer.run (Analyzer.create ~k:4 (Nf.parse ~lookup body)));
     Metrics.Counter.value engine_runs - e0
   in
   let srv = make_server () in
@@ -590,7 +590,7 @@ let test_fixpoint_reuse () =
   let replies = List.map strip_volatile replies in
   (* the reference: a fresh analyzer on the netlist the session parsed *)
   let parsed = Nf.parse ~lookup body in
-  let elim, _ = Analyzer.run (Analyzer.create ~k:4 ()) (Topo.create parsed) in
+  let elim, _ = Analyzer.run (Analyzer.create ~k:4 parsed) in
   let fresh mode =
     let res =
       match mode with

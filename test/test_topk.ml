@@ -544,10 +544,14 @@ let upstream_only () =
 let test_pseudo_ablation () =
   let nl = upstream_only () in
   let topo = Topo.create nl in
-  let with_pseudo = Addition.compute ~k:1 ~use_pseudo:true topo in
-  let without = Addition.compute ~k:1 ~use_pseudo:false topo in
-  let obj t =
-    match t.Addition.result.Engine.res_per_k.(1) with
+  let addition ~use_pseudo =
+    let config = { (Engine.default_config ~k:1) with Engine.use_pseudo } in
+    Engine.compute ~config ~mode:Engine.Addition topo
+  in
+  let with_pseudo = addition ~use_pseudo:true in
+  let without = addition ~use_pseudo:false in
+  let obj r =
+    match r.Engine.res_per_k.(1) with
     | Some c -> c.Engine.ch_objective
     | None -> 0.
   in
@@ -557,10 +561,14 @@ let test_pseudo_ablation () =
 
 let test_higher_order_ablation_never_better_off () =
   let _, topo = Lazy.force tiny_topo in
-  let on = Addition.compute ~k:3 ~use_higher_order:true topo in
-  let off = Addition.compute ~k:3 ~use_higher_order:false topo in
-  let obj t k =
-    match t.Addition.result.Engine.res_per_k.(k) with
+  let addition ~use_higher_order =
+    let config = { (Engine.default_config ~k:3) with Engine.use_higher_order } in
+    Engine.compute ~config ~mode:Engine.Addition topo
+  in
+  let on = addition ~use_higher_order:true in
+  let off = addition ~use_higher_order:false in
+  let obj r k =
+    match r.Engine.res_per_k.(k) with
     | Some c -> c.Engine.ch_objective
     | None -> 0.
   in

@@ -719,7 +719,7 @@ let run_eco o =
   section
     (Printf.sprintf "Incremental ECO re-analysis: %s, fix top-1 of k=%d" name k);
   let nl, _ = circuit name in
-  let report, _ = Tka_incr.Eco.run ~k ~fix_k:1 nl in
+  let report, _ = Tka_incr.Eco.run ~fix_k:1 (Tka_incr.Analyzer.create ~k nl) in
   Printf.printf "  mitigation: %d coupling(s) removed, %d nets dirty\n"
     (List.length report.Tka_incr.Eco.eco_edits)
     report.Tka_incr.Eco.eco_dirty_nets;
@@ -729,8 +729,9 @@ let run_eco o =
     "  re-analysis: full %.2f s, incremental %.2f s (%.1fx, %d hits / %d \
      misses)\n"
     report.Tka_incr.Eco.eco_t_full_s report.Tka_incr.Eco.eco_t_incr_s
-    report.Tka_incr.Eco.eco_speedup report.Tka_incr.Eco.eco_cache_hits
-    report.Tka_incr.Eco.eco_cache_misses;
+    report.Tka_incr.Eco.eco_speedup
+    report.Tka_incr.Eco.eco_after.Tka_incr.Analyzer.rs_hits
+    report.Tka_incr.Eco.eco_after.Tka_incr.Analyzer.rs_misses;
   Printf.printf "  results identical to scratch: %s\n%!"
     (if report.Tka_incr.Eco.eco_identical then "yes"
      else "NO (incremental correctness violation!)");

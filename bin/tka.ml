@@ -756,6 +756,8 @@ let compare_cmd =
 (* ------------------------------------------------------------------ *)
 
 let eco_cmd =
+  let module Eco = Tka_incr.Eco in
+  let module Analyzer = Tka_incr.Analyzer in
   let k =
     Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Set cardinality bound.")
   in
@@ -792,45 +794,38 @@ let eco_cmd =
   in
   let run obs liberty k fix_k checkpoint json fixed_out path =
     run_obs obs (fun () ->
-        if k < 1 then failwith "-k must be >= 1";
-        if fix_k < 1 || fix_k > k then failwith "--fix-k must be in [1, k]";
         let nl = load ~liberty path in
-        let report, fixed = Tka_incr.Eco.run ~k ~fix_k ?checkpoint nl in
-        let r = report in
+        let r, fixed = Eco.run ~fix_k ?checkpoint (Analyzer.create ~k nl) in
         Printf.printf "circuit %s: ECO loop, fix top-%d of k=%d\n"
-          r.Tka_incr.Eco.eco_circuit fix_k k;
-        (match r.Tka_incr.Eco.eco_set with
+          r.Eco.eco_circuit fix_k k;
+        (match r.Eco.eco_set with
         | None -> Printf.printf "  no elimination candidates; nothing to fix\n"
         | Some s ->
           Printf.printf "  removing %d coupling(s):\n%s\n"
-            (List.length r.Tka_incr.Eco.eco_edits)
+            (List.length r.Eco.eco_edits)
             (Tka_topk.Coupling_set.describe nl s));
         Printf.printf "  noisy delay %.4f ns -> %.4f ns after fix\n"
-          r.Tka_incr.Eco.eco_delay_noisy r.Tka_incr.Eco.eco_delay_fixed;
+          r.Eco.eco_delay_noisy r.Eco.eco_delay_fixed;
         Printf.printf
           "  re-verify: full %.3f s, incremental %.3f s (%.1fx speedup)\n"
-          r.Tka_incr.Eco.eco_t_full_s r.Tka_incr.Eco.eco_t_incr_s
-          r.Tka_incr.Eco.eco_speedup;
+          r.Eco.eco_t_full_s r.Eco.eco_t_incr_s r.Eco.eco_speedup;
         Printf.printf "  dirty nets %d, cache hits %d, misses %d\n"
-          r.Tka_incr.Eco.eco_dirty_nets r.Tka_incr.Eco.eco_cache_hits
-          r.Tka_incr.Eco.eco_cache_misses;
-        if r.Tka_incr.Eco.eco_analysis_hits > 0 then
+          r.Eco.eco_dirty_nets r.Eco.eco_after.Analyzer.rs_hits
+          r.Eco.eco_after.Analyzer.rs_misses;
+        if r.Eco.eco_before.Analyzer.rs_hits > 0 then
           Printf.printf "  warm start: initial analysis reused %d victims\n"
-            r.Tka_incr.Eco.eco_analysis_hits;
+            r.Eco.eco_before.Analyzer.rs_hits;
         Printf.printf "  incremental results identical: %s\n"
-          (if r.Tka_incr.Eco.eco_identical then "yes" else "NO");
-        Printf.printf "  fix rule: %s\n"
-          (Tka_incr.Eco.rule_name r.Tka_incr.Eco.eco_rule);
-        Option.iter (fun path -> emit_json path (Tka_incr.Eco.report_json r)) json;
+          (if r.Eco.eco_identical then "yes" else "NO");
+        Printf.printf "  fix rule: %s\n" (Eco.rule_name r.Eco.eco_rule);
+        Option.iter (fun path -> emit_json path (Eco.report_json r)) json;
         Option.iter
-          (fun path ->
-            emit_text path
-              (Nf.print (Tka_circuit.Topo.netlist fixed.Tka_topk.Elimination.topo)))
+          (fun path -> emit_text path (Nf.print (Analyzer.netlist fixed)))
           fixed_out;
-        if not r.Tka_incr.Eco.eco_identical then exit 1;
+        if not r.Eco.eco_identical then exit 1;
         (* a None/None outcome used to be indistinguishable from an
            empty fix — make "no fix set exists" a hard failure *)
-        if r.Tka_incr.Eco.eco_rule = Tka_incr.Eco.Rule_none then exit 2)
+        if r.Eco.eco_rule = Eco.Rule_none then exit 2)
   in
   Cmd.v
     (Cmd.info "eco"
@@ -925,11 +920,6 @@ let repair_cmd =
   let run obs liberty k fix_k budget filter target_ns recover dry_run journal
       checkpoint json fixed_out path =
     run_obs obs (fun () ->
-        if k < 1 then failwith "-k must be >= 1";
-        if fix_k < 1 || fix_k > k then failwith "--fix-k must be in [1, k]";
-        if budget < 0 then failwith "--budget must be >= 0";
-        if not (recover >= 0. && recover <= 1.) then
-          failwith "--recover must be in [0, 1]";
         let nl = load ~liberty path in
         let report, repaired, _elim =
           Repair.run ~k ~fix_k ~budget ~filter ?target_delay:target_ns ~recover
@@ -961,7 +951,9 @@ let repair_cmd =
         Printf.printf "  final state identical to scratch re-analysis: %s\n"
           (if r.Repair.rp_identical then "yes" else "NO");
         Option.iter (fun p -> emit_json p (Repair.report_json r)) json;
-        Option.iter (fun p -> emit_text p (Nf.print repaired)) fixed_out;
+        Option.iter
+          (fun p -> emit_text p (Nf.print (Tka_incr.Analyzer.netlist repaired)))
+          fixed_out;
         if not r.Repair.rp_identical then exit 1;
         if r.Repair.rp_outcome <> Repair.Target_met then exit 4)
   in
@@ -1418,7 +1410,7 @@ let client_cmd =
           ~doc:
             "Actions to run in order over one connection (one session): \
              $(b,ping), $(b,info), $(b,stats), $(b,metrics), $(b,shutdown), \
-             $(b,analyze)[:add|:elim], $(b,eco)[:FIXK], \
+             $(b,analyze)[:add|:elim], $(b,eco)[:FIXK], $(b,repair)[:BUDGET], \
              $(b,whatif:remove=ID,ID...).")
   in
   let run obs socket tcp design k filter actions =

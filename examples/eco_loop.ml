@@ -16,9 +16,7 @@ module V = Tka_circuit.Verilog_lite
 module Spef = Tka_circuit.Spef_lite
 module Lib = Tka_cell.Default_lib
 module Elimination = Tka_topk.Elimination
-module CS = Tka_topk.Coupling_set
 module Analyzer = Tka_incr.Analyzer
-module Edit = Tka_incr.Edit
 module Eco = Tka_incr.Eco
 
 let full_adder_module =
@@ -86,14 +84,6 @@ let build bits =
   in
   Spef.apply { Spef.design = None; ground = []; couplings } flat
 
-(* the top elimination pick of the round, as removal edits (directed
-   entries collapse onto their physical coupling) *)
-let removal_edits set =
-  CS.to_list set
-  |> List.map (fun d -> d / 2)
-  |> List.sort_uniq Int.compare
-  |> List.map (fun c -> Edit.Remove_coupling c)
-
 let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Warning);
@@ -120,7 +110,7 @@ let () =
         (String.concat ", "
            (Tka_topk.Report.set_lines (Analyzer.netlist az) set))
         fixed_delay;
-      let az', dirty = Analyzer.apply az (removal_edits set) in
+      let az', dirty = Analyzer.apply az (Eco.removal_edits set) in
       Printf.printf "  dirty closure: %d nets\n" dirty;
       round (i + 1) az'
   in

@@ -34,6 +34,7 @@ type t = {
 }
 
 let create ?cache ~k nl =
+  if k < 1 then invalid_arg (Printf.sprintf "k must be >= 1, got %d" k);
   let topo = Topo.create nl in
   {
     a_nl = nl;

@@ -56,7 +56,9 @@ val create : ?cache:Cache.t -> k:int -> Tka_circuit.Netlist.t -> t
     values). {!apply} leaves it untouched, so co-tenants still
     analyzing the unedited design are unaffected. {!load_checkpoint}
     {e replaces} the state's cache reference, detaching it from the
-    shared one. *)
+    shared one.
+
+    @raise Invalid_argument when [k < 1]. *)
 
 val netlist : t -> Tka_circuit.Netlist.t
 val topo : t -> Tka_circuit.Topo.t

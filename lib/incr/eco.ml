@@ -26,9 +26,8 @@ type report = {
   eco_delay_noisy : float;
   eco_delay_fixed : float;
   eco_dirty_nets : int;
-  eco_analysis_hits : int;
-  eco_cache_hits : int;
-  eco_cache_misses : int;
+  eco_before : Analyzer.run_stats;
+  eco_after : Analyzer.run_stats;
   eco_t_full_s : float;
   eco_t_incr_s : float;
   eco_speedup : float;
@@ -98,46 +97,41 @@ let choose_fix elim ~fix_k =
           m ~fields:[ Log.int "fix_k" fix_k ] "no fix set exists at k=%d" fix_k);
       (Rule_none, None))
 
-type fix = { fx_set : CS.t; fx_edits : Edit.t list; fx_state : Analyzer.t; fx_dirty : int }
+let check_fix_k ~k fix_k =
+  if fix_k < 1 || fix_k > k then
+    invalid_arg (Printf.sprintf "fix_k must be in [1, k] = [1, %d], got %d" k fix_k)
 
-let fix ?cache a elim ~fix_k =
-  match choose_fix elim ~fix_k with
-  | rule, None -> (rule, None)
-  | rule, Some set ->
-    let edits = removal_edits set in
-    let a', dirty = Analyzer.apply ?cache a edits in
-    (rule, Some { fx_set = set; fx_edits = edits; fx_state = a'; fx_dirty = dirty })
-
-let run ?(k = 10) ?(fix_k = 1) ?checkpoint nl =
-  if fix_k < 1 || fix_k > k then invalid_arg "Eco.run: fix_k outside [1, k]";
-  let az = Analyzer.create ~k nl in
-  Option.iter (Analyzer.warm_start az) checkpoint;
+let run ?cache ?checkpoint ?(verify = true) ~fix_k a =
+  let k = Analyzer.k a in
+  check_fix_k ~k fix_k;
+  Option.iter (Analyzer.warm_start a) checkpoint;
   (* 1. analyze: the paper's top-k elimination sets *)
-  let elim0, st0 = Analyzer.run az in
+  let elim0, st0 = Analyzer.run a in
   (* checkpoint now, before any edit remaps the cache to the edited
      coupling table: this is the state a rerun on the same input
      design can reuse (the edited-universe cache would be flushed by
      the universe guard on reload) *)
-  Option.iter (Analyzer.save_checkpoint az) checkpoint;
+  Option.iter (Analyzer.save_checkpoint a) checkpoint;
   (* 2. mitigate: shield (remove) the reported couplings; with no fix
      the design, and so its analysis, stays as it is *)
-  let rule, fx = fix az elim0 ~fix_k in
-  let az', set, edits, dirty =
-    match fx with
-    | Some f -> (f.fx_state, Some f.fx_set, f.fx_edits, f.fx_dirty)
-    | None -> (az, None, [], 0)
-  in
-  (* 3. re-verify, from scratch and incrementally, and compare *)
+  let rule, set = choose_fix elim0 ~fix_k in
+  let edits = Option.fold ~none:[] ~some:removal_edits set in
+  let a', dirty = if edits = [] then (a, 0) else Analyzer.apply ?cache a edits in
+  (* 3. re-verify incrementally and, unless told not to, from scratch *)
   let wall = Tka_obs.Clock.now_s in
+  let full, t_full =
+    if not verify then (None, 0.)
+    else
+      let t0 = wall () in
+      let full = Elimination.compute ~k (Analyzer.topo a') in
+      (Some full, wall () -. t0)
+  in
   let t0 = wall () in
-  let full = Elimination.compute ~k (Analyzer.topo az') in
-  let t_full = wall () -. t0 in
-  let t0 = wall () in
-  let incr, st = Analyzer.run az' in
+  let incr, st = Analyzer.run a' in
   let t_incr = wall () -. t0 in
   let report =
     {
-      eco_circuit = N.name nl;
+      eco_circuit = N.name (Analyzer.netlist a);
       eco_k = k;
       eco_fix_k = fix_k;
       eco_rule = rule;
@@ -146,16 +140,15 @@ let run ?(k = 10) ?(fix_k = 1) ?checkpoint nl =
       eco_delay_noisy = Elimination.all_aggressor_delay elim0;
       eco_delay_fixed = Elimination.all_aggressor_delay incr;
       eco_dirty_nets = dirty;
-      eco_analysis_hits = st0.Analyzer.rs_hits;
-      eco_cache_hits = st.Analyzer.rs_hits;
-      eco_cache_misses = st.Analyzer.rs_misses;
+      eco_before = st0;
+      eco_after = st;
       eco_t_full_s = t_full;
       eco_t_incr_s = t_incr;
       eco_speedup = t_full /. Float.max t_incr 1e-9;
-      eco_identical = elim_identical full incr;
+      eco_identical = Option.fold ~none:true ~some:(fun f -> elim_identical f incr) full;
     }
   in
-  (report, incr)
+  (report, a')
 
 let report_json r =
   J.Obj
@@ -172,9 +165,9 @@ let report_json r =
       ("delay_noisy_ns", J.Float r.eco_delay_noisy);
       ("delay_fixed_ns", J.Float r.eco_delay_fixed);
       ("dirty_nets", J.Int r.eco_dirty_nets);
-      ("analysis_hits", J.Int r.eco_analysis_hits);
-      ("cache_hits", J.Int r.eco_cache_hits);
-      ("cache_misses", J.Int r.eco_cache_misses);
+      ("analysis_hits", J.Int r.eco_before.Analyzer.rs_hits);
+      ("cache_hits", J.Int r.eco_after.Analyzer.rs_hits);
+      ("cache_misses", J.Int r.eco_after.Analyzer.rs_misses);
       ("t_full_s", J.Float r.eco_t_full_s);
       ("t_incr_s", J.Float r.eco_t_incr_s);
       ("speedup_incr", J.Float r.eco_speedup);

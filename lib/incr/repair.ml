@@ -247,19 +247,16 @@ let candidates a elim ~fix_k ~target =
       match List.find_map (fun (po, _) -> choice_for po) violating with
       | None -> []
       | Some ch ->
-        let caps =
-          CS.to_list ch.Engine.ch_set
-          |> List.map Tka_noise.Coupled_noise.coupling_of_directed_id
-          |> List.sort_uniq Int.compare
+        let shield = Eco.removal_edits ch.Engine.ch_set in
+        let space =
+          List.filter_map
+            (function
+              | Edit.Remove_coupling c ->
+                Some (Edit.Scale_coupling { coupling = c; factor = spacing_factor })
+              | _ -> None)
+            shield
         in
-        [
-          (Shield, List.map (fun c -> Edit.Remove_coupling c) caps);
-          ( Space,
-            List.map
-              (fun c ->
-                Edit.Scale_coupling { coupling = c; factor = spacing_factor })
-              caps );
-        ]
+        [ (Shield, shield); (Space, space) ]
     in
     let strengthen =
       CP.to_output an worst_po
@@ -283,26 +280,35 @@ let candidates a elim ~fix_k ~target =
 (* the loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A design state of the loop, with its analysis and its TNS. *)
+type point = { p_state : Analyzer.t; p_elim : Elimination.t; p_tns : float }
+
+(* A trialed candidate: its edits, the point they lead to, and what
+   the trial re-analysis cost. *)
+type trial = {
+  tr_move : move;
+  tr_edits : Edit.t list;
+  tr_to : point;
+  tr_dirty : int;
+  tr_stats : Analyzer.run_stats;
+}
+
 let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
     ?(dry_run = false) ?(verify = true) ?(filter = Tka_filter.Mode.Off)
     ?journal ?checkpoint nl =
-  if fix_k < 1 || fix_k > k then invalid_arg "Repair.run: fix_k outside [1, k]";
-  if budget < 0 then invalid_arg "Repair.run: negative budget";
-  if not (recover >= 0. && recover <= 1.) then
-    invalid_arg "Repair.run: recover outside [0, 1]";
   let wall = Tka_obs.Clock.now_s in
   let t_start = wall () in
-  let az = ref (Analyzer.create ~k nl) in
-  Option.iter (Analyzer.warm_start !az) checkpoint;
-  let save_ckpt () =
-    if not dry_run then
-      match checkpoint with
-      | Some path -> Analyzer.save_checkpoint !az path
-      | None -> ()
+  let a0 = Analyzer.create ~k nl in
+  Eco.check_fix_k ~k fix_k;
+  if budget < 0 then invalid_arg (Printf.sprintf "budget must be >= 0, got %d" budget);
+  if not (recover >= 0. && recover <= 1.) then
+    invalid_arg (Printf.sprintf "recover must be in [0, 1], got %g" recover);
+  Option.iter (Analyzer.warm_start a0) checkpoint;
+  let save_ckpt a =
+    if not dry_run then Option.iter (Analyzer.save_checkpoint a) checkpoint
   in
-  let elim0, _ = Analyzer.run ~filter !az in
-  let elim_cur = ref elim0 in
-  save_ckpt ();
+  let elim0, _ = Analyzer.run ~filter a0 in
+  save_ckpt a0;
   let noiseless = Elimination.noiseless_delay elim0 in
   let initial = Elimination.all_aggressor_delay elim0 in
   let target =
@@ -310,6 +316,10 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
     | Some t -> t
     | None -> initial -. (recover *. (initial -. noiseless))
   in
+  (* candidate targeting and the TNS read each state's fixpoint: the
+     one its analysis ran on *)
+  let tns_of a = tns (Analyzer.fixpoint a).Iterate.analysis ~target in
+  let delay a = Iterate.circuit_delay (Analyzer.fixpoint a) in
   let jout =
     match journal with
     | Some path when not dry_run ->
@@ -331,14 +341,12 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       flush oc
     | None -> ()
   in
-  (* candidate targeting and the TNS read each state's fixpoint: the
-     one its analysis ran on *)
-  let delay () = Iterate.circuit_delay (Analyzer.fixpoint !az) in
-  let tns_cur () = tns (Analyzer.fixpoint !az).Iterate.analysis ~target in
+  (* the initial point, then each accepted trial's *)
+  let cur = ref { p_state = a0; p_elim = elim0; p_tns = tns_of a0 } in
   let curve = ref [ (0, initial) ] in
   let applied = ref 0 in
   let iter = ref 0 in
-  let outcome = ref (if tns_cur () <= 0. then Some Target_met else None) in
+  let outcome = ref (if !cur.p_tns <= 0. then Some Target_met else None) in
   (* Trial a candidate on a *snapshot*: [Analyzer.apply] makes the
      edited state over a remapped copy of the live state's cache.
      Rejecting the candidate is then a no-op — the pre-edit state was
@@ -346,14 +354,20 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
   let trial (mv, edits) =
     Trace.with_span ~cat:"incr" ~args:[ ("edits", J.Int (List.length edits)) ] "repair.trial"
     @@ fun () ->
-    let az', dirty = Analyzer.apply !az edits in
-    let tns_after = tns (Analyzer.fixpoint az').Iterate.analysis ~target in
-    let elim', st = Analyzer.run ~filter az' in
-    (mv, edits, az', elim', dirty, st, tns_after)
+    let a', dirty = Analyzer.apply !cur.p_state edits in
+    let tns_after = tns_of a' in
+    let elim', st = Analyzer.run ~filter a' in
+    {
+      tr_move = mv;
+      tr_edits = edits;
+      tr_to = { p_state = a'; p_elim = elim'; p_tns = tns_after };
+      tr_dirty = dirty;
+      tr_stats = st;
+    }
   in
   while !outcome = None do
     incr iter;
-    let cands = candidates !az !elim_cur ~fix_k ~target in
+    let cands = candidates !cur.p_state !cur.p_elim ~fix_k ~target in
     if cands = [] then outcome := Some No_candidates
     else begin
       let fitting =
@@ -361,76 +375,68 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       in
       if fitting = [] then outcome := Some Budget_exhausted
       else begin
-        let before = delay () in
-        let tns_before = tns_cur () in
+        let before = !cur in
         let trials = List.map trial fitting in
         (* lowest resulting TNS wins; first in move order on a tie *)
         let best =
           List.fold_left
             (fun acc t ->
-              let _, _, _, _, _, _, after = t in
               match acc with
-              | Some (_, _, _, _, _, _, best_after)
-                when best_after <= after ->
-                acc
+              | Some b when b.tr_to.p_tns <= t.tr_to.p_tns -> acc
               | _ -> Some t)
             None trials
         in
-        let best_after =
+        let accepted =
           match best with
-          | Some (_, _, _, _, _, _, a) -> a
-          | None -> infinity
+          | Some b when b.tr_to.p_tns < before.p_tns -> Some b
+          | _ -> None
         in
-        let improves = best_after < tns_before in
         List.iter
-          (fun ((mv, es, az', elim', dirty, st, tns_after) as t) ->
-            let accepted =
-              improves && match best with Some b -> b == t | None -> false
-            in
+          (fun t ->
             emit
               {
                 en_iter = !iter;
-                en_move = mv;
-                en_edits = es;
-                en_accepted = accepted;
-                en_delay_before = before;
-                en_delay_after = Iterate.circuit_delay (Analyzer.fixpoint az');
-                en_tns_before = tns_before;
-                en_tns_after = tns_after;
-                en_dirty_nets = dirty;
-                en_cache_hits = st.Analyzer.rs_hits;
-                en_cache_misses = st.Analyzer.rs_misses;
-              };
-            if accepted then begin
-              az := az';
-              elim_cur := elim';
-              applied := !applied + List.length es;
-              curve := (!applied, delay ()) :: !curve;
-              save_ckpt ();
-              Log.info log_src (fun m ->
-                  m
-                    ~fields:
-                      [
-                        Log.int "iter" !iter;
-                        Log.str "move" (move_name mv);
-                        Log.int "edits" (List.length es);
-                      ]
-                    "accepted %s: TNS %.6f -> %.6f ns" (move_name mv)
-                    tns_before tns_after)
-            end)
+                en_move = t.tr_move;
+                en_edits = t.tr_edits;
+                en_accepted = Option.fold ~none:false ~some:(( == ) t) accepted;
+                en_delay_before = delay before.p_state;
+                en_delay_after = delay t.tr_to.p_state;
+                en_tns_before = before.p_tns;
+                en_tns_after = t.tr_to.p_tns;
+                en_dirty_nets = t.tr_dirty;
+                en_cache_hits = t.tr_stats.Analyzer.rs_hits;
+                en_cache_misses = t.tr_stats.Analyzer.rs_misses;
+              })
           trials;
-        if not improves then outcome := Some Converged
-        else if tns_cur () <= 0. then outcome := Some Target_met
-        else if !applied >= budget then outcome := Some Budget_exhausted
+        match accepted with
+        | None -> outcome := Some Converged
+        | Some t ->
+          cur := t.tr_to;
+          applied := !applied + List.length t.tr_edits;
+          curve := (!applied, delay t.tr_to.p_state) :: !curve;
+          save_ckpt t.tr_to.p_state;
+          Log.info log_src (fun m ->
+              m
+                ~fields:
+                  [
+                    Log.int "iter" !iter;
+                    Log.str "move" (move_name t.tr_move);
+                    Log.int "edits" (List.length t.tr_edits);
+                  ]
+                "accepted %s: TNS %.6f -> %.6f ns" (move_name t.tr_move)
+                before.p_tns t.tr_to.p_tns);
+          if t.tr_to.p_tns <= 0. then outcome := Some Target_met
+          else if !applied >= budget then outcome := Some Budget_exhausted
       end
     end
   done;
   (match jout with Some oc -> close_out oc | None -> ());
+  let final = !cur in
   let identical =
-    if not verify then true
-    else
-      let scratch = Elimination.compute ~filter ~k (Analyzer.topo !az) in
-      Eco.elim_identical scratch !elim_cur
+    (not verify)
+    || Eco.elim_identical
+         (Elimination.compute ~filter ~k (Analyzer.topo final.p_state))
+         final.p_elim
   in
   let report =
     {
@@ -442,7 +448,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       rp_target_delay = target;
       rp_noiseless_delay = noiseless;
       rp_initial_delay = initial;
-      rp_final_delay = delay ();
+      rp_final_delay = delay final.p_state;
       rp_iterations = !iter;
       rp_edits_applied = !applied;
       rp_rejected = !rejected;
@@ -453,7 +459,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
       rp_t_total_s = wall () -. t_start;
     }
   in
-  (report, Analyzer.netlist !az, !elim_cur)
+  (report, final.p_state, final.p_elim)
 
 let report_json r =
   J.Obj

@@ -14,8 +14,8 @@
     synthesizes candidate edit scripts aimed at the violating
     endpoints, worst first —
 
-    - {e shield}: {!Edit.Remove_coupling} on each cap of the top
-      [fix_k] elimination set retained for a violating sink,
+    - {e shield}: the {!Eco.removal_edits} of the top [fix_k]
+      elimination set retained for a violating sink,
     - {e space}: {!Edit.Scale_coupling} (cap halved) on the same caps,
     - {e strengthen}: {!Edit.Strengthen_driver} on the driver of the
       noisiest net along the worst endpoint's critical path —
@@ -105,9 +105,12 @@ val run :
   ?journal:string ->
   ?checkpoint:string ->
   Tka_circuit.Netlist.t ->
-  report * Tka_circuit.Netlist.t * Tka_topk.Elimination.t
+  report * Analyzer.t * Tka_topk.Elimination.t
 (** [run nl] drives the repair loop and returns the report, the final
-    (repaired) netlist and its final incremental analysis.
+    design state (the repaired netlist over the loop's warm cache,
+    with its fixpoint and its analysis under [filter] kept) and that
+    analysis. The serve [repair] RPC commits the state as it is, so
+    the next [analyze] of the repaired design is answered warm.
 
     [k] (default 10) and [fix_k] (default 1, must be in [[1, k]]) are
     as in {!Eco.run}. [budget] (default 10) caps the {e individual}
@@ -131,8 +134,9 @@ val run :
     inherit it, and it is hashed into the cache keys, so a checkpoint
     written under one mode never seeds a loop running another.
 
-    @raise Invalid_argument on [fix_k] outside [[1, k]], a negative
-    [budget], or [recover] outside [[0, 1]]. *)
+    @raise Invalid_argument naming the parameter and its range on
+    [k < 1], [fix_k] outside [[1, k]], a negative [budget], or
+    [recover] outside [[0, 1]]. *)
 
 val report_json : report -> Tka_obs.Jsonx.t
 (** The [repair] JSON section: scalar fields of {!report} plus the

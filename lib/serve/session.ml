@@ -35,14 +35,17 @@ let create ~registry ~lookup ~default_k =
 let loaded t = Option.is_some t.design
 let reuses t = t.reuses
 
-(* Every analysis goes through here, to count the ones a design
-   state answered from its last analysis. *)
-let run_analyzer t d filter =
-  let ((_, st) as r) = Analyzer.run ~filter d.d_az in
+(* Every analysis is counted here, to count the ones a design state
+   answered from its last analysis. *)
+let count_reuse t (st : Analyzer.run_stats) =
   if st.Analyzer.rs_reused then begin
     t.reuses <- t.reuses + 1;
     Metrics.Counter.incr c_reuses
-  end;
+  end
+
+let run_analyzer t d filter =
+  let ((_, st) as r) = Analyzer.run ~filter d.d_az in
+  count_reuse t st;
   r
 
 let require t =
@@ -181,128 +184,102 @@ let whatif t params =
 let eco t params =
   let* d = require t in
   let* fix_k = bad (Proto.param_int_default params "fix_k" 1) in
-  let k = Analyzer.k d.d_az in
-  if fix_k < 1 || fix_k > k then
-    Error
-      ( Proto.Bad_request,
-        Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" k )
-  else
-    let t0 = Clock.now_s () in
-    let elim, st = run_analyzer t d Tka_filter.Mode.Off in
-    let fp' = ref d.d_fp in
-    let rule, fix = Eco.fix ~cache:(edited_cache t fp') d.d_az elim ~fix_k in
-    let delay_noisy = elim.Elimination.result.Engine.res_noisy_delay in
-    let base =
-      [
-        ("design", J.Str d.d_name);
-        ("fix_k", J.Int fix_k);
-        ("rule", J.Str (Eco.rule_name rule));
-        ("delay_noisy_ns", J.Float delay_noisy);
-        ("analysis_hits", J.Int st.Analyzer.rs_hits);
-        ("analysis_misses", J.Int st.Analyzer.rs_misses);
-      ]
-    in
-    match fix with
-    | None ->
-      (* nothing to fix: no edit, the session's design is unchanged *)
-      Ok
-        (J.Obj
-           (base
-           @ [
-               ("set", J.List []);
-               ("edits", J.Int 0);
-               ("dirty_nets", J.Int 0);
-               ("delay_fixed_ns", J.Float delay_noisy);
-               ("cache_hits", J.Int 0);
-               ("cache_misses", J.Int 0);
-               ("fingerprint", J.Str (hex_fp d.d_fp));
-               ("elapsed_s", J.Float (Clock.now_s () -. t0));
-             ]))
-    | Some { Eco.fx_set = set; fx_edits = edits; fx_state; fx_dirty = dirty } ->
-      let d' = { d with d_fp = !fp'; d_az = fx_state } in
-      let elim', st' = run_analyzer t d' Tka_filter.Mode.Off in
-      t.design <- Some d';
-      Ok
-        (J.Obj
-           (base
-           @ [
-               ("set", J.List (List.map (fun c -> J.Int c) (CS.to_list set)));
-               ("edits", J.Int (List.length edits));
-               ("dirty_nets", J.Int dirty);
-               ( "delay_fixed_ns",
-                 J.Float elim'.Elimination.result.Engine.res_noisy_delay );
-               ("cache_hits", J.Int st'.Analyzer.rs_hits);
-               ("cache_misses", J.Int st'.Analyzer.rs_misses);
-               ("couplings", J.Int (N.num_couplings (Analyzer.netlist fx_state)));
-               ("fingerprint", J.Str (hex_fp d'.d_fp));
-               ("elapsed_s", J.Float (Clock.now_s () -. t0));
-             ]))
+  let t0 = Clock.now_s () in
+  let fp' = ref d.d_fp in
+  match Eco.run ~verify:false ~cache:(edited_cache t fp') ~fix_k d.d_az with
+  | exception Invalid_argument m -> Error (Proto.Bad_request, m)
+  | r, az' ->
+    count_reuse t r.Eco.eco_before;
+    (* with no fix there is no edit, and the session's design stays *)
+    let fixed = r.Eco.eco_edits <> [] in
+    let d' = { d with d_fp = !fp'; d_az = az' } in
+    if fixed then begin
+      count_reuse t r.Eco.eco_after;
+      t.design <- Some d'
+    end;
+    (* a reply without a fix reports no re-analysis *)
+    let after n = J.Int (if fixed then n else 0) in
+    let ids = Option.fold ~none:[] ~some:CS.to_list r.Eco.eco_set in
+    Ok
+      (J.Obj
+         ([
+            ("design", J.Str d.d_name);
+            ("fix_k", J.Int fix_k);
+            ("rule", J.Str (Eco.rule_name r.Eco.eco_rule));
+            ("delay_noisy_ns", J.Float r.Eco.eco_delay_noisy);
+            ("analysis_hits", J.Int r.Eco.eco_before.Analyzer.rs_hits);
+            ("analysis_misses", J.Int r.Eco.eco_before.Analyzer.rs_misses);
+            ("set", J.List (List.map (fun c -> J.Int c) ids));
+            ("edits", J.Int (List.length r.Eco.eco_edits));
+            ("dirty_nets", J.Int r.Eco.eco_dirty_nets);
+            ("delay_fixed_ns", J.Float r.Eco.eco_delay_fixed);
+            ("cache_hits", after r.Eco.eco_after.Analyzer.rs_hits);
+            ("cache_misses", after r.Eco.eco_after.Analyzer.rs_misses);
+          ]
+         @ (if fixed then [ ("couplings", J.Int (N.num_couplings (Analyzer.netlist az'))) ]
+            else [])
+         @ [
+             ("fingerprint", J.Str (hex_fp d'.d_fp));
+             ("elapsed_s", J.Float (Clock.now_s () -. t0));
+           ]))
 
 (* ------------------------------------------------------------------ *)
 (* repair                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A committed state becomes the registry tenant of its fingerprint.
+   On first arrival its own cache seeds the entry, so the state keeps
+   its fixpoint and analysis and the next [analyze] is a memo answer;
+   a fingerprint already cached keeps that cache, and the state is
+   made again over it. *)
+let commit t d az =
+  let nl = Analyzer.netlist az in
+  let fp = Registry.fingerprint nl in
+  let cache = Registry.attach_seeded t.registry ~fp ~seed:(fun () -> Analyzer.cache az) in
+  let az = if cache == Analyzer.cache az then az else Analyzer.create ~cache ~k:(Analyzer.k az) nl in
+  let d' = { d with d_fp = fp; d_az = az } in
+  t.design <- Some d';
+  d'
+
 (* The repair loop runs on the session's netlist with its own private
    analyzer state (trial snapshots must not evict co-tenants from the
-   shared cache). On success the repaired netlist is committed as a new
-   registry tenant, exactly like an [eco] commit — unless [dry_run].
-   [verify] defaults to false here: the RPC caller usually wants the
-   loop, not the scratch re-analysis; pass [{"verify":true}] to gate on
+   shared cache). On success the loop's final state is committed
+   ({!commit}), like an [eco] commit — unless [dry_run]. [verify]
+   defaults to false here: the RPC caller usually wants the loop, not
+   the scratch re-analysis; pass [{"verify":true}] to gate on
    bit-identity like the CLI does. *)
 let repair t params =
   let* d = require t in
   let* fix_k = bad (Proto.param_int_default params "fix_k" 1) in
   let* budget = bad (Proto.param_int_default params "budget" 10) in
   let* target_ns = bad (Proto.param_float_opt params "target_ns") in
-  let* recover_opt = bad (Proto.param_float_opt params "recover") in
+  let* recover = bad (Proto.param_float_opt params "recover") in
   let* dry_run = bad (Proto.param_bool_default params "dry_run" false) in
   let* verify = bad (Proto.param_bool_default params "verify" false) in
   let* filter = bad (Proto.filter_of_params params) in
-  let k = Analyzer.k d.d_az in
-  if fix_k < 1 || fix_k > k then
-    Error
-      ( Proto.Bad_request,
-        Printf.sprintf "\"fix_k\" must be in [1, %d] (the session's k)" k )
-  else if budget < 0 then Error (Proto.Bad_request, "\"budget\" must be >= 0")
-  else
-    let recover = Option.value ~default:0.5 recover_opt in
-    if not (Float.is_finite recover && recover >= 0. && recover <= 1.) then
-      Error (Proto.Bad_request, "\"recover\" must be in [0, 1]")
-    else
-      match
-        (* no [journal]/[checkpoint] paths: an RPC never writes files;
-           [dry_run] here only controls whether the result is committed *)
-        Repair.run ~k ~fix_k ~budget ?target_delay:target_ns ~recover
-          ~dry_run ~verify ~filter (Analyzer.netlist d.d_az)
-      with
-      | exception Invalid_argument m -> Error (Proto.Bad_request, m)
-      | report, nl', _elim ->
-        let committed =
-          (not dry_run) && report.Repair.rp_edits_applied > 0
-        in
-        let d' =
-          if not committed then d
-          else begin
-            let fp' = Registry.fingerprint nl' in
-            let cache' = Registry.attach t.registry ~fp:fp' in
-            let d' = { d with d_fp = fp'; d_az = Analyzer.create ~cache:cache' ~k nl' } in
-            t.design <- Some d';
-            d'
-          end
-        in
-        let fields =
-          match Repair.report_json report with
-          | J.Obj f -> f
-          | j -> [ ("repair", j) ]
-        in
-        Ok
-          (J.Obj
-             (fields
-             @ [
-                 ("filter", J.Str (Proto.filter_name filter));
-                 ("committed", J.Bool committed);
-                 ("fingerprint", J.Str (hex_fp d'.d_fp));
-               ]))
+  match
+    (* no [journal]/[checkpoint] paths: an RPC never writes files;
+       [dry_run] here only controls whether the result is committed *)
+    Repair.run ~k:(Analyzer.k d.d_az) ~fix_k ~budget ?target_delay:target_ns
+      ?recover ~dry_run ~verify ~filter (Analyzer.netlist d.d_az)
+  with
+  | exception Invalid_argument m -> Error (Proto.Bad_request, m)
+  | report, az', _elim ->
+    let committed = (not dry_run) && report.Repair.rp_edits_applied > 0 in
+    let d' = if committed then commit t d az' else d in
+    let fields =
+      match Repair.report_json report with
+      | J.Obj f -> f
+      | j -> [ ("repair", j) ]
+    in
+    Ok
+      (J.Obj
+         (fields
+         @ [
+             ("filter", J.Str (Proto.filter_name filter));
+             ("committed", J.Bool committed);
+             ("fingerprint", J.Str (hex_fp d'.d_fp));
+           ]))
 
 (* ------------------------------------------------------------------ *)
 (* dispatch                                                           *)

@@ -5,9 +5,10 @@
     {!Tka_incr.Analyzer.create}[ ~cache] over the {!Registry} cache for
     its design's fingerprint, so every result it enumerates is
     immediately reusable by co-tenants (and vice versa). All results
-    are {e bit-identical} to the equivalent one-shot CLI run at any
-    jobs count: the session only composes the analyzer and the engine,
-    both of which carry that contract. Each design state (a load, an
+    are {e bit-identical} to the equivalent one-shot library run (a
+    private analyzer, [Eco.run], [Repair.run]) at any jobs count: the
+    session only composes the analyzer and the engine, both of which
+    carry that contract. Each design state (a load, an
     eco or repair commit, a whatif's edited copy) is one analyzer,
     which computes its fixpoint once and answers a repeated [analyze]
     (or [eco]'s pre-edit analysis) from its last analysis under that
@@ -24,9 +25,18 @@
     - [whatif]: apply an edit script to a {e copy}, analyze it against
       a cache seeded from the base design's
       ({!Tka_incr.Cache.remapped_copy}), leave the session unchanged;
-    - [eco]: pick the top elimination set, commit its removal edits
-      ({!Tka_incr.Eco.fix}, the step [tka eco] runs too), re-analyze
-      incrementally — the session's design advances.
+    - [eco]: {!Tka_incr.Eco.run}[ ~verify:false] on the design state
+      — pick the top elimination set, apply its removal edits over the
+      edited fingerprint's registry cache, re-analyze incrementally —
+      and commit the edited state: the session's design advances;
+    - [repair]: {!Tka_incr.Repair.run} on the design's netlist, over a
+      private cache; unless [dry_run], commit the loop's final state,
+      whose cache seeds the repaired fingerprint's registry entry on
+      first arrival, so the next [analyze] misses nothing.
+
+    Out-of-range [fix_k], [budget] and [recover] are checked by those
+    library calls; their [Invalid_argument] message comes back as a
+    [Bad_request] error.
 
     Concurrency: one session is driven by one connection thread, but
     many sessions run concurrently; everything shared (registry,

@@ -187,7 +187,8 @@ let repair ?(budget = 3) ~k nl =
   let module Repair = Tka_incr.Repair in
   if N.num_couplings nl = 0 then Skip "no couplings"
   else begin
-    let report, nl_final, elim_final = Repair.run ~k ~fix_k:1 ~budget nl in
+    let report, final, elim_final = Repair.run ~k ~fix_k:1 ~budget nl in
+    let nl_final = Tka_incr.Analyzer.netlist final in
     let journal = report.Repair.rp_journal in
     if not report.Repair.rp_identical then
       Fail

@@ -80,7 +80,13 @@ let test_bad_value_exit_1 () =
         (String.length text >= 6 && String.sub text 0 6 = "error:");
       Alcotest.(check bool) (label ^ " is no internal error") false
         (contains ~sub:"internal error" text))
-    [ [ "topk"; "-k"; "0" ]; [ "sensitivity"; "--trials"; "0" ] ]
+    [
+      [ "topk"; "-k"; "0" ];
+      [ "sensitivity"; "--trials"; "0" ];
+      [ "eco"; "-k"; "3"; "--fix-k"; "4" ];
+      [ "repair"; "--budget=-1" ];
+      [ "repair"; "--recover"; "2" ];
+    ]
 
 (* [tka eco] lists the removed couplings on their own line: the delay
    line that follows starts a line of its own. *)

@@ -414,12 +414,12 @@ let test_one_fixpoint_per_state () =
   Alcotest.(check int) "repeat reports all hits" (num_victim_lookups nl)
     st.Analyzer.rs_hits;
   (* the loop's three analyses: initial, from scratch, incremental *)
-  let n, (r, _) = sta_runs (fun () -> Eco.run ~k:5 ~fix_k:1 nl) in
+  let n, (r, _) = sta_runs (fun () -> Eco.run ~fix_k:1 (Analyzer.create ~k:5 nl)) in
   Alcotest.(check int) "eco runs three analyses" 3 n;
   Alcotest.(check bool) "eco identical" true r.Eco.eco_identical
 
 let test_eco_loop () =
-  let r, _ = Eco.run ~k:4 ~fix_k:1 (B.c17 ()) in
+  let r, _ = Eco.run ~fix_k:1 (Analyzer.create ~k:4 (B.c17 ())) in
   Alcotest.(check bool) "eco re-analyses identical" true r.Eco.eco_identical;
   Alcotest.(check bool) "eco applied an edit" true (r.Eco.eco_edits <> []);
   Alcotest.(check bool) "fix does not worsen delay" true
@@ -442,7 +442,8 @@ let in_temp name f =
 
 let test_repair_loop () =
   let nl = B.c17 () in
-  let report, nl', _elim = Repair.run ~k:4 ~fix_k:1 ~budget:3 ~recover:0.5 nl in
+  let report, a', _elim = Repair.run ~k:4 ~fix_k:1 ~budget:3 ~recover:0.5 nl in
+  let nl' = Analyzer.netlist a' in
   Alcotest.(check bool)
     "final state identical to scratch" true report.Repair.rp_identical;
   Alcotest.(check bool)
@@ -465,9 +466,8 @@ let test_repair_loop () =
 let test_repair_journal_roundtrip () =
   in_temp ".ndjson" (fun path ->
       let nl = B.c17 () in
-      let report, nl', _ =
-        Repair.run ~k:4 ~fix_k:1 ~budget:3 ~journal:path nl
-      in
+      let report, a', _ = Repair.run ~k:4 ~fix_k:1 ~budget:3 ~journal:path nl in
+      let nl' = Analyzer.netlist a' in
       match Repair.load_journal ~lookup:(fun _ -> None) path with
       | Error m -> Alcotest.failf "journal did not load back: %s" m
       | Ok entries ->
@@ -499,14 +499,15 @@ let test_repair_dry_run () =
           (* Eco.run shares the warm-start step: the stale file is a
              cold start, not an error, and is then replaced by a real
              checkpoint that a rerun warm-starts from *)
-          let cold, _ = Eco.run ~k:4 ~fix_k:1 ~checkpoint:ckpt (B.c17 ()) in
+          let eco () = fst (Eco.run ~fix_k:1 ~checkpoint:ckpt (Analyzer.create ~k:4 (B.c17 ()))) in
+          let cold = eco () in
           Alcotest.(check int)
-            "stale checkpoint is a cold start" 0 cold.Eco.eco_analysis_hits;
+            "stale checkpoint is a cold start" 0 cold.Eco.eco_before.Analyzer.rs_hits;
           Alcotest.(check bool) "cold eco identical" true cold.Eco.eco_identical;
-          let warm, _ = Eco.run ~k:4 ~fix_k:1 ~checkpoint:ckpt (B.c17 ()) in
+          let warm = eco () in
           Alcotest.(check bool)
             "rewritten checkpoint warm-starts" true
-            (warm.Eco.eco_analysis_hits > 0);
+            (warm.Eco.eco_before.Analyzer.rs_hits > 0);
           Alcotest.(check bool)
             "warm eco picks the same fix" true
             (warm.Eco.eco_rule = cold.Eco.eco_rule
@@ -518,19 +519,18 @@ let test_repair_no_mutation () =
   let before = Nf.print nl in
   (* target already met: the loop must exit immediately, apply nothing
      and hand back the design unchanged *)
-  let report, nl', _ =
-    Repair.run ~k:4 ~fix_k:1 ~budget:3 ~target_delay:1e9 nl
-  in
+  let report, a', _ = Repair.run ~k:4 ~fix_k:1 ~budget:3 ~target_delay:1e9 nl in
   Alcotest.(check bool)
     "already-met target -> Target_met" true
     (report.Repair.rp_outcome = Repair.Target_met);
   Alcotest.(check int) "no edits applied" 0 report.Repair.rp_edits_applied;
-  Alcotest.(check bool) "netlist unchanged" true (same_netlist nl nl');
+  Alcotest.(check bool) "netlist unchanged" true (same_netlist nl (Analyzer.netlist a'));
   Alcotest.(check string) "input netlist not mutated" before (Nf.print nl);
   (* budget 0: every candidate is over budget, nothing may change *)
-  let report0, nl0, _ = Repair.run ~k:4 ~fix_k:1 ~budget:0 nl in
+  let report0, a0, _ = Repair.run ~k:4 ~fix_k:1 ~budget:0 nl in
   Alcotest.(check int) "budget 0 applies nothing" 0 report0.Repair.rp_edits_applied;
-  Alcotest.(check bool) "budget 0 leaves the netlist" true (same_netlist nl nl0)
+  Alcotest.(check bool) "budget 0 leaves the netlist" true
+    (same_netlist nl (Analyzer.netlist a0))
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: random edit sequences, applied incrementally, at jobs 1/4  *)

@@ -238,11 +238,12 @@ let float_member name j =
   | Some (J.Int i) -> float_of_int i
   | _ -> Alcotest.failf "missing float field %S in %s" name (J.to_string j)
 
-let load_tiny ?(k = 4) srv sess =
+let load_body ?(k = 4) srv sess body =
   ignore
     (result_exn "load"
-       (rpc srv sess "load"
-          (J.Obj [ ("netlist", J.Str tiny_body); ("k", J.Int k) ])))
+       (rpc srv sess "load" (J.Obj [ ("netlist", J.Str body); ("k", J.Int k) ])))
+
+let load_tiny ?k srv sess = load_body ?k srv sess tiny_body
 
 (* The wall clock and the shared-cache hit split depend on who ran
    first, not on what was computed; strip them before comparing runs
@@ -255,6 +256,10 @@ let strip_volatile = function
            not (List.mem k [ "elapsed_s"; "cache_hits"; "cache_misses" ]))
          kvs)
   | j -> j
+
+let strip_elapsed = function
+  | J.Obj kvs -> J.to_string (J.Obj (List.filter (fun (k, _) -> k <> "elapsed_s") kvs))
+  | j -> J.to_string j
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch errors are structured, never crashes                      *)
@@ -561,10 +566,6 @@ let test_fixpoint_reuse () =
     sess
   in
   let analyze ?(params = J.Obj []) sess = result_exn "analyze" (rpc srv sess "analyze" params) in
-  let strip_elapsed = function
-    | J.Obj kvs -> J.to_string (J.Obj (List.filter (fun (k, _) -> k <> "elapsed_s") kvs))
-    | j -> J.to_string j
-  in
   (* what the counters moved by across [f] *)
   let moved f =
     let i0 = Metrics.Counter.value runs
@@ -801,38 +802,61 @@ let test_eco_rule_surfaced () =
       Alcotest.(check bool) "an applied fix names its rule" true (rule <> "none")
   | _ -> Alcotest.fail "eco reply must carry the chosen rule"
 
-(* One eco fix rule: the RPC and [Eco.run] (the [tka eco] path) pick
-   the same rule and the same set at every fix cardinality. *)
+let eco_reply body ~fix_k =
+  let srv = make_server () in
+  let sess = session srv in
+  load_body srv sess body;
+  result_exn "eco" (rpc srv sess "eco" (J.Obj [ ("fix_k", J.Int fix_k) ]))
+
+(* One eco path: the RPC reply reports what [Eco.run ~verify:false]
+   does on the same state, at every fix cardinality. *)
 let test_eco_matches_eco_run () =
-  let nl = Option.get (B.by_name "i1") in
-  let body = Nf.print nl in
+  let body = Nf.print (Option.get (B.by_name "i1")) in
   List.iter
     (fun fix_k ->
-      let srv = make_server () in
-      let sess = session srv in
-      ignore
-        (result_exn "load i1"
-           (rpc srv sess "load"
-              (J.Obj [ ("netlist", J.Str body); ("k", J.Int 4) ])));
-      let eco =
-        result_exn "eco" (rpc srv sess "eco" (J.Obj [ ("fix_k", J.Int fix_k) ]))
+      let eco = eco_reply body ~fix_k in
+      let r, _ =
+        Tka_incr.Eco.run ~verify:false ~fix_k (Analyzer.create ~k:4 (Nf.parse ~lookup body))
       in
-      let report, _ = Tka_incr.Eco.run ~k:4 ~fix_k nl in
       let label what = Printf.sprintf "fix_k=%d %s" fix_k what in
       Alcotest.(check (option string))
         (label "rule")
-        (Some (Tka_incr.Eco.rule_name report.Tka_incr.Eco.eco_rule))
+        (Some (Tka_incr.Eco.rule_name r.Tka_incr.Eco.eco_rule))
         (match J.member "rule" eco with Some (J.Str r) -> Some r | _ -> None);
-      let ids =
-        match report.Tka_incr.Eco.eco_set with
-        | Some set -> Tka_topk.Coupling_set.to_list set
-        | None -> []
-      in
+      let ids = Option.fold ~none:[] ~some:Tka_topk.Coupling_set.to_list r.Tka_incr.Eco.eco_set in
       Alcotest.(check string)
         (label "set")
         (J.to_string (J.List (List.map (fun d -> J.Int d) ids)))
-        (J.to_string (Option.value ~default:J.Null (J.member "set" eco))))
+        (J.to_string (Option.value ~default:J.Null (J.member "set" eco)));
+      Alcotest.(check int) (label "edits")
+        (List.length r.Tka_incr.Eco.eco_edits) (int_member "edits" eco);
+      Alcotest.(check int) (label "dirty_nets") r.Tka_incr.Eco.eco_dirty_nets
+        (int_member "dirty_nets" eco);
+      Alcotest.(check (float 0.)) (label "delay_noisy_ns") r.Tka_incr.Eco.eco_delay_noisy
+        (float_member "delay_noisy_ns" eco);
+      Alcotest.(check (float 0.)) (label "delay_fixed_ns") r.Tka_incr.Eco.eco_delay_fixed
+        (float_member "delay_fixed_ns" eco))
     [ 1; 2; 3 ]
+
+(* The eco reply's bytes, [elapsed_s] aside, are pinned: i1 at fix_k
+   1-3, and a design without couplings, where no fix set exists. *)
+let test_eco_wire_format () =
+  let i1 = Nf.print (Option.get (B.by_name "i1")) in
+  let uncoupled =
+    String.split_on_char '\n' tiny_body
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"coupling " l))
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun (label, body, fix_k, digest) ->
+      Alcotest.(check string) label digest
+        (Digest.to_hex (Digest.string (strip_elapsed (eco_reply body ~fix_k)))))
+    [
+      ("i1 fix_k 1", i1, 1, "a1a1014caa39f1678a1d35fb47e2848f");
+      ("i1 fix_k 2", i1, 2, "15c8b9841db8d12aff048dbce41eba20");
+      ("i1 fix_k 3", i1, 3, "5741bc7864bc6376f54d52233498d7c2");
+      ("no fix set", uncoupled, 1, "0cf3b6c6e1dc161690a78f893c2376f3");
+    ]
 
 (* The filter mode rides every analysis RPC: accepted names are echoed
    back, the default is "none", "none" results are bit-identical to an
@@ -927,11 +951,26 @@ let test_repair_rpc () =
     (float_member "final_delay_ns" rep)
     (float_member "all_aggressor_delay_ns" an);
   (* parameter validation is structured *)
-  Alcotest.(check string)
-    "bad fix_k -> bad_request" "bad_request"
-    (Proto.code_to_string
-       (error_code "repair"
-          (rpc srv sess "repair" (J.Obj [ ("fix_k", J.Int 99) ]))))
+  List.iter
+    (fun (meth, fix_k) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s with fix_k %d -> bad_request" meth fix_k)
+        "bad_request"
+        (Proto.code_to_string
+           (error_code meth (rpc srv sess meth (J.Obj [ ("fix_k", J.Int fix_k) ])))))
+    [ ("repair", 99); ("eco", 0) ]
+
+(* A repair commit keeps the loop's final state, warm: the analyze
+   that follows misses nothing. *)
+let test_repair_commit_warm () =
+  let srv = make_server () in
+  let sess = session srv in
+  load_body srv sess (Nf.print (Option.get (B.by_name "i1")));
+  let rep = result_exn "repair" (rpc srv sess "repair" (J.Obj [ ("budget", J.Int 2) ])) in
+  Alcotest.(check bool) "repair committed" true
+    (J.member "committed" rep = Some (J.Bool true));
+  let an = result_exn "analyze" (rpc srv sess "analyze" (J.Obj [])) in
+  Alcotest.(check int) "the next analyze misses nothing" 0 (int_member "cache_misses" an)
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                  *)
@@ -1178,7 +1217,9 @@ let () =
           Alcotest.test_case "eco advances" `Quick test_eco_advances;
           Alcotest.test_case "eco rule surfaced" `Quick test_eco_rule_surfaced;
           Alcotest.test_case "eco matches Eco.run" `Quick test_eco_matches_eco_run;
+          Alcotest.test_case "eco wire format" `Quick test_eco_wire_format;
           Alcotest.test_case "repair rpc" `Quick test_repair_rpc;
+          Alcotest.test_case "repair commit is warm" `Quick test_repair_commit_warm;
           Alcotest.test_case "filter rpc" `Quick test_filter_rpc;
         ] );
       ( "admission",

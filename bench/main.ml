@@ -14,8 +14,7 @@
      figure10 delay vs k series for i1 and i10, both analyses
      parallel sequential vs parallel engine sweep (speedup + determinism)
      serve    daemon load test: concurrent clients against tka serve
-     kernels  shared re-ranking ctx vs fresh Iterate.run, then bechamel
-              microbenchmarks of the core computational kernels
+     kernels  shared re-ranking ctx vs fresh Iterate.run
 
    --jobs N (or TKA_JOBS) sizes the shared domain pool: the table2
    sections run their per-circuit sweeps concurrently, and the engine /
@@ -470,12 +469,13 @@ let run_ablation o =
           ("capped", Tt.Right);
         ]
   in
+  let fixpoint = Iterate.run topo in
   let row label ~capacity ~use_pseudo ~use_higher_order =
     let config =
       { (Engine.default_config ~k) with Engine.capacity; use_pseudo; use_higher_order }
     in
     let t0 = wall () in
-    let r = Engine.compute ~config ~mode:Engine.Addition topo in
+    let r = Engine.compute ~config ~fixpoint ~mode:Engine.Addition topo in
     let rt = wall () -. t0 in
     let obj =
       match r.Engine.res_per_k.(k) with Some c -> c.Engine.ch_objective | None -> 0.
@@ -719,24 +719,24 @@ let run_eco o =
   section
     (Printf.sprintf "Incremental ECO re-analysis: %s, fix top-1 of k=%d" name k);
   let nl, _ = circuit name in
-  let report, _ = Tka_incr.Eco.run ~fix_k:1 (Tka_incr.Analyzer.create ~k nl) in
+  let module Eco = Tka_incr.Eco in
+  let report, _ = Eco.run ~fix_k:1 (Tka_incr.Analyzer.create ~k nl) in
   Printf.printf "  mitigation: %d coupling(s) removed, %d nets dirty\n"
-    (List.length report.Tka_incr.Eco.eco_edits)
-    report.Tka_incr.Eco.eco_dirty_nets;
+    (List.length report.Eco.eco_edits) report.Eco.eco_dirty_nets;
   Printf.printf "  delay: %.4f ns noisy -> %.4f ns after fix\n"
-    report.Tka_incr.Eco.eco_delay_noisy report.Tka_incr.Eco.eco_delay_fixed;
+    report.Eco.eco_delay_noisy report.Eco.eco_delay_fixed;
+  (* the bench circuits all have a fix set, so the report is verified *)
+  let v = Option.get report.Eco.eco_verify in
   Printf.printf
     "  re-analysis: full %.2f s, incremental %.2f s (%.1fx, %d hits / %d \
      misses)\n"
-    report.Tka_incr.Eco.eco_t_full_s report.Tka_incr.Eco.eco_t_incr_s
-    report.Tka_incr.Eco.eco_speedup
-    report.Tka_incr.Eco.eco_after.Tka_incr.Analyzer.rs_hits
-    report.Tka_incr.Eco.eco_after.Tka_incr.Analyzer.rs_misses;
+    v.Eco.v_t_full_s v.Eco.v_t_incr_s v.Eco.v_speedup
+    report.Eco.eco_after.Tka_incr.Analyzer.rs_hits
+    report.Eco.eco_after.Tka_incr.Analyzer.rs_misses;
   Printf.printf "  results identical to scratch: %s\n%!"
-    (if report.Tka_incr.Eco.eco_identical then "yes"
-     else "NO (incremental correctness violation!)");
-  if not report.Tka_incr.Eco.eco_identical then exit 1;
-  json_add "eco" (Tka_incr.Eco.report_json report)
+    (if v.Eco.v_identical then "yes" else "NO (incremental correctness violation!)");
+  if not v.Eco.v_identical then exit 1;
+  json_add "eco" (Eco.report_json report)
 
 (* ------------------------------------------------------------------ *)
 (* repair: autonomous ECO loop                                        *)
@@ -849,7 +849,7 @@ let run_serve o =
   json_add "serve" (Loadgen.to_json report)
 
 (* ------------------------------------------------------------------ *)
-(* Kernels (bechamel)                                                 *)
+(* Kernels                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Shared re-ranking context (Iterate.context): the exact re-ranking
@@ -923,62 +923,6 @@ let run_rerank_ctx o =
        ]);
   print_string (Tt.render t)
 
-let run_kernels () =
-  section "Computational kernels (bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let _, topo = circuit "i1" in
-  let pulse = Tka_waveform.Pulse.make ~onset:0. ~peak:0.2 ~rise:0.03 ~decay:0.08 in
-  let window = Tka_util.Interval.make 0.4 0.6 in
-  let e1 = Tka_waveform.Envelope.of_pulse ~window pulse in
-  let e2 =
-    Tka_waveform.Envelope.of_pulse ~window:(Tka_util.Interval.make 0.5 0.8) pulse
-  in
-  let victim = Tka_waveform.Transition.make ~t50:0.6 ~slew:0.05 () in
-  let tests =
-    [
-      Test.make ~name:"envelope.of_pulse (Fig 2)"
-        (Staged.stage (fun () ->
-             ignore (Tka_waveform.Envelope.of_pulse ~window pulse)));
-      Test.make ~name:"envelope.add (Fig 3)"
-        (Staged.stage (fun () -> ignore (Tka_waveform.Envelope.add e1 e2)));
-      Test.make ~name:"delay_noise (superposition)"
-        (Staged.stage (fun () ->
-             ignore (Tka_waveform.Envelope.delay_noise ~victim e1)));
-      Test.make ~name:"dominance check"
-        (Staged.stage (fun () -> ignore (Tka_waveform.Envelope.encapsulates e1 e2)));
-      Test.make ~name:"noiseless STA of i1"
-        (Staged.stage (fun () -> ignore (Tka_sta.Analysis.run topo)));
-      Test.make ~name:"iterative noise analysis of i1"
-        (Staged.stage (fun () -> ignore (Iterate.run topo)));
-      Test.make ~name:"top-5 addition enumeration of i1"
-        (Staged.stage (fun () ->
-             ignore
-               (Engine.compute
-                  ~config:(Engine.default_config ~k:5)
-                  ~mode:Engine.Addition topo)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-36s %14.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "%-36s (no estimate)\n" name)
-        results)
-    tests;
-  Printf.printf "%!"
-
-(* ------------------------------------------------------------------ *)
-(* Main                                                               *)
 (* ------------------------------------------------------------------ *)
 (* table2x: synthetic scaling beyond the Table 2 suite                *)
 (* ------------------------------------------------------------------ *)
@@ -1064,7 +1008,7 @@ let run_table2x o =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  Tka_obs.Log.set_reporter (Tka_obs.Log.text_reporter ());
+  Tka_obs.Log.set_reporter Tka_obs.Log.text_reporter;
   Tka_obs.Log.set_level (Some Tka_obs.Log.Warn);
   Tka_obs.Log.set_from_env ();
   (* an invalid TKA_JOBS would otherwise silently fall through to the
@@ -1104,9 +1048,7 @@ let () =
           | "eco" -> run_eco o
           | "repair" -> run_repair o
           | "serve" -> run_serve o
-          | "kernels" ->
-            run_rerank_ctx o;
-            run_kernels ()
+          | "kernels" -> run_rerank_ctx o
           | "table2x" -> run_table2x o
           | s -> failwith (Printf.sprintf "unknown section %S" s)))
     o.sections;

@@ -68,13 +68,12 @@ let () =
   (* upsizing the victim driver is the classic alternative fix to
      shielding: compare both *)
   let u_vic = (Option.get (Tka_circuit.Netlist.find_gate nl "u_vic")).Tka_circuit.Netlist.gate_id in
-  let upsized =
-    Tka_circuit.Transform.resize_driver nl u_vic (cell "FAST_INV")
-  in
+  let edit es = fst (Tka_incr.Edit.apply nl es) in
+  let upsized = edit [ Tka_incr.Edit.Resize_driver { gate = u_vic; cell = cell "FAST_INV" } ] in
   let r2 = Iterate.run (Topo.create upsized) in
   Printf.printf "after upsizing the victim driver: noisy %.4f ns\n"
     (Iterate.circuit_delay r2);
-  let shielded = Tka_circuit.Transform.remove_couplings nl [ 0 ] in
+  let shielded = edit [ Tka_incr.Edit.Remove_coupling 0 ] in
   let r3 = Iterate.run (Topo.create shielded) in
   Printf.printf "after shielding the coupling:     noisy %.4f ns\n"
     (Iterate.circuit_delay r3);

@@ -37,7 +37,7 @@ let () =
   print_endline "";
   print_endline "Worst-case delay noise — the combined envelope drags the victim's";
   print_endline "50% crossing to the right:";
-  let victim = Transition.make ~t50:1.0 ~slew:0.15 () in
+  let victim = Transition.make ~t50:1.0 ~slew:0.15 in
   let noisy = Envelope.noisy_waveform ~victim combined in
   let d = Envelope.delay_noise ~victim combined in
   print_string

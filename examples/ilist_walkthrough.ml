@@ -17,7 +17,7 @@ module Pseudo = Tka_topk.Pseudo
 
 (* Victim v1 switches at 0.50 ns; its four primary aggressors a1..a4.
    Like Fig. 7, a1's envelope encapsulates the others'. *)
-let v1 = Transition.make ~t50:0.50 ~slew:0.08 ()
+let v1 = Transition.make ~t50:0.50 ~slew:0.08
 
 let env ~peak ~lo ~hi =
   Envelope.of_pulse
@@ -86,7 +86,7 @@ let () =
   List.iter show_entry ilist2;
 
   (* v2, downstream: v1's chosen set arrives as a pseudo input aggressor *)
-  let v2 = Transition.make ~t50:0.62 ~slew:0.08 () in
+  let v2 = Transition.make ~t50:0.62 ~slew:0.08 in
   Printf.printf "\nvictim v2 (t50 = 0.62 ns), primaries b1..b4 + pseudo from v1\n\n";
   let b1 = env ~peak:0.26 ~lo:0.52 ~hi:0.68 in
   let b2 = env ~peak:0.14 ~lo:0.55 ~hi:0.64 in

@@ -15,13 +15,7 @@ module Topo = Tka_circuit.Topo
 module B = Tka_layout.Benchmarks
 module Iterate = Tka_noise.Iterate
 module Elimination = Tka_topk.Elimination
-module CS = Tka_topk.Coupling_set
-module CN = Tka_noise.Coupled_noise
 module Report = Tka_topk.Report
-
-(* Shielding/spacing deletes the physical coupling capacitors. *)
-let apply_fix nl fixed_couplings =
-  Tka_circuit.Transform.remove_couplings nl fixed_couplings
 
 let () =
   Logs.set_reporter (Logs.format_reporter ());
@@ -44,18 +38,14 @@ let () =
     Printf.printf "\npredicted delay with the fix: %.4f ns\n"
       (Elimination.evaluate elim budget);
 
-    (* apply the fix physically: the directed picks map back to the
-       physical capacitors to remove *)
-    let physical =
-      CS.to_list s
-      |> List.map (fun id -> (CN.of_directed_id nl id).CN.dc_coupling)
-      |> List.sort_uniq Int.compare
-    in
-    let fixed = apply_fix nl physical in
+    (* apply the fix physically: shielding/spacing deletes the physical
+       capacitors behind the directed picks *)
+    let edits = Tka_incr.Eco.removal_edits s in
+    let fixed, _ = Tka_incr.Edit.apply nl edits in
     let after = Iterate.run (Topo.create fixed) in
     Printf.printf
       "re-analysed after removing %d physical capacitors: %.4f ns\n"
-      (List.length physical)
+      (List.length edits)
       (Iterate.circuit_delay after);
     Printf.printf "delay noise recovered: %.4f ns of %.4f ns total\n"
       (Iterate.circuit_delay before -. Iterate.circuit_delay after)

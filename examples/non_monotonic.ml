@@ -15,7 +15,7 @@ module Interval = Tka_util.Interval
 module VN = Tka_noise.Victim_noise
 
 let () =
-  let victim = Transition.make ~t50:1.0 ~slew:0.1 () in
+  let victim = Transition.make ~t50:1.0 ~slew:0.1 in
   let noise label es =
     let d = VN.delay_noise_of_envelope ~victim (Envelope.combine es) in
     Printf.printf "  delay noise of %-10s = %.4f ns\n" label d;

@@ -35,24 +35,3 @@ let map ?name ?wire_of ?cell_of ?(keep_coupling = fun _ -> true)
       end)
     (N.couplings nl);
   Builder.finalize b
-
-let remove_couplings nl cids =
-  map
-    ~name:(N.name nl ^ "_fixed")
-    ~keep_coupling:(fun c -> not (List.mem c.N.coupling_id cids))
-    nl
-
-let scale_coupling ~factor nl cids =
-  if factor < 0. || factor > 1. then
-    invalid_arg "Transform.scale_coupling: factor outside [0, 1]";
-  map
-    ~name:(N.name nl ^ "_spaced")
-    ~coupling_cap_of:(fun c ->
-      if List.mem c.N.coupling_id cids then factor *. c.N.coupling_cap
-      else c.N.coupling_cap)
-    nl
-
-let resize_driver nl gid cell =
-  map
-    ~cell_of:(fun g -> if g.N.gate_id = gid then cell else g.N.cell)
-    nl

@@ -2,8 +2,9 @@
 
     [Netlist.t] is immutable; design changes (fixing couplings by
     shielding, resizing drivers, re-annotating parasitics) produce a
-    new netlist. This module provides a general structure-preserving
-    rebuild with hooks, plus the common fixes built on it. *)
+    new netlist. This module provides the one structure-preserving
+    rebuild with hooks; the design edits built on it are
+    [Tka_incr.Edit]. *)
 
 val map :
   ?name:string ->
@@ -23,18 +24,3 @@ val map :
 
     Net/gate names, connectivity and port directions are preserved.
     @raise Builder.Invalid if a hook produces an inconsistent design. *)
-
-val remove_couplings :
-  Netlist.t -> Netlist.coupling_id list -> Netlist.t
-(** Shield/space fix: delete the listed physical coupling caps. The
-    result is renamed ["<name>_fixed"]. *)
-
-val scale_coupling :
-  factor:float -> Netlist.t -> Netlist.coupling_id list -> Netlist.t
-(** Partial fix (increased spacing): multiply the listed caps by
-    [factor] in [\[0, 1\]]. Caps scaled to zero are removed. *)
-
-val resize_driver :
-  Netlist.t -> Netlist.gate_id -> Tka_cell.Cell.t -> Netlist.t
-(** Replace one gate's cell (e.g. upsizing a victim driver, the other
-    classic noise fix). The new cell must have the same pin names. *)

@@ -1,13 +1,11 @@
-module Interval = Tka_util.Interval
 module Transition = Tka_waveform.Transition
 module Envelope = Tka_waveform.Envelope
 module Pwl = Tka_waveform.Pwl
 
 let interval ~victim =
   let t50 = victim.Transition.t50 in
-  let slew = victim.Transition.slew in
-  let reach = (Tka_noise.Victim_noise.saturation_slews +. 0.75) *. slew in
-  Interval.make (t50 -. (0.5 *. slew)) (t50 +. reach)
+  Tka_noise.Victim_noise.sensitive_interval ~earliest:t50 ~latest:t50
+    ~slew:victim.Transition.slew
 
 type ends = Pwl.ends
 

@@ -8,11 +8,9 @@
 
 val interval :
   victim:Tka_waveform.Transition.t -> Tka_util.Interval.t
-(** The dominance interval of a victim transition. Its lower end is the
-    noiseless [t50] (a pulse ending earlier cannot create delay noise);
-    its upper end is [t50] plus the per-stage saturation bound
-    ({!Tka_noise.Victim_noise.saturation_slews} slews) — a sound upper
-    bound on where the noisy crossing can land, slightly padded. *)
+(** The dominance interval of a victim transition: the sensitive
+    interval ({!Tka_noise.Victim_noise.sensitive_interval}) at its
+    [t50], [\[t50 − 0.5·slew, t50 + (saturation_slews + 0.75)·slew\]]. *)
 
 type ends = Tka_waveform.Pwl.ends
 

@@ -116,12 +116,11 @@ let mode_names = [ ("add", Addition); ("elim", Elimination) ]
 let mode_tag = function Addition -> 0 | Elimination -> 1
 let better mode d d' = match mode with Addition -> d > d' | Elimination -> d < d'
 
-let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
+let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
   let t_start = Tka_obs.Clock.now_ns () in
   let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
   let k = config.k in
-  let fix = match fixpoint with Some f -> f | None -> Iterate.run topo in
   let base = fix.Iterate.base in
   let base_w = Analysis.window base in
   let noisy_w = Analysis.window fix.Iterate.analysis in
@@ -144,12 +143,9 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
   (* Pre-sized to the net count (capped: a 1M-net design does not need
      a quarter-million buckets up front) so the sweep never pays a
      rehash-and-copy of a large table mid-run. *)
-  let direct_memo_size = max 64 (min 65536 (nn / 4)) in
   let direct_memo : (summary * Ilist.stats) Int_tbl.t =
-    Int_tbl.create direct_memo_size
+    Int_tbl.create (max 64 (min 65536 (nn / 4)))
   in
-  Log.debug log_src (fun m ->
-      m "direct memo pre-sized" ~fields:[ Log.int "initial_size" direct_memo_size ]);
   let memo_mutex = Mutex.create () in
   (* Run-local prelude hand-over between a net's two consumers, guarded
      by [memo_mutex]; [visited.(v)] marks that [v]'s sweep visit has
@@ -163,7 +159,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
      objectives measure noise added to / removed from the noiseless
      timing. *)
   let victim_tr v =
-    Transition.make ~t50:(base_lat v) ~slew:(mode_w v).TW.slew_late ()
+    Transition.make ~t50:(base_lat v) ~slew:(mode_w v).TW.slew_late
   in
 
   (* Upstream component of the fixpoint shift at [v] (elimination). *)
@@ -874,8 +870,7 @@ let compute_body ~config ~fixpoint ~victim_cache ~mode topo =
     res_runtime;
   }
 
-let compute ?config ?fixpoint ?victim_cache ~mode topo =
-  let config = match config with Some c -> c | None -> default_config ~k:10 in
+let compute ~config ~fixpoint ?victim_cache ~mode topo =
   if config.k < 1 then invalid_arg "Engine.compute: k must be >= 1";
   Trace.with_span ~cat:"engine"
     ~args:

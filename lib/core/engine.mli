@@ -143,16 +143,16 @@ type victim_cache = {
     processed (non-cached) victim, after its lookup missed. *)
 
 val compute :
-  ?config:config ->
-  ?fixpoint:Tka_noise.Iterate.t ->
+  config:config ->
+  fixpoint:Tka_noise.Iterate.t ->
   ?victim_cache:victim_cache ->
   mode:mode ->
   Tka_circuit.Topo.t ->
   result
-(** Run the enumeration. [config] defaults to [default_config ~k:10].
-    [fixpoint] supplies a precomputed all-aggressor iterative analysis
-    of the same topology (it is recomputed otherwise); callers sweeping
-    k share it so the measured runtime is the enumeration itself.
+(** Run the enumeration. [fixpoint] is the all-aggressor iterative
+    analysis ({!Tka_noise.Iterate.run}) of the same topology, which the
+    engine never computes itself: callers sharing it across runs (both
+    modes, a sweep of k) measure the enumeration alone.
 
     When the shared {!Tka_parallel.Pool} has more than one domain the
     topological sweep runs level-synchronously in parallel; results —

@@ -35,12 +35,6 @@ let m_duplicates = M.Counter.make "engine.duplicate_sets"
 let m_capped = M.Counter.make "engine.capacity_evictions"
 let m_checks = M.Counter.make "engine.dominance_checks"
 
-let log_src = Tka_obs.Log.Src.create "ilist" ~doc:"I-list pruning"
-
-(* Dedupe-table sizing is logged once (first call) at debug so the
-   alloc-hotspot workflow can confirm the pre-size took effect. *)
-let logged_size = ref false
-
 let prune ?(capacity = default_capacity) ?(skipped_duplicates = 0) ~interval
     ~stats entries =
   (* Repeats the caller dropped before building their entries count
@@ -75,13 +69,9 @@ let prune ?(capacity = default_capacity) ?(skipped_duplicates = 0) ~interval
      sets key the table directly (FNV over the sorted members) so no
      comma-joined string is built per candidate, and the table is
      pre-sized to the candidate count to avoid rehash-and-copy churn *)
-  let size = max 16 (List.length entries) in
-  if not !logged_size then begin
-    logged_size := true;
-    Tka_obs.Log.debug log_src (fun m ->
-        m "dedupe table pre-sized" ~fields:[ Tka_obs.Log.int "initial_size" size ])
-  end;
-  let by_set : unit Coupling_set.Tbl.t = Coupling_set.Tbl.create size in
+  let by_set : unit Coupling_set.Tbl.t =
+    Coupling_set.Tbl.create (max 16 (List.length entries))
+  in
   let deduped =
     List.filter
       (fun e ->

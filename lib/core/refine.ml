@@ -24,9 +24,13 @@ let exact_delay ~mode ?ctx topo set =
   in
   Iterate.circuit_delay (Iterate.run ~active ?ctx topo)
 
-let default_budget = 128
+(* The recombination of the retained members: the k-subsets of a pool
+   of the members (best first, duplicates ignored) followed by every
+   member's partner direction ([id lxor 1]), the pool truncated from
+   the tail until at most [budget] subsets remain. *)
+let budget = 128
 
-let subsets ?(budget = default_budget) ~universe ~k ~members () =
+let subsets ~universe ~k ~members =
   if k < 1 then []
   else begin
     let seen = Hashtbl.create 16 in
@@ -127,7 +131,7 @@ let pool t i =
   let cands = candidates t i in
   let recombined =
     if cands = [] then []
-    else subsets ~universe:(universe t) ~k:i ~members:(ranked_members t i) ()
+    else subsets ~universe:(universe t) ~k:i ~members:(ranked_members t i)
   in
   Coupling_set.dedup (cands @ recombined)
 

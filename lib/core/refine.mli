@@ -12,7 +12,8 @@
     their {e combination}.
 
     This module scores the retained candidates, and a bounded
-    recombination of their members ({!subsets}), with the full
+    recombination of their members (at most 128 k-subsets of the
+    members and their partner directions), with the full
     iterative analysis ({!exact_delay}), and keeps the best. Addition
     and elimination are the same procedure (the paper's Section 3.4
     duality): only {!Engine.better}, {!Engine.fallback_delay} and the
@@ -34,19 +35,6 @@ val exact_delay :
     inject noise) or {e removed} from the noisy one (elimination: every
     coupling but these). Through [ctx] the delay is bitwise the same,
     and faster over many nearby sets ({!Tka_noise.Iterate.ctx}). *)
-
-val default_budget : int
-(** Maximum number of recombined subsets per query. *)
-
-val subsets :
-  ?budget:int -> universe:int -> k:int -> members:int list -> unit ->
-  Coupling_set.t list
-(** [subsets ~universe ~k ~members ()] enumerates the k-subsets of the
-    pool built from [members] (directed coupling ids, best first,
-    duplicates ignored), followed by every member's partner direction
-    ([id lxor 1]) in the same order. The pool is truncated from the
-    tail until [binomial pool k <= budget]. Returns [[]] when fewer
-    than [k] distinct ids are available. *)
 
 type t = {
   result : Engine.result;  (** the enumeration whose candidates are ranked *)
@@ -91,7 +79,7 @@ val pick : Engine.result -> int -> Coupling_set.t option
 val pool : t -> int -> Coupling_set.t list
 (** Every set {!best_choice} scores for cardinality i: the engine's
     retained sink candidates and the dual pick, then the bounded
-    recombination ({!subsets}) of their members and the dual sink
+    recombination of their members and the dual sink
     lists', deduplicated. *)
 
 val best_choice : t -> int -> (Coupling_set.t * float) option

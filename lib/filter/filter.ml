@@ -12,17 +12,15 @@ type t = {
   f_nl : N.t;
   f_topo : Topo.t;
   f_windows : EB.windows;
-  f_margin : float;
   f_logic : Implication.value array option;  (** [Some] iff mode = Logic *)
 }
 
-let prepare ~mode ?(margin = 0.) ~windows topo =
+let prepare ~mode ~windows topo =
   {
     f_mode = mode;
     f_nl = Topo.netlist topo;
     f_topo = topo;
     f_windows = windows;
-    f_margin = margin;
     f_logic =
       (match mode with
       | Mode.Logic -> Some (Implication.analyze topo)
@@ -67,8 +65,7 @@ let decide_against t ~sensitive (d : CN.directed) =
                path. Only clearly partial overlaps carry signal. *)
             if f >= derate_threshold then Keep else Derate f)
 
-let sensitive_of t victim =
-  Overlap.sensitive ~margin:t.f_margin (t.f_windows victim)
+let sensitive_of t victim = Overlap.sensitive (t.f_windows victim)
 
 let decide t (d : CN.directed) =
   match t.f_mode with

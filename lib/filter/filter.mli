@@ -37,7 +37,6 @@ type t
 
 val prepare :
   mode:Mode.t ->
-  ?margin:float ->
   windows:Tka_noise.Envelope_builder.windows ->
   Tka_circuit.Topo.t ->
   t
@@ -45,9 +44,8 @@ val prepare :
     accessor the engine itself builds envelopes from (base windows for
     addition, noisy windows for elimination) — the soundness argument
     identifies the filter's reach computation with the support of the
-    envelopes the engine would construct. [margin] (ns, default 0)
-    widens the sensitive interval on both sides for extra safety.
-    [Logic] mode runs the implication analysis here, once. *)
+    envelopes the engine would construct. [Logic] mode runs the
+    implication analysis here, once. *)
 
 val mode : t -> Mode.t
 val is_off : t -> bool

@@ -6,17 +6,15 @@
     noise is measured. Both intervals are computed from the windows the
     STA pass already produced; no waveforms are built. *)
 
-val sensitive :
-  ?margin:float -> Tka_sta.Timing_window.t -> Tka_util.Interval.t
+val sensitive : Tka_sta.Timing_window.t -> Tka_util.Interval.t
 (** [sensitive w] is the victim's sensitive interval
-    [\[eat − 0.5·slew_late − margin,
-    lat + (saturation_slews + 0.75)·slew_late + margin\]] (default
-    [margin = 0]). It contains the engine's dominance interval
-    [\[t50 − 0.5·slew, t50 + (saturation_slews + 0.75)·slew\]] for any
-    window whose [eat <= base t50 <= lat] —
-    i.e. for both the base windows (addition) and the noisy windows
-    (elimination) the engines filter under — so an aggressor whose
-    reach misses it is provably inert. *)
+    ({!Tka_noise.Victim_noise.sensitive_interval}) over the window's
+    [\[eat, lat\]]:
+    [\[eat − 0.5·slew_late, lat + (saturation_slews + 0.75)·slew_late\]].
+    It contains the engine's dominance interval at any [t50] in
+    [\[eat, lat\]] — i.e. for both the base windows (addition) and
+    the noisy windows (elimination) the engines filter under — so an
+    aggressor whose reach misses it is provably inert. *)
 
 val reach :
   Tka_circuit.Netlist.t ->

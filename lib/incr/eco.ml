@@ -16,9 +16,15 @@ let rule_name = function
   | Rule_dual -> "dual"
   | Rule_none -> "none"
 
+type verify = {
+  v_identical : bool;
+  v_t_full_s : float;
+  v_t_incr_s : float;
+  v_speedup : float;
+}
+
 type report = {
-  eco_circuit : string;
-  eco_k : int;
+  eco_design : string;
   eco_fix_k : int;
   eco_rule : rule;
   eco_set : CS.t option;
@@ -26,12 +32,10 @@ type report = {
   eco_delay_noisy : float;
   eco_delay_fixed : float;
   eco_dirty_nets : int;
+  eco_couplings : int;
   eco_before : Analyzer.run_stats;
   eco_after : Analyzer.run_stats;
-  eco_t_full_s : float;
-  eco_t_incr_s : float;
-  eco_speedup : float;
-  eco_identical : bool;
+  eco_verify : verify option;
 }
 
 (* Bitwise equality on every semantic field of an engine result —
@@ -101,75 +105,102 @@ let check_fix_k ~k fix_k =
   if fix_k < 1 || fix_k > k then
     invalid_arg (Printf.sprintf "fix_k must be in [1, k] = [1, %d], got %d" k fix_k)
 
+let no_run = { Analyzer.rs_hits = 0; rs_misses = 0; rs_reused = false }
+
 let run ?cache ?checkpoint ?(verify = true) ~fix_k a =
   let k = Analyzer.k a in
   check_fix_k ~k fix_k;
   Option.iter (Analyzer.warm_start a) checkpoint;
   (* 1. analyze: the paper's top-k elimination sets *)
-  let elim0, st0 = Analyzer.run a in
+  let elim0, before = Analyzer.run a in
   (* checkpoint now, before any edit remaps the cache to the edited
      coupling table: this is the state a rerun on the same input
      design can reuse (the edited-universe cache would be flushed by
      the universe guard on reload) *)
   Option.iter (Analyzer.save_checkpoint a) checkpoint;
-  (* 2. mitigate: shield (remove) the reported couplings; with no fix
-     the design, and so its analysis, stays as it is *)
+  (* 2. mitigate: shield (remove) the reported couplings *)
   let rule, set = choose_fix elim0 ~fix_k in
-  let edits = Option.fold ~none:[] ~some:removal_edits set in
-  let a', dirty = if edits = [] then (a, 0) else Analyzer.apply ?cache a edits in
-  (* 3. re-verify incrementally and, unless told not to, from scratch *)
-  let wall = Tka_obs.Clock.now_s in
-  let full, t_full =
-    if not verify then (None, 0.)
-    else
-      let t0 = wall () in
-      let full = Elimination.compute ~k (Analyzer.topo a') in
-      (Some full, wall () -. t0)
-  in
-  let t0 = wall () in
-  let incr, st = Analyzer.run a' in
-  let t_incr = wall () -. t0 in
-  let report =
+  let nl = Analyzer.netlist a in
+  let delay0 = Elimination.all_aggressor_delay elim0 in
+  let unchanged =
     {
-      eco_circuit = N.name (Analyzer.netlist a);
-      eco_k = k;
+      eco_design = N.name nl;
       eco_fix_k = fix_k;
       eco_rule = rule;
       eco_set = set;
-      eco_edits = edits;
-      eco_delay_noisy = Elimination.all_aggressor_delay elim0;
-      eco_delay_fixed = Elimination.all_aggressor_delay incr;
-      eco_dirty_nets = dirty;
-      eco_before = st0;
-      eco_after = st;
-      eco_t_full_s = t_full;
-      eco_t_incr_s = t_incr;
-      eco_speedup = t_full /. Float.max t_incr 1e-9;
-      eco_identical = Option.fold ~none:true ~some:(fun f -> elim_identical f incr) full;
+      eco_edits = [];
+      eco_delay_noisy = delay0;
+      eco_delay_fixed = delay0;
+      eco_dirty_nets = 0;
+      eco_couplings = N.num_couplings nl;
+      eco_before = before;
+      eco_after = no_run;
+      eco_verify = None;
     }
   in
-  (report, a')
+  match Option.fold ~none:[] ~some:removal_edits set with
+  | [] ->
+    (* no fix: the design, and so its analysis, stays as it is, and
+       there is nothing to re-analyze or re-verify *)
+    (unchanged, a)
+  | edits ->
+    let a', dirty = Analyzer.apply ?cache a edits in
+    (* 3. re-verify incrementally and, unless told not to, from scratch *)
+    let wall = Tka_obs.Clock.now_s in
+    let full =
+      if not verify then None
+      else
+        let t0 = wall () in
+        let full = Elimination.compute ~k (Analyzer.topo a') in
+        Some (full, wall () -. t0)
+    in
+    let t0 = wall () in
+    let incr, after = Analyzer.run a' in
+    let t_incr = wall () -. t0 in
+    let check (full, t_full) =
+      {
+        v_identical = elim_identical full incr;
+        v_t_full_s = t_full;
+        v_t_incr_s = t_incr;
+        v_speedup = t_full /. Float.max t_incr 1e-9;
+      }
+    in
+    ( {
+        unchanged with
+        eco_edits = edits;
+        eco_delay_fixed = Elimination.all_aggressor_delay incr;
+        eco_dirty_nets = dirty;
+        eco_couplings = N.num_couplings (Analyzer.netlist a');
+        eco_after = after;
+        eco_verify = Option.map check full;
+      },
+      a' )
 
 let report_json r =
+  let set = Option.fold ~none:[] ~some:CS.to_list r.eco_set in
   J.Obj
-    [
-      ("circuit", J.Str r.eco_circuit);
-      ("k", J.Int r.eco_k);
-      ("fix_k", J.Int r.eco_fix_k);
-      ("rule", J.Str (rule_name r.eco_rule));
-      ( "set",
-        match r.eco_set with
-        | None -> J.Null
-        | Some s -> J.List (List.map (fun d -> J.Int d) (CS.to_list s)) );
-      ("edits", J.Int (List.length r.eco_edits));
-      ("delay_noisy_ns", J.Float r.eco_delay_noisy);
-      ("delay_fixed_ns", J.Float r.eco_delay_fixed);
-      ("dirty_nets", J.Int r.eco_dirty_nets);
-      ("analysis_hits", J.Int r.eco_before.Analyzer.rs_hits);
-      ("cache_hits", J.Int r.eco_after.Analyzer.rs_hits);
-      ("cache_misses", J.Int r.eco_after.Analyzer.rs_misses);
-      ("t_full_s", J.Float r.eco_t_full_s);
-      ("t_incr_s", J.Float r.eco_t_incr_s);
-      ("speedup_incr", J.Float r.eco_speedup);
-      ("identical", J.Bool r.eco_identical);
-    ]
+    ([
+       ("design", J.Str r.eco_design);
+       ("fix_k", J.Int r.eco_fix_k);
+       ("rule", J.Str (rule_name r.eco_rule));
+       ("delay_noisy_ns", J.Float r.eco_delay_noisy);
+       ("analysis_hits", J.Int r.eco_before.Analyzer.rs_hits);
+       ("analysis_misses", J.Int r.eco_before.Analyzer.rs_misses);
+       ("set", J.List (List.map (fun d -> J.Int d) set));
+       ("edits", J.Int (List.length r.eco_edits));
+       ("dirty_nets", J.Int r.eco_dirty_nets);
+       ("delay_fixed_ns", J.Float r.eco_delay_fixed);
+       ("cache_hits", J.Int r.eco_after.Analyzer.rs_hits);
+       ("cache_misses", J.Int r.eco_after.Analyzer.rs_misses);
+     ]
+    @ (if r.eco_edits = [] then [] else [ ("couplings", J.Int r.eco_couplings) ])
+    @
+    match r.eco_verify with
+    | None -> []
+    | Some v ->
+      [
+        ("identical", J.Bool v.v_identical);
+        ("t_full_s", J.Float v.v_t_full_s);
+        ("t_incr_s", J.Float v.v_t_incr_s);
+        ("speedup_incr", J.Float v.v_speedup);
+      ])

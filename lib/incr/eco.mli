@@ -7,8 +7,7 @@
     {!Analyzer} cache and, when verifying, from scratch too, timing
     both and checking the results are bit-identical. It is the one eco
     path: [tka eco] runs it verifying, the serve [eco] RPC without the
-    scratch re-analysis. The bench harness and [tka eco] serialise the
-    report as the [eco] section of [BENCH_topk.json]. *)
+    scratch re-analysis. {!report_json} is its one rendering. *)
 
 type rule = Rule_elim | Rule_dual | Rule_none
 (** Which engine produced the applied fix set: the elimination rule,
@@ -19,32 +18,40 @@ val rule_name : rule -> string
 (** ["elim"], ["dual"] or ["none"] — the [rule] field of the JSON
     report. *)
 
+type verify = {
+  v_identical : bool;
+      (** bit-identity of the incremental re-analysis against the
+          from-scratch one *)
+  v_t_full_s : float;  (** from-scratch re-analysis wall time *)
+  v_t_incr_s : float;  (** incremental re-analysis wall time *)
+  v_speedup : float;  (** [t_full / t_incr] *)
+}
+(** The scratch re-verify of an edited design. *)
+
 type report = {
-  eco_circuit : string;
-  eco_k : int;
+  eco_design : string;  (** the analyzed netlist's name *)
   eco_fix_k : int;
   eco_rule : rule;  (** which rule produced [eco_set] *)
   eco_set : Tka_topk.Coupling_set.t option;
       (** the applied elimination set ([None] if the design has no
-          candidates — then no edit is applied and the "re-analysis"
-          is the initial analysis again) *)
-  eco_edits : Edit.t list;
+          candidates — then no edit is applied, and nothing is
+          re-analyzed) *)
+  eco_edits : Edit.t list;  (** empty exactly when [eco_set] is [None] *)
   eco_delay_noisy : float;  (** all-aggressor delay before the fix, ns *)
-  eco_delay_fixed : float;  (** all-aggressor delay after the fix, ns *)
+  eco_delay_fixed : float;
+      (** all-aggressor delay after the fix, ns ([eco_delay_noisy]
+          with no fix) *)
   eco_dirty_nets : int;  (** {!Dirty.closure} size of the edit *)
+  eco_couplings : int;  (** physical couplings of the returned state *)
   eco_before : Analyzer.run_stats;
       (** the initial analysis — no hits on a cold start, every victim
           on a checkpoint warm start, a memo answer on a state analyzed
           before *)
   eco_after : Analyzer.run_stats;
-      (** the incremental re-analysis of the edited state (with no fix,
-          the initial state's memo answer) *)
-  eco_t_full_s : float;  (** from-scratch re-analysis wall time; 0 unverified *)
-  eco_t_incr_s : float;  (** incremental re-analysis wall time *)
-  eco_speedup : float;  (** [t_full / t_incr] *)
-  eco_identical : bool;
-      (** bit-identity of the incremental re-analysis against the
-          from-scratch one; [true] vacuously when unverified *)
+      (** the incremental re-analysis of the edited state; all zero
+          with no fix *)
+  eco_verify : verify option;
+      (** [Some] only when verifying and an edit was applied *)
 }
 
 val elim_identical : Tka_topk.Elimination.t -> Tka_topk.Elimination.t -> bool
@@ -79,12 +86,19 @@ val run :
     analysis — before any edit remaps the cache to the edited coupling
     table, so a rerun on the same input design reuses it (see the
     universe guard in [docs/incremental.md]). [verify] (default true)
-    adds the from-scratch re-analysis and the identity check. Returns
-    the report and the edited state, whose analysis is kept
-    ({!Analyzer.run} on it is a memo answer).
+    adds the from-scratch re-analysis and the identity check. With no
+    fix, neither re-analysis runs. Returns the report and the edited
+    state, whose analysis is kept ({!Analyzer.run} on it is a memo
+    answer).
 
     @raise Invalid_argument on [fix_k] outside [[1, k]]. *)
 
 val report_json : report -> Tka_obs.Jsonx.t
-(** The [eco] JSON section ([t_full_s], [t_incr_s], [speedup_incr],
-    [identical], counters, delays). *)
+(** The one eco JSON object, shared by [tka eco --json], the bench's
+    [eco] section and the serve [eco] reply (which appends
+    [fingerprint] and [elapsed_s]): [design], [fix_k], [rule],
+    [delay_noisy_ns], [analysis_hits], [analysis_misses], [set] (the
+    directed ids, [\[\]] with no fix), [edits], [dirty_nets],
+    [delay_fixed_ns], [cache_hits], [cache_misses], then [couplings]
+    when an edit was applied, then [identical], [t_full_s], [t_incr_s]
+    and [speedup_incr] when the report was verified. *)

@@ -11,20 +11,21 @@ type spec = {
   tx_name : string;
   tx_nets : int;
   tx_cones : int;
-  tx_density : float;
   tx_max_fanout : int;
   tx_seed : int;
 }
 
+(* average coupling caps per net *)
+let density = 2.0
+
 let default_cones nets = max 4 (min 512 (nets / 2000))
 
-let spec ?cones ?(density = 2.0) ?(max_fanout = 6) ?(seed = 11007) ~nets () =
+let spec ?cones ?(max_fanout = 6) ?(seed = 11007) ~nets () =
   if nets < 64 then invalid_arg "Table2x.spec: nets must be >= 64";
   {
     tx_name = Printf.sprintf "t2x-%d" nets;
     tx_nets = nets;
     tx_cones = (match cones with Some c -> max 1 c | None -> default_cones nets);
-    tx_density = density;
     tx_max_fanout = max 2 max_fanout;
     tx_seed = seed;
   }
@@ -59,7 +60,7 @@ let generate spec =
   let cones = spec.tx_cones in
   let per_cone = max 16 (spec.tx_nets / cones) in
   let coupling_target =
-    int_of_float (spec.tx_density *. float_of_int spec.tx_nets) / cones
+    int_of_float (density *. float_of_int spec.tx_nets) / cones
   in
   (* couplings already incident per net: a cap keeps any single victim's
      primary-aggressor list (and so the per-victim enumeration cost)

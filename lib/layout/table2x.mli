@@ -22,21 +22,20 @@ type spec = {
   tx_name : string;
   tx_nets : int;  (** target net count (approximate: collector trees add a few percent) *)
   tx_cones : int;  (** independent fanout cones = minimum component count *)
-  tx_density : float;  (** average coupling caps per net *)
   tx_max_fanout : int;  (** resampling bound on net fanout *)
   tx_seed : int;
 }
 
 val spec :
   ?cones:int ->
-  ?density:float ->
   ?max_fanout:int ->
   ?seed:int ->
   nets:int ->
   unit ->
   spec
 (** Spec with defaults: cones scaled as [nets / 2000] clamped to
-    [4, 512], density 2.0, max fanout 6, seed 11007. [nets] must be at
+    [4, 512], max fanout 6, seed 11007; 2.0 coupling caps per net on
+    average. [nets] must be at
     least 64. *)
 
 val generate : spec -> Tka_circuit.Netlist.t

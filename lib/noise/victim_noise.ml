@@ -5,9 +5,14 @@ module Transition = Tka_waveform.Transition
 
 let saturation_slews = 3.0
 
+let sensitive_interval ~earliest ~latest ~slew =
+  Tka_util.Interval.make
+    (earliest -. (0.5 *. slew))
+    (latest +. ((saturation_slews +. 0.75) *. slew))
+
 let victim_transition ~windows ~own_noise victim =
   let w : TW.t = windows victim in
-  Transition.make ~t50:(w.TW.lat -. own_noise) ~slew:w.TW.slew_late ()
+  Transition.make ~t50:(w.TW.lat -. own_noise) ~slew:w.TW.slew_late
 
 (* Per-stage delay noise saturates at a few victim slews: beyond that,
    the restoring victim driver wins and the linear-superposition figure

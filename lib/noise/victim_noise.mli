@@ -14,6 +14,22 @@
 val saturation_slews : float
 (** 3.0 — the per-stage saturation bound, in victim slews. *)
 
+val sensitive_interval :
+  earliest:float -> latest:float -> slew:float -> Tka_util.Interval.t
+(** The victim's sensitive interval, the one interval over which
+    envelopes are compared and aggressors screened:
+    [\[earliest − 0.5·slew, latest + (saturation_slews + 0.75)·slew\]],
+    for a victim whose noiseless [t50] lies in
+    [\[earliest, latest\]]. Its lower end is the earliest [t50] less
+    half a slew (a pulse ending earlier cannot create delay noise); its
+    upper end is the latest [t50] plus the per-stage saturation bound
+    — a sound upper bound on where the noisy crossing can land —
+    padded by 0.75 slews. The dominance test takes it at one [t50]
+    ([Tka_topk.Dominance.interval]); the window filter takes it over a
+    timing window's [\[eat, lat\]] ([Tka_filter.Overlap.sensitive]),
+    so the filter's interval contains the engine's for every anchor
+    the window admits. *)
+
 val saturate : victim:Tka_waveform.Transition.t -> float -> float
 (** [saturate ~victim d]: [d] capped at {!saturation_slews} victim
     slews. *)

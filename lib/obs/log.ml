@@ -127,7 +127,7 @@ type reporter = event -> unit
 
 let nop_reporter (_ : event) = ()
 
-let text_reporter ?(oc = stderr) () ev =
+let text_reporter ev =
   let fields =
     match ev.ev_fields with
     | [] -> ""
@@ -137,7 +137,7 @@ let text_reporter ?(oc = stderr) () ev =
           (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (Jsonx.to_string v)) fs)
       ^ ")"
   in
-  Printf.fprintf oc "tka: [%s] %s: %s%s\n%!"
+  Printf.eprintf "tka: [%s] %s: %s%s\n%!"
     (String.uppercase_ascii (level_to_string ev.ev_level))
     ev.ev_src ev.ev_msg fields
 
@@ -163,7 +163,7 @@ let buffer_reporter () =
 
 let multi_reporter rs ev = List.iter (fun r -> r ev) rs
 
-let reporter : reporter ref = ref (text_reporter ())
+let reporter : reporter ref = ref text_reporter
 let set_reporter r = reporter := r
 
 (* ------------------------------------------------------------------ *)

@@ -87,9 +87,9 @@ type reporter = event -> unit
 val set_reporter : reporter -> unit
 val nop_reporter : reporter
 
-val text_reporter : ?oc:out_channel -> unit -> reporter
-(** Human-readable one-liners ([tka: [WARN] spef: msg (k=v ...)]),
-    flushed per event. Default channel: stderr. *)
+val text_reporter : reporter
+(** Human-readable one-liners ([tka: [WARN] spef: msg (k=v ...)]) on
+    stderr, flushed per event. *)
 
 val ndjson_reporter : out_channel -> reporter
 (** One compact JSON object per line:

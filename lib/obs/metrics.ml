@@ -100,18 +100,17 @@ type metric =
   | M_gauge of Gauge0.t
   | M_histogram of Histogram0.t
 
-type registry = { items : (string, metric) Hashtbl.t; reg_mutex : Mutex.t }
-
-let create_registry () = { items = Hashtbl.create 32; reg_mutex = Mutex.create () }
-let default_registry = create_registry ()
+(* The process's one registry. *)
+let items : (string, metric) Hashtbl.t = Hashtbl.create 32
+let reg_mutex = Mutex.create ()
 
 (* Registration is rare (module toplevel, usually the main domain) but
    guarded anyway so pool workers registering lazily cannot corrupt the
    table. *)
-let register reg name ~make ~cast =
-  Mutex.lock reg.reg_mutex;
+let register name ~make ~cast =
+  Mutex.lock reg_mutex;
   let v =
-    match Hashtbl.find_opt reg.items name with
+    match Hashtbl.find_opt items name with
     | Some m -> (
       match cast m with
       | Some v -> Ok v
@@ -121,35 +120,34 @@ let register reg name ~make ~cast =
              name))
     | None ->
       let v, m = make () in
-      Hashtbl.replace reg.items name m;
+      Hashtbl.replace items name m;
       Ok v
   in
-  Mutex.unlock reg.reg_mutex;
+  Mutex.unlock reg_mutex;
   match v with Ok v -> v | Error m -> invalid_arg m
 
-let counter_make ?(registry = default_registry) name =
-  register registry name
+let counter_make name =
+  register name
     ~make:(fun () ->
       let c = { Counter0.c_name = name; c_value = Atomic.make 0 } in
       (c, M_counter c))
     ~cast:(function M_counter c -> Some c | _ -> None)
 
-let gauge_make ?(registry = default_registry) name =
-  register registry name
+let gauge_make name =
+  register name
     ~make:(fun () ->
       let g = { Gauge0.g_name = name; g_value = Atomic.make 0. } in
       (g, M_gauge g))
     ~cast:(function M_gauge g -> Some g | _ -> None)
 
-let histogram_make ?(registry = default_registry)
-    ?(buckets = Histogram0.default_buckets) name =
+let histogram_make ?(buckets = Histogram0.default_buckets) name =
   let ok = ref (Array.length buckets > 0) in
   for i = 0 to Array.length buckets - 2 do
     if buckets.(i) >= buckets.(i + 1) then ok := false
   done;
   if not !ok then
     invalid_arg "Tka_obs.Metrics.Histogram.make: buckets must be strictly increasing";
-  register registry name
+  register name
     ~make:(fun () ->
       let h =
         {
@@ -181,16 +179,11 @@ module Histogram = struct
   let make = histogram_make
 end
 
-let find ?(registry = default_registry) name cast =
-  Option.bind (Hashtbl.find_opt registry.items name) cast
+let find name cast = Option.bind (Hashtbl.find_opt items name) cast
+let find_counter name = find name (function M_counter c -> Some c | _ -> None)
+let find_gauge name = find name (function M_gauge g -> Some g | _ -> None)
 
-let find_counter ?registry name =
-  find ?registry name (function M_counter c -> Some c | _ -> None)
-
-let find_gauge ?registry name =
-  find ?registry name (function M_gauge g -> Some g | _ -> None)
-
-let reset ?(registry = default_registry) () =
+let reset () =
   Hashtbl.iter
     (fun _ m ->
       match m with
@@ -200,9 +193,9 @@ let reset ?(registry = default_registry) () =
         Array.iter (fun c -> Atomic.set c 0) h.Histogram0.h_counts;
         Atomic.set h.Histogram0.h_sum 0.;
         Atomic.set h.Histogram0.h_count 0)
-    registry.items
+    items
 
-let to_json ?(registry = default_registry) () =
+let to_json () =
   (* nan (empty histogram) would serialise as null anyway; make the
      in-memory document say so explicitly *)
   let pct h q =
@@ -237,10 +230,10 @@ let to_json ?(registry = default_registry) () =
     kv :: acc
   in
   Jsonx.Obj
-    (Hashtbl.fold entry registry.items []
+    (Hashtbl.fold entry items []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
-let write_file ?registry path = Jsonx.write_file path (to_json ?registry ())
+let write_file path = Jsonx.write_file path (to_json ())
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                         *)
@@ -283,10 +276,10 @@ let prom_float f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let render_prometheus ?(registry = default_registry) () =
+let render_prometheus () =
   let b = Buffer.create 1024 in
   let items =
-    Hashtbl.fold (fun _ m acc -> m :: acc) registry.items []
+    Hashtbl.fold (fun _ m acc -> m :: acc) items []
     |> List.map (fun m ->
            let name =
              match m with

@@ -13,21 +13,15 @@
     parallel engine sweep ([Tka_parallel]) never race or under-count.
     The zero-allocation-when-disabled guarantee is unchanged.
 
-    Metrics register themselves in a {!registry} at creation; creating a
-    metric with an existing name in the same registry returns the
+    Metrics register themselves in the process's one registry at
+    creation; creating a metric with an existing name returns the
     existing instance, so modules can declare their instruments at
-    toplevel without coordination. The default registry serialises as a
-    flat JSON object keyed by metric name (see
-    [docs/observability.md]). *)
-
-type registry
-
-val default_registry : registry
-val create_registry : unit -> registry
+    toplevel without coordination. The registry serialises as a flat
+    JSON object keyed by metric name (see [docs/observability.md]). *)
 
 val set_enabled : bool -> unit
-(** Global switch for all updates ([incr]/[add]/[set]/[observe]) in
-    every registry. Reads ({!Counter.value}, {!to_json}, ...) always
+(** Global switch for all updates ([incr]/[add]/[set]/[observe]).
+    Reads ({!Counter.value}, {!to_json}, ...) always
     work. *)
 
 val is_enabled : unit -> bool
@@ -42,7 +36,7 @@ val with_disabled : (unit -> 'a) -> 'a
 module Counter : sig
   type t
 
-  val make : ?registry:registry -> string -> t
+  val make : string -> t
   val incr : t -> unit
   val add : t -> int -> unit
   val value : t -> int
@@ -52,7 +46,7 @@ end
 module Gauge : sig
   type t
 
-  val make : ?registry:registry -> string -> t
+  val make : string -> t
   val set : t -> float -> unit
   val value : t -> float
   val name : t -> string
@@ -64,7 +58,7 @@ module Histogram : sig
   val default_buckets : float array
   (** Log-spaced 1e-6 .. 10 (seconds-flavoured). *)
 
-  val make : ?registry:registry -> ?buckets:float array -> string -> t
+  val make : ?buckets:float array -> string -> t
   (** [buckets] are upper bounds, strictly increasing; an implicit
       overflow bucket collects everything above the last bound. *)
 
@@ -88,19 +82,19 @@ module Histogram : sig
   val name : t -> string
 end
 
-val find_counter : ?registry:registry -> string -> Counter.t option
-val find_gauge : ?registry:registry -> string -> Gauge.t option
+val find_counter : string -> Counter.t option
+val find_gauge : string -> Gauge.t option
 
-val reset : ?registry:registry -> unit -> unit
+val reset : unit -> unit
 (** Zero every metric in the registry (instruments stay registered). *)
 
-val to_json : ?registry:registry -> unit -> Jsonx.t
+val to_json : unit -> Jsonx.t
 (** Flat object, keys sorted: counters as integers, gauges as floats,
     histograms as [{"buckets":[..],"counts":[..],"sum":s,"count":n,
     "p50":..,"p90":..,"p99":..}] (percentiles are bucket-interpolated
     estimates, [null] when empty). *)
 
-val write_file : ?registry:registry -> string -> unit
+val write_file : string -> unit
 (** Pretty-printed {!to_json} to [path]. *)
 
 (** {1 Prometheus text exposition}
@@ -123,7 +117,7 @@ val prometheus_escape_label : string -> string
 (** Escape a label {e value} per the exposition format: backslash,
     double quote and newline are backslash-escaped. *)
 
-val render_prometheus : ?registry:registry -> unit -> string
+val render_prometheus : unit -> string
 (** The whole registry, metrics sorted by (sanitised) name. Empty
     histograms still render (all-zero buckets); non-finite gauge values
     render as [NaN]/[+Inf]/[-Inf] as the format specifies. *)

@@ -1,10 +1,6 @@
 module J = Tka_obs.Jsonx
 module Clock = Tka_obs.Clock
 
-type mix = { mx_analyze : int; mx_whatif : int; mx_eco : int }
-
-let default_mix = { mx_analyze = 6; mx_whatif = 3; mx_eco = 1 }
-
 type report = {
   lg_clients : int;
   lg_requests : int;
@@ -40,13 +36,10 @@ let pick_mod x m = Int64.to_int (Int64.unsigned_rem (hash64 x) (Int64.of_int m))
 
 type verb = Analyze | Whatif | Eco
 
-let pick_verb mix ~client ~i =
-  let total = mix.mx_analyze + mix.mx_whatif + mix.mx_eco in
-  if total <= 0 then invalid_arg "Loadgen: mix weights must sum to > 0";
-  let r = pick_mod (Int64.of_int ((client * 1_000_003) + i)) total in
-  if r < mix.mx_analyze then Analyze
-  else if r < mix.mx_analyze + mix.mx_whatif then Whatif
-  else Eco
+(* the 6:3:1 analyze/what-if/ECO mix *)
+let pick_verb ~client ~i =
+  let r = pick_mod (Int64.of_int ((client * 1_000_003) + i)) 10 in
+  if r < 6 then Analyze else if r < 9 then Whatif else Eco
 
 type worker = {
   mutable w_lat_ms : float list;
@@ -104,10 +97,8 @@ let request_params ~couplings ~client ~i = function
     in
     J.Obj [ ("edits", J.List edits) ]
 
-let run ~connect ~netlist ?(k = 10) ?(clients = 4) ?(requests = 25)
-    ?(mix = default_mix) () =
+let run ~connect ~netlist ?(k = 10) ?(clients = 4) ?(requests = 25) () =
   let clients = max 1 clients and requests = max 0 requests in
-  ignore (pick_verb mix ~client:0 ~i:0) (* validate the mix up front *);
   let workers = Array.init clients (fun _ -> new_worker ()) in
   let mutex = Mutex.create () in
   let cond = Condition.create () in
@@ -147,7 +138,7 @@ let run ~connect ~netlist ?(k = 10) ?(clients = 4) ?(requests = 25)
       Mutex.unlock mutex;
       (try
          for i = 0 to requests - 1 do
-           let verb = pick_verb mix ~client ~i in
+           let verb = pick_verb ~client ~i in
            let meth, counter =
              match verb with
              | Analyze -> ("analyze", fun () -> w.w_analyze <- w.w_analyze + 1)

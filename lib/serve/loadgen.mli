@@ -3,8 +3,8 @@
 
     Spawns [clients] threads, each with its own connection (= its own
     daemon session). Every client loads the same design, then issues
-    [requests] back-to-back calls drawn deterministically from the
-    analyze/what-if/ECO [mix] (a per-client counter-based PRNG — same
+    [requests] back-to-back calls drawn deterministically from a 6:3:1
+    analyze/what-if/ECO mix (a per-client counter-based PRNG — same
     config, same schedule, every run), recording per-request wall
     latency and the cache counters the replies carry.
 
@@ -14,16 +14,6 @@
     replies — counted, not retried: a closed loop measures the
     daemon's refusal behaviour, not a retry policy's), and the shared
     victim cache's hit rate as seen by the clients. *)
-
-type mix = {
-  mx_analyze : int;
-  mx_whatif : int;
-  mx_eco : int;
-}
-(** Relative weights; must sum to a positive number. *)
-
-val default_mix : mix
-(** 6 analyze : 3 what-if : 1 ECO. *)
 
 type report = {
   lg_clients : int;
@@ -53,13 +43,12 @@ val run :
   ?k:int ->
   ?clients:int ->
   ?requests:int ->
-  ?mix:mix ->
   unit ->
   report
 (** [connect] opens a fresh connection (called once per client, from
     the client's own thread). [netlist] is the design body each
     session loads. Defaults: [k] 10, [clients] 4, [requests] 25 per
-    client, {!default_mix}.
+    client.
     @raise Client.Transport if a connection or the load call fails. *)
 
 val to_json : report -> Proto.J.t

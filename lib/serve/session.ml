@@ -190,34 +190,18 @@ let eco t params =
   | exception Invalid_argument m -> Error (Proto.Bad_request, m)
   | r, az' ->
     count_reuse t r.Eco.eco_before;
+    count_reuse t r.Eco.eco_after;
     (* with no fix there is no edit, and the session's design stays *)
-    let fixed = r.Eco.eco_edits <> [] in
     let d' = { d with d_fp = !fp'; d_az = az' } in
-    if fixed then begin
-      count_reuse t r.Eco.eco_after;
-      t.design <- Some d'
-    end;
-    (* a reply without a fix reports no re-analysis *)
-    let after n = J.Int (if fixed then n else 0) in
-    let ids = Option.fold ~none:[] ~some:CS.to_list r.Eco.eco_set in
+    if r.Eco.eco_edits <> [] then t.design <- Some d';
+    let fields =
+      match Eco.report_json { r with Eco.eco_design = d.d_name } with
+      | J.Obj f -> f
+      | j -> [ ("eco", j) ]
+    in
     Ok
       (J.Obj
-         ([
-            ("design", J.Str d.d_name);
-            ("fix_k", J.Int fix_k);
-            ("rule", J.Str (Eco.rule_name r.Eco.eco_rule));
-            ("delay_noisy_ns", J.Float r.Eco.eco_delay_noisy);
-            ("analysis_hits", J.Int r.Eco.eco_before.Analyzer.rs_hits);
-            ("analysis_misses", J.Int r.Eco.eco_before.Analyzer.rs_misses);
-            ("set", J.List (List.map (fun c -> J.Int c) ids));
-            ("edits", J.Int (List.length r.Eco.eco_edits));
-            ("dirty_nets", J.Int r.Eco.eco_dirty_nets);
-            ("delay_fixed_ns", J.Float r.Eco.eco_delay_fixed);
-            ("cache_hits", after r.Eco.eco_after.Analyzer.rs_hits);
-            ("cache_misses", after r.Eco.eco_after.Analyzer.rs_misses);
-          ]
-         @ (if fixed then [ ("couplings", J.Int (N.num_couplings (Analyzer.netlist az'))) ]
-            else [])
+         (fields
          @ [
              ("fingerprint", J.Str (hex_fp d'.d_fp));
              ("elapsed_s", J.Float (Clock.now_s () -. t0));

@@ -45,7 +45,7 @@ let overlaps a b = Interval.overlaps (interval a) (interval b)
 let overlap_fraction a b = Interval.overlap_fraction (interval a) (interval b)
 
 let latest_transition t =
-  Tka_waveform.Transition.make ~t50:t.lat ~slew:t.slew_late ()
+  Tka_waveform.Transition.make ~t50:t.lat ~slew:t.slew_late
 
 let equal ?eps a b =
   F.approx ?eps a.eat b.eat && F.approx ?eps a.lat b.lat

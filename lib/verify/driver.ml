@@ -73,7 +73,7 @@ let record cx ~trial ~invariant ~detail ?k ?netlist ?set ?edits ?input () =
       rp_k = k;
       rp_netlist = netlist;
       rp_set = set;
-      rp_edits = Option.map (List.map Repro.spec_of_edit) edits;
+      rp_edits = edits;
       rp_input = input;
     }
     :: cx.cx_failures
@@ -233,8 +233,7 @@ let trial_fuzz cx rng trial =
 (* The loop                                                        *)
 (* --------------------------------------------------------------- *)
 
-let run ?(seed = 1) ?(trials = 500) ?(budget_s = infinity) ?(minimize = true)
-    ?(progress = fun _ _ -> ()) () =
+let run ?(seed = 1) ?(trials = 500) ?(budget_s = infinity) ?(minimize = true) () =
   Trace.with_span ~cat:"verify"
     ~args:[ ("seed", J.Int seed); ("trials", J.Int trials) ]
     "verify.run"
@@ -273,8 +272,7 @@ let run ?(seed = 1) ?(trials = 500) ?(budget_s = infinity) ?(minimize = true)
       ~args:[ ("trial", J.Int !trial); ("family", J.Str family) ]
       "verify.trial"
       (fun () -> body cx rng !trial);
-    incr trial;
-    progress !trial trials
+    incr trial
   done;
   let s =
     {
@@ -337,17 +335,7 @@ let replay (r : Repro.t) =
   | "incr" -> (
     match r.Repro.rp_edits with
     | None -> broken "incr reproducer carries no edit script"
-    | Some specs -> (
-      match
-        List.map
-          (fun spec ->
-            match Repro.edit_of_spec spec with
-            | Some e -> e
-            | None -> raise Exit)
-          specs
-      with
-      | edits -> with_netlist (fun nl -> of_verdict (Oracle.incremental ~k nl edits))
-      | exception Exit -> broken "edit script names an unknown cell"))
+    | Some edits -> with_netlist (fun nl -> of_verdict (Oracle.incremental ~k nl edits)))
   | inv when String.length inv > 5 && String.sub inv 0 5 = "fuzz_" -> (
     match (Fuzz.of_name (String.sub inv 5 (String.length inv - 5)), r.Repro.rp_input) with
     | None, _ -> broken ("unknown fuzz format in invariant " ^ inv)

@@ -23,12 +23,10 @@ val run :
   ?trials:int ->
   ?budget_s:float ->
   ?minimize:bool ->
-  ?progress:(int -> int -> unit) ->
   unit ->
   summary
 (** [run ()] executes the loop. Defaults: seed 1, 500 trials, no time
-    budget, minimization on. [progress done_ total] is called after
-    every trial. Equal seeds and trial counts reproduce the same trial
+    budget, minimization on. Equal seeds and trial counts reproduce the same trial
     sequence bit for bit. *)
 
 type replay_outcome =

@@ -245,7 +245,11 @@ let repair ?(budget = 3) ~k nl =
    value the implication analysis assigned must hold under all 2^n
    primary-input assignments (capped at 2^16 inputs; generator
    circuits have 2–3). *)
-let filter_consistency ?(max_sim_inputs = 16) ~k topo =
+(* Logic certificates simulate every primary-input assignment, so
+   they are skipped beyond this many inputs. *)
+let max_sim_inputs = 16
+
+let filter_consistency ~k topo =
   let module Dominance = Tka_topk.Dominance in
   let module Iterate = Tka_noise.Iterate in
   let module CN = Tka_noise.Coupled_noise in
@@ -315,7 +319,7 @@ let filter_consistency ?(max_sim_inputs = 16) ~k topo =
                   | Filter.Drop Filter.Window_disjoint ->
                     let victim =
                       Transition.make ~t50:(base_w v).TW.lat
-                        ~slew:(mode_w v).TW.slew_late ()
+                        ~slew:(mode_w v).TW.slew_late
                     in
                     let interval = Dominance.interval ~victim in
                     let env = EB.of_directed nl ~windows:mode_w d in

@@ -70,8 +70,7 @@ val table2x : ?expected:string -> Tka_layout.Table2x.spec -> verdict
     against a recorded fingerprint so silent generator drift across
     revisions fails loudly. *)
 
-val filter_consistency :
-  ?max_sim_inputs:int -> k:int -> Tka_circuit.Topo.t -> verdict
+val filter_consistency : k:int -> Tka_circuit.Topo.t -> verdict
 (** Check the three contracts of the {!Tka_filter} layer on one
     circuit. (1) [--filter none] is bit-identical to the default
     (every field, via {!Tka_incr.Eco.elim_identical}). (2) [window]
@@ -84,7 +83,7 @@ val filter_consistency :
     dominance interval, re-derived here through the waveform layer;
     and in [logic] mode every implication value must agree with
     exhaustive boolean simulation over all primary-input assignments
-    (skipped beyond [max_sim_inputs] inputs, default 16). [Skip] when
+    (skipped beyond 16 inputs). [Skip] when
     the circuit has no couplings. *)
 
 val incremental :

@@ -1,12 +1,5 @@
 module J = Tka_obs.Jsonx
 module Edit = Tka_incr.Edit
-module Lib = Tka_cell.Default_lib
-
-type edit_spec =
-  | Remove of int
-  | Scale of int * float
-  | Resize of int * string
-  | Strengthen of int * float
 
 type t = {
   rp_invariant : string;
@@ -16,47 +9,9 @@ type t = {
   rp_k : int option;
   rp_netlist : string option;
   rp_set : int list option;
-  rp_edits : edit_spec list option;
+  rp_edits : Edit.t list option;
   rp_input : string option;
 }
-
-let spec_of_edit = function
-  | Edit.Remove_coupling c -> Remove c
-  | Edit.Scale_coupling { coupling; factor } -> Scale (coupling, factor)
-  | Edit.Resize_driver { gate; cell } -> Resize (gate, cell.Tka_cell.Cell.name)
-  | Edit.Strengthen_driver { gate; factor } -> Strengthen (gate, factor)
-
-let edit_of_spec = function
-  | Remove c -> Some (Edit.Remove_coupling c)
-  | Scale (coupling, factor) -> Some (Edit.Scale_coupling { coupling; factor })
-  | Resize (gate, cellname) ->
-    Option.map (fun cell -> Edit.Resize_driver { gate; cell }) (Lib.find cellname)
-  | Strengthen (gate, factor) -> Some (Edit.Strengthen_driver { gate; factor })
-
-let json_of_spec = function
-  | Remove c -> J.Obj [ ("op", J.Str "remove"); ("coupling", J.Int c) ]
-  | Scale (c, f) ->
-    J.Obj [ ("op", J.Str "scale"); ("coupling", J.Int c); ("factor", J.Float f) ]
-  | Resize (g, cell) ->
-    J.Obj [ ("op", J.Str "resize"); ("gate", J.Int g); ("cell", J.Str cell) ]
-  | Strengthen (g, f) ->
-    J.Obj [ ("op", J.Str "strengthen"); ("gate", J.Int g); ("factor", J.Float f) ]
-
-let spec_of_json j =
-  let int key = match J.member key j with Some (J.Int i) -> Some i | _ -> None in
-  let num key =
-    match J.member key j with
-    | Some (J.Float f) -> Some f
-    | Some (J.Int i) -> Some (float_of_int i)
-    | _ -> None
-  in
-  let str key = match J.member key j with Some (J.Str s) -> Some s | _ -> None in
-  match (str "op", int "coupling", num "factor", int "gate", str "cell") with
-  | Some "remove", Some c, _, _, _ -> Ok (Remove c)
-  | Some "scale", Some c, Some f, _, _ -> Ok (Scale (c, f))
-  | Some "resize", _, _, Some g, Some cell -> Ok (Resize (g, cell))
-  | Some "strengthen", _, Some f, Some g, _ -> Ok (Strengthen (g, f))
-  | _ -> Error "malformed edit spec"
 
 let opt f = function None -> J.Null | Some x -> f x
 
@@ -70,7 +25,7 @@ let to_json r =
       ("k", opt (fun k -> J.Int k) r.rp_k);
       ("netlist", opt (fun s -> J.Str s) r.rp_netlist);
       ("set", opt (fun s -> J.List (List.map (fun d -> J.Int d) s)) r.rp_set);
-      ("edits", opt (fun es -> J.List (List.map json_of_spec es)) r.rp_edits);
+      ("edits", opt (fun es -> J.List (List.map Edit.to_json es)) r.rp_edits);
       ("input", opt (fun s -> J.Str s) r.rp_input);
     ]
 
@@ -114,13 +69,8 @@ let of_json j =
   let* rp_edits =
     match J.member "edits" j with
     | Some (J.List items) ->
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* spec = spec_of_json item in
-          Ok (spec :: acc))
-        (Ok []) items
-      |> Result.map List.rev
+      Edit.list_of_json ~lookup:Tka_cell.Default_lib.find items
+      |> Result.map_error (( ^ ) "reproducer: ")
       |> Result.map Option.some
     | _ -> Ok None
   in

@@ -8,12 +8,6 @@
     survives the session that found it (and CI uploads the file as an
     artifact). See [docs/verification.md] for the format. *)
 
-type edit_spec =
-  | Remove of int  (** coupling id *)
-  | Scale of int * float  (** coupling id, factor in [0, 1] *)
-  | Resize of int * string  (** gate id, cell name in the default library *)
-  | Strengthen of int * float  (** gate id, in-place widening factor > 0 *)
-
 type t = {
   rp_invariant : string;
       (** ["brute"], ["duality"], ["jobs"], ["incr"], or ["fuzz_<fmt>"] *)
@@ -23,18 +17,16 @@ type t = {
   rp_k : int option;
   rp_netlist : string option;  (** tka text format (minimized) *)
   rp_set : int list option;  (** directed coupling ids (duality) *)
-  rp_edits : edit_spec list option;  (** minimized ECO script (incr) *)
+  rp_edits : Tka_incr.Edit.t list option;
+      (** minimized ECO script (incr), in {!Tka_incr.Edit.to_json}'s
+          wire format *)
   rp_input : string option;  (** minimized parser input (fuzz) *)
 }
 
-val spec_of_edit : Tka_incr.Edit.t -> edit_spec
-
-val edit_of_spec : edit_spec -> Tka_incr.Edit.t option
-(** [None] when a [Resize] names a cell absent from
-    {!Tka_cell.Default_lib}. *)
-
 val to_json : t -> Tka_obs.Jsonx.t
 val of_json : Tka_obs.Jsonx.t -> (t, string) result
+(** Edit cell names resolve in {!Tka_cell.Default_lib}; an edit the
+    wire format rejects (an unknown op or cell) is an [Error]. *)
 
 val save : string -> t list -> unit
 (** Write one compact JSON object per line (NDJSON). *)

@@ -15,7 +15,9 @@ let union_span ?range series =
     in
     if hi > lo then (lo, hi) else (lo -. 0.5, lo +. 0.5)
 
-let ascii ?(width = 72) ?(height = 16) ?range series =
+let width = 72
+
+let ascii ?(height = 16) ?range series =
   match series with
   | [] -> ""
   | _ :: _ ->

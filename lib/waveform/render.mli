@@ -6,14 +6,13 @@
     Used by the examples and handy in a toplevel. *)
 
 val ascii :
-  ?width:int ->
   ?height:int ->
   ?range:Tka_util.Interval.t ->
   (string * Pwl.t) list ->
   string
 (** [ascii series] plots the labelled waveforms on one grid
-    (default 72x16 characters over the union of their breakpoint
-    spans; [range] overrides the x span). Each series is drawn with
+    (72 characters wide, [height] default 16, over the union of their
+    breakpoint spans; [range] overrides the x span). Each series is drawn with
     its own glyph, listed in the legend line. Empty list returns "". *)
 
 val csv : ?samples:int -> (string * Pwl.t) list -> string

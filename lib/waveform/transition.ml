@@ -1,10 +1,8 @@
-type direction = Rising | Falling
+type t = { t50 : float; slew : float }
 
-type t = { t50 : float; slew : float; direction : direction }
-
-let make ?(direction = Rising) ~t50 ~slew () =
+let make ~t50 ~slew =
   if slew <= 0. then invalid_arg "Transition.make: slew must be positive";
-  { t50; slew; direction }
+  { t50; slew }
 
 let start_time t = t.t50 -. (t.slew /. 2.)
 let end_time t = t.t50 +. (t.slew /. 2.)
@@ -16,6 +14,4 @@ let shift d t = { t with t50 = t.t50 +. d }
 
 let t50_of_waveform w = Pwl.last_upcrossing w 0.5
 
-let pp ppf t =
-  let dir = match t.direction with Rising -> "rise" | Falling -> "fall" in
-  Format.fprintf ppf "%s(t50=%g, slew=%g)" dir t.t50 t.slew
+let pp ppf t = Format.fprintf ppf "rise(t50=%g, slew=%g)" t.t50 t.slew

@@ -1,22 +1,19 @@
 (** Switching transitions as saturated-ramp waveforms.
 
-    A transition is characterised by its 50%-crossing time [t50], its
-    transition time [slew] (0% to 100% of the linear ramp), and its
-    direction. Voltages are normalised to [Vdd = 1]: a rising transition
-    goes 0 -> 1, a falling one 1 -> 0.
+    A transition is characterised by its 50%-crossing time [t50] and
+    its transition time [slew] (0% to 100% of the linear ramp).
+    Voltages are normalised to [Vdd = 1].
 
     Noise analysis superimposes noise envelopes on these ramps; because
     delay noise on a rising victim is caused by noise pulling the node
     {e down} (and symmetrically for falling), the analysis is carried out
-    in the "normalised rising" frame and [waveform] always produces the
-    0 -> 1 ramp. The [direction] is kept for reporting. *)
+    in the "normalised rising" frame: every transition is the 0 -> 1
+    ramp. *)
 
-type direction = Rising | Falling
+type t = { t50 : float; slew : float }
 
-type t = { t50 : float; slew : float; direction : direction }
-
-val make : ?direction:direction -> t50:float -> slew:float -> unit -> t
-(** [make ~t50 ~slew ()] with [slew > 0]. Default direction [Rising]. *)
+val make : t50:float -> slew:float -> t
+(** [make ~t50 ~slew] with [slew > 0]. *)
 
 val waveform : t -> Pwl.t
 (** Normalised ramp: 0 before [t50 - slew/2], linear to 1 at

@@ -398,32 +398,28 @@ let test_transform_identity () =
   let nl2 = T.map nl in
   Alcotest.(check string) "identical print" (Nf.print nl) (Nf.print nl2)
 
+(* The shield, spacing and resize edits (Tka_incr.Edit) are these
+   hooks of [map]. *)
 let test_transform_remove_couplings () =
   let nl, _, _, _, _, _, _, c = small () in
-  let nl2 = T.remove_couplings nl [ c ] in
+  let nl2 =
+    T.map ~name:"small_fixed" ~keep_coupling:(fun cp -> cp.N.coupling_id <> c) nl
+  in
   Alcotest.(check int) "coupling gone" 0 (N.num_couplings nl2);
   Alcotest.(check string) "renamed" "small_fixed" (N.name nl2);
   Alcotest.(check int) "structure kept" (N.num_gates nl) (N.num_gates nl2)
 
 let test_transform_scale_coupling () =
-  let nl, _, _, n1, n2, _, _, c = small () in
-  ignore n1;
-  ignore n2;
-  let nl2 = T.scale_coupling ~factor:0.5 nl [ c ] in
-  check_f "halved" 0.002 (N.coupling nl2 0).N.coupling_cap;
+  let nl, _, _, _, _, _, _, c = small () in
+  let scaled f = T.map ~coupling_cap_of:(fun cp -> f *. cp.N.coupling_cap) nl in
+  check_f "halved" 0.002 (N.coupling (scaled 0.5) c).N.coupling_cap;
   (* scaling to zero removes the cap *)
-  let nl3 = T.scale_coupling ~factor:0. nl [ c ] in
-  Alcotest.(check int) "zero removes" 0 (N.num_couplings nl3);
-  Alcotest.(check bool) "bad factor" true
-    (try
-       ignore (T.scale_coupling ~factor:2. nl [ c ]);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check int) "zero removes" 0 (N.num_couplings (scaled 0.))
 
 let test_transform_resize_driver () =
   let nl, _, _, _, _, g1, _, _ = small () in
   let x4 = Lib.find_exn "INV_X4" in
-  let nl2 = T.resize_driver nl g1 x4 in
+  let nl2 = T.map ~cell_of:(fun g -> if g.N.gate_id = g1 then x4 else g.N.cell) nl in
   Alcotest.(check string) "cell swapped" "INV_X4"
     (N.gate nl2 g1).N.cell.Tka_cell.Cell.name;
   (* other gates untouched *)

@@ -92,6 +92,21 @@ let prop_fraction_containment =
       in
       TW.overlap_fraction a b = 1.)
 
+(* The filter screens over the sensitive interval of the whole window,
+   which holds the engine's dominance interval at either end of it. *)
+let prop_sensitive_contains_dominance =
+  QCheck.Test.make ~name:"sensitive interval holds the dominance interval"
+    ~count:300 arb_window (fun w ->
+      let s = Overlap.sensitive w in
+      List.for_all
+        (fun t50 ->
+          let d =
+            Tka_topk.Dominance.interval
+              ~victim:(Tka_waveform.Transition.make ~t50 ~slew:w.TW.slew_late)
+          in
+          Interval.lo s <= Interval.lo d && Interval.hi d <= Interval.hi s)
+        [ w.TW.eat; w.TW.lat ])
+
 (* ------------------------------------------------------------------ *)
 (* Implication analysis: hand-computed tables                         *)
 (* ------------------------------------------------------------------ *)
@@ -526,6 +541,7 @@ let () =
           prop_overlaps_reflexive; prop_overlaps_symmetric;
           prop_overlaps_reference; prop_fraction_bounds;
           prop_fraction_symmetric; prop_fraction_containment;
+          prop_sensitive_contains_dominance;
         ];
       ( "implication",
         [

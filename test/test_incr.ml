@@ -380,6 +380,10 @@ let test_checkpoint_rejects_garbage () =
            false
          with Failure _ -> true))
 
+(* A fixed design's report is verified, and identical. *)
+let verified_identical r =
+  match r.Eco.eco_verify with Some v -> v.Eco.v_identical | None -> false
+
 (* Runs of [Analysis.run] (the noiseless STA every fixpoint starts
    from) while [f] runs. *)
 let sta_runs f =
@@ -416,11 +420,26 @@ let test_one_fixpoint_per_state () =
   (* the loop's three analyses: initial, from scratch, incremental *)
   let n, (r, _) = sta_runs (fun () -> Eco.run ~fix_k:1 (Analyzer.create ~k:5 nl)) in
   Alcotest.(check int) "eco runs three analyses" 3 n;
-  Alcotest.(check bool) "eco identical" true r.Eco.eco_identical
+  Alcotest.(check bool) "eco identical" true (verified_identical r)
+
+(* With no fix set nothing is edited, so nothing is re-analyzed: the
+   one analysis is the initial one, and the report carries no post-edit
+   counters and no re-verify. *)
+let test_eco_no_fix () =
+  let nl = Tka_circuit.Transform.map ~keep_coupling:(fun _ -> false) (B.c17 ()) in
+  let a = Analyzer.create ~k:4 nl in
+  let n, (r, a') = sta_runs (fun () -> Eco.run ~fix_k:1 a) in
+  Alcotest.(check int) "one analysis" 1 n;
+  Alcotest.(check string) "no fix rule" "none" (Eco.rule_name r.Eco.eco_rule);
+  Alcotest.(check bool) "no edit, same state" true (r.Eco.eco_edits = [] && a' == a);
+  Alcotest.(check int) "no post-edit hits" 0 r.Eco.eco_after.Analyzer.rs_hits;
+  Alcotest.(check int) "no post-edit misses" 0 r.Eco.eco_after.Analyzer.rs_misses;
+  Alcotest.(check bool) "no re-verify" true (r.Eco.eco_verify = None);
+  Alcotest.(check (float 0.)) "delay unchanged" r.Eco.eco_delay_noisy r.Eco.eco_delay_fixed
 
 let test_eco_loop () =
   let r, _ = Eco.run ~fix_k:1 (Analyzer.create ~k:4 (B.c17 ())) in
-  Alcotest.(check bool) "eco re-analyses identical" true r.Eco.eco_identical;
+  Alcotest.(check bool) "eco re-analyses identical" true (verified_identical r);
   Alcotest.(check bool) "eco applied an edit" true (r.Eco.eco_edits <> []);
   Alcotest.(check bool) "fix does not worsen delay" true
     (r.Eco.eco_delay_fixed <= r.Eco.eco_delay_noisy +. 1e-9)
@@ -503,7 +522,7 @@ let test_repair_dry_run () =
           let cold = eco () in
           Alcotest.(check int)
             "stale checkpoint is a cold start" 0 cold.Eco.eco_before.Analyzer.rs_hits;
-          Alcotest.(check bool) "cold eco identical" true cold.Eco.eco_identical;
+          Alcotest.(check bool) "cold eco identical" true (verified_identical cold);
           let warm = eco () in
           Alcotest.(check bool)
             "rewritten checkpoint warm-starts" true
@@ -623,6 +642,7 @@ let () =
           Alcotest.test_case "checkpoint rejects garbage" `Quick
             test_checkpoint_rejects_garbage;
           Alcotest.test_case "eco loop" `Quick test_eco_loop;
+          Alcotest.test_case "eco without a fix" `Quick test_eco_no_fix;
           Alcotest.test_case "one fixpoint per state" `Quick
             test_one_fixpoint_per_state;
         ] );

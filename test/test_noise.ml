@@ -156,7 +156,7 @@ let test_delay_noise_monotone_in_set () =
   Alcotest.(check bool) "superset never smaller" true (dall >= d1 -. 1e-9)
 
 let test_saturation_cap () =
-  let victim = Transition.make ~t50:1.0 ~slew:0.05 () in
+  let victim = Transition.make ~t50:1.0 ~slew:0.05 in
   (* a preposterous envelope cannot exceed the saturation bound *)
   let huge =
     Envelope.of_pulse

@@ -276,37 +276,44 @@ let test_ndjson_reporter () =
 (* Metrics                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The one registry holds every metric of the process, so each test
+   names its metrics uniquely, and reads back the lines of the
+   Prometheus rendering whose (sanitised) names start with [prefix]. *)
+let rendered prefix =
+  String.split_on_char '\n' (Metrics.render_prometheus ())
+  |> List.filter (fun l ->
+         String.starts_with ~prefix l || String.starts_with ~prefix:("# TYPE " ^ prefix) l)
+  |> List.map (fun l -> l ^ "\n")
+  |> String.concat ""
+
 let test_counter_semantics () =
-  let r = Metrics.create_registry () in
-  let c = Metrics.Counter.make ~registry:r "t.counter" in
+  let c = Metrics.Counter.make "t.counter" in
   Metrics.Counter.incr c;
   checki "disabled incr is a no-op" 0 (Metrics.Counter.value c);
   Metrics.with_enabled true (fun () ->
       Metrics.Counter.incr c;
       Metrics.Counter.add c 5);
   checki "enabled updates apply" 6 (Metrics.Counter.value c);
-  let c' = Metrics.Counter.make ~registry:r "t.counter" in
+  let c' = Metrics.Counter.make "t.counter" in
   Metrics.with_enabled true (fun () -> Metrics.Counter.incr c');
   checki "same name is the same counter" 7 (Metrics.Counter.value c);
-  checkb "find_counter" true (Metrics.find_counter ~registry:r "t.counter" <> None);
-  checkb "find wrong kind" true (Metrics.find_gauge ~registry:r "t.counter" = None);
-  (match Metrics.Gauge.make ~registry:r "t.counter" with
+  checkb "find_counter" true (Metrics.find_counter "t.counter" <> None);
+  checkb "find wrong kind" true (Metrics.find_gauge "t.counter" = None);
+  (match Metrics.Gauge.make "t.counter" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch must be rejected");
-  Metrics.reset ~registry:r ();
+  Metrics.reset ();
   checki "reset zeroes" 0 (Metrics.Counter.value c)
 
 let test_gauge_semantics () =
-  let r = Metrics.create_registry () in
-  let g = Metrics.Gauge.make ~registry:r "t.gauge" in
+  let g = Metrics.Gauge.make "t.gauge" in
   Metrics.Gauge.set g 3.5;
   checkf "disabled set is a no-op" 0.0 (Metrics.Gauge.value g);
   Metrics.with_enabled true (fun () -> Metrics.Gauge.set g 3.5);
   checkf "set applies" 3.5 (Metrics.Gauge.value g)
 
 let test_histogram_semantics () =
-  let r = Metrics.create_registry () in
-  let h = Metrics.Histogram.make ~registry:r ~buckets:[| 1.0; 2.0; 4.0 |] "t.h" in
+  let h = Metrics.Histogram.make ~buckets:[| 1.0; 2.0; 4.0 |] "t.h" in
   Metrics.with_enabled true (fun () ->
       List.iter (Metrics.Histogram.observe h) [ 0.5; 1.0; 1.5; 4.0; 100.0 ]);
   (* bounds are inclusive upper bounds; the 4th cell is overflow *)
@@ -324,16 +331,15 @@ let test_histogram_semantics () =
           (Array.init (Array.length b - 1) Fun.id))
 
 let test_metrics_json () =
-  let r = Metrics.create_registry () in
-  let c = Metrics.Counter.make ~registry:r "a.count" in
-  let g = Metrics.Gauge.make ~registry:r "b.gauge" in
-  let h = Metrics.Histogram.make ~registry:r ~buckets:[| 1.0 |] "c.hist" in
+  let c = Metrics.Counter.make "a.count" in
+  let g = Metrics.Gauge.make "b.gauge" in
+  let h = Metrics.Histogram.make ~buckets:[| 1.0 |] "c.hist" in
   Metrics.with_enabled true (fun () ->
       Metrics.Counter.add c 3;
       Metrics.Gauge.set g 1.25;
       Metrics.Histogram.observe h 0.5;
       Metrics.Histogram.observe h 2.0);
-  let j = Metrics.to_json ~registry:r () in
+  let j = Metrics.to_json () in
   (* serialises compactly and parses back *)
   let j' = J.of_string (J.to_string j) in
   checkb "counter exported as int" true (J.member "a.count" j' = Some (J.Int 3));
@@ -352,10 +358,9 @@ let test_metrics_json () =
   | _ -> Alcotest.fail "expected an object"
 
 let test_metrics_noop_no_alloc () =
-  let r = Metrics.create_registry () in
-  let c = Metrics.Counter.make ~registry:r "noalloc.count" in
-  let g = Metrics.Gauge.make ~registry:r "noalloc.gauge" in
-  let h = Metrics.Histogram.make ~registry:r "noalloc.hist" in
+  let c = Metrics.Counter.make "noalloc.count" in
+  let g = Metrics.Gauge.make "noalloc.gauge" in
+  let h = Metrics.Histogram.make "noalloc.hist" in
   Metrics.set_enabled false;
   (* warm up any one-time setup *)
   Metrics.Counter.incr c;
@@ -377,9 +382,8 @@ let test_metrics_noop_no_alloc () =
     true (allocated < 256.)
 
 let test_histogram_percentiles () =
-  let r = Metrics.create_registry () in
   let h =
-    Metrics.Histogram.make ~registry:r ~buckets:[| 1.0; 2.0; 4.0 |] "t.pct"
+    Metrics.Histogram.make ~buckets:[| 1.0; 2.0; 4.0 |] "t.pct"
   in
   checkb "empty histogram gives nan" true
     (Float.is_nan (Metrics.Histogram.percentile h 0.5));
@@ -398,24 +402,24 @@ let test_histogram_percentiles () =
   (* overflow observations clamp to the last finite bound *)
   checkf "p100 clamps to the last bound" 4.0 (Metrics.Histogram.percentile h 1.);
   (* interpolation inside one bucket *)
-  let h1 = Metrics.Histogram.make ~registry:r ~buckets:[| 4.0 |] "t.pct1" in
+  let h1 = Metrics.Histogram.make ~buckets:[| 4.0 |] "t.pct1" in
   Metrics.with_enabled true (fun () ->
       List.iter (Metrics.Histogram.observe h1) [ 1.0; 2.0; 3.0; 4.0 ]);
   checkf "within-bucket interpolation" 2.0 (Metrics.Histogram.percentile h1 0.5);
   (* empty buckets are skipped, not interpolated into *)
-  let h2 = Metrics.Histogram.make ~registry:r ~buckets:[| 1.0; 2.0; 4.0 |] "t.pct2" in
+  let h2 = Metrics.Histogram.make ~buckets:[| 1.0; 2.0; 4.0 |] "t.pct2" in
   Metrics.with_enabled true (fun () -> Metrics.Histogram.observe h2 3.0);
   checkf "empty leading buckets skipped" 3.0 (Metrics.Histogram.percentile h2 0.5);
   (* the JSON export carries the percentile estimates (null when empty) *)
-  let j = J.of_string (J.to_string (Metrics.to_json ~registry:r ())) in
+  let j = J.of_string (J.to_string (Metrics.to_json ())) in
   (match J.member "t.pct" j with
   | Some hist ->
     checkb "p50 exported" true (J.member "p50" hist = Some (J.Float 2.0));
     checkb "p99 exported" true (J.member "p99" hist <> None)
   | None -> Alcotest.fail "histogram missing from export");
-  let h3 = Metrics.Histogram.make ~registry:r ~buckets:[| 1.0 |] "t.pct3" in
+  let h3 = Metrics.Histogram.make ~buckets:[| 1.0 |] "t.pct3" in
   ignore h3;
-  match J.member "t.pct3" (Metrics.to_json ~registry:r ()) with
+  match J.member "t.pct3" (Metrics.to_json ()) with
   | Some hist -> checkb "empty percentiles are null" true (J.member "p50" hist = Some J.Null)
   | None -> Alcotest.fail "empty histogram missing from export"
 
@@ -436,10 +440,9 @@ let test_prometheus_names () =
     (Metrics.prometheus_escape_label "\\\"\n")
 
 let test_prometheus_render () =
-  let r = Metrics.create_registry () in
-  let c = Metrics.Counter.make ~registry:r "serve.requests" in
-  let g = Metrics.Gauge.make ~registry:r "pool.load" in
-  let h = Metrics.Histogram.make ~registry:r ~buckets:[| 0.1; 1.0 |] "rpc.lat_s" in
+  let c = Metrics.Counter.make "render.serve.requests" in
+  let g = Metrics.Gauge.make "render.pool.load" in
+  let h = Metrics.Histogram.make ~buckets:[| 0.1; 1.0 |] "render.rpc.lat_s" in
   Metrics.with_enabled true (fun () ->
       Metrics.Counter.add c 3;
       Metrics.Gauge.set g (-2.5);
@@ -448,49 +451,47 @@ let test_prometheus_render () =
     String.concat "\n"
       [
         (* sorted by sanitised name: pool_load < rpc_lat_s < serve_requests *)
-        "# TYPE pool_load gauge";
-        "pool_load -2.5";
-        "# TYPE rpc_lat_s histogram";
+        "# TYPE render_pool_load gauge";
+        "render_pool_load -2.5";
+        "# TYPE render_rpc_lat_s histogram";
         (* bucket counts are cumulative; +Inf equals the total count *)
-        "rpc_lat_s_bucket{le=\"0.1\"} 1";
-        "rpc_lat_s_bucket{le=\"1\"} 2";
-        "rpc_lat_s_bucket{le=\"+Inf\"} 3";
-        "rpc_lat_s_sum 5.55";
-        "rpc_lat_s_count 3";
-        "# TYPE serve_requests counter";
-        "serve_requests 3";
+        "render_rpc_lat_s_bucket{le=\"0.1\"} 1";
+        "render_rpc_lat_s_bucket{le=\"1\"} 2";
+        "render_rpc_lat_s_bucket{le=\"+Inf\"} 3";
+        "render_rpc_lat_s_sum 5.55";
+        "render_rpc_lat_s_count 3";
+        "# TYPE render_serve_requests counter";
+        "render_serve_requests 3";
         "";
       ]
   in
-  checks "full exposition text" expected (Metrics.render_prometheus ~registry:r ())
+  checks "full exposition text" expected (rendered "render_")
 
 let test_prometheus_values () =
-  let r = Metrics.create_registry () in
-  let g = Metrics.Gauge.make ~registry:r "g" in
-  let render () = Metrics.render_prometheus ~registry:r () in
+  let g = Metrics.Gauge.make "values.g" in
+  let render () = rendered "values_g" in
   let set v = Metrics.with_enabled true (fun () -> Metrics.Gauge.set g v) in
   set 42.0;
-  checks "integral floats have no fraction" "# TYPE g gauge\ng 42\n" (render ());
+  checks "integral floats have no fraction" "# TYPE values_g gauge\nvalues_g 42\n" (render ());
   set Float.infinity;
-  checks "+inf spelled per the format" "# TYPE g gauge\ng +Inf\n" (render ());
+  checks "+inf spelled per the format" "# TYPE values_g gauge\nvalues_g +Inf\n" (render ());
   set Float.neg_infinity;
-  checks "-inf spelled per the format" "# TYPE g gauge\ng -Inf\n" (render ());
+  checks "-inf spelled per the format" "# TYPE values_g gauge\nvalues_g -Inf\n" (render ());
   set Float.nan;
-  checks "nan spelled per the format" "# TYPE g gauge\ng NaN\n" (render ());
+  checks "nan spelled per the format" "# TYPE values_g gauge\nvalues_g NaN\n" (render ());
   (* an awkward double must render with enough digits to read back *)
   set 0.1;
   (match String.index_opt (render ()) '\n' with
   | Some _ ->
     let line = List.nth (String.split_on_char '\n' (render ())) 1 in
-    let v = Scanf.sscanf line "g %f" Fun.id in
+    let v = Scanf.sscanf line "values_g %f" Fun.id in
     checkb "value round-trips through the text form" true (v = 0.1)
   | None -> Alcotest.fail "no rendered line");
   (* an empty histogram still renders, with all-zero buckets *)
-  let r2 = Metrics.create_registry () in
-  let _h = Metrics.Histogram.make ~registry:r2 ~buckets:[| 1.0 |] "h" in
+  let _h = Metrics.Histogram.make ~buckets:[| 1.0 |] "values.h" in
   checks "empty histogram renders zeros"
-    "# TYPE h histogram\nh_bucket{le=\"1\"} 0\nh_bucket{le=\"+Inf\"} 0\nh_sum 0\nh_count 0\n"
-    (Metrics.render_prometheus ~registry:r2 ())
+    "# TYPE values_h histogram\nvalues_h_bucket{le=\"1\"} 0\nvalues_h_bucket{le=\"+Inf\"} 0\nvalues_h_sum 0\nvalues_h_count 0\n"
+    (rendered "values_h")
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                              *)

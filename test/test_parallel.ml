@@ -133,7 +133,9 @@ let at_jobs jobs f =
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) f
 
 let engine_repr ~mode ~k topo =
-  result_repr (Engine.compute ~config:(Engine.default_config ~k) ~mode topo)
+  result_repr
+    (Engine.compute ~config:(Engine.default_config ~k)
+       ~fixpoint:(Tka_noise.Iterate.run topo) ~mode topo)
 
 let test_engine_jobs_invariant name mode () =
   let topo =

@@ -142,7 +142,7 @@ let cs_roundtrip_qcheck =
 (* Dominance                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let victim = Transition.make ~t50:1.0 ~slew:0.1 ()
+let victim = Transition.make ~t50:1.0 ~slew:0.1
 
 let env ~peak ~window_lo ~window_hi =
   Envelope.of_pulse
@@ -378,7 +378,7 @@ let test_fig4_nonmonotonic_sets () =
      half-supply level and ride the victim crossing far out along their
      later windows, so the top-2 set is {a2, a3} — not a superset of
      the top-1 set. *)
-  let v = Transition.make ~t50:1.0 ~slew:0.1 () in
+  let v = Transition.make ~t50:1.0 ~slew:0.1 in
   let noise es = VN.delay_noise_of_envelope ~victim:v (Envelope.combine es) in
   let a1 =
     (* tallest single pulse, but window ends at the victim transition *)
@@ -460,9 +460,13 @@ let test_elimination_matches_brute_force_small () =
         bf.BF.bf_delay (Elimination.evaluate elim k))
     [ 1; 2 ]
 
+(* An engine run on its own all-aggressor fixpoint. *)
+let engine ~config ~mode topo =
+  Engine.compute ~config ~fixpoint:(Tka_noise.Iterate.run topo) ~mode topo
+
 let test_addition_objectives_monotone () =
   let _, topo = Lazy.force tiny_topo in
-  let r = Engine.compute ~config:(Engine.default_config ~k:5) ~mode:Engine.Addition topo in
+  let r = engine ~config:(Engine.default_config ~k:5) ~mode:Engine.Addition topo in
   let objs =
     Array.to_list r.Engine.res_per_k
     |> List.filter_map (Option.map (fun c -> c.Engine.ch_objective))
@@ -476,7 +480,7 @@ let test_addition_objectives_monotone () =
 let test_elimination_objectives_monotone () =
   let _, topo = Lazy.force tiny_topo in
   let r =
-    Engine.compute ~config:(Engine.default_config ~k:5) ~mode:Engine.Elimination topo
+    engine ~config:(Engine.default_config ~k:5) ~mode:Engine.Elimination topo
   in
   let objs =
     Array.to_list r.Engine.res_per_k
@@ -546,7 +550,7 @@ let test_pseudo_ablation () =
   let topo = Topo.create nl in
   let addition ~use_pseudo =
     let config = { (Engine.default_config ~k:1) with Engine.use_pseudo } in
-    Engine.compute ~config ~mode:Engine.Addition topo
+    engine ~config ~mode:Engine.Addition topo
   in
   let with_pseudo = addition ~use_pseudo:true in
   let without = addition ~use_pseudo:false in
@@ -563,7 +567,7 @@ let test_higher_order_ablation_never_better_off () =
   let _, topo = Lazy.force tiny_topo in
   let addition ~use_higher_order =
     let config = { (Engine.default_config ~k:3) with Engine.use_higher_order } in
-    Engine.compute ~config ~mode:Engine.Addition topo
+    engine ~config ~mode:Engine.Addition topo
   in
   let on = addition ~use_higher_order:true in
   let off = addition ~use_higher_order:false in
@@ -580,13 +584,13 @@ let test_higher_order_ablation_never_better_off () =
 
 let test_engine_stats_populated () =
   let _, topo = Lazy.force tiny_topo in
-  let r = Engine.compute ~config:(Engine.default_config ~k:3) ~mode:Engine.Addition topo in
+  let r = engine ~config:(Engine.default_config ~k:3) ~mode:Engine.Addition topo in
   Alcotest.(check bool) "candidates seen" true (r.Engine.res_stats.Ilist.candidates > 0);
   Alcotest.(check bool) "runtime recorded" true (r.Engine.res_runtime >= 0.)
 
 let test_engine_estimated_delay_bounds () =
   let _, topo = Lazy.force tiny_topo in
-  let r = Engine.compute ~config:(Engine.default_config ~k:3) ~mode:Engine.Addition topo in
+  let r = engine ~config:(Engine.default_config ~k:3) ~mode:Engine.Addition topo in
   List.iter
     (fun k ->
       Alcotest.(check bool) "estimate above noiseless" true
@@ -602,7 +606,7 @@ let test_engine_k_validation () =
   let _, topo = Lazy.force tiny_topo in
   Alcotest.(check bool) "k=0 rejected" true
     (try
-       ignore (Engine.compute ~config:(Engine.default_config ~k:0) ~mode:Engine.Addition topo);
+       ignore (engine ~config:(Engine.default_config ~k:0) ~mode:Engine.Addition topo);
        false
      with Invalid_argument _ -> true)
 

@@ -11,6 +11,8 @@ module Lib = Tka_cell.Default_lib
 module Minimize = Tka_verify.Minimize
 module Gen = Tka_verify.Gen
 module Repro = Tka_verify.Repro
+module Edit = Tka_incr.Edit
+module J = Tka_obs.Jsonx
 module Oracle = Tka_verify.Oracle
 module Fuzz = Tka_verify.Fuzz
 module Driver = Tka_verify.Driver
@@ -70,7 +72,14 @@ let sample_repro =
     rp_k = Some 2;
     rp_netlist = Some "circuit t\ninput a\n";
     rp_set = Some [ 0; 3; 5 ];
-    rp_edits = Some [ Repro.Remove 1; Repro.Scale (2, 0.5); Repro.Resize (0, "INV_X2") ];
+    rp_edits =
+      Some
+        [
+          Edit.Remove_coupling 1;
+          Edit.Scale_coupling { coupling = 2; factor = 0.5 };
+          Edit.Resize_driver { gate = 0; cell = Option.get (Lib.find "INV_X2") };
+          Edit.Strengthen_driver { gate = 3; factor = 1.5 };
+        ];
     rp_input = None;
   }
 
@@ -114,9 +123,24 @@ let test_repro_load_bad_line () =
            in
            contains ":2" e))
 
+(* Edits travel in Edit's wire format: a cell outside the default
+   library, or an op of another format, is a load error, not a
+   misread script. *)
 let test_edit_spec_unknown_cell () =
-  Alcotest.(check bool) "unknown cell is None" true
-    (Repro.edit_of_spec (Repro.Resize (0, "NOPE_X9")) = None)
+  let with_edit e =
+    match Repro.to_json { sample_repro with Repro.rp_edits = Some [] } with
+    | J.Obj kvs ->
+      J.Obj (List.map (fun (k, v) -> if k = "edits" then (k, J.List [ e ]) else (k, v)) kvs)
+    | j -> j
+  in
+  let error_of e =
+    match Repro.of_json (with_edit e) with Ok _ -> "" | Error m -> m
+  in
+  Alcotest.(check string) "unknown cell" "reproducer: unknown cell \"NOPE_X9\""
+    (error_of
+       (J.Obj [ ("op", J.Str "resize_driver"); ("gate", J.Int 0); ("cell", J.Str "NOPE_X9") ]));
+  Alcotest.(check string) "old op name" "reproducer: unknown edit op \"remove\""
+    (error_of (J.Obj [ ("op", J.Str "remove"); ("coupling", J.Int 1) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz                                                               *)

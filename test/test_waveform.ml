@@ -15,7 +15,7 @@ let check_f6 = Alcotest.(check (float 1e-6))
 (* ------------------------------------------------------------------ *)
 
 let test_transition_waveform () =
-  let t = Transition.make ~t50:1.0 ~slew:0.4 () in
+  let t = Transition.make ~t50:1.0 ~slew:0.4 in
   let w = Transition.waveform t in
   check_f "before" 0. (Pwl.eval w 0.);
   check_f "start" 0. (Pwl.eval w 0.8);
@@ -26,23 +26,23 @@ let test_transition_waveform () =
 let test_transition_bad_slew () =
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Transition.make ~t50:0. ~slew:0. ());
+       ignore (Transition.make ~t50:0. ~slew:0.);
        false
      with Invalid_argument _ -> true)
 
 let test_transition_times () =
-  let t = Transition.make ~t50:2.0 ~slew:1.0 () in
+  let t = Transition.make ~t50:2.0 ~slew:1.0 in
   check_f "start" 1.5 (Transition.start_time t);
   check_f "end" 2.5 (Transition.end_time t)
 
 let test_transition_shift () =
-  let t = Transition.make ~t50:1.0 ~slew:0.2 () in
+  let t = Transition.make ~t50:1.0 ~slew:0.2 in
   let s = Transition.shift 0.5 t in
   check_f "t50 moved" 1.5 s.Transition.t50;
   check_f "slew kept" 0.2 s.Transition.slew
 
 let test_t50_of_waveform () =
-  let t = Transition.make ~t50:3.0 ~slew:0.6 () in
+  let t = Transition.make ~t50:3.0 ~slew:0.6 in
   match Transition.t50_of_waveform (Transition.waveform t) with
   | Some x -> check_f "recovered" 3.0 x
   | None -> Alcotest.fail "expected t50"
@@ -141,18 +141,18 @@ let test_envelope_encapsulates_interval () =
     (Envelope.encapsulates ~interval:(Interval.make 100. 101.) small big)
 
 let test_delay_noise_zero_for_early_pulse () =
-  let victim = Transition.make ~t50:10. ~slew:0.2 () in
+  let victim = Transition.make ~t50:10. ~slew:0.2 in
   (* envelope fully over before t50 - slew/2 *)
   let e = Envelope.of_pulse ~window:(Interval.point 0.) pulse0 in
   check_f "no noise" 0. (Envelope.delay_noise ~victim e)
 
 let test_delay_noise_positive_when_aligned () =
-  let victim = Transition.make ~t50:1.0 ~slew:0.2 () in
+  let victim = Transition.make ~t50:1.0 ~slew:0.2 in
   let e = Envelope.of_pulse ~window:(Interval.point 0.8) pulse0 in
   Alcotest.(check bool) "positive" true (Envelope.delay_noise ~victim e > 0.)
 
 let test_delay_noise_monotone_in_peak () =
-  let victim = Transition.make ~t50:1.0 ~slew:0.2 () in
+  let victim = Transition.make ~t50:1.0 ~slew:0.2 in
   let mk peak =
     Envelope.of_pulse ~window:(Interval.point 0.8)
       (Pulse.make ~onset:0. ~peak ~rise:0.2 ~decay:0.4)
@@ -164,14 +164,14 @@ let test_delay_noise_monotone_in_peak () =
 
 let test_delay_noise_encapsulation_implies_more () =
   (* Theorem 1's base case: bigger envelope, at least as much noise *)
-  let victim = Transition.make ~t50:1.0 ~slew:0.3 () in
+  let victim = Transition.make ~t50:1.0 ~slew:0.3 in
   let small = Envelope.of_pulse ~window:(Interval.make 0.5 0.9) pulse0 in
   let big = Envelope.widen 0.5 small in
   Alcotest.(check bool) "noise monotone under encapsulation" true
     (Envelope.delay_noise ~victim big >= Envelope.delay_noise ~victim small)
 
 let test_noisy_waveform_subtraction () =
-  let victim = Transition.make ~t50:1.0 ~slew:0.2 () in
+  let victim = Transition.make ~t50:1.0 ~slew:0.2 in
   let e = Envelope.of_pulse ~window:(Interval.point 0.9) pulse0 in
   let noisy = Envelope.noisy_waveform ~victim e in
   let x = 1.15 in
@@ -959,7 +959,7 @@ let qcheck_tests =
         Envelope.encapsulates e2 e1);
     Test.make ~name:"delay noise is nonnegative" ~count:200
       (pair arb_pulse arb_window) (fun (p, w) ->
-        let victim = Transition.make ~t50:0.5 ~slew:0.2 () in
+        let victim = Transition.make ~t50:0.5 ~slew:0.2 in
         Envelope.delay_noise ~victim (Envelope.of_pulse ~window:w p) >= 0.);
     Test.make ~name:"combine peak bounded by sum of peaks" ~count:200
       (pair (pair arb_pulse arb_pulse) arb_window) (fun ((p1, p2), w) ->

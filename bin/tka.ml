@@ -135,6 +135,11 @@ let emit_json path json =
     Tka_obs.Jsonx.write_file path json
   end
 
+(* The text report's printf: silent when the [--json] report goes to
+   stdout, so that stdout holds the JSON alone. *)
+let report_printf json fmt =
+  if json = Some "-" then Printf.ifprintf stdout fmt else Printf.printf fmt
+
 (* dump plain text honouring the same convention *)
 let emit_text path text =
   if path = "-" then print_string text
@@ -796,34 +801,34 @@ let eco_cmd =
     run_obs obs (fun () ->
         let nl = load ~liberty path in
         let r, fixed = Eco.run ~fix_k ?checkpoint (Analyzer.create ~k nl) in
-        Printf.printf "circuit %s: ECO loop, fix top-%d of k=%d\n"
-          r.Eco.eco_design fix_k k;
+        let printf fmt = report_printf json fmt in
+        printf "circuit %s: ECO loop, fix top-%d of k=%d\n" r.Eco.eco_design fix_k k;
         (match r.Eco.eco_set with
-        | None -> Printf.printf "  no elimination candidates; nothing to fix\n"
+        | None -> printf "  no elimination candidates; nothing to fix\n"
         | Some s ->
-          Printf.printf "  removing %d coupling(s):\n%s\n"
+          printf "  removing %d coupling(s):\n%s\n"
             (List.length r.Eco.eco_edits)
             (Tka_topk.Coupling_set.describe nl s));
-        Printf.printf "  noisy delay %.4f ns -> %.4f ns after fix\n"
-          r.Eco.eco_delay_noisy r.Eco.eco_delay_fixed;
+        if r.Eco.eco_edits <> [] then
+          printf "  noisy delay %.4f ns -> %.4f ns after fix\n" r.Eco.eco_delay_noisy
+            r.Eco.eco_delay_fixed;
         Option.iter
           (fun v ->
-            Printf.printf
-              "  re-verify: full %.3f s, incremental %.3f s (%.1fx speedup)\n"
+            printf "  re-verify: full %.3f s, incremental %.3f s (%.1fx speedup)\n"
               v.Eco.v_t_full_s v.Eco.v_t_incr_s v.Eco.v_speedup)
           r.Eco.eco_verify;
-        Printf.printf "  dirty nets %d, cache hits %d, misses %d\n"
-          r.Eco.eco_dirty_nets r.Eco.eco_after.Analyzer.rs_hits
-          r.Eco.eco_after.Analyzer.rs_misses;
+        if r.Eco.eco_edits <> [] then
+          printf "  dirty nets %d, cache hits %d, misses %d\n" r.Eco.eco_dirty_nets
+            r.Eco.eco_after.Analyzer.rs_hits r.Eco.eco_after.Analyzer.rs_misses;
         if r.Eco.eco_before.Analyzer.rs_hits > 0 then
-          Printf.printf "  warm start: initial analysis reused %d victims\n"
+          printf "  warm start: initial analysis reused %d victims\n"
             r.Eco.eco_before.Analyzer.rs_hits;
         Option.iter
           (fun v ->
-            Printf.printf "  incremental results identical: %s\n"
+            printf "  incremental results identical: %s\n"
               (if v.Eco.v_identical then "yes" else "NO"))
           r.Eco.eco_verify;
-        Printf.printf "  fix rule: %s\n" (Eco.rule_name r.Eco.eco_rule);
+        printf "  fix rule: %s\n" (Eco.rule_name r.Eco.eco_rule);
         Option.iter (fun path -> emit_json path (Eco.report_json r)) json;
         Option.iter
           (fun path -> emit_text path (Nf.print (Analyzer.netlist fixed)))
@@ -934,29 +939,30 @@ let repair_cmd =
             ~dry_run ?journal ?checkpoint nl
         in
         let r = report in
-        Printf.printf "circuit %s: repair loop, k=%d fix_k=%d budget=%d%s\n"
+        let printf fmt = report_printf json fmt in
+        printf "circuit %s: repair loop, k=%d fix_k=%d budget=%d%s\n"
           r.Repair.rp_circuit k fix_k budget
           (if dry_run then " (dry run)" else "");
-        Printf.printf "  target %.4f ns (noiseless %.4f, initial %.4f)\n"
+        printf "  target %.4f ns (noiseless %.4f, initial %.4f)\n"
           r.Repair.rp_target_delay r.Repair.rp_noiseless_delay
           r.Repair.rp_initial_delay;
         List.iter
           (fun e ->
-            Printf.printf "  iter %d %-10s %-8s %2d edit(s)  %.4f -> %.4f ns\n"
+            printf "  iter %d %-10s %-8s %2d edit(s)  %.4f -> %.4f ns\n"
               e.Repair.en_iter
               (Repair.move_name e.Repair.en_move)
               (if e.Repair.en_accepted then "ACCEPT" else "reject")
               (List.length e.Repair.en_edits)
               e.Repair.en_delay_before e.Repair.en_delay_after)
           r.Repair.rp_journal;
-        Printf.printf
+        printf
           "  outcome %s: %d edit(s) in %d iteration(s), %d rejected\n"
           (Repair.outcome_name r.Repair.rp_outcome)
           r.Repair.rp_edits_applied r.Repair.rp_iterations r.Repair.rp_rejected;
-        Printf.printf "  delay %.4f -> %.4f ns (%.1f ps recovered)\n"
+        printf "  delay %.4f -> %.4f ns (%.1f ps recovered)\n"
           r.Repair.rp_initial_delay r.Repair.rp_final_delay
           ((r.Repair.rp_initial_delay -. r.Repair.rp_final_delay) *. 1000.);
-        Printf.printf "  final state identical to scratch re-analysis: %s\n"
+        printf "  final state identical to scratch re-analysis: %s\n"
           (if r.Repair.rp_identical then "yes" else "NO");
         Option.iter (fun p -> emit_json p (Repair.report_json r)) json;
         Option.iter

@@ -16,8 +16,8 @@ module Log = Tka_obs.Log
 module Metrics = Tka_obs.Metrics
 module Trace = Tka_obs.Trace
 
-(* Tables keyed by net or directed-coupling ids: those are dense small
-   ints, so the identity is a perfect hash and lookups skip the generic
+(* Tables keyed by directed-coupling ids: those are dense small ints,
+   so the identity is a perfect hash and lookups skip the generic
    structural hash and compare. *)
 module Int_tbl = Hashtbl.Make (struct
   type t = int
@@ -32,6 +32,7 @@ let m_runs = Metrics.Counter.make "engine.runs"
 let g_runtime = Metrics.Gauge.make "engine.last_runtime_s"
 let h_victim_s = Metrics.Histogram.make "engine.victim_seconds"
 let m_prelude_reuses = Metrics.Counter.make "engine.prelude_reuses"
+let m_direct = Metrics.Counter.make "engine.direct_summaries"
 
 type mode = Addition | Elimination
 
@@ -109,6 +110,12 @@ type prelude = {
   pr_strong : bool array;
 }
 
+(* A net's direct-only summary, the stats of its enumeration, and
+   whether some victim has read it, visited or cached: only read
+   summaries count in the run's stats. Victims of one level may read
+   it at once, hence the atomic. *)
+type direct = { d_summary : summary; d_stats : Ilist.stats; d_read : bool Atomic.t }
+
 let eps = 1e-9
 
 let mode_name = function Addition -> "addition" | Elimination -> "elimination"
@@ -131,28 +138,17 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
   let filt = Filter.prepare ~mode:config.filter ~windows:mode_w topo in
   let base_lat v = (base_w v).TW.lat in
   let noisy_lat v = (noisy_w v).TW.lat in
-  let stats = Ilist.fresh_stats () in
-  let summaries : summary array = Array.make nn [||] in
-  (* Memoised direct-only summaries of nets NOT upstream of the victim
-     requesting them. Shared across the sweep; the mutex only guards
-     table access — the enumeration itself runs outside it, and a lost
-     insertion race recomputes a value that is identical by purity, so
-     results stay deterministic at any jobs count. The stats recorded
-     by the winning insertion are folded into the run totals at the end
-     (in net-id order, also deterministic). *)
-  (* Pre-sized to the net count (capped: a 1M-net design does not need
-     a quarter-million buckets up front) so the sweep never pays a
-     rehash-and-copy of a large table mid-run. *)
-  let direct_memo : (summary * Ilist.stats) Int_tbl.t =
-    Int_tbl.create (max 64 (min 65536 (nn / 4)))
-  in
-  let memo_mutex = Mutex.create () in
-  (* Run-local prelude hand-over between a net's two consumers, guarded
-     by [memo_mutex]; [visited.(v)] marks that [v]'s sweep visit has
-     asked for its prelude. *)
-  let preludes : prelude Int_tbl.t = Int_tbl.create 64 in
-  let visited = Array.make nn false in
-  (* direct summaries are only requested by higher-order candidates *)
+  (* Per-net slots of the sweep. Each is written by one task of one
+     phase (docs/parallelism.md): [records.(v)] by [v]'s cache lookup
+     or visit, [directs.(a)] and [stash.(a)] by [a]'s direct-only
+     enumeration (or a cached victim's replay), and [stash.(a)] cleared
+     by [a]'s own visit. Only a direct's read flag is set by several
+     tasks. *)
+  let records : cached_victim option array = Array.make nn None in
+  let directs : direct option array = Array.make nn None in
+  let stash : prelude option array = Array.make nn None in
+  let summary u = match records.(u) with Some r -> r.cv_summary | None -> [||] in
+  (* direct summaries are only read by higher-order candidates *)
   let higher_possible = config.use_higher_order && k >= 2 in
 
   (* The victim's latest transition, anchored at the noiseless arrival:
@@ -273,54 +269,52 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
         pr_dom_mask = dom_mask;
         pr_strong = strong;
       },
-      prim_env,
-      coupled )
-  in
-  (* A net's prelude has up to two consumers: its memoised direct-only
-     enumeration and its own sweep visit. Whichever runs first leaves
-     the prelude in [preludes] if the other may still come, and the
-     other takes it out. After a direct enumeration the visit is still
-     to come unless it has started. After a visit, only a coupled net
-     at the same level can still ask for the direct summary (a victim
-     asks for those of nets at its own level or above), and only if it
-     is not memoised yet. A missed or raced entry is recomputed
-     identically, so none of this affects results. *)
-  let prelude_of ~direct v ~victim ~ramp ~interval =
-    Mutex.lock memo_mutex;
-    if not direct then visited.(v) <- true;
-    let hit = Int_tbl.find_opt preludes v in
-    if Option.is_some hit then Int_tbl.remove preludes v;
-    Mutex.unlock memo_mutex;
-    match hit with
-    | Some pr ->
-      Metrics.Counter.incr m_prelude_reuses;
-      (pr, prim_env_of pr.pr_derate (max 16 (Array.length pr.pr_prims)))
-    | None ->
-      let pr, prim_env, coupled = build_prelude v ~victim ~ramp ~interval in
-      let level = Topo.net_level topo v in
-      if
-        direct
-        || higher_possible
-           && List.exists
-                (fun (d : CN.directed) -> Topo.net_level topo d.CN.dc_aggressor = level)
-                coupled
-      then begin
-        Mutex.lock memo_mutex;
-        let other_pending =
-          if direct then not visited.(v) else not (Int_tbl.mem direct_memo v)
-        in
-        if other_pending then Int_tbl.replace preludes v pr;
-        Mutex.unlock memo_mutex
-      end;
-      (pr, prim_env)
+      prim_env )
   in
 
-  let rec enumerate ~direct ~on_direct ~stats ~use_pseudo ~use_higher ~upto ~level v :
-      Ilist.entry list array =
+  (* The best sets attacking aggressor net [a], as a victim at [level]
+     reads them: the published summary when [a] lies at a strictly
+     lower level, otherwise its direct-only summary, which phase B of
+     this level or an earlier one has computed. The rule depends only
+     on levels, so every jobs count makes identical decisions. *)
+  let summary_of_aggressor ~level a =
+    if Topo.net_level topo a < level then summary a
+    else begin
+      let d = Option.get directs.(a) in
+      Atomic.set d.d_read true;
+      d.d_summary
+    end
+  in
+
+  (* A net's direct-only enumeration runs before its visit (phase B of
+     a level at or below the net's), so it stashes the prelude for the
+     visit, unless the net's record is already installed from the
+     cache; the visit takes it out. [direct] enumerations list only
+     primaries, with neither pseudo nor higher-order candidates, up to
+     cardinality [k - 1]. Returns the lists, their pruning stats, and,
+     for the victim cache, the direct-only summaries the higher-order
+     candidates read (in pool order, deduplicated: a cached record's
+     [cv_direct]). *)
+  let enumerate ~direct v =
     let victim = victim_tr v in
     let ramp = Transition.waveform victim in
     let interval = Dominance.interval ~victim in
-    let pr, prim_env = prelude_of ~direct v ~victim ~ramp ~interval in
+    let pr, prim_env =
+      match stash.(v) with
+      | Some pr ->
+        stash.(v) <- None;
+        Metrics.Counter.incr m_prelude_reuses;
+        (pr, prim_env_of pr.pr_derate (max 16 (Array.length pr.pr_prims)))
+      | None ->
+        let pr, prim_env = build_prelude v ~victim ~ramp ~interval in
+        if direct && Option.is_none records.(v) then stash.(v) <- Some pr;
+        (pr, prim_env)
+    in
+    let use_pseudo = config.use_pseudo && not direct in
+    let use_higher = higher_possible && not direct in
+    let upto = if direct then k - 1 else k in
+    let level = Topo.net_level topo v in
+    let stats = Ilist.fresh_stats () in
     let prim_arr = pr.pr_prims and derate_of = pr.pr_derate in
     let idx_of_id = pr.pr_idx and dom_mask = pr.pr_dom_mask in
     let strong = pr.pr_strong in
@@ -393,7 +387,8 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
           List.concat_map
             (fun (_, u) ->
               let sums =
-                if Array.length summaries.(u) > i then summaries.(u).(i) else []
+                let s = summary u in
+                if Array.length s > i then s.(i) else []
               in
               List.filter_map
                 (fun (set, du) ->
@@ -440,7 +435,7 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
         List.concat_map
           (fun (d : CN.directed) ->
             let a = d.CN.dc_aggressor in
-            let s = summary_of_aggressor ~on_direct ~level a in
+            let s = summary_of_aggressor ~level a in
             let t = i - 1 in
             let sums =
               match (if Array.length s > t then s.(t) else []) with
@@ -537,84 +532,26 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
         Ilist.prune ~capacity:(capacity_at i) ~skipped_duplicates:!skipped ~interval
           ~stats cands
     done;
-    ilists
-
-  (* Best sets attacking an aggressor net: the full summary when the
-     net lies at a strictly lower level than the requesting victim (it
-     is then guaranteed published, both in the sequential sweep and at
-     a level barrier of the parallel one), otherwise a memoised
-     direct-aggressors-only enumeration. The rule depends only on
-     levels — not on how far the sweep has progressed — so every jobs
-     count makes identical decisions. *)
-  and summary_of_aggressor ~on_direct ~level a : summary =
-    if Topo.net_level topo a < level && Array.length summaries.(a) > 0 then
-      summaries.(a)
-    else begin
-      Mutex.lock memo_mutex;
-      let hit = Int_tbl.find_opt direct_memo a in
-      Mutex.unlock memo_mutex;
-      let s, st =
-        match hit with
-        | Some e -> e
-        | None ->
-          let upto = max 0 (k - 1) in
-          let st = Ilist.fresh_stats () in
-          let ilists =
-            enumerate ~direct:true
-              ~on_direct:(fun _ _ _ -> ())
-              ~stats:st ~use_pseudo:false ~use_higher:false ~upto
-              ~level:(Topo.net_level topo a) a
-          in
-          let s = summary_of_ilists upto ilists in
-          Mutex.lock memo_mutex;
-          let e =
-            match Int_tbl.find_opt direct_memo a with
-            | Some e -> e
-            | None ->
-              Int_tbl.replace direct_memo a (s, st);
-              (s, st)
-          in
-          Mutex.unlock memo_mutex;
-          e
-      in
-      on_direct a s st;
-      s
-    end
+    let reads =
+      if (not use_higher) || Option.is_none victim_cache then []
+      else
+        List.fold_left
+          (fun acc (d : CN.directed) ->
+            let a = d.CN.dc_aggressor in
+            if Topo.net_level topo a < level || List.exists (fun (a', _, _) -> a' = a) acc
+            then acc
+            else
+              let d = Option.get directs.(a) in
+              (a, d.d_summary, d.d_stats) :: acc)
+          [] (Lazy.force higher_order_pool)
+        |> List.rev
+    in
+    (ilists, stats, reads)
   in
 
   (* --------------------------------------------------------------- *)
   (* Topological sweep                                               *)
   (* --------------------------------------------------------------- *)
-  (* Each victim writes only its own slots; nothing else is shared
-     between the nets of one level (see the safety argument in
-     docs/parallelism.md). *)
-  let victim_stats : Ilist.stats option array = Array.make nn None in
-  let out_ilists : Ilist.entry list array option array = Array.make nn None in
-  (* A cached record replaces the whole per-victim unit of work. The
-     consulted direct summaries are replayed into the shared memo so
-     the memo key set — and therefore the merged stats — match a
-     from-scratch run exactly (the values are identical by purity: a
-     valid cache hit implies the aggressor's inputs are unchanged). *)
-  (* A primary output's lists as sink selection reads them: sets and
-     objectives only, so no envelope outlives its victim. *)
-  let sink_ilists out =
-    Array.map
-      (List.map (fun (set, obj) ->
-           { Ilist.couplings = set; envelope = Envelope.zero; objective = obj }))
-      out
-  in
-  let install_cached v (cv : cached_victim) =
-    summaries.(v) <- cv.cv_summary;
-    victim_stats.(v) <- Some cv.cv_stats;
-    List.iter
-      (fun (a, s, st) ->
-        Mutex.lock memo_mutex;
-        if not (Int_tbl.mem direct_memo a) then
-          Int_tbl.replace direct_memo a (s, st);
-        Mutex.unlock memo_mutex)
-      cv.cv_direct;
-    Option.iter (fun out -> out_ilists.(v) <- Some (sink_ilists out)) cv.cv_out
-  in
   (* Reject records that cannot have come from an equivalent run (a
      provider bug or stale checkpoint): wrong cardinality range, or a
      primary output without its sink lists. *)
@@ -624,67 +561,97 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
        | Some out -> Array.length out = k + 1
        | None -> not (N.net nl v).N.is_output)
   in
-  let process v =
-    match
-      Option.bind victim_cache (fun c ->
-          (* lower levels are final here (the sweep is level-
-             synchronous), so the provider may hash their values *)
-          match c.vc_lookup ~summary_of:(fun u -> summaries.(u)) v with
-          | Some cv when cached_valid v cv -> Some cv
-          | Some _ | None -> None)
-    with
-    | Some cv -> install_cached v cv
-    | None ->
-      (* Everything kept from the enumeration is sets and objectives, so
-         every envelope it built goes back to the arena on return. *)
-      Tka_waveform.Arena.scoped @@ fun () ->
-      let st = Ilist.fresh_stats () in
-      let consulted = ref [] in
-      let on_direct a s dst =
-        if not (List.exists (fun (a', _, _) -> a' = a) !consulted) then
-          consulted := (a, s, dst) :: !consulted
-      in
-      let ilists =
-        enumerate ~direct:false ~on_direct ~stats:st ~use_pseudo:config.use_pseudo
-          ~use_higher:config.use_higher_order ~upto:k
-          ~level:(Topo.net_level topo v) v
-      in
-      summaries.(v) <- summary_of_ilists k ilists;
-      victim_stats.(v) <- Some st;
-      let out =
-        if (N.net nl v).N.is_output then
-          Some
-            (Array.map
-               (List.map (fun (e : Ilist.entry) -> (e.Ilist.couplings, e.Ilist.objective)))
-               ilists)
-        else None
-      in
-      Option.iter (fun out -> out_ilists.(v) <- Some (sink_ilists out)) out;
-      Option.iter
-        (fun c ->
-          c.vc_store v
-            {
-              cv_summary = summaries.(v);
-              cv_out = out;
-              cv_stats = st;
-              cv_direct = List.rev !consulted;
-            })
-        victim_cache
+  (* (A) A cached record replaces the whole visit. Lower levels are
+     final here, so the provider may hash their summaries. *)
+  let lookup v =
+    match Option.bind victim_cache (fun c -> c.vc_lookup ~summary_of:summary v) with
+    | Some cv when cached_valid v cv -> records.(v) <- Some cv
+    | Some _ | None -> ()
   in
-  let instrumented v =
-    (* observability disabled: no span, no histogram, no clock reads *)
+  (* ...and the direct summaries a hit consulted are replayed, so the
+     merged stats match a from-scratch run (the values are identical by
+     purity: a valid hit implies the aggressor's inputs are unchanged).
+     Two hits may replay the same net, so this step is sequential. *)
+  let replay v =
+    Option.iter
+      (fun cv ->
+        List.iter
+          (fun (a, s, st) ->
+            match directs.(a) with
+            | Some d -> Atomic.set d.d_read true
+            | None -> directs.(a) <- Some { d_summary = s; d_stats = st; d_read = Atomic.make true })
+          cv.cv_direct)
+      records.(v)
+  in
+  (* (B) The nets whose direct-only summaries the level's visits may
+     read: every coupling partner at the level or above of a victim to
+     be visited, unless computed already — a superset of what the
+     higher-order pools read. [listed] keeps a net from being listed
+     twice: a listed net's summary is computed in the same level. *)
+  let listed = Tka_util.Bitset.make nn in
+  let direct_tasks l nets =
+    Array.fold_left
+      (fun acc v ->
+        if Option.is_some records.(v) then acc
+        else
+          List.fold_left
+            (fun acc cid ->
+              let a = N.coupling_partner nl cid v in
+              if
+                Topo.net_level topo a < l
+                || Option.is_some directs.(a)
+                || Tka_util.Bitset.mem listed a
+              then acc
+              else begin
+                Tka_util.Bitset.set listed a;
+                a :: acc
+              end)
+            acc (N.couplings_of_net nl v))
+      [] nets
+    |> Array.of_list
+  in
+  (* Everything kept from an enumeration is sets and objectives, so
+     every envelope it built goes back to the arena on return. *)
+  let direct_summary a =
+    Tka_waveform.Arena.scoped @@ fun () ->
+    let ilists, st, _ = enumerate ~direct:true a in
+    directs.(a) <-
+      Some { d_summary = summary_of_ilists (k - 1) ilists; d_stats = st; d_read = Atomic.make false };
+    st
+  in
+  (* (C) A visit enumerates its net, publishes the record and offers it
+     to the cache. *)
+  let visit v =
+    Tka_waveform.Arena.scoped @@ fun () ->
+    let ilists, st, reads = enumerate ~direct:false v in
+    let out =
+      if (N.net nl v).N.is_output then
+        Some
+          (Array.map
+             (List.map (fun (e : Ilist.entry) -> (e.Ilist.couplings, e.Ilist.objective)))
+             ilists)
+      else None
+    in
+    let cv =
+      { cv_summary = summary_of_ilists k ilists; cv_out = out; cv_stats = st; cv_direct = reads }
+    in
+    records.(v) <- Some cv;
+    Option.iter (fun c -> c.vc_store v cv) victim_cache;
+    st
+  in
+  (* One span per enumeration ([work] returns its stats). With
+     observability disabled: no span, no histogram, no clock reads. *)
+  let instrumented ~span ~counter ?hist work v =
     if Trace.is_enabled () || Metrics.is_enabled () then begin
-      Metrics.Counter.incr m_victims;
+      Metrics.Counter.incr counter;
       let t0 = Tka_obs.Clock.now_ns () in
-      (* prune attribution is only known after processing, so it is
-         attached via the late-args hook *)
-      Trace.with_span_args ~cat:"engine"
-        ~args:[ ("net", Tka_obs.Jsonx.Str (N.net nl v).N.net_name) ]
-        "engine.victim"
-        (fun () ->
-          match victim_stats.(v) with
-          | None -> []
-          | Some st ->
+      (* prune attribution is only known after the enumeration, so it
+         is attached via the late-args hook *)
+      let (_ : Ilist.stats) =
+        Trace.with_span_args ~cat:"engine"
+          ~args:[ ("net", Tka_obs.Jsonx.Str (N.net nl v).N.net_name) ]
+          span
+          (fun st ->
             [
               ("candidates", Tka_obs.Jsonx.Int st.Ilist.candidates);
               ("dominated", Tka_obs.Jsonx.Int st.Ilist.dominated);
@@ -692,39 +659,59 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
               ("capped", Tka_obs.Jsonx.Int st.Ilist.capped);
               ("checks", Tka_obs.Jsonx.Int st.Ilist.checks);
             ])
-        (fun () -> process v);
-      Metrics.Histogram.observe h_victim_s (Tka_obs.Clock.seconds_since t0)
+          (fun () -> work v)
+      in
+      Option.iter (fun h -> Metrics.Histogram.observe h (Tka_obs.Clock.seconds_since t0)) hist
     end
-    else process v
+    else ignore (work v : Ilist.stats)
   in
+  let direct_task = instrumented ~span:"engine.direct" ~counter:m_direct direct_summary in
+  let visit_task v =
+    if Option.is_none records.(v) then
+      instrumented ~span:"engine.victim" ~counter:m_victims ~hist:h_victim_s visit v
+  in
+  (* Level-synchronous sweep, the same schedule at every jobs count:
+     each phase is one pool batch, and the batch's return is the
+     barrier. A net only reads the summaries of strictly lower levels
+     and the direct summaries of earlier phases (docs/parallelism.md). *)
   let pool = Tka_parallel.Pool.get_default () in
-  if Tka_parallel.Pool.size pool <= 1 then
-    Array.iter instrumented (Topo.net_order topo)
-  else
-    (* Level-synchronous sweep: a net only reads summaries of strictly
-       lower levels, all published before its level starts (the pool
-       call is the barrier between levels). *)
-    Array.iter
-      (fun nets -> Tka_parallel.Pool.iter ~chunk:1 pool instrumented nets)
-      (Topo.level_nets topo);
+  let batch f nets = Tka_parallel.Pool.iter ~chunk:1 pool f nets in
+  Array.iteri
+    (fun l nets ->
+      if Option.is_some victim_cache then begin
+        batch lookup nets;
+        Array.iter replay nets
+      end;
+      if higher_possible then batch direct_task (direct_tasks l nets);
+      batch visit_task nets)
+    (Topo.level_nets topo);
+  let record v = Option.get records.(v) in
   (* Deterministic totals: per-victim records merged in net order, then
-     the memoised direct enumerations in net-id order. All fields are
-     sums, so the totals equal the sequential single-record run. *)
+     the direct summaries any victim read, in net-id order. All fields
+     are sums, so the totals equal the sequential single-record run. *)
+  let stats = Ilist.fresh_stats () in
+  Array.iter (fun v -> Ilist.merge_stats stats (record v).cv_stats) (Topo.net_order topo);
   Array.iter
-    (fun v ->
-      match victim_stats.(v) with
-      | Some st -> Ilist.merge_stats stats st
-      | None -> ())
-    (Topo.net_order topo);
-  Int_tbl.fold (fun a (_, st) acc -> (a, st) :: acc) direct_memo []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (_, st) -> Ilist.merge_stats stats st);
-  (* Prepending in net order reproduces the processing-order prepends of
-     the sequential sweep, keeping sink-selection tie-breaks unchanged. *)
+    (function
+      | Some d when Atomic.get d.d_read -> Ilist.merge_stats stats d.d_stats
+      | Some _ | None -> ())
+    directs;
+  (* A primary output's lists as sink selection reads them: sets and
+     objectives only, so no envelope outlives its victim. Prepending in
+     net order reproduces the processing-order prepends of the
+     sequential sweep, keeping sink-selection tie-breaks unchanged. *)
   let po_entries =
     Array.fold_left
       (fun acc v ->
-        match out_ilists.(v) with Some il -> (v, il) :: acc | None -> acc)
+        match (record v).cv_out with
+        | Some out ->
+          ( v,
+            Array.map
+              (List.map (fun (set, obj) ->
+                   { Ilist.couplings = set; envelope = Envelope.zero; objective = obj }))
+              out )
+          :: acc
+        | None -> acc)
       [] (Topo.net_order topo)
   in
 

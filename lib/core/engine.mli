@@ -104,8 +104,8 @@ type result = {
     enumeration (fanin-cone summaries, windows, couplings, parasitics)
     is unchanged; then installing it is observationally identical to
     recomputation — including [res_stats], because the consulted
-    direct summaries (and their stats) are replayed into the shared
-    memo table. Envelopes are not stored: nothing downstream of a
+    direct summaries (and their stats) are replayed into the sweep's
+    per-net direct-summary slots. Envelopes are not stored: nothing downstream of a
     published summary reads them. *)
 
 type cardinality_summary = (Coupling_set.t * float) list array
@@ -120,8 +120,9 @@ type cached_victim = {
           objectives) *)
   cv_stats : Ilist.stats;  (** the victim's own pruning stats *)
   cv_direct : (Tka_circuit.Netlist.net_id * cardinality_summary * Ilist.stats) list;
-      (** direct-only aggressor summaries this victim consulted, in
-          first-consult order (deduplicated) *)
+      (** direct-only summaries of the same-or-higher-level aggressor
+          nets this victim's higher-order candidates read, in pool
+          order (deduplicated) *)
 }
 
 type victim_cache = {
@@ -154,8 +155,9 @@ val compute :
     engine never computes itself: callers sharing it across runs (both
     modes, a sweep of k) measure the enumeration alone.
 
-    When the shared {!Tka_parallel.Pool} has more than one domain the
-    topological sweep runs level-synchronously in parallel; results —
+    The topological sweep runs level by level on the shared
+    {!Tka_parallel.Pool}, in three batches per level (cache lookups,
+    direct-only summaries, visits) at every jobs count; results —
     sets, objectives and [res_stats] — are bit-identical at any jobs
     count (see [docs/parallelism.md]). *)
 

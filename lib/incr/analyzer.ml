@@ -117,8 +117,8 @@ let analyze t ~filter =
        value hashes of the summaries its enumeration will consult —
        lower-level coupling partners (published summaries) and driver
        fanins (pseudo-aggressor sources). Same-or-higher-level
-       partners are consulted through the direct-only memo, whose
-       inputs are one hop of signatures: fp_hd. Computed once per
+       partners are consulted through their direct-only summaries,
+       whose inputs are one hop of signatures: fp_hd. Computed once per
        victim at lookup and reused by the store. *)
     let key_memo : Fnv.t option array = Array.make nn None in
     let key summary_of v =

@@ -17,8 +17,8 @@
       but typically leaves base windows untouched outside the edit's
       electrical neighbourhood, so Addition-mode results survive edits
       that invalidate Elimination-mode ones;
-    - [fp_hd]: each net's direct-only hash — what the engine's memoised
-      direct enumeration of the net reads: its own signature plus every
+    - [fp_hd]: each net's direct-only hash — what the engine's
+      direct-only enumeration of the net reads: its own signature plus every
       incident coupling's capacitance and partner signature (one hop,
       no recursion);
     - [fp_stable]: a content-stable 64-bit name per {e directed}

@@ -107,6 +107,54 @@ let test_eco_lines () =
        (fun l -> contains ~sub:"noisy delay" l && not (String.starts_with ~prefix:"  noisy delay" l))
        lines)
 
+(* stdout of [tka args], and the exit code *)
+let stdout_of d args =
+  let out = Filename.concat d "stdout.txt" in
+  let code =
+    Sys.command (Filename.quote_command tka args ~stdout:out ~stderr:Filename.null)
+  in
+  (code, read_file out)
+
+(* With [--json -] the JSON report is all that goes to stdout, so it
+   pipes into a JSON reader; the text report is left out. *)
+let test_json_stdout () =
+  let d = temp_dir () in
+  let net = Filename.concat d "i1.tka" in
+  Alcotest.(check int) "gen" 0 (run [ "gen"; "-b"; "i1"; "-o"; net ]);
+  List.iter
+    (fun (args, want_code, key) ->
+      let label = String.concat " " args in
+      let code, out = stdout_of d (args @ [ "--json"; "-"; net ]) in
+      Alcotest.(check int) (label ^ " exit code") want_code code;
+      let json =
+        match Tka_obs.Jsonx.of_string out with
+        | j -> Some j
+        | exception _ -> None
+      in
+      Alcotest.(check bool) (label ^ ": stdout is one JSON object") true
+        (Option.bind json (Tka_obs.Jsonx.member key) <> None))
+    [
+      ([ "eco"; "-k"; "5" ], 0, "identical");
+      ([ "repair"; "-k"; "5"; "--budget"; "1"; "--dry-run" ], 4, "outcome");
+    ]
+
+(* With no fix set nothing is edited, so the text report has no
+   after-fix delay and no re-analysis line. *)
+let test_eco_no_fix_text () =
+  let d = temp_dir () in
+  let tiny = Filename.concat d "tiny.tka" and net = Filename.concat d "nc.tka" in
+  Alcotest.(check int) "gen" 0 (run [ "gen"; "-b"; "tiny"; "-o"; tiny ]);
+  let oc = open_out net in
+  String.split_on_char '\n' (read_file tiny)
+  |> List.filter (fun l -> not (String.starts_with ~prefix:"coupling " l))
+  |> String.concat "\n" |> output_string oc;
+  close_out oc;
+  let code, out = stdout_of d [ "eco"; "-k"; "4"; net ] in
+  Alcotest.(check int) "no fix set: exit 2" 2 code;
+  Alcotest.(check bool) "says nothing to fix" true (contains ~sub:"nothing to fix" out);
+  Alcotest.(check bool) "no after-fix delay" false (contains ~sub:"after fix" out);
+  Alcotest.(check bool) "no re-analysis line" false (contains ~sub:"dirty nets" out)
+
 let () =
   Alcotest.run "tka_cli"
     [
@@ -116,5 +164,7 @@ let () =
           Alcotest.test_case "dumps survive an input error" `Quick test_error_exit_1;
           Alcotest.test_case "bad flag values exit 1" `Quick test_bad_value_exit_1;
           Alcotest.test_case "eco delay on its own line" `Quick test_eco_lines;
+          Alcotest.test_case "--json - prints JSON alone" `Quick test_json_stdout;
+          Alcotest.test_case "eco text with no fix" `Quick test_eco_no_fix_text;
         ] );
     ]

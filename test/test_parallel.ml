@@ -175,6 +175,60 @@ let test_table2x_multi_cone_invariant () =
         [ 2; 4 ])
     [ Engine.Addition; Engine.Elimination ]
 
+(* The level sweep's schedule is the same at every jobs count: the
+   direct-only summaries phase B computes are the same nets, each
+   enumerated once, and every victim is visited once. The engine's
+   spans name the net they enumerate. *)
+let test_one_enumeration_per_net name () =
+  let topo =
+    Topo.create (match B.by_name name with Some nl -> nl | None -> assert false)
+  in
+  let fixpoint = Tka_noise.Iterate.run topo in
+  let direct_summaries = Tka_obs.Metrics.Counter.make "engine.direct_summaries" in
+  let span_nets span =
+    List.filter_map
+      (fun (sp : Tka_obs.Trace.span) ->
+        if sp.Tka_obs.Trace.sp_name <> span then None
+        else
+          match List.assoc_opt "net" sp.Tka_obs.Trace.sp_args with
+          | Some (Tka_obs.Jsonx.Str n) -> Some n
+          | _ -> None)
+      (Tka_obs.Trace.spans ())
+  in
+  let run mode jobs =
+    at_jobs jobs (fun () ->
+        Tka_obs.Trace.clear ();
+        Tka_obs.Trace.set_enabled true;
+        let before = Tka_obs.Metrics.Counter.value direct_summaries in
+        let r =
+          Fun.protect
+            ~finally:(fun () -> Tka_obs.Trace.set_enabled false)
+            (fun () ->
+              Tka_obs.Metrics.with_enabled true (fun () ->
+                  Engine.compute ~config:(Engine.default_config ~k:5) ~fixpoint ~mode topo))
+        in
+        let n = Tka_obs.Metrics.Counter.value direct_summaries - before in
+        let direct = span_nets "engine.direct" and victims = span_nets "engine.victim" in
+        Tka_obs.Trace.clear ();
+        let label what = Printf.sprintf "%s %s jobs=%d: %s" name (Engine.mode_name mode) jobs what in
+        let once l = List.length (List.sort_uniq String.compare l) = List.length l in
+        Alcotest.(check bool) (label "direct summaries > 0") true (n > 0);
+        Alcotest.(check int) (label "one engine.direct span per direct summary") n
+          (List.length direct);
+        Alcotest.(check bool) (label "no net's direct summary enumerated twice") true (once direct);
+        Alcotest.(check bool) (label "no victim visited twice") true (once victims);
+        Alcotest.(check int) (label "every net visited") (Array.length (Topo.net_order topo))
+          (List.length victims);
+        (n, result_repr r))
+  in
+  List.iter
+    (fun mode ->
+      let n1, r1 = run mode 1 and n4, r4 = run mode 4 in
+      let what = Printf.sprintf "%s %s" name (Engine.mode_name mode) in
+      Alcotest.(check int) (what ^ ": direct summaries jobs=4 == jobs=1") n1 n4;
+      Alcotest.(check string) (what ^ ": result and res_stats jobs=4 == jobs=1") r1 r4)
+    [ Engine.Addition; Engine.Elimination ]
+
 (* ------------------------------------------------------------------ *)
 (* Brute force determinism across jobs                                *)
 (* ------------------------------------------------------------------ *)
@@ -256,6 +310,10 @@ let () =
             test_table2x_multi_cone_invariant;
           Alcotest.test_case "i2 elimination jobs {1,2,4}" `Slow
             (test_engine_jobs_invariant "i2" Engine.Elimination);
+          Alcotest.test_case "i4 one enumeration per net, jobs {1,4}" `Quick
+            (test_one_enumeration_per_net "i4");
+          Alcotest.test_case "i6 one enumeration per net, jobs {1,4}" `Quick
+            (test_one_enumeration_per_net "i6");
           Alcotest.test_case "brute force jobs {1,2,4}" `Quick
             test_subset_unranking;
           QCheck_alcotest.to_alcotest test_random_jobs_invariant;

@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation section on the synthetic i1..i10 suite.
 
-     dune exec bench/main.exe                 -- everything
+     dune exec bench/main.exe                 -- everything but table2x
      dune exec bench/main.exe -- table1       -- only Table 1
      dune exec bench/main.exe -- table2a table2b --circuits i1,i3
      dune exec bench/main.exe -- --quick      -- reduced sweep for smoke runs
@@ -12,14 +12,19 @@
      table2a  top-k elimination sweep  (Table 2(a) data semantics)
      table2b  top-k addition sweep     (Table 2(b) data semantics)
      figure10 delay vs k series for i1 and i10, both analyses
+     ablation pseudo / higher-order aggressors and I-list capacity
      parallel sequential vs parallel engine sweep (speedup + determinism)
-     serve    daemon load test: concurrent clients against tka serve
-     kernels  shared re-ranking ctx vs fresh Iterate.run
+     table2x  runtime and peak-RSS scaling on 10^5-10^6-net circuits
+              (only when named)
+
+   The serve, eco, repair, filter and re-ranking workloads are measured
+   by perfbench (BENCHMARK.json), not here.
 
    --jobs N (or TKA_JOBS) sizes the shared domain pool: the table2
    sections run their per-circuit sweeps concurrently, and the engine /
    brute force parallelise internally. Results are identical at any
-   jobs count; all runtimes are monotonic wall-clock seconds. *)
+   jobs count; all runtimes are monotonic wall-clock seconds. Results
+   go to BENCH_topk.json in the working directory. *)
 
 module N = Tka_circuit.Netlist
 module Topo = Tka_circuit.Topo
@@ -82,7 +87,17 @@ let default_options () =
     rss_budget_mb = None;
   }
 
-let parse_args () =
+(* Bad arguments are reported before any section runs. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s\n" msg;
+      exit 2)
+    fmt
+
+(* [known] lists the section names; every one but table2x runs by
+   default. *)
+let parse_args known =
   let o = default_options () in
   let rec go = function
     | [] -> ()
@@ -95,40 +110,37 @@ let parse_args () =
       o.bf_budget <- 5.;
       go rest
     | "--circuits" :: v :: rest ->
-      o.circuits <- String.split_on_char ',' v;
+      let names = String.split_on_char ',' v in
+      (match List.find_opt (fun c -> B.spec_of_name c = None) names with
+      | Some c -> usage_error "--circuits: unknown benchmark %S (i1..i10)" c
+      | None -> o.circuits <- names);
       go rest
     | "--bf-budget" :: v :: rest ->
-      o.bf_budget <- float_of_string v;
+      (match float_of_string_opt (String.trim v) with
+      | Some b when b > 0. -> o.bf_budget <- b
+      | _ -> usage_error "--bf-budget must be a positive number (got %S)" v);
       go rest
     | "--rss-budget-mb" :: v :: rest ->
       (match float_of_string_opt (String.trim v) with
       | Some b when b > 0. -> o.rss_budget_mb <- Some b
-      | _ ->
-        Printf.eprintf "bench: --rss-budget-mb must be a positive number (got %S)\n" v;
-        exit 2);
+      | _ -> usage_error "--rss-budget-mb must be a positive number (got %S)" v);
       go rest
     | "--jobs" :: v :: rest ->
       (match int_of_string_opt (String.trim v) with
       | Some j when j >= 1 -> Pool.set_default_jobs j
-      | Some j ->
-        Printf.eprintf "bench: --jobs must be >= 1 (got %d)\n" j;
-        exit 2
-      | None ->
-        Printf.eprintf "bench: --jobs must be a positive integer (got %S)\n" v;
-        exit 2);
+      | Some j -> usage_error "--jobs must be >= 1 (got %d)" j
+      | None -> usage_error "--jobs must be a positive integer (got %S)" v);
       go rest
     | s :: rest when String.length s > 0 && s.[0] <> '-' ->
+      if not (List.mem s known) then
+        usage_error "unknown section %S (%s)" s (String.concat " " known);
       o.sections <- o.sections @ [ s ];
       go rest
-    | s :: _ -> failwith (Printf.sprintf "unknown option %S" s)
+    | s :: _ -> usage_error "unknown option %S" s
   in
   go (List.tl (Array.to_list Sys.argv));
   if o.sections = [] then
-    o.sections <-
-      [
-        "stats"; "table1"; "table2a"; "table2b"; "figure10"; "ablation";
-        "filter"; "parallel"; "eco"; "repair"; "serve"; "kernels";
-      ];
+    o.sections <- List.filter (fun s -> s <> "table2x") known;
   o
 
 let section title =
@@ -508,141 +520,6 @@ let run_ablation o =
   Printf.printf "circuit %s, top-%d addition analysis\n%s" name k (Tt.render t)
 
 (* ------------------------------------------------------------------ *)
-(* Aggressor candidate filtering                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The pre-engine candidate filter (docs/filtering.md): r-reduction
-   and enumeration speedup per mode on the elimination engine, with
-   the contract the verify oracle enforces also pinned here — [none]
-   must be bit-identical to the default run, whole Elimination.t
-   compared field by field, and CI gates on the resulting
-   ["identical"] flag. The r-reduction numbers come from
-   Filter.survey, a pure walk over every victim, so they are the same
-   at any jobs count; runtimes are min-of-2 with a shared noise
-   fixpoint so the figure is the enumeration itself. *)
-let run_filter o =
-  let module Filter = Tka_filter.Filter in
-  let module Fmode = Tka_filter.Mode in
-  section "Aggressor candidate filter: r-reduction and engine speedup";
-  let names =
-    if o.quick then [ List.hd o.circuits ]
-    else
-      let n = List.length o.circuits in
-      List.sort_uniq String.compare
-        [
-          List.hd o.circuits;
-          List.nth o.circuits (n / 2);
-          List.nth o.circuits (n - 1);
-        ]
-  in
-  let k = if o.quick then 5 else 10 in
-  let t =
-    Tt.create
-      ~headers:
-        [
-          ("ckt", Tt.Left); ("filter", Tt.Left); ("runtime (s)", Tt.Right);
-          ("speedup", Tt.Right); ("r before", Tt.Right); ("r after", Tt.Right);
-          ("dropped", Tt.Right); ("derated", Tt.Right); ("top-k delta", Tt.Right);
-        ]
-  in
-  let window_speedup = ref 0. in
-  let jcircuits =
-    List.map
-      (fun name ->
-        let _, topo = circuit name in
-        let fixpoint = Iterate.run topo in
-        let windows = Iterate.windows fixpoint in
-        let run_mode m =
-          let config = { (Engine.default_config ~k) with Engine.filter = m } in
-          let best = ref Float.infinity in
-          let res = ref None in
-          for _ = 1 to 2 do
-            let t0 = wall () in
-            let r = Engine.compute ~config ~fixpoint ~mode:Engine.Elimination topo in
-            let dt = wall () -. t0 in
-            if dt < !best then best := dt;
-            res := Some r
-          done;
-          (!best, Option.get !res)
-        in
-        let rt_none, r_none = run_mode Fmode.Off in
-        let jmodes =
-          List.map
-            (fun m ->
-              let rt, r = if m = Fmode.Off then (rt_none, r_none) else run_mode m in
-              let sv =
-                Filter.survey (Filter.prepare ~mode:m ~windows topo)
-              in
-              let topk_delta =
-                let d = ref 0 in
-                for i = 1 to k do
-                  let set r =
-                    Option.map
-                      (fun c -> c.Engine.ch_set)
-                      r.Engine.res_per_k.(i)
-                  in
-                  if not (Option.equal CS.equal (set r_none) (set r)) then incr d
-                done;
-                !d
-              in
-              let speedup = rt_none /. Float.max rt 1e-9 in
-              if m = Fmode.Window then
-                window_speedup := Float.max !window_speedup speedup;
-              Tt.add_row t
-                [
-                  name; Fmode.to_string m; Tt.cell_f ~decimals:3 rt;
-                  Tt.cell_f ~decimals:2 speedup;
-                  Tt.cell_i sv.Filter.sv_candidates;
-                  Tt.cell_i sv.Filter.sv_kept;
-                  Tt.cell_i (Filter.sv_dropped sv);
-                  Tt.cell_i sv.Filter.sv_derated;
-                  Tt.cell_i topk_delta;
-                ];
-              ( Fmode.to_string m,
-                J.Obj
-                  [
-                    ("runtime_s", J.Float rt);
-                    ("speedup", J.Float speedup);
-                    ("r_before", J.Int sv.Filter.sv_candidates);
-                    ("r_after", J.Int sv.Filter.sv_kept);
-                    ("derated", J.Int sv.Filter.sv_derated);
-                    ("dropped_window", J.Int sv.Filter.sv_dropped_window);
-                    ("dropped_constant", J.Int sv.Filter.sv_dropped_constant);
-                    ( "dropped_correlated",
-                      J.Int sv.Filter.sv_dropped_correlated );
-                    ("topk_delta", J.Int topk_delta);
-                  ] ))
-            Fmode.all
-        in
-        (name, J.Obj jmodes))
-      names
-  in
-  print_string (Tt.render t);
-  (* bit-identity of [--filter none] with the default, on the smallest
-     circuit of the sweep: the full Elimination.t (both engines, exact
-     re-ranking, runtimes excluded) field by field *)
-  let _, topo0 = circuit (List.hd names) in
-  let fix0 = Iterate.run topo0 in
-  let identical =
-    Tka_incr.Eco.elim_identical
-      (Elimination.compute ~fixpoint:fix0 ~k topo0)
-      (Elimination.compute ~filter:Fmode.Off ~fixpoint:fix0 ~k topo0)
-  in
-  Printf.printf "filter none bit-identical to default: %s\n"
-    (if identical then "yes" else "NO (filter correctness violation!)");
-  Printf.printf "best window-mode enumeration speedup: %.2fx\n%!"
-    !window_speedup;
-  if not identical then exit 1;
-  json_add "filter"
-    (J.Obj
-       [
-         ("identical", J.Bool identical);
-         ("window_speedup", J.Float !window_speedup);
-         ("k", J.Int k);
-         ("circuits", J.Obj jcircuits);
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* Parallel speedup                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -702,226 +579,6 @@ let run_parallel o =
          ("speedup", J.Float speedup);
          ("deterministic", J.Bool deterministic);
        ])
-
-(* ------------------------------------------------------------------ *)
-(* Incremental ECO re-analysis                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The paper's fix loop on the largest circuit of the run: full top-k
-   elimination analysis, remove the top-1 set's coupling, then
-   re-verify both from scratch and through the Tka_incr cache. The
-   incremental rerun must be bit-identical (hard failure otherwise)
-   and substantially faster; both figures land in the `eco` section of
-   BENCH_topk.json. *)
-let run_eco o =
-  let name = List.nth o.circuits (List.length o.circuits - 1) in
-  let k = if o.quick then 5 else 10 in
-  section
-    (Printf.sprintf "Incremental ECO re-analysis: %s, fix top-1 of k=%d" name k);
-  let nl, _ = circuit name in
-  let module Eco = Tka_incr.Eco in
-  let report, _ = Eco.run ~fix_k:1 (Tka_incr.Analyzer.create ~k nl) in
-  Printf.printf "  mitigation: %d coupling(s) removed, %d nets dirty\n"
-    (List.length report.Eco.eco_edits) report.Eco.eco_dirty_nets;
-  Printf.printf "  delay: %.4f ns noisy -> %.4f ns after fix\n"
-    report.Eco.eco_delay_noisy report.Eco.eco_delay_fixed;
-  (* the bench circuits all have a fix set, so the report is verified *)
-  let v = Option.get report.Eco.eco_verify in
-  Printf.printf
-    "  re-analysis: full %.2f s, incremental %.2f s (%.1fx, %d hits / %d \
-     misses)\n"
-    v.Eco.v_t_full_s v.Eco.v_t_incr_s v.Eco.v_speedup
-    report.Eco.eco_after.Tka_incr.Analyzer.rs_hits
-    report.Eco.eco_after.Tka_incr.Analyzer.rs_misses;
-  Printf.printf "  results identical to scratch: %s\n%!"
-    (if v.Eco.v_identical then "yes" else "NO (incremental correctness violation!)");
-  if not v.Eco.v_identical then exit 1;
-  json_add "eco" (Eco.report_json report)
-
-(* ------------------------------------------------------------------ *)
-(* repair: autonomous ECO loop                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The Tka_incr.Repair driver on the largest circuit of the run:
-   recover a fraction of the total delay noise under a small edit
-   budget, journal every trial, and verify the final incremental state
-   against a scratch re-analysis (hard failure when not bit-identical).
-   The headline artifact is the delay-recovered-per-edit curve in the
-   `repair` section of BENCH_topk.json. *)
-let run_repair o =
-  let module Repair = Tka_incr.Repair in
-  let name =
-    if o.quick then List.hd o.circuits
-    else List.nth o.circuits (List.length o.circuits - 1)
-  in
-  let k = if o.quick then 5 else 10 in
-  let budget = if o.quick then 4 else 8 in
-  let recover = 0.25 in
-  section
-    (Printf.sprintf
-       "Autonomous ECO repair: %s, recover %.0f%% of delay noise, budget %d \
-        edits (k=%d)"
-       name (100. *. recover) budget k);
-  let nl, _ = circuit name in
-  let report, _, _ = Repair.run ~k ~fix_k:1 ~budget ~recover nl in
-  Printf.printf "  target: %.4f ns (noisy %.4f, noiseless %.4f)\n"
-    report.Repair.rp_target_delay report.Repair.rp_initial_delay
-    report.Repair.rp_noiseless_delay;
-  Printf.printf
-    "  loop: %d iterations, %d edits applied, %d candidates rejected -> %s\n"
-    report.Repair.rp_iterations report.Repair.rp_edits_applied
-    report.Repair.rp_rejected
-    (Repair.outcome_name report.Repair.rp_outcome);
-  Printf.printf "  delay recovered per edit:\n";
-  List.iter
-    (fun (edits, delay) ->
-      Printf.printf "    %2d edit(s): %.4f ns (%+.1f ps)\n" edits delay
-        (1000. *. (delay -. report.Repair.rp_initial_delay)))
-    report.Repair.rp_curve;
-  Printf.printf "  final state identical to scratch: %s\n%!"
-    (if report.Repair.rp_identical then "yes"
-     else "NO (incremental correctness violation!)");
-  if not report.Repair.rp_identical then exit 1;
-  json_add "repair" (Repair.report_json report)
-
-(* ------------------------------------------------------------------ *)
-(* serve: daemon load test                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* An in-process tka serve daemon on a temp Unix socket, driven by the
-   Loadgen closed loop: N concurrent client sessions, each loading the
-   same design and issuing a deterministic analyze / what-if / ECO
-   mix. Reports sustained qps, exact p50/p95/p99 latency and the
-   shared victim cache's hit rate as the clients observed it — the
-   `serve` section of BENCH_topk.json. *)
-let run_serve o =
-  let module Server = Tka_serve.Server in
-  let module Client = Tka_serve.Client in
-  let module Loadgen = Tka_serve.Loadgen in
-  let name =
-    if o.quick then List.hd o.circuits
-    else if List.mem "i5" o.circuits then "i5"
-    else List.hd o.circuits
-  in
-  let k = if o.quick then 5 else 10 in
-  let clients = if o.quick then 3 else 4 in
-  let requests = if o.quick then 8 else 25 in
-  section
-    (Printf.sprintf
-       "serve: daemon load test — %s, k=%d, %d clients x %d requests" name k
-       clients requests);
-  let nl, _ = circuit name in
-  let body = Tka_circuit.Netlist_format.print nl in
-  let dir = Filename.temp_file "tka-serve-bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let sock = Filename.concat dir "bench.sock" in
-  let srv =
-    Server.create ~default_k:k ~lookup:Tka_cell.Default_lib.find ()
-  in
-  let listener = Server.listen_unix sock in
-  let daemon = Thread.create (fun () -> Server.serve srv ~listeners:[ listener ]) () in
-  let finish () =
-    Server.stop srv;
-    Thread.join daemon;
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  in
-  let report =
-    Fun.protect ~finally:finish (fun () ->
-        Loadgen.run
-          ~connect:(fun () -> Client.connect_unix sock)
-          ~netlist:body ~k ~clients ~requests ())
-  in
-  Printf.printf
-    "  %d replies in %.2f s: %.1f qps (%d ok, %d overloaded, %d timeout, %d \
-     errors)\n"
-    report.Loadgen.lg_requests report.Loadgen.lg_elapsed_s
-    report.Loadgen.lg_qps report.Loadgen.lg_ok report.Loadgen.lg_overloaded
-    report.Loadgen.lg_timeout report.Loadgen.lg_errors;
-  Printf.printf "  mix: %d analyze, %d what-if, %d eco\n"
-    report.Loadgen.lg_analyze report.Loadgen.lg_whatif report.Loadgen.lg_eco;
-  Printf.printf "  latency ms: p50 %.1f  p95 %.1f  p99 %.1f  max %.1f\n"
-    report.Loadgen.lg_p50_ms report.Loadgen.lg_p95_ms report.Loadgen.lg_p99_ms
-    report.Loadgen.lg_max_ms;
-  Printf.printf "  shared victim cache: %d hits / %d misses (%.1f%% hit rate)\n%!"
-    report.Loadgen.lg_cache_hits report.Loadgen.lg_cache_misses
-    (100. *. report.Loadgen.lg_cache_hit_rate);
-  json_add "serve" (Loadgen.to_json report)
-
-(* ------------------------------------------------------------------ *)
-(* Kernels                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Shared re-ranking context (Iterate.context): the exact re-ranking
-   loops score many nearby coupling sets, which share the noiseless base
-   STA and most victim evaluations. Old = a fresh Iterate.run per set,
-   new = every set scored through one ctx kept across the block.
-   Results are bitwise-identical by construction and asserted so here.
-   Timings land in the "kernels" section of BENCH_topk.json; CI asserts
-   speedup >= 1.0. *)
-let run_rerank_ctx o =
-  section "Re-ranking context: fresh Iterate.run vs shared Iterate.ctx";
-  let iters = if o.quick then 30 else 100 in
-  (* best of three timed blocks, each preceded by a major collection:
-     the blocks are short, so one stray major slice would otherwise
-     dominate a measurement *)
-  let time reps f =
-    f ();
-    let best = ref Float.infinity in
-    for _ = 1 to 3 do
-      Gc.major ();
-      let t0 = wall () in
-      for _ = 1 to reps do
-        f ()
-      done;
-      let dt = wall () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let sink = ref 0. in
-  let nl = B.generate { validation_spec with B.sp_name = "kmemo" } in
-  let topo = Topo.create nl in
-  let sets = List.init 6 (fun i -> CS.of_list [ 2 * i; (2 * i) + 1 ]) in
-  let ctx = Iterate.context (Iterate.run topo) in
-  let delay ?ctx s = Refine.exact_delay ~mode:Engine.Addition ?ctx topo s in
-  List.iter
-    (fun s ->
-      if not (Float.equal (delay s) (delay ~ctx s)) then
-        failwith "rerank_ctx kernel: shared-ctx delay differs from fresh")
-    sets;
-  let score ?ctx () = List.iter (fun s -> sink := !sink +. delay ?ctx s) sets in
-  let t_old = time iters (fun () -> score ()) in
-  let t_new = time iters (score ~ctx) in
-  ignore !sink;
-  let speedup = t_old /. Float.max t_new 1e-12 in
-  let t =
-    Tt.create
-      ~headers:
-        [
-          ("kernel", Tt.Left); ("fresh (ms)", Tt.Right);
-          ("shared ctx (ms)", Tt.Right); ("speedup", Tt.Right);
-        ]
-  in
-  Tt.add_row t
-    [
-      "rerank_ctx";
-      Tt.cell_f ~decimals:2 (1e3 *. t_old);
-      Tt.cell_f ~decimals:2 (1e3 *. t_new);
-      Tt.cell_f ~decimals:1 speedup;
-    ];
-  json_add "kernels"
-    (J.Obj
-       [
-         ( "rerank_ctx",
-           J.Obj
-             [
-               ("t_old_s", J.Float t_old);
-               ("t_new_s", J.Float t_new);
-               ("speedup", J.Float speedup);
-             ] );
-       ]);
-  print_string (Tt.render t)
 
 (* ------------------------------------------------------------------ *)
 (* table2x: synthetic scaling beyond the Table 2 suite                *)
@@ -1018,40 +675,35 @@ let () =
     Printf.eprintf "bench: %s\n" msg;
     exit 2
   | None -> ());
-  let o = parse_args () in
+  let runners =
+    [
+      ("stats", run_stats);
+      ("table1", run_table1);
+      ("table2a", run_table2 ~mode:Engine.Elimination);
+      ("table2b", run_table2 ~mode:Engine.Addition);
+      ("figure10", run_figure10);
+      ("ablation", run_ablation);
+      ("parallel", run_parallel);
+      ("table2x", run_table2x);
+    ]
+  in
+  let o = parse_args (List.map fst runners) in
   let t0 = wall () in
   Printf.printf
     "tka benchmark harness — reproduction of 'Top-k Aggressors Sets in Delay \
      Noise Analysis' (DAC 2007)\ncircuits: %s%s\n"
     (String.concat ", " o.circuits)
     (if o.quick then " (quick mode)" else "");
-  (* per-section wall times feed both BENCH_topk.json and the history
-     record: section-level granularity is what bench-diff thresholds *)
-  let section_times = ref [] in
-  let timed name f =
-    let t0 = wall () in
-    f ();
-    section_times := !section_times @ [ (name, wall () -. t0) ]
+  (* per-section wall times: section-level granularity is what
+     bench-diff thresholds *)
+  let section_times =
+    List.map
+      (fun name ->
+        let t0 = wall () in
+        List.assoc name runners o;
+        (name, wall () -. t0))
+      o.sections
   in
-  List.iter
-    (fun name ->
-      timed name (fun () ->
-          match name with
-          | "stats" -> run_stats o
-          | "table1" -> run_table1 o
-          | "table2a" -> run_table2 o ~mode:Engine.Elimination
-          | "table2b" -> run_table2 o ~mode:Engine.Addition
-          | "figure10" -> run_figure10 o
-          | "ablation" -> run_ablation o
-          | "filter" -> run_filter o
-          | "parallel" -> run_parallel o
-          | "eco" -> run_eco o
-          | "repair" -> run_repair o
-          | "serve" -> run_serve o
-          | "kernels" -> run_rerank_ctx o
-          | "table2x" -> run_table2x o
-          | s -> failwith (Printf.sprintf "unknown section %S" s)))
-    o.sections;
   let total = wall () -. t0 in
   let doc =
     J.Obj
@@ -1062,18 +714,11 @@ let () =
          ("circuits", J.List (List.map (fun c -> J.Str c) o.circuits));
          ("sections", J.List (List.map (fun s -> J.Str s) o.sections));
          ( "section_runtime_s",
-           J.Obj (List.map (fun (s, t) -> (s, J.Float t)) !section_times) );
+           J.Obj (List.map (fun (s, t) -> (s, J.Float t)) section_times) );
        ]
       @ !json_out
       @ [ ("total_runtime_s", J.Float total) ])
   in
   J.write_file "BENCH_topk.json" doc;
-  let record =
-    Tka_prof.Bench_history.make
-      ~jobs:(Pool.default_jobs ())
-      ~quick:o.quick ~circuits:o.circuits ~sections:!section_times
-      ~total_s:total ()
-  in
-  Tka_prof.Bench_history.append "BENCH_history.ndjson" record;
-  Printf.printf "\nwrote BENCH_topk.json (+ BENCH_history.ndjson record)\n";
+  Printf.printf "\nwrote BENCH_topk.json\n";
   Printf.printf "total benchmark time: %.1f s\n%!" (wall () -. t0)

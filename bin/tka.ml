@@ -1171,9 +1171,8 @@ let bench_diff_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"BASE"
-          ~doc:
-            "Baseline bench file: a $(b,BENCH_topk.json), or a \
-             $(b,BENCH_history.ndjson) whose last record is used.")
+          ~doc:"Baseline bench file: one JSON document, as \
+                $(b,bench/main.exe) writes to $(b,BENCH_topk.json).")
   in
   let new_pos =
     Arg.(

@@ -1,9 +1,8 @@
 (* Perf-regression comparison of two benchmark documents
-   (BENCH_topk.json shapes, or BENCH_history.ndjson records — for
-   NDJSON the last record is taken). Only metrics whose key names mark
-   them as performance figures are compared: everything else in the
-   files (delays, set contents, prune counters) is correctness data
-   owned by Tka_verify, not noise-thresholded perf data. *)
+   (BENCH_topk.json shapes). Only metrics whose key names mark them as
+   performance figures are compared: everything else in the files
+   (delays, set contents, prune counters) is correctness data owned by
+   Tka_verify, not noise-thresholded perf data. *)
 
 module J = Tka_obs.Jsonx
 
@@ -67,9 +66,13 @@ let leaf path =
   | Some i -> String.sub path (i + 1) (String.length path - i - 1)
   | None -> path
 
+(* every entry of the per-section wall-time table is a timing, though
+   its leaf is a section name ("section_runtime_s.table1") *)
 let classify path =
   let l = leaf path in
-  if contains ~sub:"speedup" l then Some Higher_better
+  if String.starts_with ~prefix:"section_runtime_s." path then
+    Some Lower_better
+  else if contains ~sub:"speedup" l then Some Higher_better
   else if
     ends_with ~suffix:"_s" l
     || contains ~sub:"runtime" l
@@ -175,24 +178,12 @@ let has_regressions r = r.bd_regressions <> []
 (* Loading                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A bench file is either one JSON document (BENCH_topk.json) or NDJSON
-   history (one record per line) — for history, compare the last
-   record. *)
+(* A bench file is one JSON document; a malformed one is a parse error
+   naming the file. *)
 let load_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  match J.of_string s with
-  | v -> v
-  | exception J.Parse_error _ ->
-    let lines =
-      String.split_on_char '\n' s
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    (match List.rev lines with
-    | last :: _ -> J.of_string last
-    | [] -> failwith (Printf.sprintf "%s: empty bench file" path))
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  try J.of_string s
+  with J.Parse_error m -> raise (J.Parse_error (path ^ ": " ^ m))
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                          *)

@@ -1,12 +1,12 @@
 (** Perf-regression comparison behind [tka bench-diff].
 
-    Flattens two benchmark documents (a [BENCH_topk.json], or a
-    [BENCH_history.ndjson] whose last record is used) to dotted numeric
-    paths, keeps the paths whose leaf names mark them as performance
+    Flattens two benchmark documents (each a [BENCH_topk.json]) to
+    dotted numeric paths, keeps the paths that mark performance
     figures, and compares each metric present in both:
 
-    - {e lower is better}: leaves ending in [_s], [_seconds], [_bytes]
-      or [_words], or containing [runtime] or [rss];
+    - {e lower is better}: every path under [section_runtime_s], and
+      leaves ending in [_s], [_seconds], [_bytes] or [_words], or
+      containing [runtime] or [rss];
     - {e higher is better}: leaves containing [speedup];
     - everything else (delays, prune counters, set contents) is
       correctness data and is ignored.
@@ -48,8 +48,9 @@ val compare_docs :
 val has_regressions : result -> bool
 
 val load_file : string -> Tka_obs.Jsonx.t
-(** Parse a bench file: a whole-file JSON document, or (when that
-    fails) the last non-empty line of an NDJSON history. *)
+(** Parse a bench file, one JSON document. Raises
+    {!Tka_obs.Jsonx.Parse_error} with the path in its message when the
+    file is not one. *)
 
 val render : result -> string
 val to_json : result -> Tka_obs.Jsonx.t

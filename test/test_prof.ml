@@ -1,13 +1,11 @@
 (* Tests for Tka_prof: RSS probes, trace analytics (synthetic spans and
-   a live top-k run), bench-diff regression detection, and the bench
-   history record format. *)
+   a live top-k run), and bench-diff regression detection. *)
 
 module J = Tka_obs.Jsonx
 module Trace = Tka_obs.Trace
 module Rss = Tka_prof.Rss
 module Profile = Tka_prof.Profile
 module Bd = Tka_prof.Bench_diff
-module Bh = Tka_prof.Bench_history
 module Topo = Tka_circuit.Topo
 module Elimination = Tka_topk.Elimination
 module B = Tka_layout.Benchmarks
@@ -360,28 +358,46 @@ let test_bench_diff_missing_keys () =
     r.Bd.bd_only_new;
   checki "shared key still compared" 1 (List.length r.Bd.bd_checked)
 
-let test_bench_diff_load_ndjson () =
-  (* NDJSON history: the last record wins *)
-  let path = Filename.temp_file "tka_bd" ".ndjson" in
-  let oc = open_out path in
-  output_string oc
-    "{\"total_runtime_s\":1.0}\n{\"total_runtime_s\":9.0}\n";
-  close_out oc;
-  let v = Bd.load_file path in
-  Sys.remove path;
-  (match J.member "total_runtime_s" v with
-  | Some (J.Float f) -> checkf "last record" 9.0 f
-  | _ -> Alcotest.fail "missing total_runtime_s");
+(* The per-section wall times of BENCH_topk.json are timings although
+   their leaves are section names: an injected slowdown must regress
+   each of them. *)
+let test_bench_diff_section_runtimes () =
+  let doc scale =
+    J.Obj
+      [
+        ( "section_runtime_s",
+          J.Obj [ ("table1", J.Float scale); ("parallel", J.Float (2. *. scale)) ] );
+      ]
+  in
+  let r = Bd.compare_docs (doc 1.0) (doc 1.5) in
+  checki "both sections compared" 2 (List.length r.Bd.bd_checked);
+  Alcotest.(check (list string))
+    "both sections regress"
+    [ "section_runtime_s.table1"; "section_runtime_s.parallel" ]
+    (List.map (fun m -> m.Bd.m_path) r.Bd.bd_regressions);
+  checkb "a faster run improves" true
+    (List.length (Bd.compare_docs (doc 1.5) (doc 1.0)).Bd.bd_improvements = 2)
+
+let with_temp_file contents f =
+  let path = Filename.temp_file "tka_bd" ".json" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let test_bench_diff_load () =
   (* a whole-file JSON document loads as-is *)
-  let path2 = Filename.temp_file "tka_bd" ".json" in
-  let oc = open_out path2 in
-  output_string oc "{\n  \"total_runtime_s\": 2.0\n}\n";
-  close_out oc;
-  let v2 = Bd.load_file path2 in
-  Sys.remove path2;
-  match J.member "total_runtime_s" v2 with
-  | Some (J.Float f) -> checkf "whole doc" 2.0 f
-  | _ -> Alcotest.fail "missing total_runtime_s in whole doc"
+  with_temp_file "{\n  \"total_runtime_s\": 2.0\n}\n" (fun path ->
+      match J.member "total_runtime_s" (Bd.load_file path) with
+      | Some (J.Float f) -> checkf "whole doc" 2.0 f
+      | _ -> Alcotest.fail "missing total_runtime_s in whole doc");
+  (* two documents in one file are not a bench file: the error names
+     the file instead of reading one of them *)
+  with_temp_file "{\"total_runtime_s\":1.0}\n{\"total_runtime_s\":9.0}\n"
+    (fun path ->
+      match Bd.load_file path with
+      | _ -> Alcotest.fail "malformed bench file loaded"
+      | exception J.Parse_error m ->
+        checkb "error names the file" true
+          (String.starts_with ~prefix:(path ^ ": ") m))
 
 let test_bench_diff_render () =
   let base = bench_doc ~topk:1.0 () in
@@ -397,78 +413,6 @@ let test_bench_diff_render () =
   | J.Obj kvs ->
     checkb "json lists regressions" true (List.mem_assoc "regressions" kvs)
   | _ -> Alcotest.fail "to_json not an object"
-
-(* ------------------------------------------------------------------ *)
-(* Bench_history                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let with_env k v f =
-  let old = Sys.getenv_opt k in
-  Unix.putenv k v;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv k (Option.value ~default:"" old))
-    f
-
-let test_history_record () =
-  with_env "TKA_GIT_REV" "cafe1234" @@ fun () ->
-  with_env "SOURCE_DATE_EPOCH" "1754600000" @@ fun () ->
-  let r =
-    Bh.make ~jobs:2 ~quick:true ~circuits:[ "i1"; "i3" ]
-      ~sections:[ ("gen", 0.1); ("topk", 0.9) ]
-      ~total_s:1.0 ()
-  in
-  checki "schema version" Bh.schema_version r.Bh.bh_schema;
-  Alcotest.(check string) "env rev wins" "cafe1234" r.Bh.bh_git_rev;
-  Alcotest.(check string) "pinned date" "2025-08-07T20:53:20Z" r.Bh.bh_date;
-  checkb "rss present on procfs" true
-    (Rss.supported () = (r.Bh.bh_peak_rss_bytes <> None));
-  checkb "alloc totals present" true
-    (r.Bh.bh_minor_words > 0. && r.Bh.bh_major_words >= 0.);
-  (* the JSON record carries every schema-v1 field *)
-  match Bh.to_json r with
-  | J.Obj kvs ->
-    List.iter
-      (fun k -> checkb (k ^ " in record") true (List.mem_assoc k kvs))
-      [
-        "schema"; "git_rev"; "date"; "date_unix"; "jobs"; "quick"; "circuits";
-        "sections"; "total_runtime_s"; "peak_rss_bytes"; "minor_words";
-        "major_words";
-      ];
-    (match List.assoc "sections" kvs with
-    | J.Obj s -> checki "sections kept" 2 (List.length s)
-    | _ -> Alcotest.fail "sections not an object")
-  | _ -> Alcotest.fail "to_json not an object"
-
-let test_history_append_load () =
-  with_env "TKA_GIT_REV" "deadbeef" @@ fun () ->
-  let path = Filename.temp_file "tka_hist" ".ndjson" in
-  Sys.remove path;
-  (* append creates the file... *)
-  let mk total =
-    Bh.make ~jobs:1 ~quick:false ~circuits:[ "i1" ] ~sections:[] ~total_s:total
-      ()
-  in
-  Bh.append path (mk 1.0);
-  (* ...and appends to it *)
-  Bh.append path (mk 2.0);
-  let records =
-    match Bh.load path with Ok l -> l | Error m -> Alcotest.fail m
-  in
-  Sys.remove path;
-  checki "two records" 2 (List.length records);
-  (match List.nth records 1 with
-  | J.Obj _ as last ->
-    (match J.member "total_runtime_s" last with
-    | Some (J.Float f) -> checkf "append order preserved" 2.0 f
-    | _ -> Alcotest.fail "missing total_runtime_s");
-    (match J.member "git_rev" last with
-    | Some (J.Str s) -> Alcotest.(check string) "rev recorded" "deadbeef" s
-    | _ -> Alcotest.fail "missing git_rev")
-  | _ -> Alcotest.fail "record not an object");
-  (* history doubles as bench-diff input: a slowed re-run regresses *)
-  let fast = Bh.to_json (mk 1.0) and slow = Bh.to_json (mk 1.5) in
-  checkb "history records diffable" true
-    (Bd.has_regressions (Bd.compare_docs fast slow))
 
 let () =
   Alcotest.run "tka_prof"
@@ -498,14 +442,9 @@ let () =
           Alcotest.test_case "noise floor" `Quick test_bench_diff_noise_floor;
           Alcotest.test_case "missing keys" `Quick
             test_bench_diff_missing_keys;
-          Alcotest.test_case "ndjson loading" `Quick
-            test_bench_diff_load_ndjson;
+          Alcotest.test_case "section runtimes" `Quick
+            test_bench_diff_section_runtimes;
+          Alcotest.test_case "file loading" `Quick test_bench_diff_load;
           Alcotest.test_case "render and json" `Quick test_bench_diff_render;
-        ] );
-      ( "bench_history",
-        [
-          Alcotest.test_case "record fields" `Quick test_history_record;
-          Alcotest.test_case "append and load" `Quick
-            test_history_append_load;
         ] );
     ]

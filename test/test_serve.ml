@@ -1172,6 +1172,97 @@ let test_socket_disconnect_mid_reply () =
           | Error (_, m) ->
             Alcotest.failf "ping after mid-reply disconnects failed: %s" m))
 
+(* Concurrent clients over one socket, each loading i1 at k 5 and
+   sending the same 6:3:1 analyze/whatif/eco block: every reply is ok
+   (no overloaded, no timeout), the clients together see a shared-cache
+   hit rate in [0, 1], and each client's first analyze equals a
+   single-client reference apart from its wall clock and cache split. *)
+let client_block =
+  let whatif c =
+    ( "whatif",
+      J.Obj
+        [
+          ( "edits",
+            J.List
+              [
+                J.Obj
+                  [
+                    ("op", J.Str "scale_coupling");
+                    ("coupling", J.Int c);
+                    ("factor", J.Float 0.5);
+                  ];
+              ] );
+        ] )
+  and analyze = ("analyze", J.Obj []) in
+  [
+    analyze; whatif 0; analyze; whatif 1; analyze;
+    ("eco", J.Obj [ ("fix_k", J.Int 1) ]); analyze; whatif 2; analyze; analyze;
+  ]
+
+let test_socket_concurrent_clients () =
+  let body = Nf.print (Option.get (B.by_name "i1")) in
+  let load = J.Obj [ ("netlist", J.Str body); ("k", J.Int 5) ] in
+  let reference =
+    let srv = make_server () in
+    let sess = session srv in
+    ignore (result_exn "load" (rpc srv sess "load" load));
+    J.to_string (strip_volatile (result_exn "analyze" (rpc srv sess "analyze" (J.Obj []))))
+  in
+  let clients = 3 in
+  with_daemon (fun _srv sock ->
+      let replies = Array.make clients [] in
+      let t0 = Unix.gettimeofday () in
+      let threads =
+        Array.init clients (fun i ->
+            Thread.create
+              (fun () ->
+                let c = Client.connect_unix sock in
+                Fun.protect
+                  ~finally:(fun () -> Client.close c)
+                  (fun () ->
+                    replies.(i) <-
+                      List.map
+                        (fun (meth, params) -> (meth, Client.call c ~meth ~params ()))
+                        (("load", load) :: client_block)))
+              ())
+      in
+      Array.iter Thread.join threads;
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let ok = ref 0 and hits = ref 0 and misses = ref 0 in
+      let count name j =
+        match J.member name j with Some (J.Int n) -> n | _ -> 0
+      in
+      Array.iteri
+        (fun i rs ->
+          Alcotest.(check int)
+            (Printf.sprintf "client %d got every reply" i)
+            (1 + List.length client_block)
+            (List.length rs);
+          List.iter
+            (fun (meth, reply) ->
+              match reply with
+              | Ok r ->
+                incr ok;
+                hits := !hits + count "cache_hits" r + count "analysis_hits" r;
+                misses := !misses + count "cache_misses" r + count "analysis_misses" r
+              | Error (code, m) ->
+                Alcotest.failf "client %d %s: %s (%s)" i meth
+                  (Proto.code_to_string code) m)
+            rs;
+          match List.assoc "analyze" rs with
+          | Ok r ->
+            Alcotest.(check string)
+              (Printf.sprintf "client %d first analyze" i)
+              reference
+              (J.to_string (strip_volatile r))
+          | Error _ -> assert false)
+        replies;
+      Alcotest.(check int) "every reply ok" (clients * (1 + List.length client_block)) !ok;
+      Alcotest.(check bool) "qps > 0" true (float_of_int !ok /. elapsed > 0.);
+      Alcotest.(check bool) "shared cache hit" true (!hits > 0);
+      let rate = float_of_int !hits /. float_of_int (!hits + !misses) in
+      Alcotest.(check bool) "hit rate in [0, 1]" true (rate >= 0. && rate <= 1.))
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -1227,5 +1318,7 @@ let () =
           Alcotest.test_case "garbage" `Quick test_socket_garbage;
           Alcotest.test_case "disconnect mid-reply" `Quick
             test_socket_disconnect_mid_reply;
+          Alcotest.test_case "concurrent clients" `Quick
+            test_socket_concurrent_clients;
         ] );
     ]

@@ -99,16 +99,20 @@ let usage_error fmt =
    default. *)
 let parse_args known =
   let o = default_options () in
+  let args = List.tl (Array.to_list Sys.argv) in
+  (* --quick only changes defaults: an explicit flag wins wherever it
+     stands *)
+  if List.mem "--quick" args then begin
+    o.quick <- true;
+    o.circuits <- [ "i1"; "i3" ];
+    o.ks <- [ 1; 5; 10 ];
+    o.runtime_ks <- [ 1; 10 ];
+    o.fig10_max_k <- 15;
+    o.bf_budget <- 5.
+  end;
   let rec go = function
     | [] -> ()
-    | "--quick" :: rest ->
-      o.quick <- true;
-      o.circuits <- [ "i1"; "i3" ];
-      o.ks <- [ 1; 5; 10 ];
-      o.runtime_ks <- [ 1; 10 ];
-      o.fig10_max_k <- 15;
-      o.bf_budget <- 5.;
-      go rest
+    | "--quick" :: rest -> go rest
     | "--circuits" :: v :: rest ->
       let names = String.split_on_char ',' v in
       (match List.find_opt (fun c -> B.spec_of_name c = None) names with
@@ -138,7 +142,7 @@ let parse_args known =
       go rest
     | s :: _ -> usage_error "unknown option %S" s
   in
-  go (List.tl (Array.to_list Sys.argv));
+  go args;
   if o.sections = [] then
     o.sections <- List.filter (fun s -> s <> "table2x") known;
   o

@@ -255,40 +255,19 @@ let load ~liberty path =
   if Filename.check_suffix path ".v" then V.parse_file ~lookup path
   else Nf.parse_file ~lookup path
 
-let handle_errors f =
+(* An input or usage error ends the command with one line on stderr and
+   exit [code]. *)
+let exit_on_error code f =
+  let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit code) fmt in
   try f () with
-  | Nf.Parse_error { line; message } ->
-    Printf.eprintf "netlist parse error, line %d: %s\n" line message;
-    exit 1
-  | Liberty.Parse_error { line; message } ->
-    Printf.eprintf "liberty parse error, line %d: %s\n" line message;
-    exit 1
-  | Spef.Parse_error { line; message } ->
-    Printf.eprintf "spef parse error, line %d: %s\n" line message;
-    exit 1
-  | Tka_circuit.Sdf_lite.Parse_error { line; message } ->
-    Printf.eprintf "sdf parse error, line %d: %s\n" line message;
-    exit 1
-  | N.Link_error { source; message } ->
-    Printf.eprintf "%s link error: %s\n" source message;
-    exit 1
-  | Tka_circuit.Builder.Invalid m ->
-    Printf.eprintf "invalid netlist: %s\n" m;
-    exit 1
-  | V.Parse_error { line; message } ->
-    Printf.eprintf "verilog parse error, line %d: %s\n" line message;
-    exit 1
-  | Tka_obs.Jsonx.Parse_error m ->
-    Printf.eprintf "json parse error: %s\n" m;
-    exit 1
-  | Sys_error m ->
-    Printf.eprintf "error: %s\n" m;
-    exit 1
-  | Failure m | Invalid_argument m ->
-    Printf.eprintf "error: %s\n" m;
-    exit 1
+  | Tka_util.Scan.Parse_error { source; line; message } ->
+    die "%s parse error, line %d: %s" source line message
+  | N.Link_error { source; message } -> die "%s link error: %s" source message
+  | Tka_circuit.Builder.Invalid m -> die "invalid netlist: %s" m
+  | Tka_obs.Jsonx.Parse_error m -> die "json parse error: %s" m
+  | Sys_error m | Failure m | Invalid_argument m -> die "error: %s" m
 
-let run_obs obs f = with_obs obs (fun () -> handle_errors f)
+let run_obs obs f = with_obs obs (fun () -> exit_on_error 1 f)
 
 (* ------------------------------------------------------------------ *)
 (* gen                                                                *)
@@ -1208,10 +1187,9 @@ let bench_diff_cmd =
   let run obs base next threshold min_seconds json =
     run_obs obs (fun () ->
         if not (threshold > 0.) then failwith "--threshold must be > 0";
-        let r =
-          Bd.compare_docs ~threshold ~min_seconds (Bd.load_file base)
-            (Bd.load_file next)
-        in
+        (* an unreadable or malformed input is exit 2, a regression exit 1 *)
+        let load path = exit_on_error 2 (fun () -> Tka_obs.Jsonx.read_file path) in
+        let r = Bd.compare_docs ~threshold ~min_seconds (load base) (load next) in
         (match json with
         | Some path -> emit_json path (Bd.to_json r)
         | None -> ());
@@ -1222,7 +1200,8 @@ let bench_diff_cmd =
     (Cmd.info "bench-diff"
        ~doc:
          "Compare two benchmark result files and fail (exit 1) on \
-          performance regressions beyond a noise threshold.")
+          performance regressions beyond a noise threshold; an unreadable \
+          or malformed file exits 2.")
     Term.(
       const run $ obs_term $ base_pos $ new_pos $ threshold $ min_seconds
       $ json)

@@ -1,11 +1,10 @@
 module Log = Tka_obs.Log
+module Scan = Tka_util.Scan
 
 let log_src = Log.Src.create "liberty" ~doc:"Liberty-lite cell-library parser"
 let m_cells = Tka_obs.Metrics.Counter.make "liberty.cells_parsed"
 
 type t = { library_name : string; cells : Cell.t list }
-
-exception Parse_error of { line : int; message : string }
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                              *)
@@ -23,146 +22,63 @@ type token =
   | Semi
   | Eof
 
-type lexer = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-}
-
-let error lx message = raise (Parse_error { line = lx.line; message })
-
-let peek_char lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
-
-let advance lx =
-  (match peek_char lx with Some '\n' -> lx.line <- lx.line + 1 | _ -> ());
-  lx.pos <- lx.pos + 1
-
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_'
 
-let is_number_start c = (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.'
-
-let rec skip_trivia lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance lx;
-    skip_trivia lx
-  | Some '/' when lx.pos + 1 < String.length lx.src -> (
-    match lx.src.[lx.pos + 1] with
-    | '/' ->
-      while peek_char lx <> None && peek_char lx <> Some '\n' do
-        advance lx
-      done;
-      skip_trivia lx
-    | '*' ->
-      advance lx;
-      advance lx;
-      let rec close () =
-        match peek_char lx with
-        | None -> error lx "unterminated block comment"
-        | Some '*' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '/' ->
-          advance lx;
-          advance lx
-        | Some _ ->
-          advance lx;
-          close ()
-      in
-      close ();
-      skip_trivia lx
-    | _ -> ())
-  | _ -> ()
-
-let lex_token lx =
-  skip_trivia lx;
-  match peek_char lx with
+let lex_token c =
+  Scan.skip_trivia c;
+  let tok t = Scan.advance c; t in
+  match Scan.peek c with
   | None -> Eof
-  | Some '(' -> advance lx; Lparen
-  | Some ')' -> advance lx; Rparen
-  | Some '{' -> advance lx; Lbrace
-  | Some '}' -> advance lx; Rbrace
-  | Some ':' -> advance lx; Colon
-  | Some ';' -> advance lx; Semi
-  | Some '"' ->
-    advance lx;
-    let start = lx.pos in
-    while peek_char lx <> None && peek_char lx <> Some '"' do
-      advance lx
-    done;
-    if peek_char lx = None then error lx "unterminated string";
-    let s = String.sub lx.src start (lx.pos - start) in
-    advance lx;
-    Str s
-  | Some c when is_number_start c ->
-    let start = lx.pos in
-    let accept c =
-      is_number_start c || c = 'e' || c = 'E'
-    in
-    while (match peek_char lx with Some c -> accept c | None -> false) do
-      advance lx
-    done;
-    let s = String.sub lx.src start (lx.pos - start) in
-    (match float_of_string_opt s with
-    | Some f when Float.is_finite f -> Number f
-    | Some _ -> error lx (Printf.sprintf "non-finite number %S" s)
-    | None -> error lx (Printf.sprintf "malformed number %S" s))
-  | Some c when is_ident_char c ->
-    let start = lx.pos in
-    while (match peek_char lx with Some c -> is_ident_char c | None -> false) do
-      advance lx
-    done;
-    Ident (String.sub lx.src start (lx.pos - start))
-  | Some c -> error lx (Printf.sprintf "unexpected character %C" c)
+  | Some '(' -> tok Lparen
+  | Some ')' -> tok Rparen
+  | Some '{' -> tok Lbrace
+  | Some '}' -> tok Rbrace
+  | Some ':' -> tok Colon
+  | Some ';' -> tok Semi
+  | Some '"' -> Str (Scan.quoted c)
+  | Some ('0' .. '9' | '-' | '+' | '.') -> Number (Scan.number c)
+  | Some ch when is_ident_char ch -> Ident (Scan.take_while c is_ident_char)
+  | Some ch -> Scan.error c "unexpected character %C" ch
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type parser_state = { lx : lexer; mutable tok : token }
-
-let next st = st.tok <- lex_token st.lx
-
-let expect st tok what =
-  if st.tok = tok then next st
-  else error st.lx (Printf.sprintf "expected %s" what)
-
-let expect_ident st what =
-  match st.tok with
-  | Ident s ->
-    next st;
-    s
-  | _ -> error st.lx (Printf.sprintf "expected %s" what)
+let error st fmt = Scan.error st.Scan.cur fmt
+let expect_ident st what = Scan.take st (function Ident s -> Some s | _ -> None) what
 
 type value = Vnum of float | Vstr of string
 
 let parse_value st =
-  match st.tok with
+  match st.Scan.tok with
   | Number f ->
-    next st;
+    Scan.next st;
     Vnum f
   | Str s ->
-    next st;
+    Scan.next st;
     Vstr s
   | Ident s ->
-    next st;
+    Scan.next st;
     Vstr s
   | Lparen | Rparen | Lbrace | Rbrace | Colon | Semi | Eof ->
-    error st.lx "expected a value"
+    error st "expected a value"
 
 (* attr := IDENT ':' value ';' — the IDENT is already consumed. *)
 let parse_attr_tail st =
-  expect st Colon "':'";
+  Scan.expect st Colon "':'";
   let v = parse_value st in
-  expect st Semi "';'";
+  Scan.expect st Semi "';'";
   v
 
 let num st key = function
   | Vnum f -> f
-  | Vstr _ -> error st.lx (Printf.sprintf "attribute %s must be numeric" key)
+  | Vstr _ -> error st "attribute %s must be numeric" key
 
 let str st key = function
   | Vstr s -> s
-  | Vnum _ -> error st.lx (Printf.sprintf "attribute %s must be a string" key)
+  | Vnum _ -> error st "attribute %s must be a string" key
 
 type raw_pin = {
   rp_name : string;
@@ -172,68 +88,68 @@ type raw_pin = {
 
 let parse_pin st =
   (* 'pin' consumed *)
-  expect st Lparen "'('";
+  Scan.expect st Lparen "'('";
   let pname = expect_ident st "pin name" in
-  expect st Rparen "')'";
-  expect st Lbrace "'{'";
+  Scan.expect st Rparen "')'";
+  Scan.expect st Lbrace "'{'";
   let direction = ref None and capacitance = ref None in
   let rec items () =
-    match st.tok with
+    match st.Scan.tok with
     | Rbrace ->
-      next st
+      Scan.next st
     | Ident key ->
-      next st;
+      Scan.next st;
       let v = parse_attr_tail st in
       (match key with
       | "direction" -> direction := Some (str st key v)
       | "capacitance" -> capacitance := Some (num st key v)
       | _ ->
         (* tolerated, but no longer silent *)
+        let line = Scan.line st.cur in
         Log.warn log_src (fun m ->
             m
               ~fields:
                 [
-                  Log.int "line" st.lx.line;
+                  Log.int "line" line;
                   Log.str "pin" pname;
                   Log.str "attribute" key;
                 ]
-              "line %d: ignoring unknown pin attribute %S on pin %s" st.lx.line
-              key pname));
+              "line %d: ignoring unknown pin attribute %S on pin %s" line key pname));
       items ()
-    | _ -> error st.lx "expected pin attribute or '}'"
+    | _ -> error st "expected pin attribute or '}'"
   in
   items ();
   { rp_name = pname; rp_direction = !direction; rp_capacitance = !capacitance }
 
 let parse_cell st =
   (* 'cell' consumed *)
-  expect st Lparen "'('";
+  Scan.expect st Lparen "'('";
   let cname = expect_ident st "cell name" in
-  expect st Rparen "')'";
-  expect st Lbrace "'{'";
+  Scan.expect st Rparen "')'";
+  Scan.expect st Lbrace "'{'";
   let attrs = Hashtbl.create 8 in
   let pins = ref [] in
   let rec items () =
-    match st.tok with
+    match st.Scan.tok with
     | Rbrace ->
-      next st
+      Scan.next st
     | Ident "pin" ->
-      next st;
+      Scan.next st;
       pins := parse_pin st :: !pins;
       items ()
     | Ident key ->
-      next st;
+      Scan.next st;
       let v = parse_attr_tail st in
       Hashtbl.replace attrs key v;
       items ()
-    | _ -> error st.lx "expected cell attribute, pin or '}'"
+    | _ -> error st "expected cell attribute, pin or '}'"
   in
   items ();
   let required key =
     match Hashtbl.find_opt attrs key with
     | Some v -> num st key v
     | None ->
-      error st.lx (Printf.sprintf "cell %s: missing attribute %s" cname key)
+      error st "cell %s: missing attribute %s" cname key
   in
   let logic =
     match Hashtbl.find_opt attrs "function" with
@@ -247,15 +163,14 @@ let parse_cell st =
       | Some c -> (
         try `Input (Cell.input_pin ~name:p.rp_name ~capacitance:c)
         with Invalid_argument m ->
-          error st.lx (Printf.sprintf "cell %s: %s" cname m))
+          error st "cell %s: %s" cname m)
       | None ->
-        error st.lx
-          (Printf.sprintf "cell %s: input pin %s has no capacitance" cname p.rp_name))
+        error st "cell %s: input pin %s has no capacitance" cname p.rp_name)
     | Some "output" -> `Output (Cell.output_pin ~name:p.rp_name)
     | Some d ->
-      error st.lx (Printf.sprintf "cell %s: pin %s: bad direction %S" cname p.rp_name d)
+      error st "cell %s: pin %s: bad direction %S" cname p.rp_name d
     | None ->
-      error st.lx (Printf.sprintf "cell %s: pin %s has no direction" cname p.rp_name)
+      error st "cell %s: pin %s has no direction" cname p.rp_name
   in
   let classified = List.rev_map classify !pins in
   let inputs =
@@ -267,8 +182,8 @@ let parse_cell st =
   let output =
     match outputs with
     | [ o ] -> o
-    | [] -> error st.lx (Printf.sprintf "cell %s: no output pin" cname)
-    | _ -> error st.lx (Printf.sprintf "cell %s: multiple output pins" cname)
+    | [] -> error st "cell %s: no output pin" cname
+    | _ -> error st "cell %s: multiple output pins" cname
   in
   try
     Cell.make ~name:cname ~inputs ~output ~logic
@@ -276,34 +191,33 @@ let parse_cell st =
       ~drive_resistance:(required "drive_resistance")
       ~intrinsic_slew:(required "intrinsic_slew")
       ~slew_resistance:(required "slew_resistance")
-  with Invalid_argument m -> error st.lx (Printf.sprintf "cell %s: %s" cname m)
+  with Invalid_argument m -> error st "cell %s: %s" cname m
 
 let parse src =
   Tka_obs.Trace.with_span ~cat:"parse" "liberty.parse" @@ fun () ->
-  let st = { lx = { src; pos = 0; line = 1 }; tok = Eof } in
-  next st;
-  (match st.tok with
-  | Ident "library" -> next st
-  | _ -> error st.lx "expected 'library'");
-  expect st Lparen "'('";
+  let st = Scan.lexer ~source:"liberty" lex_token src in
+  (match st.Scan.tok with
+  | Ident "library" -> Scan.next st
+  | _ -> error st "expected 'library'");
+  Scan.expect st Lparen "'('";
   let library_name = expect_ident st "library name" in
-  expect st Rparen "')'";
-  expect st Lbrace "'{'";
+  Scan.expect st Rparen "')'";
+  Scan.expect st Lbrace "'{'";
   let cells = ref [] in
   let rec items () =
-    match st.tok with
+    match st.Scan.tok with
     | Rbrace ->
-      next st
+      Scan.next st
     | Ident "cell" ->
-      next st;
+      Scan.next st;
       cells := parse_cell st :: !cells;
       items ()
-    | _ -> error st.lx "expected 'cell' or '}'"
+    | _ -> error st "expected 'cell' or '}'"
   in
   items ();
-  (match st.tok with
+  (match st.Scan.tok with
   | Eof -> ()
-  | _ -> error st.lx "trailing content after library");
+  | _ -> error st "trailing content after library");
   Tka_obs.Metrics.Counter.add m_cells (List.length !cells);
   Log.info log_src (fun m ->
       m
@@ -312,11 +226,6 @@ let parse src =
         "parsed library %s: %d cells" library_name (List.length !cells));
   { library_name; cells = List.rev !cells }
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse src
+let parse_file path = parse (Scan.read_file path)
 
 let find t n = List.find_opt (fun c -> c.Cell.name = n) t.cells

@@ -25,11 +25,10 @@
 
 type t = { library_name : string; cells : Cell.t list }
 
-exception Parse_error of { line : int; message : string }
-
 val parse : string -> t
 (** Parse a library from a string.
-    @raise Parse_error on malformed input, with a 1-based line. *)
+    @raise Tka_util.Scan.Parse_error with source ["liberty"] on
+    malformed input, with a 1-based line. *)
 
 val parse_file : string -> t
 (** Parse from a file path. *)

@@ -17,7 +17,7 @@ exception Link_error of { source : string; message : string }
 (** Raised when a parsed annotation (SPEF parasitics, SDF delays, ...)
     names a net or instance that does not exist in the netlist it is
     being linked against. [source] is the annotation format
-    (["spef"], ["sdf"], ...). Unlike {!Spef_lite.Parse_error} this is
+    (["spef"], ["sdf"], ...). Unlike {!Tka_util.Scan.Parse_error} this is
     not a syntax problem — the file is well-formed but refers to a
     different design — so it gets its own structured exception instead
     of a raw [Invalid_argument]. *)

@@ -1,15 +1,7 @@
 module N = Netlist
+module Scan = Tka_util.Scan
 
-exception Parse_error of { line : int; message : string }
-
-let fail line fmt =
-  Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
-
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun w -> w <> "")
+let fail line fmt = Scan.fail ~source:"netlist" line fmt
 
 let strip_comment s =
   match String.index_opt s '#' with
@@ -23,11 +15,7 @@ let parse_binding line w =
     (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
   | None -> fail line "expected key=value, got %S" w
 
-let parse_float line key v =
-  match float_of_string_opt v with
-  | Some f when Float.is_finite f -> f
-  | Some _ -> fail line "%s: non-finite number %S" key v
-  | None -> fail line "%s: malformed number %S" key v
+let parse_float = Scan.float ~source:"netlist"
 
 (* optional cap=/res= bindings for net declarations *)
 let parse_parasitics line words =
@@ -50,7 +38,7 @@ let parse ~lookup src =
   in
   let wrap line f = try f () with Builder.Invalid m -> fail line "%s" m in
   let handle line_no line =
-    match split_words (strip_comment line) with
+    match Scan.words (strip_comment line) with
     | [] -> ()
     | "circuit" :: rest -> (
       match rest with
@@ -116,12 +104,7 @@ let parse ~lookup src =
     (String.split_on_char '\n' src);
   try Builder.finalize !b with Builder.Invalid m -> fail 0 "%s" m
 
-let parse_file ~lookup path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse ~lookup src
+let parse_file ~lookup path = parse ~lookup (Scan.read_file path)
 
 let print nl =
   let buf = Buffer.create 4096 in

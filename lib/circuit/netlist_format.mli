@@ -23,14 +23,12 @@
     [Tka_cell.Default_lib.find]). {!print} emits this format and
     {!parse} reads it back (round-trip). *)
 
-exception Parse_error of { line : int; message : string }
-
 val parse :
   lookup:(string -> Tka_cell.Cell.t option) -> string -> Netlist.t
 (** Parse a netlist from a string.
-    @raise Parse_error with a 1-based line number on malformed input,
-    unknown cells, or structural problems (reported at the offending
-    line). *)
+    @raise Tka_util.Scan.Parse_error with source ["netlist"] and a
+    1-based line number on malformed input, unknown cells, or
+    structural problems (reported at the offending line). *)
 
 val parse_file :
   lookup:(string -> Tka_cell.Cell.t option) -> string -> Netlist.t

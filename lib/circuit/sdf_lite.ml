@@ -1,6 +1,7 @@
 module N = Netlist
+module Scan = Tka_util.Scan
 
-exception Parse_error of { line : int; message : string }
+let fail line fmt = Scan.fail ~source:"sdf" line fmt
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                             *)
@@ -44,48 +45,36 @@ type annotation = {
   sdf_arcs : (string * string * string * float) list;
 }
 
-(* S-expression-ish tokenizer: parens, quoted strings, atoms. *)
+(* S-expression-ish tokens: parens, quoted strings, atoms; [None] at
+   the end. SDF has no comments: a "//" is part of an atom. *)
 type token = Lp | Rp | Atom of string | Str of string
 
+let lex c =
+  Scan.skip_space c;
+  match Scan.peek c with
+  | None -> None
+  | Some '(' -> Scan.advance c; Some Lp
+  | Some ')' -> Scan.advance c; Some Rp
+  | Some '"' -> Some (Str (Scan.quoted c))
+  | Some _ ->
+    Some
+      (Atom
+         (Scan.take_while c (function
+           | '(' | ')' | ' ' | '\t' | '\n' | '\r' | '"' -> false
+           | _ -> true)))
+
+(* Each token with the line it ends on. *)
 let tokenize src =
-  let line = ref 1 in
-  let out = ref [] in
-  let n = String.length src in
-  let i = ref 0 in
-  let err message = raise (Parse_error { line = !line; message }) in
-  while !i < n do
-    (match src.[!i] with
-    | '\n' ->
-      incr line;
-      incr i
-    | ' ' | '\t' | '\r' -> incr i
-    | '(' ->
-      out := (Lp, !line) :: !out;
-      incr i
-    | ')' ->
-      out := (Rp, !line) :: !out;
-      incr i
-    | '"' ->
-      let start = !i + 1 in
-      let j = ref start in
-      while !j < n && src.[!j] <> '"' do
-        if src.[!j] = '\n' then incr line;
-        incr j
-      done;
-      if !j >= n then err "unterminated string";
-      out := (Str (String.sub src start (!j - start)), !line) :: !out;
-      i := !j + 1
-    | _ ->
-      let start = !i in
-      while
-        !i < n
-        && not (List.mem src.[!i] [ '('; ')'; ' '; '\t'; '\n'; '\r'; '"' ])
-      do
-        incr i
-      done;
-      out := (Atom (String.sub src start (!i - start)), !line) :: !out);
-  done;
-  List.rev !out
+  let l = Scan.lexer ~source:"sdf" lex src in
+  let rec go acc =
+    match l.tok with
+    | None -> List.rev acc
+    | Some tok ->
+      let line = Scan.line l.cur in
+      Scan.next l;
+      go ((tok, line) :: acc)
+  in
+  go []
 
 (* Every node carries the source line of its first token so the
    second-phase checker can point at the offending SDF line. *)
@@ -97,20 +86,19 @@ let last_line tokens =
   List.fold_left (fun _ (_, line) -> line) 1 tokens
 
 let parse_sexps tokens =
-  let err line message = raise (Parse_error { line; message }) in
   let eof_line = last_line tokens in
   let rec one = function
-    | [] -> err eof_line "unexpected end of input"
+    | [] -> fail eof_line "unexpected end of input"
     | (Lp, line) :: rest ->
       let items, rest = list_items line rest in
       (L (line, items), rest)
-    | (Rp, line) :: _ -> err line "unexpected ')'"
+    | (Rp, line) :: _ -> fail line "unexpected ')'"
     | (Atom a, line) :: rest -> (A (line, a), rest)
     | (Str s, line) :: rest -> (S (line, s), rest)
   and list_items open_line tokens =
     match tokens with
     | (Rp, _) :: rest -> ([], rest)
-    | [] -> err eof_line (Printf.sprintf "missing ')' for '(' on line %d" open_line)
+    | [] -> fail eof_line "missing ')' for '(' on line %d" open_line
     | _ :: _ ->
       let x, rest = one tokens in
       let xs, rest = list_items open_line rest in
@@ -126,7 +114,6 @@ let parse_sexps tokens =
   all tokens
 
 let parse src =
-  let err line message = raise (Parse_error { line; message }) in
   match parse_sexps (tokenize src) with
   | [ L (_, A (_, "DELAYFILE") :: items) ] ->
     let design = ref None in
@@ -143,11 +130,11 @@ let parse src =
                     match float_of_string_opt v with
                     | Some d when Float.is_finite d ->
                       arcs := (instance, from_pin, to_pin, d) :: !arcs
-                    | Some _ -> err line (Printf.sprintf "non-finite delay %S" v)
-                    | None -> err line (Printf.sprintf "bad delay %S" v))
-                  | node -> err (sexp_line node) "malformed IOPATH")
+                    | Some _ -> fail line "non-finite delay %S" v
+                    | None -> fail line "bad delay %S" v)
+                  | node -> fail (sexp_line node) "malformed IOPATH")
                 paths
-            | node -> err (sexp_line node) "expected ABSOLUTE")
+            | node -> fail (sexp_line node) "expected ABSOLUTE")
           dels;
         walk_cell instance rest
       | _ :: rest -> walk_cell instance rest
@@ -167,12 +154,12 @@ let parse src =
           in
           (match instance with
           | Some i -> walk_cell i cell_items
-          | None -> err line "CELL without INSTANCE")
-        | node -> err (sexp_line node) "unexpected item in DELAYFILE")
+          | None -> fail line "CELL without INSTANCE")
+        | node -> fail (sexp_line node) "unexpected item in DELAYFILE")
       items;
     { sdf_design = !design; sdf_arcs = List.rev !arcs }
-  | node :: _ -> err (sexp_line node) "expected a single (DELAYFILE ...)"
-  | [] -> err 1 "expected a single (DELAYFILE ...)"
+  | node :: _ -> fail (sexp_line node) "expected a single (DELAYFILE ...)"
+  | [] -> fail 1 "expected a single (DELAYFILE ...)"
 
 let check_against ann ~delay_of nl =
   List.filter_map

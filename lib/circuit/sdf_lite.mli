@@ -20,8 +20,6 @@
       ...)
     v} *)
 
-exception Parse_error of { line : int; message : string }
-
 val print : delay_of:(Netlist.gate -> float) -> Netlist.t -> string
 (** [print ~delay_of nl] renders one CELL per gate with equal IOPATH
     delay per input arc (the linear model is input-independent).
@@ -40,8 +38,9 @@ type annotation = {
 
 val parse : string -> annotation
 (** Reads the subset back. Delays must be finite.
-    @raise Parse_error on malformed input, with the line number of the
-    offending construct (line 1 for an empty file). *)
+    @raise Tka_util.Scan.Parse_error with source ["sdf"] on malformed
+    input, with the line number of the offending construct (line 1 for
+    an empty file). *)
 
 val check_against :
   annotation ->

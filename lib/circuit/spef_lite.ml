@@ -1,15 +1,13 @@
 module N = Netlist
 module Log = Tka_obs.Log
+module Scan = Tka_util.Scan
 
 let log_src = Log.Src.create "spef" ~doc:"SPEF-lite parasitics parser"
 let m_nets = Tka_obs.Metrics.Counter.make "spef.nets_annotated"
 let m_couplings = Tka_obs.Metrics.Counter.make "spef.couplings_parsed"
 let m_lines = Tka_obs.Metrics.Counter.make "spef.lines_parsed"
 
-exception Parse_error of { line : int; message : string }
-
-let fail line fmt =
-  Printf.ksprintf (fun message -> raise (Parse_error { line; message })) fmt
+let fail line fmt = Scan.fail ~source:"spef" line fmt
 
 type annotation = {
   design : string option;
@@ -17,22 +15,12 @@ type annotation = {
   couplings : (string * string * float) list;
 }
 
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun w -> w <> "")
-
 let strip_comment s =
   match String.index_opt s '/' with
   | Some i when i + 1 < String.length s && s.[i + 1] = '/' -> String.sub s 0 i
   | Some _ | None -> s
 
-let parse_float line what v =
-  match float_of_string_opt v with
-  | Some f when Float.is_finite f -> f
-  | Some _ -> fail line "%s: non-finite number %S" what v
-  | None -> fail line "%s: malformed number %S" what v
+let parse_float = Scan.float ~source:"spef"
 
 type state = {
   mutable design : string option;
@@ -59,7 +47,7 @@ let parse src =
     }
   in
   let handle line_no raw =
-    match split_words (strip_comment raw) with
+    match Scan.words (strip_comment raw) with
     | [] -> ()
     | "*SPEF" :: _ | "*T_UNIT" :: _ | "*C_UNIT" :: _ | "*R_UNIT" :: _ -> ()
     | [ "*DESIGN"; name ] -> st.design <- Some name
@@ -150,12 +138,7 @@ let parse src =
         (List.length couplings));
   { design = st.design; ground; couplings }
 
-let parse_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse src
+let parse_file path = parse (Scan.read_file path)
 
 let apply (ann : annotation) nl =
   let b = Builder.create ~name:(Option.value ~default:(N.name nl) ann.design) () in

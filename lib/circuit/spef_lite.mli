@@ -30,8 +30,6 @@
     [*D_NET] blocks (the same physical capacitor may be listed in both,
     as real extractors do). *)
 
-exception Parse_error of { line : int; message : string }
-
 type annotation = {
   design : string option;
   ground : (string * float * float) list;
@@ -41,9 +39,10 @@ type annotation = {
 }
 
 val parse : string -> annotation
-(** @raise Parse_error on malformed input, with the offending line
-    (an unterminated [*D_NET] reports its opening line). Capacitance and
-    resistance values must be finite. *)
+(** @raise Tka_util.Scan.Parse_error with source ["spef"] on malformed
+    input, with the offending line (an unterminated [*D_NET] reports
+    its opening line). Capacitance and resistance values must be
+    finite. *)
 
 val parse_file : string -> annotation
 

@@ -1,11 +1,10 @@
 module N = Netlist
 module Log = Tka_obs.Log
+module Scan = Tka_util.Scan
 
 let log_src = Log.Src.create "verilog" ~doc:"Verilog-lite structural parser"
 let m_modules = Tka_obs.Metrics.Counter.make "verilog.modules_parsed"
 let m_gates = Tka_obs.Metrics.Counter.make "verilog.gates_instantiated"
-
-exception Parse_error of { line : int; message : string }
 
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                              *)
@@ -20,92 +19,37 @@ type token =
   | Dot
   | Eof
 
-type lexer = { src : string; mutable pos : int; mutable line : int }
-
-let error lx message = raise (Parse_error { line = lx.line; message })
-
-let peek_char lx = if lx.pos < String.length lx.src then Some lx.src.[lx.pos] else None
-
-let advance lx =
-  (match peek_char lx with Some '\n' -> lx.line <- lx.line + 1 | _ -> ());
-  lx.pos <- lx.pos + 1
-
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = '$'
 
-let rec skip_trivia lx =
-  match peek_char lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-    advance lx;
-    skip_trivia lx
-  | Some '/' when lx.pos + 1 < String.length lx.src -> (
-    match lx.src.[lx.pos + 1] with
-    | '/' ->
-      while peek_char lx <> None && peek_char lx <> Some '\n' do
-        advance lx
-      done;
-      skip_trivia lx
-    | '*' ->
-      advance lx;
-      advance lx;
-      let rec close () =
-        match peek_char lx with
-        | None -> error lx "unterminated block comment"
-        | Some '*' when lx.pos + 1 < String.length lx.src && lx.src.[lx.pos + 1] = '/' ->
-          advance lx;
-          advance lx
-        | Some _ ->
-          advance lx;
-          close ()
-      in
-      close ();
-      skip_trivia lx
-    | _ -> ())
-  | _ -> ()
-
-let lex_token lx =
-  skip_trivia lx;
-  match peek_char lx with
+let lex_token c =
+  Scan.skip_trivia c;
+  let tok t = Scan.advance c; t in
+  match Scan.peek c with
   | None -> Eof
-  | Some '(' -> advance lx; Lparen
-  | Some ')' -> advance lx; Rparen
-  | Some ';' -> advance lx; Semi
-  | Some ',' -> advance lx; Comma
-  | Some '.' -> advance lx; Dot
-  | Some '[' -> error lx "vectors are not supported by the Verilog-lite subset"
-  | Some c when is_ident_char c ->
-    let start = lx.pos in
-    while (match peek_char lx with Some c -> is_ident_char c | None -> false) do
-      advance lx
-    done;
-    Ident (String.sub lx.src start (lx.pos - start))
-  | Some c -> error lx (Printf.sprintf "unexpected character %C" c)
+  | Some '(' -> tok Lparen
+  | Some ')' -> tok Rparen
+  | Some ';' -> tok Semi
+  | Some ',' -> tok Comma
+  | Some '.' -> tok Dot
+  | Some '[' -> Scan.error c "vectors are not supported by the Verilog-lite subset"
+  | Some ch when is_ident_char ch -> Ident (Scan.take_while c is_ident_char)
+  | Some ch -> Scan.error c "unexpected character %C" ch
 
 (* ------------------------------------------------------------------ *)
 (* Parser                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type state = { lx : lexer; mutable tok : token }
-
-let next st = st.tok <- lex_token st.lx
-
-let expect st tok what =
-  if st.tok = tok then next st else error st.lx (Printf.sprintf "expected %s" what)
-
-let expect_ident st what =
-  match st.tok with
-  | Ident s ->
-    next st;
-    s
-  | _ -> error st.lx (Printf.sprintf "expected %s" what)
+let error st fmt = Scan.error st.Scan.cur fmt
+let expect_ident st what = Scan.take st (function Ident s -> Some s | _ -> None) what
 
 let ident_list st =
   let rec go acc =
     let id = expect_ident st "identifier" in
-    match st.tok with
+    match st.Scan.tok with
     | Comma ->
-      next st;
+      Scan.next st;
       go (id :: acc)
     | _ -> List.rev (id :: acc)
   in
@@ -127,66 +71,65 @@ type vmodule = {
 }
 
 let parse_modules src =
-  let st = { lx = { src; pos = 0; line = 1 }; tok = Eof } in
-  next st;
+  let st = Scan.lexer ~source:"verilog" lex_token src in
   let parse_connections () =
-    expect st Lparen "'('";
+    Scan.expect st Lparen "'('";
     let rec connections acc =
-      expect st Dot "'.'";
+      Scan.expect st Dot "'.'";
       let pin = expect_ident st "pin name" in
-      expect st Lparen "'('";
+      Scan.expect st Lparen "'('";
       let net = expect_ident st "net name" in
-      expect st Rparen "')'";
+      Scan.expect st Rparen "')'";
       let acc = (pin, net) :: acc in
       match st.tok with
       | Comma ->
-        next st;
+        Scan.next st;
         connections acc
       | _ -> List.rev acc
     in
     let conns = connections [] in
-    expect st Rparen "')'";
-    expect st Semi "';'";
+    Scan.expect st Rparen "')'";
+    Scan.expect st Semi "';'";
     conns
   in
   let parse_module () =
-    let vm_line = st.lx.line in
+    let vm_line = Scan.line st.cur in
     let name = expect_ident st "module name" in
-    expect st Lparen "'('";
+    Scan.expect st Lparen "'('";
     let _ports = match st.tok with Rparen -> [] | _ -> ident_list st in
-    expect st Rparen "')'";
-    expect st Semi "';'";
+    Scan.expect st Rparen "')'";
+    Scan.expect st Semi "';'";
     let inputs = ref [] and outputs = ref [] and wires = ref [] in
     let instances = ref [] in
     let rec items () =
       match st.tok with
-      | Ident "endmodule" -> next st
+      | Ident "endmodule" -> Scan.next st
       | Ident "input" ->
-        next st;
+        Scan.next st;
         inputs := !inputs @ ident_list st;
-        expect st Semi "';'";
+        Scan.expect st Semi "';'";
         items ()
       | Ident "output" ->
-        next st;
+        Scan.next st;
         outputs := !outputs @ ident_list st;
-        expect st Semi "';'";
+        Scan.expect st Semi "';'";
         items ()
       | Ident "wire" ->
-        next st;
+        Scan.next st;
         wires := !wires @ ident_list st;
-        expect st Semi "';'";
+        Scan.expect st Semi "';'";
         items ()
       | Ident ("assign" | "always" | "initial" | "reg" | "parameter") ->
-        error st.lx "behavioural constructs are not supported by the Verilog-lite subset"
+        error st "behavioural constructs are not supported by the Verilog-lite subset"
       | Ident refname ->
-        next st;
+        Scan.next st;
         let inst = expect_ident st "instance name" in
         let conns = parse_connections () in
         instances := (refname, inst, conns) :: !instances;
         items ()
-      | Eof -> error st.lx "missing endmodule"
+      | Eof -> error st "missing endmodule"
       | Lparen | Rparen | Semi | Comma | Dot ->
-        error st.lx "expected a declaration or instance"
+        error st "expected a declaration or instance"
     in
     items ();
     {
@@ -202,12 +145,12 @@ let parse_modules src =
     match st.tok with
     | Eof -> List.rev acc
     | Ident "module" ->
-      next st;
+      Scan.next st;
       all (parse_module () :: acc)
-    | _ -> error st.lx "expected 'module'"
+    | _ -> error st "expected 'module'"
   in
   match all [] with
-  | [] -> error st.lx "no module found"
+  | [] -> error st "no module found"
   | ms -> ms
 
 (* Flattening: leaf instances are library cells; other instances refer
@@ -218,12 +161,12 @@ let parse ~lookup src =
   Tka_obs.Trace.with_span ~cat:"parse" "verilog.parse" @@ fun () ->
   let ms = parse_modules src in
   Tka_obs.Metrics.Counter.add m_modules (List.length ms);
-  let fail line message = raise (Parse_error { line; message }) in
+  let fail line fmt = Scan.fail ~source:"verilog" line fmt in
   let by_name = Hashtbl.create 8 in
   List.iter
     (fun m ->
       if Hashtbl.mem by_name m.vm_name then
-        fail m.vm_line (Printf.sprintf "module %S defined twice" m.vm_name);
+        fail m.vm_line "module %S defined twice" m.vm_name;
       Hashtbl.replace by_name m.vm_name m)
     ms;
   let instantiated = Hashtbl.create 8 in
@@ -264,12 +207,11 @@ let parse ~lookup src =
      nothing; nets and gates are added to the builder. *)
   let rec elaborate ~stack ~prefix ~port_map (m : vmodule) =
     if List.mem m.vm_name stack then
-      fail m.vm_line
-        (Printf.sprintf "recursive instantiation of module %S" m.vm_name);
+      fail m.vm_line "recursive instantiation of module %S" m.vm_name;
     let ids = Hashtbl.create 32 in
     let declare kind n =
       if Hashtbl.mem ids n then
-        fail m.vm_line (Printf.sprintf "net %S declared twice in %s" n m.vm_name);
+        fail m.vm_line "net %S declared twice in %s" n m.vm_name;
       match List.assoc_opt n port_map with
       | Some parent_id -> Hashtbl.replace ids n parent_id
       | None ->
@@ -279,7 +221,7 @@ let parse ~lookup src =
             match kind with
             | `Input when prefix = "" -> Builder.add_input b full
             | `Input | `Output | `Wire -> Builder.add_net b full
-          with Builder.Invalid msg -> fail m.vm_line msg
+          with Builder.Invalid msg -> fail m.vm_line "%s" msg
         in
         if kind = `Output && prefix = "" then
           declared_outputs := id :: !declared_outputs;
@@ -293,7 +235,7 @@ let parse ~lookup src =
     let resolve n =
       match Hashtbl.find_opt ids n with
       | Some id -> id
-      | None -> fail m.vm_line (Printf.sprintf "undeclared net %S in %s" n m.vm_name)
+      | None -> fail m.vm_line "undeclared net %S in %s" n m.vm_name
     in
     List.iter
       (fun (refname, inst, conns) ->
@@ -304,23 +246,21 @@ let parse ~lookup src =
             match List.assoc_opt out_pin conns with
             | Some n -> resolve n
             | None ->
-              fail m.vm_line
-                (Printf.sprintf "instance %S: output pin %s unconnected" inst out_pin)
+              fail m.vm_line "instance %S: output pin %s unconnected" inst out_pin
           in
           let inputs =
             List.filter (fun (p, _) -> p <> out_pin) conns
             |> List.map (fun (p, n) -> (p, resolve n))
           in
           (try ignore (Builder.add_gate b ~name:(prefix ^ inst) ~cell ~inputs ~output)
-           with Builder.Invalid msg -> fail m.vm_line msg)
+           with Builder.Invalid msg -> fail m.vm_line "%s" msg)
         | None, Some child ->
           let ports = child.vm_inputs @ child.vm_outputs in
           List.iter
             (fun (p, _) ->
               if not (List.mem p ports) then
-                fail m.vm_line
-                  (Printf.sprintf "instance %S: %S is not a port of module %s"
-                     inst p child.vm_name))
+                fail m.vm_line "instance %S: %S is not a port of module %s" inst p
+                  child.vm_name)
             conns;
           let port_map =
             List.map (fun (p, n) -> (p, resolve n)) conns
@@ -329,13 +269,13 @@ let parse ~lookup src =
             ~prefix:(prefix ^ inst ^ "/")
             ~port_map child
         | None, None ->
-          fail m.vm_line (Printf.sprintf "unknown cell or module %S" refname))
+          fail m.vm_line "unknown cell or module %S" refname)
       m.vm_instances
   in
   elaborate ~stack:[] ~prefix:"" ~port_map:[] top;
   List.iter (Builder.mark_output b) !declared_outputs;
   let nl =
-    try Builder.finalize b with Builder.Invalid msg -> fail top.vm_line msg
+    try Builder.finalize b with Builder.Invalid msg -> fail top.vm_line "%s" msg
   in
   Tka_obs.Metrics.Counter.add m_gates (Array.length (N.gates nl));
   Log.info log_src (fun k ->
@@ -351,12 +291,7 @@ let parse ~lookup src =
         (Array.length (N.gates nl)) (N.num_nets nl));
   nl
 
-let parse_file ~lookup path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse ~lookup src
+let parse_file ~lookup path = parse ~lookup (Scan.read_file path)
 
 let print nl =
   let buf = Buffer.create 4096 in

@@ -27,11 +27,10 @@
     as a standard flow would. {!print} emits this format; round-trips
     through {!parse} up to the default parasitics. *)
 
-exception Parse_error of { line : int; message : string }
-
 val parse :
   lookup:(string -> Tka_cell.Cell.t option) -> string -> Netlist.t
-(** @raise Parse_error on malformed or unsupported input. *)
+(** @raise Tka_util.Scan.Parse_error with source ["verilog"] on
+    malformed or unsupported input. *)
 
 val parse_file :
   lookup:(string -> Tka_cell.Cell.t option) -> string -> Netlist.t

@@ -246,38 +246,29 @@ let save t path =
   Sys.rename tmp path
 
 let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      (* the documented failure mode is [Failure], whatever is wrong
-         with the file — a non-JSON line must not leak [Parse_error] *)
-      let parse line =
-        try J.of_string line
-        with J.Parse_error m -> fail "Cache.load: %s: %s" path m
-      in
-      let header =
-        try parse (input_line ic)
-        with End_of_file -> fail "Cache.load: %s is empty" path
-      in
-      (match
-         (J.member "format" header, J.member "version" header)
-       with
-      | Some (J.Str f), Some (J.Int v)
-        when f = format_name && v = format_version ->
-        ()
-      | _ -> fail "Cache.load: %s is not a version-%d %s file" path format_version format_name);
-      let t = create () in
-      (match J.member "universe" header with
-      | Some (J.Str u) -> t.universe <- Some (hex_bits u)
-      | _ -> ());
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then begin
-             let k, e = entry_of_json (parse line) in
-             Hashtbl.replace t.tbl k e
-           end
-         done
-       with End_of_file -> ());
-      t)
+  (* the documented failure mode is [Failure], whatever is wrong with
+     the file — a non-JSON line must not leak [Parse_error] *)
+  let parse = function
+    | Ok j -> j
+    | Error m -> fail "Cache.load: %s: %s" path m
+  in
+  match J.read_ndjson path with
+  | [] -> fail "Cache.load: %s is empty" path
+  | (lineno, header) :: entries ->
+    let header = parse header in
+    (match (J.member "format" header, J.member "version" header) with
+    | Some (J.Str f), Some (J.Int v)
+      when lineno = 1 && f = format_name && v = format_version ->
+      ()
+    | _ ->
+      fail "Cache.load: %s is not a version-%d %s file" path format_version format_name);
+    let t = create () in
+    (match J.member "universe" header with
+    | Some (J.Str u) -> t.universe <- Some (hex_bits u)
+    | _ -> ());
+    List.iter
+      (fun (_, line) ->
+        let k, e = entry_of_json (parse line) in
+        Hashtbl.replace t.tbl k e)
+      entries;
+    t

@@ -148,41 +148,22 @@ let journal_header ~circuit ~k ~fix_k =
     ]
 
 let load_journal ~lookup path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
   let ( let* ) = Result.bind in
-  let lines =
-    String.split_on_char '\n' src
-    |> List.mapi (fun i l -> (i + 1, String.trim l))
-    |> List.filter (fun (_, l) -> l <> "")
-  in
-  match lines with
+  let at lineno = Result.map_error (Printf.sprintf "%s:%d: %s" path lineno) in
+  match J.read_ndjson path with
   | [] -> Error (Printf.sprintf "%s: empty journal" path)
   | (lineno, header) :: entries ->
-    let* hj =
-      try Ok (J.of_string header)
-      with J.Parse_error m -> Error (Printf.sprintf "%s:%d: %s" path lineno m)
-    in
+    let* hj = at lineno header in
     let* () =
       match J.member "format" hj with
       | Some (J.Str "tka-repair-journal") -> Ok ()
-      | _ -> Error (Printf.sprintf "%s:%d: not a tka-repair-journal" path lineno)
+      | _ -> at lineno (Error "not a tka-repair-journal")
     in
     List.fold_left
-      (fun acc (lineno, line) ->
+      (fun acc (lineno, j) ->
         let* acc = acc in
-        let* j =
-          try Ok (J.of_string line)
-          with J.Parse_error m ->
-            Error (Printf.sprintf "%s:%d: %s" path lineno m)
-        in
-        let* e =
-          Result.map_error
-            (Printf.sprintf "%s:%d: %s" path lineno)
-            (entry_of_json ~lookup j)
-        in
+        let* j = at lineno j in
+        let* e = at lineno (entry_of_json ~lookup j) in
         Ok (e :: acc))
       (Ok []) entries
     |> Result.map List.rev

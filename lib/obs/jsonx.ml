@@ -289,6 +289,19 @@ let of_string src =
   if c.pos <> String.length src then fail "trailing content at offset %d" c.pos;
   v
 
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+let read_file path =
+  try of_string (read_text path) with Parse_error m -> fail "%s: %s" path m
+
+let read_ndjson path =
+  String.split_on_char '\n' (read_text path)
+  |> List.mapi (fun i l -> (i + 1, String.trim l))
+  |> List.filter_map (fun (line, l) ->
+         if l = "" then None
+         else
+           Some (line, try Ok (of_string l) with Parse_error m -> Error m))
+
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None

@@ -30,5 +30,14 @@ val of_string : string -> t
 (** Parse a complete JSON document. Raises {!Parse_error} on malformed
     input or trailing content. *)
 
+val read_file : string -> t
+(** Parse a file holding one JSON document. Raises [Sys_error], or
+    {!Parse_error} with the path in front of the message. *)
+
+val read_ndjson : string -> (int * (t, string) result) list
+(** The non-blank lines of a newline-delimited JSON file, in order: each
+    line's 1-based number and its value, or its parse error. Raises
+    [Sys_error]. *)
+
 val member : string -> t -> t option
 (** [member key (Obj _)] looks up [key]; [None] on other constructors. *)

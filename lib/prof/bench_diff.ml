@@ -175,17 +175,6 @@ let compare_docs ?(threshold = 0.20) ?(min_seconds = default_min_seconds) base
 let has_regressions r = r.bd_regressions <> []
 
 (* ------------------------------------------------------------------ *)
-(* Loading                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A bench file is one JSON document; a malformed one is a parse error
-   naming the file. *)
-let load_file path =
-  let s = In_channel.with_open_bin path In_channel.input_all in
-  try J.of_string s
-  with J.Parse_error m -> raise (J.Parse_error (path ^ ": " ^ m))
-
-(* ------------------------------------------------------------------ *)
 (* Reporting                                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -47,10 +47,5 @@ val compare_docs :
 
 val has_regressions : result -> bool
 
-val load_file : string -> Tka_obs.Jsonx.t
-(** Parse a bench file, one JSON document. Raises
-    {!Tka_obs.Jsonx.Parse_error} with the path in its message when the
-    file is not one. *)
-
 val render : result -> string
 val to_json : result -> Tka_obs.Jsonx.t

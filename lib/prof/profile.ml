@@ -80,12 +80,7 @@ let of_trace_json j =
   | Some (J.List evs) -> List.filter_map span_of_event evs
   | _ -> failwith "not a Chrome trace: missing traceEvents array"
 
-let of_trace_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_trace_json (J.of_string s)
+let of_trace_file path = of_trace_json (J.read_file path)
 
 (* ------------------------------------------------------------------ *)
 (* Analytics                                                          *)

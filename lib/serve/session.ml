@@ -77,7 +77,7 @@ let load t params =
   if k < 1 then Error (Proto.Bad_request, "\"k\" must be >= 1")
   else
     match Nf.parse ~lookup:t.lookup body with
-    | exception Nf.Parse_error { line; message } ->
+    | exception Tka_util.Scan.Parse_error { line; message; _ } ->
       Error
         ( Proto.Parse_failed,
           Printf.sprintf "netlist parse error at line %d: %s" line message )

@@ -107,32 +107,17 @@ let mutate rng src =
 
 let run_parser fmt src =
   let lookup = Lib.find in
-  match fmt with
-  | Netlist_fmt -> (
-    try
-      ignore (Nf.parse ~lookup src);
-      `Parsed
-    with Nf.Parse_error { line; message } -> `Rejected (line, message))
-  | Verilog -> (
-    try
-      ignore (V.parse ~lookup src);
-      `Parsed
-    with V.Parse_error { line; message } -> `Rejected (line, message))
-  | Spef -> (
-    try
-      ignore (Spef.parse src);
-      `Parsed
-    with Spef.Parse_error { line; message } -> `Rejected (line, message))
-  | Sdf -> (
-    try
-      ignore (Sdf.parse src);
-      `Parsed
-    with Sdf.Parse_error { line; message } -> `Rejected (line, message))
-  | Liberty -> (
-    try
-      ignore (Liberty.parse src);
-      `Parsed
-    with Liberty.Parse_error { line; message } -> `Rejected (line, message))
+  let parse () =
+    match fmt with
+    | Netlist_fmt -> ignore (Nf.parse ~lookup src)
+    | Verilog -> ignore (V.parse ~lookup src)
+    | Spef -> ignore (Spef.parse src)
+    | Sdf -> ignore (Sdf.parse src)
+    | Liberty -> ignore (Liberty.parse src)
+  in
+  match parse () with
+  | () -> `Parsed
+  | exception Tka_util.Scan.Parse_error { line; message; _ } -> `Rejected (line, message)
 
 let count_lines src =
   1 + String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 src

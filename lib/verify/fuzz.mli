@@ -1,8 +1,8 @@
 (** Mutation fuzzer for the text-format parsers.
 
     The parsers' error contract: on any input, either parse
-    successfully or raise the format's structured [Parse_error] with a
-    line number inside the input — never [Invalid_argument],
+    successfully or raise {!Tka_util.Scan.Parse_error} with a line
+    number inside the input — never [Invalid_argument],
     [Failure], [Not_found], a stack overflow, or an unstructured
     builder error. The fuzzer starts from a valid document (rendered
     from a random circuit, so the corpus follows the generator's seed)
@@ -28,8 +28,13 @@ val mutate : Tka_util.Rng.t -> string -> string
     swapping, truncation, and replacing a token with a hostile number
     (["nan"], ["inf"], ["1e999"]). *)
 
+val run_parser : format -> string -> [ `Parsed | `Rejected of int * string ]
+(** Run the format's parser on the input: [`Rejected (line, message)]
+    when it raises {!Tka_util.Scan.Parse_error}; any other exception
+    escapes. *)
+
 val check : format -> string -> string option
 (** Run the format's parser on the input. [None] when the contract
-    holds (clean parse, or a structured [Parse_error] whose line lies
+    holds (clean parse, or a [Parse_error] whose line lies
     in [0, lines+1]); [Some detail] when the parser escaped the
     contract. *)

@@ -93,25 +93,13 @@ let save path rs =
   close_out oc
 
 let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
   let ( let* ) = Result.bind in
-  String.split_on_char '\n' src
-  |> List.mapi (fun i l -> (i + 1, String.trim l))
-  |> List.filter (fun (_, l) -> l <> "")
-  |> List.fold_left
-       (fun acc (lineno, line) ->
-         let* acc = acc in
-         let* j =
-           try Ok (J.of_string line)
-           with J.Parse_error m ->
-             Error (Printf.sprintf "%s:%d: %s" path lineno m)
-         in
-         let* r =
-           Result.map_error (Printf.sprintf "%s:%d: %s" path lineno) (of_json j)
-         in
-         Ok (r :: acc))
-       (Ok [])
+  let at lineno = Result.map_error (Printf.sprintf "%s:%d: %s" path lineno) in
+  List.fold_left
+    (fun acc (lineno, j) ->
+      let* acc = acc in
+      let* j = at lineno j in
+      let* r = at lineno (of_json j) in
+      Ok (r :: acc))
+    (Ok []) (J.read_ndjson path)
   |> Result.map List.rev

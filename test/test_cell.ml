@@ -228,7 +228,7 @@ let expect_error src =
   try
     ignore (Liberty.parse src);
     Alcotest.fail "expected Parse_error"
-  with Liberty.Parse_error _ -> ()
+  with Tka_util.Scan.Parse_error _ -> ()
 
 let test_liberty_errors () =
   expect_error "cell(X) {}";
@@ -244,7 +244,7 @@ let test_liberty_errors () =
 let test_liberty_error_line () =
   try
     ignore (Liberty.parse "library(x) {\n  cell(A) {\n    bad bad\n  }\n}")
-  with Liberty.Parse_error { line; _ } ->
+  with Tka_util.Scan.Parse_error { line; _ } ->
     Alcotest.(check bool) "line recorded" true (line >= 2)
 
 (* Table-driven error paths: (case, source, expected line, message
@@ -256,7 +256,7 @@ let test_liberty_error_table () =
     (fun (case, src, want_line, want_sub) ->
       match Liberty.parse src with
       | _ -> Alcotest.fail (Printf.sprintf "%s: expected Parse_error" case)
-      | exception Liberty.Parse_error { line; message } ->
+      | exception Tka_util.Scan.Parse_error { source = "liberty"; line; message } ->
         Alcotest.(check int) (Printf.sprintf "%s: line" case) want_line line;
         let contains_sub s sub =
           let n = String.length s and m = String.length sub in

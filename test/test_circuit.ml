@@ -9,6 +9,7 @@ module Spef = Tka_circuit.Spef_lite
 module Dot = Tka_circuit.Dot
 module Cs = Tka_circuit.Circuit_stats
 module Lib = Tka_cell.Default_lib
+module Scan = Tka_util.Scan
 
 let check_f = Alcotest.(check (float 1e-9))
 
@@ -302,7 +303,7 @@ let expect_parse_error src =
   try
     ignore (Nf.parse ~lookup:Lib.find src);
     Alcotest.fail "expected Parse_error"
-  with Nf.Parse_error { line; _ } ->
+  with Scan.Parse_error { line; _ } ->
     Alcotest.(check bool) "line positive" true (line >= 0)
 
 let test_format_errors () =
@@ -369,7 +370,7 @@ let expect_spef_error src =
   try
     ignore (Spef.parse src);
     Alcotest.fail "expected Parse_error"
-  with Spef.Parse_error _ -> ()
+  with Scan.Parse_error _ -> ()
 
 let test_spef_errors () =
   expect_spef_error "*CAP\n";
@@ -555,7 +556,7 @@ let test_verilog_hierarchy_errors () =
     try
       ignore (V.parse ~lookup:Lib.find src);
       true
-    with V.Parse_error _ -> false
+    with Scan.Parse_error _ -> false
   in
   (* recursion *)
   Alcotest.(check bool) "recursion rejected" false
@@ -585,7 +586,7 @@ let expect_verilog_error src =
   try
     ignore (V.parse ~lookup:Lib.find src);
     Alcotest.fail "expected Parse_error"
-  with V.Parse_error { line; _ } ->
+  with Scan.Parse_error { line; _ } ->
     Alcotest.(check bool) "line recorded" true (line >= 1)
 
 let test_verilog_errors () =
@@ -628,22 +629,22 @@ let check_error_table what err table =
 let nf_err src =
   match Nf.parse ~lookup:Lib.find src with
   | _ -> None
-  | exception Nf.Parse_error { line; message } -> Some (line, message)
+  | exception Scan.Parse_error { source = "netlist"; line; message } -> Some (line, message)
 
 let spef_err src =
   match Spef.parse src with
   | _ -> None
-  | exception Spef.Parse_error { line; message } -> Some (line, message)
+  | exception Scan.Parse_error { source = "spef"; line; message } -> Some (line, message)
 
 let sdf_err src =
   match Sdf.parse src with
   | _ -> None
-  | exception Sdf.Parse_error { line; message } -> Some (line, message)
+  | exception Scan.Parse_error { source = "sdf"; line; message } -> Some (line, message)
 
 let v_err src =
   match V.parse ~lookup:Lib.find src with
   | _ -> None
-  | exception V.Parse_error { line; message } -> Some (line, message)
+  | exception Scan.Parse_error { source = "verilog"; line; message } -> Some (line, message)
 
 let test_error_table_netlist () =
   check_error_table "nf" nf_err
@@ -702,6 +703,8 @@ let test_error_table_sdf () =
         2,
         "missing ')' for '(' on line 2" );
       ("unterminated string", "(DELAYFILE (DESIGN \"x", 1, "unterminated string");
+      (* SDF has no comments: "//" is an atom like any other *)
+      ("no line comments", "(DELAYFILE\n  // note\n)", 2, "unexpected item");
       ( "bad delay on its own line",
         "(DELAYFILE\n(CELL (CELLTYPE \"c\") (INSTANCE g1)\n(DELAY (ABSOLUTE\n\
          (IOPATH A Y (oops))))))\n",
@@ -836,11 +839,7 @@ let parser_robustness =
         try
           ignore (parse src);
           true
-        with
-        | Nf.Parse_error _ | Spef.Parse_error _
-        | Tka_circuit.Verilog_lite.Parse_error _
-        | Tka_cell.Liberty_lite.Parse_error _ ->
-          true)
+        with Scan.Parse_error _ -> true)
   in
   (* mutation fuzzing digs deeper than pure garbage: start from a valid
      document and corrupt a few characters *)
@@ -859,11 +858,7 @@ let parser_robustness =
         try
           ignore (parse src);
           true
-        with
-        | Nf.Parse_error _ | Spef.Parse_error _
-        | Tka_circuit.Verilog_lite.Parse_error _
-        | Tka_cell.Liberty_lite.Parse_error _ ->
-          true)
+        with Scan.Parse_error _ -> true)
   in
   let nl0, _, _, _, _, _, _, _ = small () in
   [
@@ -882,7 +877,7 @@ let parser_robustness =
          try
            ignore (Tka_circuit.Sdf_lite.parse src);
            true
-         with Tka_circuit.Sdf_lite.Parse_error _ -> true));
+         with Scan.Parse_error _ -> true));
     never_panics_mutated "mutated netlist never panics" (Nf.print nl0)
       (Nf.parse ~lookup:Lib.find);
     never_panics_mutated "mutated spef never panics" (Spef.print nl0) Spef.parse;

@@ -45,16 +45,48 @@ let test_repair_exit_4 () =
   check_dump "metrics" metrics;
   check_dump "trace" trace
 
+let write_file path text =
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc
+
+(* A malformed input ends in one "<source> parse error, line N: ..."
+   line on stderr and exit 1, and the dumps are still written. *)
 let test_error_exit_1 () =
   let d = temp_dir () in
-  let net = Filename.concat d "bad.tka" in
-  let oc = open_out net in
-  output_string oc "this is not a netlist\n";
-  close_out oc;
-  let metrics = Filename.concat d "m.json" in
-  Alcotest.(check int) "parse error exit code" 1
-    (run [ "topk"; "-k"; "2"; "--metrics-out"; metrics; net ]);
-  check_dump "metrics" metrics
+  let good = Filename.concat d "i1.tka" in
+  Alcotest.(check int) "gen" 0 (run [ "gen"; "-b"; "i1"; "-o"; good ]);
+  let bad_tka = Filename.concat d "bad.tka"
+  and bad_v = Filename.concat d "bad.v"
+  and bad_lib = Filename.concat d "bad.lib" in
+  write_file bad_tka "this is not a netlist\n";
+  write_file bad_v "module m (a);\n  input a;\n  wire [3:0] w;\nendmodule\n";
+  write_file bad_lib "library(x) {\n  /* one cell */\n  cell(A) {\n    area : ;\n  }\n}\n";
+  List.iter
+    (fun (label, args, want) ->
+      let metrics = Filename.concat d "m.json" and err = Filename.concat d "err.txt" in
+      if Sys.file_exists metrics then Sys.remove metrics;
+      let code =
+        Sys.command
+          (Filename.quote_command tka
+             ([ "topk"; "-k"; "2"; "--metrics-out"; metrics ] @ args)
+             ~stdout:Filename.null ~stderr:err)
+      in
+      Alcotest.(check int) (label ^ " exit code") 1 code;
+      Alcotest.(check string) (label ^ " stderr") want (read_file err);
+      check_dump (label ^ " metrics") metrics)
+    [
+      ( "tka text",
+        [ bad_tka ],
+        "netlist parse error, line 1: unknown keyword \"this\"\n" );
+      ( "verilog",
+        [ bad_v ],
+        "verilog parse error, line 3: vectors are not supported by the \
+         Verilog-lite subset\n" );
+      ( "liberty",
+        [ "--liberty"; bad_lib; good ],
+        "liberty parse error, line 4: expected a value\n" );
+    ]
 
 let contains ~sub s =
   let n = String.length sub in
@@ -155,6 +187,28 @@ let test_eco_no_fix_text () =
   Alcotest.(check bool) "no after-fix delay" false (contains ~sub:"after fix" out);
   Alcotest.(check bool) "no re-analysis line" false (contains ~sub:"dirty nets" out)
 
+(* bench-diff: a regression is exit 1, a file that is not one JSON
+   document exit 2, with the error on stderr. *)
+let test_bench_diff_exits () =
+  let d = temp_dir () in
+  let base = Filename.concat d "base.json"
+  and slow = Filename.concat d "slow.json"
+  and two = Filename.concat d "two.json"
+  and err = Filename.concat d "err.txt" in
+  write_file base "{\"section_runtime_s\": {\"table1\": 1.0}}\n";
+  write_file slow "{\"section_runtime_s\": {\"table1\": 1.5}}\n";
+  write_file two "{\"total_runtime_s\": 1.0}\n{\"total_runtime_s\": 9.0}\n";
+  let bench_diff a b =
+    Sys.command
+      (Filename.quote_command tka [ "bench-diff"; a; b ] ~stdout:Filename.null ~stderr:err)
+  in
+  Alcotest.(check int) "identical files" 0 (bench_diff base base);
+  Alcotest.(check int) "a regression" 1 (bench_diff base slow);
+  Alcotest.(check int) "two documents as base" 2 (bench_diff two base);
+  Alcotest.(check bool) "the error names the file" true
+    (String.starts_with ~prefix:("json parse error: " ^ two ^ ": ") (read_file err));
+  Alcotest.(check int) "two documents as new" 2 (bench_diff base two)
+
 let () =
   Alcotest.run "tka_cli"
     [
@@ -166,5 +220,6 @@ let () =
           Alcotest.test_case "eco delay on its own line" `Quick test_eco_lines;
           Alcotest.test_case "--json - prints JSON alone" `Quick test_json_stdout;
           Alcotest.test_case "eco text with no fix" `Quick test_eco_no_fix_text;
+          Alcotest.test_case "bench-diff exit codes" `Quick test_bench_diff_exits;
         ] );
     ]

@@ -386,14 +386,14 @@ let with_temp_file contents f =
 let test_bench_diff_load () =
   (* a whole-file JSON document loads as-is *)
   with_temp_file "{\n  \"total_runtime_s\": 2.0\n}\n" (fun path ->
-      match J.member "total_runtime_s" (Bd.load_file path) with
+      match J.member "total_runtime_s" (J.read_file path) with
       | Some (J.Float f) -> checkf "whole doc" 2.0 f
       | _ -> Alcotest.fail "missing total_runtime_s in whole doc");
   (* two documents in one file are not a bench file: the error names
      the file instead of reading one of them *)
   with_temp_file "{\"total_runtime_s\":1.0}\n{\"total_runtime_s\":9.0}\n"
     (fun path ->
-      match Bd.load_file path with
+      match J.read_file path with
       | _ -> Alcotest.fail "malformed bench file loaded"
       | exception J.Parse_error m ->
         checkb "error names the file" true

@@ -374,7 +374,7 @@ let expect_sdf_error src =
   try
     ignore (Sdf.parse src);
     Alcotest.fail "expected Parse_error"
-  with Sdf.Parse_error _ -> ()
+  with Tka_util.Scan.Parse_error _ -> ()
 
 let test_sdf_errors () =
   expect_sdf_error "";

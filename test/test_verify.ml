@@ -180,6 +180,83 @@ let test_fuzz_mutate_deterministic () =
   let b = Fuzz.mutate (Rng.create 5) doc in
   Alcotest.(check string) "same seed, same mutation" a b
 
+(* What a parser made of one input, canonically: the parsed value with
+   every float in %h, or the line and message of the rejection, or the
+   exception that escaped. *)
+let parse_outcome fmt src =
+  let lookup = Lib.find in
+  let netlist nl =
+    Nf.print nl
+    ^ String.concat ""
+        (Array.to_list
+           (Array.map
+              (fun n -> Printf.sprintf "%h %h\n" n.N.wire_cap n.N.wire_res)
+              (N.nets nl)))
+    ^ String.concat ""
+        (Array.to_list
+           (Array.map
+              (fun c -> Printf.sprintf "%h\n" c.N.coupling_cap)
+              (N.couplings nl)))
+  in
+  let parsed () =
+    match fmt with
+    | Fuzz.Netlist_fmt -> netlist (Nf.parse ~lookup src)
+    | Fuzz.Verilog -> netlist (Tka_circuit.Verilog_lite.parse ~lookup src)
+    | Fuzz.Spef ->
+      let a = Tka_circuit.Spef_lite.parse src in
+      String.concat "\n"
+        (Option.value ~default:"-" a.design
+        :: List.map (fun (n, c, r) -> Printf.sprintf "%s %h %h" n c r) a.ground
+        @ List.map (fun (x, y, c) -> Printf.sprintf "%s %s %h" x y c) a.couplings)
+    | Fuzz.Sdf ->
+      let a = Tka_circuit.Sdf_lite.parse src in
+      String.concat "\n"
+        (Option.value ~default:"-" a.sdf_design
+        :: List.map
+             (fun (i, f, t, d) -> Printf.sprintf "%s %s %s %h" i f t d)
+             a.sdf_arcs)
+    | Fuzz.Liberty ->
+      let l = Tka_cell.Liberty_lite.parse src in
+      let module C = Tka_cell.Cell in
+      let pin p =
+        Printf.sprintf "%s/%s/%h" p.C.pin_name
+          (match p.C.direction with C.Input -> "in" | C.Output -> "out")
+          p.C.capacitance
+      in
+      String.concat "\n"
+        (l.library_name
+        :: List.map
+             (fun c ->
+               Printf.sprintf "%s %S %s %s %h %h %h %h" c.C.name c.C.logic
+                 (String.concat "," (List.map pin c.C.inputs))
+                 (pin c.C.output) c.C.intrinsic_delay c.C.drive_resistance
+                 c.C.intrinsic_slew c.C.slew_resistance)
+             l.cells)
+  in
+  match Fuzz.run_parser fmt src with
+  | `Parsed -> "P " ^ parsed ()
+  | `Rejected (line, message) -> Printf.sprintf "R %d %s" line message
+  | exception e -> "E " ^ Printexc.to_string e
+
+(* A fixed mutation corpus, 1,200 inputs per format, pinned by one
+   digest: every accepted input must parse to the same value and every
+   rejected one must report the same line and message. *)
+let test_fuzz_corpus_digest () =
+  let h = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun fmt ->
+      for seed = 1 to 1200 do
+        let rng = Rng.create (7919 * seed) in
+        let doc = Fuzz.generate rng fmt in
+        let src = if seed mod 50 = 0 then doc else Fuzz.mutate rng doc in
+        Buffer.add_string h (Fuzz.name fmt);
+        Buffer.add_string h (parse_outcome fmt src);
+        Buffer.add_char h '\000'
+      done)
+    Fuzz.all;
+  Alcotest.(check string) "corpus digest" "91493bece5a0d8c9195679738cf5ddb7"
+    (Digest.to_hex (Digest.string (Buffer.contents h)))
+
 (* ------------------------------------------------------------------ *)
 (* Oracle                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -327,6 +404,7 @@ let () =
             test_fuzz_check_structured_error_ok;
           Alcotest.test_case "mutate deterministic" `Quick
             test_fuzz_mutate_deterministic;
+          Alcotest.test_case "corpus digest" `Quick test_fuzz_corpus_digest;
         ] );
       ( "oracle",
         [

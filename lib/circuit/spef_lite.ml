@@ -90,8 +90,11 @@ let parse src =
       | Some _, [ _idx; neta; netb; v ] ->
         let cap = parse_float line_no "coupling cap" v in
         let key = coupling_key neta netb in
-        (* keep the larger of duplicated listings *)
+        (* keep the larger of duplicated listings; [print] lists every
+           capacitor under both of its nets, so only a differing value
+           is worth a warning *)
         (match Hashtbl.find_opt st.ccap key with
+        | Some prev when prev = cap -> ()
         | Some prev ->
           Log.warn log_src (fun m ->
               m

@@ -28,7 +28,8 @@
     index and is ignored. [*D_NET]'s trailing number (total cap) is
     informational. Coupling caps are deduplicated across the two nets'
     [*D_NET] blocks (the same physical capacitor may be listed in both,
-    as real extractors do). *)
+    as real extractors do): the larger value is kept, and a warning is
+    logged only when the listings differ. *)
 
 type annotation = {
   design : string option;

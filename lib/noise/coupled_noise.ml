@@ -1,5 +1,6 @@
 module N = Tka_circuit.Netlist
 module DC = Tka_sta.Delay_calc
+module TW = Tka_sta.Timing_window
 
 type directed = {
   dc_coupling : N.coupling_id;
@@ -40,20 +41,43 @@ let directed_of_coupling nl ~victim cid =
     dc_aggressor = N.coupling_partner nl cid victim;
   }
 
-(* the victim's total cap [ct] and holding time constant [tau] *)
-let peak_of ~ct ~tau ~coupling_cap ~agg_slew =
-  coupling_cap /. ct *. (tau /. (tau +. (agg_slew /. 2.)))
+type holding = { ct : float; tau : float }
+
+let holding nl victim =
+  let ct = N.total_cap nl victim in
+  { ct; tau = DC.holding_resistance nl victim *. ct }
+
+let[@inline] peak_of h ~coupling_cap ~agg_slew =
+  coupling_cap /. h.ct *. (h.tau /. (h.tau +. (agg_slew /. 2.)))
 
 let peak nl ~victim ~coupling_cap ~agg_slew =
-  let ct = N.total_cap nl victim in
-  let tau = DC.holding_resistance nl victim *. ct in
-  peak_of ~ct ~tau ~coupling_cap ~agg_slew
+  peak_of (holding nl victim) ~coupling_cap ~agg_slew
 
 let pulse nl ~agg_slew d =
-  let c = N.coupling nl d.dc_coupling in
-  let ct = N.total_cap nl d.dc_victim in
-  let tau = DC.holding_resistance nl d.dc_victim *. ct in
+  let h = holding nl d.dc_victim in
   let agg_slew = Float.max 1e-6 agg_slew in
   Tka_waveform.Pulse.make ~onset:0.
-    ~peak:(peak_of ~ct ~tau ~coupling_cap:c.N.coupling_cap ~agg_slew)
-    ~rise:agg_slew ~decay:tau
+    ~peak:(peak_of h ~coupling_cap:(N.coupling nl d.dc_coupling).N.coupling_cap ~agg_slew)
+    ~rise:agg_slew ~decay:h.tau
+
+(* [Envelope.of_pulse]'s record of [pulse nl ~agg_slew:w.slew_late d]
+   swept over [TW.onset_interval w], spelt out: [Pulse.make]'s checks,
+   [Pulse.write_points] with [onset = 0.], the interval's low end less
+   the onset and its width. Calls and records would box the floats. *)
+let write_swept nl h (w : TW.t) buf s d =
+  let rise = Float.max 1e-6 w.TW.slew_late and decay = h.tau in
+  let peak = peak_of h ~coupling_cap:(N.coupling nl d.dc_coupling).N.coupling_cap ~agg_slew:rise in
+  if peak <= 0. then invalid_arg "Pulse.make: peak must be positive";
+  if decay <= 0. then invalid_arg "Pulse.make: decay must be positive";
+  let lo = w.TW.eat -. (w.TW.slew_early /. 2.) and hi = w.TW.lat -. (w.TW.slew_late /. 2.) in
+  let hi = if hi >= lo then hi else if Float.is_nan lo then invalid_arg "Interval.point: NaN" else lo in
+  buf.(s) <- 0.;
+  buf.(s + 1) <- 0.;
+  buf.(s + 2) <- 0. +. rise;
+  buf.(s + 3) <- peak;
+  buf.(s + 4) <- 0. +. rise +. decay;
+  buf.(s + 5) <- peak /. 2.;
+  buf.(s + 6) <- 0. +. rise +. (3. *. decay);
+  buf.(s + 7) <- 0.;
+  buf.(s + 8) <- lo -. 0.;
+  buf.(s + 9) <- hi -. lo

@@ -62,3 +62,23 @@ val peak :
 val pulse :
   Tka_circuit.Netlist.t -> agg_slew:float -> directed -> Tka_waveform.Pulse.t
 (** The full pulse for a directed coupling, [onset = 0]. *)
+
+type holding
+(** A victim's total capacitance [Ct] and holding time constant [tau]:
+    what every pulse onto that victim reads of it. *)
+
+val holding : Tka_circuit.Netlist.t -> Tka_circuit.Netlist.net_id -> holding
+
+val write_swept :
+  Tka_circuit.Netlist.t ->
+  holding ->
+  Tka_sta.Timing_window.t ->
+  float array ->
+  int ->
+  directed ->
+  unit
+(** [write_swept nl (holding nl d.dc_victim) w buf s d] stores at
+    [buf.(s)] the {!Tka_waveform.Envelope.of_swept} record that
+    [Envelope.of_pulse ~window:(Timing_window.onset_interval w)
+    (pulse nl ~agg_slew:w.slew_late d)] sweeps, bit for bit and with
+    the same exceptions, and allocates nothing. *)

@@ -3,20 +3,12 @@
     Couples {!Coupled_noise} pulses with aggressor switching windows:
     sweeping the pulse over the window's onset interval produces the
     trapezoidal envelope whose leading edge is the pulse fired at EAT
-    and whose trailing edge is the pulse fired at LAT. *)
+    and whose trailing edge is the pulse fired at LAT. Every envelope
+    here is {!Coupled_noise.write_swept}'s record swept by
+    {!Tka_waveform.Envelope.of_swept}. *)
 
 type windows = Tka_circuit.Netlist.net_id -> Tka_sta.Timing_window.t
 (** Window accessor, usually [Tka_sta.Analysis.window a]. *)
-
-val swept_pulse :
-  Tka_circuit.Netlist.t ->
-  windows:windows ->
-  Coupled_noise.directed ->
-  Tka_util.Interval.t * Tka_waveform.Pulse.t
-(** The onset window and pulse {!of_directed} sweeps:
-    [of_directed nl ~windows d] is [Envelope.of_pulse ~window p] for
-    [(window, p) = swept_pulse nl ~windows d]. A victim's aggressors
-    are superposed from these with {!Tka_waveform.Envelope.of_pulses}. *)
 
 val of_directed :
   Tka_circuit.Netlist.t ->

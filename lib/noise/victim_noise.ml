@@ -31,5 +31,8 @@ let delay_noise nl ~windows ?(own_noise = 0.) ~victim ds =
   | [] -> 0.
   | _ :: _ ->
     let v = victim_transition ~windows ~own_noise victim in
-    let env = Envelope.of_pulses (List.map (Envelope_builder.swept_pulse nl ~windows) ds) in
-    delay_noise_of_envelope ~victim:v env
+    let h = Coupled_noise.holding nl victim in
+    let write buf s d =
+      Coupled_noise.write_swept nl h (windows d.Coupled_noise.dc_aggressor) buf s d
+    in
+    delay_noise_of_envelope ~victim:v (Envelope.of_swept write ds)

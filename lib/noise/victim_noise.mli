@@ -51,7 +51,11 @@ val delay_noise :
   victim:Tka_circuit.Netlist.net_id ->
   Coupled_noise.directed list ->
   float
-(** Worst-case (saturated) t50 shift from the given aggressors. *)
+(** Worst-case (saturated) t50 shift from the given aggressors, which
+    all attack [victim]. Their envelopes are superposed in one
+    {!Tka_waveform.Envelope.of_swept} pass from
+    {!Coupled_noise.write_swept} records, with the victim's
+    {!Coupled_noise.holding} read once. *)
 
 val delay_noise_of_envelope :
   victim:Tka_waveform.Transition.t -> Tka_waveform.Envelope.t -> float

@@ -12,9 +12,9 @@ let place buf s (window, p) =
   buf.(o) <- Interval.lo window -. p.Pulse.onset;
   buf.(o + 1) <- Interval.width window
 
-let of_pulses wps = Pwl.sum_swept ~points:Pulse.points place wps
+let of_swept write xs = Pwl.sum_swept ~points:Pulse.points write xs
 
-let of_pulse ~window p = of_pulses [ (window, p) ]
+let of_pulse ~window p = of_swept place [ (window, p) ]
 
 let zero = Pwl.zero
 

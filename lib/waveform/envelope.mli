@@ -10,7 +10,7 @@
     - {!of_pulse}: sweep a single-switching noise pulse over the
       aggressor timing window, producing the trapezoidal envelope of
       Fig. 2 (leading edge of the pulse placed at EAT, flat top, trailing
-      edge placed at LAT); {!of_pulses} superposes several in one pass;
+      edge placed at LAT); {!of_swept} superposes several in one pass;
     - {!combine}: linear superposition of simultaneous aggressors
       (Fig. 3);
     - {!encapsulates}: the dominance test of Section 3.2;
@@ -23,15 +23,18 @@ type t
 val of_pulse : window:Tka_util.Interval.t -> Pulse.t -> t
 (** [of_pulse ~window p] sweeps [p]'s waveform over switching times in
     [window] ([window] gives the possible onset times; [Interval.point]
-    for a fixed switching time). The one-operand case of
-    {!of_pulses}. *)
+    for a fixed switching time). *)
 
-val of_pulses : (Tka_util.Interval.t * Pulse.t) list -> t
-(** [of_pulses wps] is
-    [combine (List.map (fun (window, p) -> of_pulse ~window p) wps)],
-    bit for bit, without building the operands one at a time: each
-    trapezoid is written straight into one arena slice and the sum
-    into the front of it ({!Pwl.sum_swept}). *)
+val of_swept : (float array -> int -> 'a -> unit) -> 'a list -> t
+(** [of_swept write xs] superposes swept pulses written as
+    {!Pwl.sum_swept} records of {!Pulse.points} breakpoints. For each
+    [x], [write buf s x] stores at [buf.(s)] the record of a pulse [p]
+    swept over [window]: [p]'s breakpoints ({!Pulse.write_points}),
+    then [Interval.lo window -. p.onset], then [Interval.width window].
+    The result is {!combine} of the [of_pulse ~window p], bit for bit,
+    without building the operands one at a time: each trapezoid is
+    written straight into one arena slice and the sum into the front of
+    it. {!of_pulse} is the one-record case. *)
 
 val of_waveform : Pwl.t -> t
 (** Clips a PWL to be non-negative. Used for pseudo input aggressor

@@ -374,26 +374,46 @@ let last_upcrossing2 ~neg a b level =
     Some (x0 +. ((x1 -. x0) *. (level -. y0) /. (y1 -. y0)))
 
 (* k-way superposition: one pass over the union of all operand
-   breakpoints, written into a slice the caller allocated. Two fronts
-   share the cursor invariant of the co-scan above ([idx.(c)] = first
-   unconsumed breakpoint of operand c):
+   breakpoints. The operands are packed in one slice: operand c's
+   breakpoints lie interleaved in [src] from position [beg.(c)] up to
+   [stop.(c)], exclusive. The sum is written at (dst, doff), which has
+   room for their total breakpoint count and overlaps none of them, and
+   both fronts return the points written, not yet simplified. Each
+   operand has a cursor, the position of its first unconsumed
+   breakpoint, with the co-scan's invariant, and a point evaluates an
+   operand as [value_at] does. Both fronts add the merged abscissae to
+   [noise.sum_points] and the operand evaluations to [noise.sum_terms],
+   once per call.
 
    - [sum_scan], the general one, finds the next abscissa by a linear
      min-scan and evaluates every operand at every output point. It
      stops at an x = infinity breakpoint.
-   - [sum_heap] serves operands whose two end ordinates are zero and
+   - [sum_front] serves operands whose two end ordinates are zero and
      whose end abscissae are finite (every noise envelope). A binary
      heap keyed by each operand's next breakpoint yields the abscissae,
      and a point only evaluates the operands strictly inside their span
-     — kept in operand order in [act]. Every skipped operand contributes
+     — kept in operand order in [act], their cursors beside them in
+     [apos], so a term reads one int array and the slice. Every skipped
+     operand contributes
      exactly +0. or -0. to the full sum; the accumulator starts at +0.
      and a round-to-nearest sum is -0. only when both terms are, so it
-     is never -0. and adding a zero leaves it unchanged. The result is
-     therefore bit-identical to [sum_scan]'s. With three operands or
-     fewer the heap costs more than the scans it saves. *)
-let sum_scan ops buf off =
-  let r = Array.length ops in
-  let idx = Array.make r 0 in
+     is never -0. and adding a zero leaves it unchanged. An operand
+     inside its span has a breakpoint on each side of the point, so its
+     term is [value_at]'s exact hit or interpolation, without the end
+     cases. The result is therefore bit-identical to [sum_scan]'s. With
+     three operands or fewer the heap costs more than the scans it
+     saves. *)
+
+let m_sum_points = Tka_obs.Metrics.Counter.make "noise.sum_points"
+let m_sum_terms = Tka_obs.Metrics.Counter.make "noise.sum_terms"
+
+let count_sum points terms =
+  Tka_obs.Metrics.Counter.add m_sum_points points;
+  Tka_obs.Metrics.Counter.add m_sum_terms terms
+
+let sum_scan src beg stop dst doff =
+  let r = Array.length beg in
+  let cur = Array.copy beg in
   let m = ref 0 in
   let last = ref Float.neg_infinity in
   let go = ref true in
@@ -401,8 +421,8 @@ let sum_scan ops buf off =
     (* front: smallest unconsumed breakpoint across the operands *)
     let x = ref Float.infinity in
     for c = 0 to r - 1 do
-      let o = ops.(c) in
-      if idx.(c) < o.len && gx o idx.(c) < !x then x := gx o idx.(c)
+      let p = cur.(c) in
+      if p < stop.(c) && src.(p) < !x then x := src.(p)
     done;
     let x = !x in
     if x = Float.infinity then go := false
@@ -410,134 +430,177 @@ let sum_scan ops buf off =
       if x -. !last > x_eps then begin
         let acc = ref 0. in
         for c = 0 to r - 1 do
-          let o = ops.(c) in
-          acc := !acc +. value_at o.buf o.off o.len idx.(c) x
+          let b = beg.(c) in
+          acc := !acc +. value_at src b ((stop.(c) - b) / 2) ((cur.(c) - b) / 2) x
         done;
-        buf.(off + (2 * !m)) <- x;
-        buf.(off + (2 * !m) + 1) <- !acc;
+        dst.(doff + (2 * !m)) <- x;
+        dst.(doff + (2 * !m) + 1) <- !acc;
         incr m;
         last := x
       end;
       for c = 0 to r - 1 do
-        let o = ops.(c) in
-        if idx.(c) < o.len && gx o idx.(c) = x then idx.(c) <- idx.(c) + 1
+        let p = cur.(c) in
+        if p < stop.(c) && src.(p) = x then cur.(c) <- p + 2
       done
     end
   done;
+  count_sum !m (!m * r);
   !m
 
-let zero_ended o =
-  gy o 0 = 0.
-  && gy o (o.len - 1) = 0.
-  && Float.is_finite (gx o 0)
-  && Float.is_finite (gx o (o.len - 1))
+(* Restores the heap order below [hx.(i)], [hc.(i)] in [size] entries:
+   the entry moves down past every child that is strictly smaller,
+   taking the smaller child when both are. Every index read is below
+   [size], which is at most the arrays' length, so the accesses go
+   unchecked. *)
+let sift_down (hx : float array) (hc : int array) size i =
+  let x = Array.unsafe_get hx i and c = Array.unsafe_get hc i in
+  let i = ref i and go = ref true in
+  while !go do
+    let l = (2 * !i) + 1 in
+    if l >= size then go := false
+    else begin
+      let j =
+        if l + 1 < size && Array.unsafe_get hx (l + 1) < Array.unsafe_get hx l then l + 1
+        else l
+      in
+      if Array.unsafe_get hx j < x then begin
+        Array.unsafe_set hx !i (Array.unsafe_get hx j);
+        Array.unsafe_set hc !i (Array.unsafe_get hc j);
+        i := j
+      end
+      else go := false
+    end
+  done;
+  Array.unsafe_set hx !i x;
+  Array.unsafe_set hc !i c
 
-let sum_heap ops buf off =
-  let r = Array.length ops in
-  let idx = Array.make r 0 in
-  (* min-heap of (next abscissa, operand) *)
+let sum_front src beg stop dst doff =
+  let r = Array.length beg in
+  let cur = Array.copy beg in
+  (* min-heap of (next abscissa, operand), each pushed and sifted up in
+     operand order *)
   let hx = Array.make r 0. and hc = Array.make r 0 in
-  let size = ref 0 in
-  let rec sift_up i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if hx.(i) < hx.(p) then begin
-        let x = hx.(i) and c = hc.(i) in
-        hx.(i) <- hx.(p);
-        hc.(i) <- hc.(p);
-        hx.(p) <- x;
-        hc.(p) <- c;
-        sift_up p
-      end
-    end
-  in
-  let rec sift_down i =
-    let l = (2 * i) + 1 in
-    if l < !size then begin
-      let j = if l + 1 < !size && hx.(l + 1) < hx.(l) then l + 1 else l in
-      if hx.(j) < hx.(i) then begin
-        let x = hx.(i) and c = hc.(i) in
-        hx.(i) <- hx.(j);
-        hc.(i) <- hc.(j);
-        hx.(j) <- x;
-        hc.(j) <- c;
-        sift_down j
-      end
-    end
-  in
-  Array.iteri
-    (fun c o ->
-      hx.(!size) <- gx o 0;
-      hc.(!size) <- c;
-      incr size;
-      sift_up (!size - 1))
-    ops;
-  (* operands strictly inside their span, ascending *)
-  let act = Array.make r 0 and na = ref 0 in
-  let insert c =
-    let j = ref !na in
-    while !j > 0 && act.(!j - 1) > c do
-      act.(!j) <- act.(!j - 1);
-      decr j
+  for c = 0 to r - 1 do
+    let x = src.(beg.(c)) in
+    let i = ref c in
+    while !i > 0 && x < hx.((!i - 1) / 2) do
+      let p = (!i - 1) / 2 in
+      hx.(!i) <- hx.(p);
+      hc.(!i) <- hc.(p);
+      i := p
     done;
-    act.(!j) <- c;
-    incr na
-  in
-  let remove c =
-    let j = ref 0 in
-    while act.(!j) <> c do incr j done;
-    Array.blit act (!j + 1) act !j (!na - !j - 1);
-    decr na
-  in
-  let m = ref 0 in
+    hx.(!i) <- x;
+    hc.(!i) <- c
+  done;
+  let size = ref r in
+  (* the operands strictly inside their span, ascending, beside their
+     cursors; [slot.(c)] is operand c's place among them *)
+  let act = Array.make r 0 and apos = Array.make r 0 and slot = Array.make r 0 in
+  let na = ref 0 in
+  let m = ref 0 and terms = ref 0 in
   let last = ref Float.neg_infinity in
   while !size > 0 do
     let x = hx.(0) in
     if x -. !last > x_eps then begin
+      (* an active cursor lies strictly inside its operand, so it and
+         the breakpoint before it are in [src]: the reads go unchecked *)
       let acc = ref 0. in
       for j = 0 to !na - 1 do
-        let o = ops.(act.(j)) in
-        acc := !acc +. value_at o.buf o.off o.len idx.(act.(j)) x
+        let p = Array.unsafe_get apos j in
+        let x1 = Array.unsafe_get src p and y1 = Array.unsafe_get src (p + 1) in
+        if x1 = x then acc := !acc +. y1
+        else begin
+          let x0 = Array.unsafe_get src (p - 2) and y0 = Array.unsafe_get src (p - 1) in
+          acc := !acc +. (y0 +. ((y1 -. y0) *. (x -. x0) /. (x1 -. x0)))
+        end
       done;
-      buf.(off + (2 * !m)) <- x;
-      buf.(off + (2 * !m) + 1) <- !acc;
+      terms := !terms + !na;
+      dst.(doff + (2 * !m)) <- x;
+      dst.(doff + (2 * !m) + 1) <- !acc;
       incr m;
       last := x
     end;
     (* consume every breakpoint at x *)
     while !size > 0 && hx.(0) = x do
       let c = hc.(0) in
-      let o = ops.(c) in
-      let i = idx.(c) + 1 in
-      idx.(c) <- i;
-      if i = 1 && o.len > 1 then insert c;
-      if i < o.len then hx.(0) <- gx o i
+      let p = cur.(c) + 2 in
+      cur.(c) <- p;
+      if p < stop.(c) then begin
+        if p - 2 = beg.(c) then begin
+          (* first breakpoint consumed: the operand enters its span *)
+          let j = ref !na in
+          while !j > 0 && act.(!j - 1) > c do
+            let c' = act.(!j - 1) in
+            act.(!j) <- c';
+            apos.(!j) <- apos.(!j - 1);
+            slot.(c') <- !j;
+            decr j
+          done;
+          act.(!j) <- c;
+          apos.(!j) <- p;
+          slot.(c) <- !j;
+          incr na
+        end
+        else apos.(slot.(c)) <- p;
+        hx.(0) <- src.(p)
+      end
       else begin
-        if o.len > 1 then remove c;
+        if p - 2 > beg.(c) then begin
+          (* last breakpoint consumed: the operand leaves its span *)
+          for k = slot.(c) to !na - 2 do
+            let c' = act.(k + 1) in
+            act.(k) <- c';
+            apos.(k) <- apos.(k + 1);
+            slot.(c') <- k
+          done;
+          decr na
+        end;
         decr size;
         hx.(0) <- hx.(!size);
         hc.(0) <- hc.(!size)
       end;
-      sift_down 0
+      sift_down hx hc !size 0
     done
   done;
+  count_sum !m !terms;
   !m
 
-(* Writes the sum of [ops] (two or more) at (buf, off), which has room
-   for their total breakpoint count and overlaps none of them; returns
-   the points written, not yet simplified. *)
-let sum_into ops buf off =
-  if Array.length ops <= 3 || not (Array.for_all zero_ended ops) then sum_scan ops buf off
-  else sum_heap ops buf off
+let zero_ended src b e =
+  src.(b + 1) = 0.
+  && src.(e - 1) = 0.
+  && Float.is_finite src.(b)
+  && Float.is_finite src.(e - 2)
 
+(* The sum of the (two or more) operands packed in [src], at (dst, doff) *)
+let sum_into src beg stop dst doff =
+  let r = Array.length beg in
+  let front = ref (r > 3) in
+  for c = 0 to r - 1 do
+    if !front && not (zero_ended src beg.(c) stop.(c)) then front := false
+  done;
+  if !front then sum_front src beg stop dst doff else sum_scan src beg stop dst doff
+
+(* The operands are copied behind the room for the sum, so the fronts
+   read one slice whoever allocated them. *)
 let sum = function
   | [] -> zero
   | [ w ] -> w
   | ws ->
-    let ops = Array.of_list ws in
-    let cap = Array.fold_left (fun acc o -> acc + o.len) 0 ops in
-    let buf, off = Arena.alloc (2 * cap) in
-    finish buf off ~cap (sum_into ops buf off)
+    let r = List.length ws in
+    let cap = List.fold_left (fun acc o -> acc + o.len) 0 ws in
+    let alloc = 4 * cap in
+    let buf, off = Arena.alloc alloc in
+    let beg = Array.make r 0 and stop = Array.make r 0 in
+    List.iteri
+      (fun c o ->
+        let b = if c = 0 then off + (2 * cap) else stop.(c - 1) in
+        Array.blit o.buf o.off buf b (2 * o.len);
+        beg.(c) <- b;
+        stop.(c) <- b + (2 * o.len))
+      ws;
+    let n = simplify_into buf off (sum_into buf beg stop buf off) in
+    Arena.shrink_last buf off ~alloc ~used:(2 * n);
+    mk buf off n
 
 (* Pointwise max/min need the crossing abscissae inserted: within one
    cell of the co-scan both functions are linear, so they cross at most
@@ -760,16 +823,14 @@ let crossings t level =
 
 (* [is_unimodal] on the [n] breakpoints at (buf, off) *)
 let unimodal_in eps buf off n =
-  let rec go i seen_down =
-    if i >= n - 1 then true
-    else begin
-      let dy = buf.(off + (2 * (i + 1)) + 1) -. buf.(off + (2 * i) + 1) in
-      if dy > eps then (not seen_down) && go (i + 1) false
-      else if dy < -.eps then go (i + 1) true
-      else go (i + 1) seen_down
-    end
-  in
-  go 0 false
+  let ok = ref true and seen_down = ref false and i = ref 0 in
+  while !ok && !i < n - 1 do
+    let dy = buf.(off + (2 * (!i + 1)) + 1) -. buf.(off + (2 * !i) + 1) in
+    if dy > eps then ok := not !seen_down
+    else if dy < -.eps then seen_down := true;
+    incr i
+  done;
+  !ok
 
 let is_unimodal ?(eps = F.default_eps) t = unimodal_in eps t.buf t.off t.len
 
@@ -785,7 +846,7 @@ let[@inline] put_point buf off m x y =
    part shifted by the window, written unsimplified at (dst, doff),
    which must not overlap the source. Returns the count written, at
    most [n + 2]. *)
-let sweep_points src so n ~window dst doff =
+let[@inline] sweep_points src so n ~window dst doff =
   (* [max_value]'s scan *)
   let peak = ref src.(so + 1) in
   for i = 1 to n - 1 do
@@ -885,21 +946,26 @@ let sweep_composed buf s k =
   let pts = List.init k (fun i -> (buf.(s + (2 * i)), buf.(s + (2 * i) + 1))) in
   sliding_max ~window:buf.(s + (2 * k) + 1) (shift_x buf.(s + (2 * k)) (create pts))
 
-(* Writes the record of each of [xs] in turn at buf.(s) and sweeps it
-   into ops.(c) and on, packing the operands from buf.(p). *)
-let rec sweep_all write buf s k ops c p = function
+(* Writes the record of each of [xs] in turn at buf.(s), sweeps it into
+   buf.(p) and on, and notes where operand [c] and the ones after it lie
+   in [beg] and [stop]. A record the composed path sweeps is copied in
+   behind the others: it has at most [k + 2] points too. *)
+let rec sweep_all write buf s k beg stop c p = function
   | [] -> ()
   | x :: tl ->
     write buf s x;
     let m = sweep_one buf p s k in
-    if m >= 0 then begin
-      ops.(c) <- mk buf p m;
-      sweep_all write buf s k ops (c + 1) (p + (2 * m)) tl
-    end
-    else begin
-      ops.(c) <- sweep_composed buf s k;
-      sweep_all write buf s k ops (c + 1) p tl
-    end
+    let m =
+      if m >= 0 then m
+      else begin
+        let o = sweep_composed buf s k in
+        Array.blit o.buf o.off buf p (2 * o.len);
+        o.len
+      end
+    in
+    beg.(c) <- p;
+    stop.(c) <- p + (2 * m);
+    sweep_all write buf s k beg stop (c + 1) (p + (2 * m)) tl
 
 let sum_swept ~points:k write xs =
   if k < 1 then invalid_arg "Pwl.sum_swept: points must be positive";
@@ -925,9 +991,9 @@ let sum_swept ~points:k write xs =
     let total = (2 * n * cap) + k in
     let alloc = (2 * total) + (2 * k) + 2 in
     let buf, off = Arena.alloc alloc in
-    let ops = Array.make n zero in
-    sweep_all write buf (off + (2 * total)) k ops 0 (off + (2 * n * cap)) xs;
-    let m = simplify_into buf off (sum_into ops buf off) in
+    let beg = Array.make n 0 and stop = Array.make n 0 in
+    sweep_all write buf (off + (2 * total)) k beg stop 0 (off + (2 * n * cap)) xs;
+    let m = simplify_into buf off (sum_into buf beg stop buf off) in
     Arena.shrink_last buf off ~alloc ~used:(2 * m);
     mk buf off m
 

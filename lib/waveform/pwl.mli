@@ -76,13 +76,16 @@ val sub : t -> t -> t
 val sum : t list -> t
 (** Pointwise sum of all operands in one k-way breakpoint merge (no
     intermediate waveforms), accumulated in operand order.
-    [sum [] = zero]. When there are more than three operands and each
-    has zero end ordinates and finite end abscissae (noise envelopes),
-    a heap front visits the merged abscissae and each point adds only
-    the operands strictly inside their span; the skipped terms are
-    exact zeros, so the result is bit-identical to adding them all.
-    Otherwise a linear min-scan front adds every operand at every
-    point. *)
+    [sum [] = zero]. The operands are first copied into one slice
+    behind the room for the result. When there are more than three
+    operands and each has zero end ordinates and finite end abscissae
+    (noise envelopes), a heap front visits the merged abscissae and
+    each point adds only the operands strictly inside their span; the
+    skipped terms are exact zeros, so the result is bit-identical to
+    adding them all. Otherwise a linear min-scan front adds every
+    operand at every point. Each sum of two or more operands adds its
+    merged abscissae to the [noise.sum_points] counter and its operand
+    evaluations to [noise.sum_terms]. *)
 
 val max2 : t -> t -> t
 (** Exact pointwise maximum (inserts crossing abscissae). *)
@@ -170,8 +173,8 @@ val sum_swept : points:int -> (float array -> int -> 'a -> unit) -> 'a list -> t
     [sum (List.map (fun (pts, d, w) -> sliding_max ~window:w (shift_x d
     (create pts))) records)] — built in one arena slice, with no
     intermediate waveform. Records whose points are closer than the
-    merge tolerance take that composed path and bump the
-    [noise.envelope_fallbacks] counter. *)
+    merge tolerance take that composed path, whose result is copied
+    into the slice, and bump the [noise.envelope_fallbacks] counter. *)
 
 val is_unimodal : ?eps:float -> t -> bool
 

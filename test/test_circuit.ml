@@ -366,6 +366,36 @@ let test_spef_parse_fields () =
   (* the duplicated coupling listing collapses to one *)
   Alcotest.(check int) "couplings deduped" 1 (List.length ann.Spef.couplings)
 
+(* Warn-level "spef" events logged while parsing [src], and the parse. *)
+let spef_warnings src =
+  let module Log = Tka_obs.Log in
+  let saved = Log.global_level () in
+  let reporter, events = Log.buffer_reporter () in
+  Log.set_reporter reporter;
+  Log.set_level (Some Log.Warn);
+  Fun.protect
+    ~finally:(fun () ->
+      Log.set_reporter Log.nop_reporter;
+      Log.set_level saved)
+    (fun () ->
+      let ann = Spef.parse src in
+      (List.filter (fun e -> e.Log.ev_src = "spef" && e.Log.ev_level = Log.Warn) (events ()), ann))
+
+let test_spef_duplicate_warnings () =
+  let nl, _, _, _, _, _, _, _ = small () in
+  let warned, ann = spef_warnings (Spef.print nl) in
+  Alcotest.(check int) "equal duplicates log nothing" 0 (List.length warned);
+  Alcotest.(check int) "couplings" (N.num_couplings nl) (List.length ann.Spef.couplings);
+  let src =
+    "*D_NET n1 0.01\n*CAP\n1 n1 n2 0.0030\n*END\n\n*D_NET n2 0.02\n*CAP\n2 n2 n1 0.0045\n3 n2 n3 0.001\n*END\n\n*D_NET n3 0.01\n*CAP\n4 n3 n2 0.001\n*END\n"
+  in
+  let warned, ann = spef_warnings src in
+  Alcotest.(check int) "one differing duplicate, one warning" 1 (List.length warned);
+  Alcotest.(check (list (pair (pair string string) (float 0.))))
+    "larger value kept"
+    [ (("n1", "n2"), 0.0045); (("n2", "n3"), 0.001) ]
+    (List.sort compare (List.map (fun (a, b, c) -> ((min a b, max a b), c)) ann.Spef.couplings))
+
 let expect_spef_error src =
   try
     ignore (Spef.parse src);
@@ -935,6 +965,7 @@ let () =
           Alcotest.test_case "parse fields" `Quick test_spef_parse_fields;
           Alcotest.test_case "errors" `Quick test_spef_errors;
           Alcotest.test_case "unknown net" `Quick test_spef_apply_unknown_net;
+          Alcotest.test_case "duplicate warnings" `Quick test_spef_duplicate_warnings;
         ] );
       ( "transform",
         [

@@ -4,8 +4,10 @@
    patterns in net order. The netlist is the benchmark printed and
    parsed back (the path `tka noise` takes), and the fixpoint runs with
    [Iterate.run] defaults. They were recorded before the PWL kernels
-   (k-way sum front, sorted-input create, slice-writing sliding max)
-   and the per-victim arena scopes were introduced; none of those may
+   (k-way sum front, sorted-input create, slice-writing sliding max),
+   the per-victim arena scopes, the one-pass swept envelopes, the flat
+   superposition front and the victim kernel that writes each
+   coupling's record into the slice were introduced; none of those may
    move a bit of the fixpoint, at any jobs count. *)
 
 module B = Tka_layout.Benchmarks

@@ -832,7 +832,15 @@ let arb_sliding_case =
       in
       return (w, window))
 
-(* Swept pulses for [Envelope.of_pulse]/[of_pulses]: onsets and window
+(* [Envelope.of_pulse]'s record of a (window, pulse) pair, for
+   [Envelope.of_swept]: the pulse's breakpoints, the shift that puts its
+   onset at the window's start, the window's width. *)
+let place buf s (window, (p : Pulse.t)) =
+  Pulse.write_points p buf s;
+  buf.(s + (2 * Pulse.points)) <- Interval.lo window -. p.onset;
+  buf.(s + (2 * Pulse.points) + 1) <- Interval.width window
+
+(* Swept pulses for [Envelope.of_pulse]/[of_swept]: onsets and window
    starts off the dyadic grid (so a reordered addition shows in the
    last bits), windows that are points, narrower than x_eps or wide,
    peaks so small that half the peak is within F.approx of it, and
@@ -882,12 +890,238 @@ let swept_bits_tests =
             let e = Envelope.of_pulse ~window p in
             let e = if f = 1. then e else Envelope.scale f e in
             Pwl.breakpoints (Envelope.waveform e)));
-    Test.make ~name:"of_pulses is bit-identical to the composed sum" ~count:3000
+    Test.make ~name:"of_swept is bit-identical to the composed sum" ~count:3000
       arb_swept_list (fun wps ->
         same_outcome
           (fun () ->
             Old_kernels.sum_pts (List.map (fun (window, p) -> Old_kernels.envelope ~window p) wps))
-          (fun () -> Pwl.breakpoints (Envelope.waveform (Envelope.of_pulses wps))));
+          (fun () -> Pwl.breakpoints (Envelope.waveform (Envelope.of_swept place wps))));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Flat front: the heap front it replaced, kept here                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [Pwl.sum]'s heap front as it stood before the flat front, over
+   breakpoint arrays: recursive sift closures, an [Array.blit] to leave
+   the active list, [value_at] with its end cases. [sum_pts] takes the
+   same front as [Pwl.sum] did: the scan for three operands or fewer or
+   when one does not start and end at zero at a finite abscissa. *)
+module Old_front = struct
+  let sum_heap (ops : (float * float) array array) =
+    let r = Array.length ops in
+    let idx = Array.make r 0 in
+    let hx = Array.make r 0. and hc = Array.make r 0 in
+    let size = ref 0 in
+    let rec sift_up i =
+      if i > 0 then begin
+        let p = (i - 1) / 2 in
+        if hx.(i) < hx.(p) then begin
+          let x = hx.(i) and c = hc.(i) in
+          hx.(i) <- hx.(p);
+          hc.(i) <- hc.(p);
+          hx.(p) <- x;
+          hc.(p) <- c;
+          sift_up p
+        end
+      end
+    in
+    let rec sift_down i =
+      let l = (2 * i) + 1 in
+      if l < !size then begin
+        let j = if l + 1 < !size && hx.(l + 1) < hx.(l) then l + 1 else l in
+        if hx.(j) < hx.(i) then begin
+          let x = hx.(i) and c = hc.(i) in
+          hx.(i) <- hx.(j);
+          hc.(i) <- hc.(j);
+          hx.(j) <- x;
+          hc.(j) <- c;
+          sift_down j
+        end
+      end
+    in
+    Array.iteri
+      (fun c o ->
+        hx.(!size) <- fst o.(0);
+        hc.(!size) <- c;
+        incr size;
+        sift_up (!size - 1))
+      ops;
+    let act = Array.make r 0 and na = ref 0 in
+    let insert c =
+      let j = ref !na in
+      while !j > 0 && act.(!j - 1) > c do
+        act.(!j) <- act.(!j - 1);
+        decr j
+      done;
+      act.(!j) <- c;
+      incr na
+    in
+    let remove c =
+      let j = ref 0 in
+      while act.(!j) <> c do incr j done;
+      Array.blit act (!j + 1) act !j (!na - !j - 1);
+      decr na
+    in
+    let out = ref [] in
+    let last = ref Float.neg_infinity in
+    while !size > 0 do
+      let x = hx.(0) in
+      if x -. !last > Old_kernels.x_eps then begin
+        let acc = ref 0. in
+        for j = 0 to !na - 1 do
+          acc := !acc +. Old_kernels.value_at ops.(act.(j)) idx.(act.(j)) x
+        done;
+        out := (x, !acc) :: !out;
+        last := x
+      end;
+      while !size > 0 && hx.(0) = x do
+        let c = hc.(0) in
+        let o = ops.(c) in
+        let i = idx.(c) + 1 in
+        idx.(c) <- i;
+        if i = 1 && Array.length o > 1 then insert c;
+        if i < Array.length o then hx.(0) <- fst o.(i)
+        else begin
+          if Array.length o > 1 then remove c;
+          decr size;
+          hx.(0) <- hx.(!size);
+          hc.(0) <- hc.(!size)
+        end;
+        sift_down 0
+      done
+    done;
+    Old_kernels.simplify (Array.of_list (List.rev !out))
+
+  let zero_ended o =
+    let n = Array.length o in
+    snd o.(0) = 0.
+    && snd o.(n - 1) = 0.
+    && Float.is_finite (fst o.(0))
+    && Float.is_finite (fst o.(n - 1))
+
+  let sum_pts ops =
+    let arrs = Array.of_list (List.map Array.of_list ops) in
+    if Array.length arrs <= 3 || not (Array.for_all zero_ended arrs) then
+      Old_kernels.sum_pts ops
+    else sum_heap arrs
+
+  let sum ws = sum_pts (List.map Pwl.breakpoints ws)
+end
+
+(* Operands for the front: zero-ended on the shared tick grid, so that
+   abscissae of different operands coincide exactly or within x_eps,
+   some of them a single point; now and then one that does not end at
+   zero, which sends the whole sum to the scan. *)
+let front_operand =
+  QCheck.Gen.(
+    let* kind = int_bound 19 in
+    let* z0 = oneofl [ 0.; -0. ] and* z1 = oneofl [ 0.; -0. ] in
+    if kind = 0 then
+      let* x = map (fun t -> (0.25 *. float_of_int t) +. 1e-13) (int_range (-8) 8) in
+      return (Pwl.create [ (x, z0) ])
+    else
+      let* n = int_range 1 6 in
+      let* xs = bits_xs n in
+      let* ys = list_repeat (List.length xs) bits_y in
+      let pts = List.combine xs ys in
+      let first = fst (List.hd pts) and last = fst (List.nth pts (List.length pts - 1)) in
+      let tail = if kind = 1 then [] else [ (last +. 0.25, z1) ] in
+      return (Pwl.create (((first -. 0.25, z0) :: pts) @ tail)))
+
+let arb_front_operands =
+  QCheck.make
+    ~print:(fun ws -> String.concat " | " (List.map Pwl.to_string ws))
+    QCheck.Gen.(
+      let* n = frequency [ (3, int_range 4 12); (1, int_range 13 130) ] in
+      list_repeat n front_operand)
+
+let arb_front_swept =
+  QCheck.make
+    ~print:(fun wps -> String.concat " | " (List.map print_swept wps))
+    QCheck.Gen.(
+      let* n = frequency [ (3, int_range 4 12); (1, int_range 13 130) ] in
+      list_repeat n swept_gen)
+
+(* A victim of i1 under random windows, attacked by 1-130 of its
+   aggressors (repeats allowed): window ends on a coarse grid with
+   sub-x_eps jitter, onset intervals that collapse to a point. *)
+module N = Tka_circuit.Netlist
+module TW = Tka_sta.Timing_window
+module CN = Tka_noise.Coupled_noise
+module EB = Tka_noise.Envelope_builder
+module VN = Tka_noise.Victim_noise
+
+let victim_nl = Option.get (Tka_layout.Benchmarks.by_name "i1")
+
+let victim_window =
+  QCheck.Gen.(
+    let* eat = map (fun t -> 0.05 *. float_of_int t) (int_range 0 40) in
+    let* jitter = oneofl [ 0.; 0.; 1e-13; -3e-13 ] in
+    let* width = frequency [ (2, return 0.); (1, oneofl [ 1e-12; 0.01 ]); (4, float_range 0. 0.6) ] in
+    let* slew_early = oneofl [ 0.02; 0.05; 0.1 ] and* slew_late = frequency [ (3, oneofl [ 0.02; 0.05; 0.1 ]); (1, float_range 1e-7 0.3) ] in
+    let eat = eat +. jitter in
+    return (TW.make ~eat ~lat:(eat +. width) ~slew_early ~slew_late))
+
+let arb_victim_case =
+  let nl = victim_nl in
+  let victims =
+    List.filter (fun v -> CN.aggressors_of_victim nl v <> []) (List.init (N.num_nets nl) Fun.id)
+  in
+  QCheck.make
+    ~print:(fun (v, ds, own, wins) ->
+      Printf.sprintf "victim %d own %h aggressors [%s] windows [%s]" v own
+        (String.concat "; " (List.map (fun d -> string_of_int (CN.directed_id d)) ds))
+        (String.concat "; " (Array.to_list (Array.map (Format.asprintf "%a" TW.pp) wins))))
+    QCheck.Gen.(
+      let* v = oneofl victims in
+      let all = Array.of_list (CN.aggressors_of_victim nl v) in
+      let* n = frequency [ (1, int_range 1 3); (4, int_range 4 40); (1, int_range 41 130) ] in
+      let* picks = list_repeat n (int_bound (Array.length all - 1)) in
+      let* own = oneofl [ 0.; 0.013; 0.2 ] in
+      let* wins = array_repeat (N.num_nets nl) victim_window in
+      return (v, List.map (fun i -> all.(i)) picks, own, wins))
+
+(* The envelope [Envelope_builder] and [Victim_noise] sweep for [d],
+   built from a [Pulse.t] along the composed path. *)
+let composed_envelope windows d =
+  let w = windows d.CN.dc_aggressor in
+  Old_kernels.envelope ~window:(TW.onset_interval w) (CN.pulse victim_nl ~agg_slew:w.TW.slew_late d)
+
+let front_bits_tests =
+  let open QCheck in
+  let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  [
+    Test.make ~name:"front matches the heap, separate slices" ~count:1000 arb_front_operands
+      (fun ws -> same_bits (Old_front.sum ws) (Pwl.breakpoints (Pwl.sum ws)));
+    Test.make ~name:"front matches the heap, one slice" ~count:1000 arb_front_swept (fun wps ->
+        same_outcome
+          (fun () ->
+            Old_front.sum_pts (List.map (fun (window, p) -> Old_kernels.envelope ~window p) wps))
+          (fun () -> Pwl.breakpoints (Envelope.waveform (Envelope.of_swept place wps))));
+    Test.make ~name:"delay_noise matches the composed list path" ~count:500 arb_victim_case
+      (fun (v, ds, own_noise, wins) ->
+        let nl = victim_nl and windows n = wins.(n) in
+        let listed =
+          List.map
+            (fun d ->
+              let w = windows d.CN.dc_aggressor in
+              Envelope.of_pulse ~window:(TW.onset_interval w) (CN.pulse nl ~agg_slew:w.TW.slew_late d))
+            ds
+        in
+        let env = Envelope.combine listed in
+        let expect =
+          VN.delay_noise_of_envelope ~victim:(VN.victim_transition ~windows ~own_noise v) env
+        in
+        bits_eq expect (VN.delay_noise nl ~windows ~own_noise ~victim:v ds)
+        && same_bits
+             (Old_front.sum_pts (List.map (composed_envelope windows) ds))
+             (Pwl.breakpoints (Envelope.waveform env))
+        && List.for_all
+             (fun d ->
+               same_bits (composed_envelope windows d)
+                 (Pwl.breakpoints (Envelope.waveform (EB.of_directed nl ~windows d))))
+             ds);
   ]
 
 let kernel_bits_tests =
@@ -1018,5 +1252,6 @@ let () =
         :: List.map QCheck_alcotest.to_alcotest kernel_qcheck_tests );
       ("kernel bits", List.map QCheck_alcotest.to_alcotest kernel_bits_tests);
       ("one pass", List.map QCheck_alcotest.to_alcotest swept_bits_tests);
+      ("flat front", List.map QCheck_alcotest.to_alcotest front_bits_tests);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -33,6 +33,9 @@ let g_runtime = Metrics.Gauge.make "engine.last_runtime_s"
 let h_victim_s = Metrics.Histogram.make "engine.victim_seconds"
 let m_prelude_reuses = Metrics.Counter.make "engine.prelude_reuses"
 let m_direct = Metrics.Counter.make "engine.direct_summaries"
+let m_scan_points = Metrics.Counter.make "engine.elim_scan_points"
+let m_full_points = Metrics.Counter.make "engine.elim_full_points"
+let m_scan_fallbacks = Metrics.Counter.make "engine.elim_scan_fallbacks"
 
 type mode = Addition | Elimination
 
@@ -97,9 +100,16 @@ type victim_cache = {
 
 let summaries_per_cardinality = 2
 
+(* The elimination reference of a victim: the noise of everything
+   attacking it (direct + propagated) and its noisy floor, the ramp
+   minus that total envelope, indexed for the objective. The index
+   holds its own copy of the floor, outside the arena. *)
+type reference = { rf_noise : float; rf_floor : Pwl.floor }
+
 (* The per-victim work that depends only on the net and on run
    constants: the screened, non-inert primaries with their de-rating,
-   their dense indices, strict-dominator masks and the [strong] flags.
+   their dense indices, strict-dominator masks and the [strong] flags,
+   and the elimination reference once an enumeration has built it.
    It holds no envelopes — a PWL slice must not outlive the victim that
    built it (docs/performance.md) — so a consumer rebuilds those. *)
 type prelude = {
@@ -108,6 +118,7 @@ type prelude = {
   pr_idx : int Int_tbl.t;
   pr_dom_mask : Tka_util.Bitset.t array;
   pr_strong : bool array;
+  pr_ref : reference option;
 }
 
 (* A net's direct-only summary, the stats of its enumeration, and
@@ -268,6 +279,7 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
         pr_idx = idx_of_id;
         pr_dom_mask = dom_mask;
         pr_strong = strong;
+        pr_ref = None;
       },
       prim_env )
   in
@@ -287,11 +299,11 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
   in
 
   (* A net's direct-only enumeration runs before its visit (phase B of
-     a level at or below the net's), so it stashes the prelude for the
-     visit, unless the net's record is already installed from the
-     cache; the visit takes it out. [direct] enumerations list only
-     primaries, with neither pseudo nor higher-order candidates, up to
-     cardinality [k - 1]. Returns the lists, their pruning stats, and,
+     a level at or below the net's), so it stashes the prelude, with
+     the elimination reference it built, for the visit, unless the
+     net's record is already installed from the cache; the visit takes
+     it out. [direct] enumerations list only primaries, with neither
+     pseudo nor higher-order candidates, up to cardinality [k - 1]. Returns the lists, their pruning stats, and,
      for the victim cache, the direct-only summaries the higher-order
      candidates read (in pool order, deduplicated: a cached record's
      [cv_direct]). *)
@@ -305,10 +317,7 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
         stash.(v) <- None;
         Metrics.Counter.incr m_prelude_reuses;
         (pr, prim_env_of pr.pr_derate (max 16 (Array.length pr.pr_prims)))
-      | None ->
-        let pr, prim_env = build_prelude v ~victim ~ramp ~interval in
-        if direct && Option.is_none records.(v) then stash.(v) <- Some pr;
-        (pr, prim_env)
+      | None -> build_prelude v ~victim ~ramp ~interval
     in
     let use_pseudo = config.use_pseudo && not direct in
     let use_higher = higher_possible && not direct in
@@ -320,32 +329,29 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
     let strong = pr.pr_strong in
     let np = Array.length prim_arr in
     let primaries = Array.to_list prim_arr in
-    (* Elimination reference: the total envelope of everything attacking
-       this victim (direct + propagated), and the noise it causes. *)
-    let total_env =
-      lazy
-        (let direct = Envelope.combine (List.map prim_env primaries) in
-         match mode with
-         | Addition -> direct
-         | Elimination ->
-           Envelope.add direct
-             (Pseudo.envelope ~victim ~shift:(upstream_shift v)))
-    in
-    let total_noise =
-      lazy (crossing_noise ~victim ~neg:true ramp (Lazy.force total_env))
-    in
-    (* one-pass elimination objective: precompute (ramp - total envelope)
-       once; the remaining noise after removing env is the crossing of
-       that floor plus env *)
-    let noisy_floor =
-      lazy (Pwl.sub ramp (Envelope.waveform (Lazy.force total_env)))
+    (* the remaining noise after removing env is the crossing of the
+       noisy floor plus env *)
+    let reference =
+      match pr.pr_ref with
+      | Some r -> Lazy.from_val r
+      | None ->
+        lazy
+          (let total =
+             Envelope.add
+               (Envelope.combine (List.map prim_env primaries))
+               (Pseudo.envelope ~victim ~shift:(upstream_shift v))
+           in
+           {
+             rf_noise = crossing_noise ~victim ~neg:true ramp total;
+             rf_floor = Envelope.floor ramp total;
+           })
     in
     let objective env =
       match mode with
       | Addition -> crossing_noise ~victim ~neg:true ramp env
       | Elimination ->
-        Lazy.force total_noise
-        -. crossing_noise ~victim ~neg:false (Lazy.force noisy_floor) env
+        let r = Lazy.force reference in
+        r.rf_noise -. VN.saturate ~victim (Envelope.floor_delay ~victim r.rf_floor env)
     in
     let entry set env =
       { Ilist.couplings = set; envelope = env; objective = objective env }
@@ -546,6 +552,17 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
           [] (Lazy.force higher_order_pool)
         |> List.rev
     in
+    let built = if Lazy.is_val reference then Some (Lazy.force reference) else None in
+    Option.iter
+      (fun r ->
+        if Metrics.is_enabled () then begin
+          let visited, full, fallbacks = Pwl.floor_counts r.rf_floor in
+          Metrics.Counter.add m_scan_points visited;
+          Metrics.Counter.add m_full_points full;
+          Metrics.Counter.add m_scan_fallbacks fallbacks
+        end)
+      built;
+    if direct && Option.is_none records.(v) then stash.(v) <- Some { pr with pr_ref = built };
     (ilists, stats, reads)
   in
 
@@ -804,29 +821,23 @@ let compute_body ~config ~fixpoint:fix ~victim_cache ~mode topo =
     in
     find 0
   in
-  (match mode with
-  | Addition | Elimination ->
-    for i = 2 to k do
-      let prev = per_k.(i - 1) in
-      let keep_prev =
-        match (per_k.(i), prev) with
-        | _, None -> false
-        | None, Some _ -> true
-        | Some ci, Some cp -> ci.ch_objective < cp.ch_objective
+  for i = 2 to k do
+    let prev = per_k.(i - 1) in
+    let keep_prev =
+      match (per_k.(i), prev) with
+      | _, None -> false
+      | None, Some _ -> true
+      | Some ci, Some cp -> ci.ch_objective < cp.ch_objective
+    in
+    if keep_prev then begin
+      let padded_choice =
+        Option.bind prev (fun cp ->
+            Option.map (fun padded -> { cp with ch_set = padded }) (pad_with_any cp.ch_set))
       in
-      if keep_prev then begin
-        let padded_choice =
-          Option.bind prev (fun cp ->
-              Option.map
-                (fun padded -> { cp with ch_set = padded })
-                (pad_with_any cp.ch_set))
-        in
-        per_k.(i) <- padded_choice;
-        (match padded_choice with
-        | Some c -> top.(i) <- c :: top.(i)
-        | None -> ())
-      end
-    done);
+      per_k.(i) <- padded_choice;
+      match padded_choice with Some c -> top.(i) <- c :: top.(i) | None -> ()
+    end
+  done;
   let res_runtime = Tka_obs.Clock.seconds_since t_start in
   Metrics.Counter.incr m_runs;
   Metrics.Gauge.set g_runtime res_runtime;

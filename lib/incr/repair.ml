@@ -8,8 +8,11 @@ module Iterate = Tka_noise.Iterate
 module J = Tka_obs.Jsonx
 module Log = Tka_obs.Log
 module Trace = Tka_obs.Trace
+module Metrics = Tka_obs.Metrics
 
 let log_src = Log.Src.create "repair" ~doc:"autonomous ECO repair loop"
+let m_trials = Metrics.Counter.make "repair.trials"
+let m_accepted = Metrics.Counter.make "repair.accepted"
 
 type move = Shield | Space | Strengthen
 
@@ -335,6 +338,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
   let trial (mv, edits) =
     Trace.with_span ~cat:"incr" ~args:[ ("edits", J.Int (List.length edits)) ] "repair.trial"
     @@ fun () ->
+    Metrics.Counter.incr m_trials;
     let a', dirty = Analyzer.apply !cur.p_state edits in
     let tns_after = tns_of a' in
     let elim', st = Analyzer.run ~filter a' in
@@ -392,6 +396,7 @@ let run ?(k = 10) ?(fix_k = 1) ?(budget = 10) ?target_delay ?(recover = 0.5)
         match accepted with
         | None -> outcome := Some Converged
         | Some t ->
+          Metrics.Counter.incr m_accepted;
           cur := t.tr_to;
           applied := !applied + List.length t.tr_edits;
           curve := (!applied, delay t.tr_to.p_state) :: !curve;

@@ -342,7 +342,10 @@ let run_except cx nl ~aggressors ~touched ~max_iterations ~tolerance =
 
 let run ?(active = All)
     ?(max_iterations = default_max_iterations) ?(tolerance = default_tolerance) ?ctx topo =
-  Trace.with_span ~cat:"noise" "iterate.run" @@ fun () ->
+  (* the all-aggressor fixpoint is a layer of its own; the runs that
+     score a set are [iterate.run]s *)
+  let span = match active with All -> "noise.fixpoint" | Only _ | Except _ -> "iterate.run" in
+  Trace.with_span ~cat:"noise" span @@ fun () ->
   let nl = Topo.netlist topo in
   let nn = N.num_nets nl in
   let base, all =

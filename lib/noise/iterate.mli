@@ -102,8 +102,9 @@ val run :
     ([iterate.reference_fallbacks]). Frontier evaluations, [Only]
     victims included, count in [iterate.frontier_victims].
 
-    Logs a warning (source [iterate]) if the iteration cap is hit
-    before convergence; each run updates the
+    A run is traced as a [noise.fixpoint] span under [All] and as an
+    [iterate.run] span otherwise. Logs a warning (source [iterate]) if
+    the iteration cap is hit before convergence; each run updates the
     [iterate.runs]/[iterate.passes]/[iterate.non_converged] counters
     and the [iterate.last_residual_ns] gauge when {!Tka_obs.Metrics} is
     enabled. *)

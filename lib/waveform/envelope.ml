@@ -46,10 +46,15 @@ let encapsulates ?interval a b =
 
 let noisy_waveform ~victim e = Pwl.sub (Transition.waveform victim) e
 
-let crossing_delay ~victim ~neg w e =
-  match Pwl.last_upcrossing2 ~neg w e 0.5 with
+let delay_past ~victim = function
   | None -> 0.
   | Some t -> Float.max 0. (t -. victim.Transition.t50)
+
+let crossing_delay ~victim ~neg w e = delay_past ~victim (Pwl.last_upcrossing2 ~neg w e 0.5)
+
+let floor w e = Pwl.floor_index ~level:0.5 (Pwl.sub w e)
+
+let floor_delay ~victim f e = delay_past ~victim (Pwl.floor_upcrossing f e)
 
 let delay_noise ~victim e =
   crossing_delay ~victim ~neg:true (Transition.waveform victim) e

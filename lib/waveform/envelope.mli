@@ -93,6 +93,16 @@ val crossing_delay : victim:Transition.t -> neg:bool -> Pwl.t -> t -> float
     envelopes against one victim builds that ramp once. One fused
     co-scan ({!Pwl.last_upcrossing2}): the sum is never built. *)
 
+val floor : Pwl.t -> t -> Pwl.floor
+(** [floor w e] indexes [w - e] at level 0.5 ({!Pwl.floor_index}), for
+    {!floor_delay}. The index copies the breakpoints out of the arena. *)
+
+val floor_delay : victim:Transition.t -> Pwl.floor -> t -> float
+(** [floor_delay ~victim (floor w e) e'] is
+    [crossing_delay ~victim ~neg:false (Pwl.sub w e) e'], bit for bit:
+    the delay left when [e'] is taken back out of [e]. It co-scans only
+    the part of the floor [e'] can change ({!Pwl.floor_upcrossing}). *)
+
 val noisy_waveform : victim:Transition.t -> t -> Pwl.t
 (** The superposition [victim - e], clipped to [\[0, 1\]] below/above
     nothing — the raw subtracted waveform whose crossing [delay_noise]

@@ -321,7 +321,10 @@ let sub a b = combine2 ~neg:true a b
    and [last_upcrossing]'s rightmost kept point below [level] that has
    a successor is remembered with that successor. The points, the
    rule and the final interpolation are those of the two-step path, so
-   the result is bit-identical. *)
+   the result is bit-identical. [up_point] takes one scanned point and
+   [up_close] ends the scan; the all-float record stores the state
+   unboxed, [upcount] the points scanned (capped at 2) and whether a
+   segment is remembered. *)
 type upcross = {
   mutable kx : float;
   mutable ky : float;  (* last kept point *)
@@ -331,47 +334,336 @@ type upcross = {
   mutable by0 : float;
   mutable bx1 : float;
   mutable by1 : float;  (* last kept segment rising from below [level] *)
+  mutable last : float;  (* last scanned abscissa ([floor_upcrossing]) *)
 }
+
+type upcount = { mutable cnt : int; mutable found : bool }
+
+let up_state () =
+  {
+    kx = 0.;
+    ky = 0.;
+    cx = 0.;
+    cy = 0.;
+    bx0 = 0.;
+    by0 = 0.;
+    bx1 = 0.;
+    by1 = 0.;
+    last = Float.neg_infinity;
+  }
+
+(* the kept segment (k, c) *)
+let[@inline] up_segment u z level =
+  if u.ky < level then begin
+    z.found <- true;
+    u.bx0 <- u.kx;
+    u.by0 <- u.ky;
+    u.bx1 <- u.cx;
+    u.by1 <- u.cy
+  end
+
+let[@inline] up_point u z level x y =
+  if z.cnt = 0 then begin
+    u.kx <- x;
+    u.ky <- y;
+    z.cnt <- 1
+  end
+  else begin
+    if z.cnt >= 2 && not (collinear u.kx u.ky u.cx u.cy x y) then begin
+      up_segment u z level;
+      u.kx <- u.cx;
+      u.ky <- u.cy
+    end;
+    u.cx <- x;
+    u.cy <- y;
+    z.cnt <- 2
+  end
+
+let[@inline] crossing_at level x0 y0 x1 y1 =
+  x0 +. ((x1 -. x0) *. (level -. y0) /. (y1 -. y0))
+
+let up_found u z level =
+  if z.found then Some (crossing_at level u.bx0 u.by0 u.bx1 u.by1) else None
+
+let up_close u z level =
+  let last_y = if z.cnt >= 2 then (up_segment u z level; u.cy) else u.ky in
+  if last_y < level then None else up_found u z level
 
 let last_upcrossing2 ~neg a b level =
   let s, p = scan_start () in
-  let u =
-    { kx = 0.; ky = 0.; cx = 0.; cy = 0.; bx0 = 0.; by0 = 0.; bx1 = 0.; by1 = 0. }
-  in
-  let found = ref false in
-  (* the kept segment (k, c) *)
-  let[@inline] segment () =
-    if u.ky < level then begin
-      found := true;
-      u.bx0 <- u.kx;
-      u.by0 <- u.ky;
-      u.bx1 <- u.cx;
-      u.by1 <- u.cy
-    end
-  in
-  let n = ref 0 in
+  let u = up_state () and z = { cnt = 0; found = false } in
   while scan_next a b s p do
-    let x = p.px and y = if neg then p.pya -. p.pyb else p.pya +. p.pyb in
-    if !n = 0 then begin
-      u.kx <- x;
-      u.ky <- y
-    end
-    else begin
-      if !n >= 2 && not (collinear u.kx u.ky u.cx u.cy x y) then begin
-        segment ();
-        u.kx <- u.cx;
-        u.ky <- u.cy
-      end;
-      u.cx <- x;
-      u.cy <- y
-    end;
-    incr n
+    up_point u z level p.px (if neg then p.pya -. p.pyb else p.pya +. p.pyb)
   done;
-  let last_y = if !n >= 2 then (segment (); u.cy) else u.ky in
-  if last_y < level || not !found then None
-  else
-    let x0 = u.bx0 and x1 = u.bx1 and y0 = u.by0 and y1 = u.by1 in
-    Some (x0 +. ((x1 -. x0) *. (level -. y0) /. (y1 -. y0)))
+  up_close u z level
+
+(* [last_upcrossing2 ~neg:false floor env level] for one [floor] and
+   many [env]s, visiting only the part of the floor that [env] can
+   change.
+
+   The index runs [up_point]'s rule over the co-scan of the floor and
+   [zero], whose one breakpoint, the lead point, lies where every sum
+   built on [zero] starts, and records, before each floor breakpoint i
+   (and after the last, i = len), the scan state in [st]: the last kept
+   point k, the undecided point c and the remembered segment (b0, b1),
+   two to an int, each an index into the private copy of the floor,
+   whose breakpoint len is the lead point, or -1 while unset. The
+   abscissa the [x_eps] dedupe compares with is c's, or k's while c is
+   unset. [rec_at] is the i such that the final segment was remembered
+   between states i and i + 1 (len: by the closing), so a scan that
+   leaves state i remembers another segment iff [rec_at >= i];
+   [answer] and [last_y] are the indexed scan's result and last
+   ordinate.
+
+   The kernel needs [env] to start and end at a zero ordinate and to be
+   nowhere negative, as every noise envelope is; other inputs take
+   [last_upcrossing2] and count as fallbacks.
+
+   - Start. When [env]'s first breakpoint lies at the lead point and
+     [env] is zero up to its second one, e1, the co-scan of [floor] and
+     [env] before e1 is the indexed one: the same merged abscissae in
+     the same order (ties go to the floor) with the same ordinates,
+     [env] being a zero there. So the co-scan reaches the first floor
+     breakpoint at or after e1 in the recorded state, and the kernel
+     starts there, past [env]'s first breakpoint. Any other [env] is
+     scanned from the start.
+   - Resync. Past [env]'s last breakpoint [env] is a zero again. When
+     the co-scan is about to take floor breakpoint i, the lead point
+     lies before it, and the state is the recorded state of i (same k
+     and c, hence the same dedupe abscissa), the two scans take the
+     same points from there on: if the indexed scan remembers a
+     segment after state i, its answer is the co-scan's; otherwise the
+     co-scan's segment stands, with the indexed scan's last ordinate.
+   - Stop. [guard] is one past the floor's last breakpoint below
+     [level] plus a margin of 2^-40 [bound], with [bound] one plus the
+     largest magnitude among the floor's ordinates and [level].
+     [value_at]'s interpolation falls at most 8 ulps of the larger end
+     magnitude below the lower end, so when [env]'s peak is at most
+     [bound], every point at or past the guard breakpoint sums to at
+     least [level]. Once the next point lies there and the kept and
+     undecided points are not below [level] either, no segment can
+     start below it any more and the last point is not below it: the
+     remembered segment is the answer.
+
+   Signed zeros: the co-scan's ordinates are [floor + ±0.], the floor's
+   own ordinates except that -0. may turn into +0., while the recorded
+   state holds the indexed scan's. A zero's sign changes no comparison
+   with [level] and no collinearity test (each difference is the other
+   operand or a zero, and only the cross product's magnitude is
+   tested); the final interpolation reads [level - y0] and [y1 - y0]
+   with y1 >= level, so y0's sign does not show either; and the resync
+   compares with [=], for which the two zeros are equal. *)
+type floor = {
+  fw : t;  (* the floor in a private exact array, the lead point after it *)
+  flevel : float;
+  st : int array;  (* (k, c), (b0, b1) before each floor breakpoint *)
+  rec_at : int;
+  answer : float option;
+  last_y : float;
+  guard : int;
+  bound : float;
+  mutable visited : int;
+  mutable full : int;
+  mutable fallbacks : int;
+}
+
+(* two indices in [-1, 2^31 - 1) in one int *)
+let[@inline] pair a b = ((a + 1) lsl 31) lor (b + 1)
+let[@inline] first_of p = (p lsr 31) - 1
+let[@inline] second_of p = (p land 0x7FFF_FFFF) - 1
+
+let floor_index ~level t =
+  let n = t.len and lead = gx zero 0 in
+  if n = 0 then invalid_arg "Pwl.floor_index: empty waveform";
+  let buf = Array.make (2 * (n + 1)) 0. in
+  Array.blit t.buf t.off buf 0 (2 * n);
+  let w = mk buf 0 n in
+  (* the co-scan takes the lead point after the floor breakpoints at or
+     before it, evaluating the floor with the cursor there *)
+  let lead_at = ref 0 in
+  while !lead_at < n && gx w !lead_at <= lead do
+    incr lead_at
+  done;
+  buf.(2 * n) <- lead;
+  buf.((2 * n) + 1) <- value_at buf 0 n !lead_at lead +. 0.;
+  let st = Array.make (2 * (n + 1)) 0 in
+  let k = ref (-1) and c = ref (-1) and b0 = ref (-1) and b1 = ref (-1) in
+  let rec_at = ref (-1) and last = ref Float.neg_infinity in
+  let save i =
+    st.(2 * i) <- pair !k !c;
+    st.((2 * i) + 1) <- pair !b0 !b1
+  in
+  let segment at =
+    if gy w !k < level then begin
+      b0 := !k;
+      b1 := !c;
+      rec_at := at
+    end
+  in
+  let step p at =
+    let x = gx w p and y = gy w p in
+    if x -. !last > x_eps then begin
+      last := x;
+      if !k < 0 then k := p
+      else begin
+        if !c >= 0 && not (collinear (gx w !k) (gy w !k) (gx w !c) (gy w !c) x y) then begin
+          segment at;
+          k := !c
+        end;
+        c := p
+      end
+    end
+  in
+  for i = 0 to n - 1 do
+    if i = !lead_at then step n (i - 1);
+    save i;
+    step i i
+  done;
+  if !lead_at = n then step n (n - 1);
+  save n;
+  let last_y = if !c >= 0 then (segment n; gy w !c) else gy w !k in
+  let answer =
+    if last_y < level || !b0 < 0 then None
+    else Some (crossing_at level (gx w !b0) (gy w !b0) (gx w !b1) (gy w !b1))
+  in
+  let bound = ref (1. +. Float.abs level) in
+  for i = 0 to n - 1 do
+    bound := Float.max !bound (1. +. Float.abs (gy w i))
+  done;
+  let high = level +. (0x1p-40 *. !bound) in
+  let g = ref n in
+  while !g > 0 && gy w (!g - 1) >= high do
+    decr g
+  done;
+  {
+    fw = w;
+    flevel = level;
+    st;
+    rec_at = !rec_at;
+    answer;
+    last_y;
+    guard = !g;
+    bound = !bound;
+    visited = 0;
+    full = 0;
+    fallbacks = 0;
+  }
+
+let floor_counts f =
+  let r = (f.visited, f.full, f.fallbacks) in
+  f.visited <- 0;
+  f.full <- 0;
+  f.fallbacks <- 0;
+  r
+
+let floor_upcrossing f env =
+  let w = f.fw and level = f.flevel in
+  let n = w.len and m = env.len in
+  let ok = ref (m > 0 && gy env 0 = 0. && gy env (m - 1) = 0.) and peak = ref 0. in
+  for j = 0 to m - 1 do
+    let y = gy env j in
+    if not (y >= 0.) then ok := false else if y > !peak then peak := y
+  done;
+  f.full <- f.full + n + m;
+  if not !ok then begin
+    f.fallbacks <- f.fallbacks + 1;
+    f.visited <- f.visited + n + m;
+    last_upcrossing2 ~neg:false w env level
+  end
+  else begin
+    let st = f.st in
+    let u = up_state () and z = { cnt = 0; found = false } in
+    let r = ref 0 and j0 = ref 0 in
+    let lead = gx zero 0 in
+    if gx env 0 = lead && (m = 1 || gy env 1 = 0.) then begin
+      (* restore at the first floor breakpoint at or after e1 *)
+      let e1 = if m = 1 then Float.infinity else gx env 1 in
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if gx w mid < e1 then lo := mid + 1 else hi := mid
+      done;
+      r := !lo;
+      j0 := 1;
+      let kc = st.(2 * !r) and b = st.((2 * !r) + 1) in
+      let k = first_of kc and c = second_of kc and b0 = first_of b in
+      if k >= 0 then begin
+        u.kx <- gx w k;
+        u.ky <- gy w k;
+        u.last <- u.kx;
+        z.cnt <- 1
+      end;
+      if c >= 0 then begin
+        u.cx <- gx w c;
+        u.cy <- gy w c;
+        u.last <- u.cx;
+        z.cnt <- 2
+      end;
+      if b0 >= 0 then begin
+        let b1 = second_of b in
+        z.found <- true;
+        u.bx0 <- gx w b0;
+        u.by0 <- gy w b0;
+        u.bx1 <- gx w b1;
+        u.by1 <- gy w b1
+      end
+    end;
+    let r = !r and j0 = !j0 in
+    let can_stop = f.guard < n && !peak <= f.bound in
+    let stop_x = if can_stop then gx w f.guard else Float.infinity in
+    let i = ref r and j = ref j0 and result = ref None and go = ref true in
+    while !go do
+      if !i >= n && !j >= m then begin
+        result := up_close u z level;
+        go := false
+      end
+      else begin
+        let xa = if !i < n then gx w !i else Float.infinity
+        and xb = if !j < m then gx env !j else Float.infinity in
+        if
+          can_stop
+          && Float.min xa xb >= stop_x
+          && (z.cnt = 0 || u.ky >= level)
+          && (z.cnt < 2 || u.cy >= level)
+        then begin
+          result := up_found u z level;
+          go := false
+        end
+        else if xa <= xb then begin
+          let i0 = !i in
+          let kc = st.(2 * i0) in
+          let k' = first_of kc and c' = second_of kc in
+          if
+            !j >= m && z.cnt >= 2 && c' >= 0 && xa > lead
+            && u.cx = gx w c' && u.cy = gy w c' && u.kx = gx w k' && u.ky = gy w k'
+          then begin
+            result :=
+              if f.rec_at >= i0 then f.answer
+              else if f.last_y < level then None
+              else up_found u z level;
+            go := false
+          end
+          else begin
+            i := i0 + 1;
+            if xa -. u.last > x_eps then begin
+              up_point u z level xa (gy w i0 +. value_at env.buf env.off m !j xa);
+              u.last <- xa
+            end
+          end
+        end
+        else begin
+          let j' = !j in
+          j := j' + 1;
+          if xb -. u.last > x_eps then begin
+            up_point u z level xb (value_at w.buf w.off n !i xb +. gy env j');
+            u.last <- xb
+          end
+        end
+      end
+    done;
+    f.visited <- f.visited + (!i - r) + (!j - j0);
+    !result
+  end
 
 (* k-way superposition: one pass over the union of all operand
    breakpoints. The operands are packed in one slice: operand c's

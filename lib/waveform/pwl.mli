@@ -149,6 +149,32 @@ val last_upcrossing2 : neg:bool -> t -> t -> float -> float option
     bit, from one co-scan that builds no waveform: the combined points
     are simplified and searched as they are scanned. *)
 
+type floor
+(** An index of one waveform (the floor) for {!floor_upcrossing}: a
+    private copy of its breakpoints, which outlives the arena scope it
+    was built in, and the state of {!last_upcrossing2}'s scan of it
+    plus {!zero} before each of them. *)
+
+val floor_index : level:float -> t -> floor
+(** [floor_index ~level floor]: one pass over [floor]. Raises
+    [Invalid_argument] on a waveform without breakpoints. *)
+
+val floor_upcrossing : floor -> t -> float option
+(** [floor_upcrossing (floor_index ~level floor) env] is
+    [last_upcrossing2 ~neg:false floor env level], bit for bit. When
+    [env] starts and ends at a zero ordinate and is nowhere negative (a
+    noise envelope), the co-scan starts at the recorded state past
+    [env]'s leading zero when [env] starts where {!zero}'s breakpoint
+    lies, as every sum built on {!zero} does, and ends where it
+    rejoins the recorded state past [env]'s end, or where no later
+    point can fall below [level]; otherwise the call is
+    [last_upcrossing2] (a fallback). *)
+
+val floor_counts : floor -> int * int * int
+(** The breakpoints {!floor_upcrossing} visited, the breakpoints a full
+    co-scan would have visited (floor plus [env], per call) and the
+    fallbacks, since the index was built or last asked; resets them. *)
+
 val first_upcrossing : t -> float -> float option
 
 val crossings : t -> float -> float list

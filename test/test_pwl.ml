@@ -593,9 +593,116 @@ let dominates_on_from_start ?(eps = 1e-9) iv a b =
   ok lo && ok hi
   && List.for_all (fun x -> x <= lo || x >= hi || ok x) (merged_abscissae a b)
 
+(* Floors and envelopes for the indexed elimination crossing. A floor
+   has up to 20 breakpoints on the same near-tolerance grid (half of
+   them on offsets around x = 0, where the index puts [Envelope.zero]'s
+   breakpoint, so that its dedupe can drop a floor breakpoint), with
+   ordinates that include -0., exact zeros and the crossing level; a
+   quarter of them end below 0.5, so they never come back above it.
+   An envelope is, in turn: [Envelope.zero] (one breakpoint at x = 0,
+   which most floors span); a noise-envelope-like operand (nowhere
+   negative, zero ends of either sign) over the floor, before its first
+   breakpoint or after its last, half of them summed with
+   [Envelope.zero] as the engine's extensions are; or, for the
+   fallback, one that ends above zero or dips below it. *)
+let floor_gen =
+  QCheck.Gen.(
+    let* coarse = bool and* offsets = oneofl [ [ 0; 2; 4 ]; [ -2; 1; 3 ] ] in
+    let* n = int_range 1 20 in
+    let* pts =
+      list_repeat n
+        (let* t = int_range (-4) 4 and* j = oneofl offsets in
+         let* y =
+           if coarse then oneofl [ -0.5; -0.; 0.; 0.25; 0.5; 0.5; 0.75; 1.; 1.5 ]
+           else float_range (-0.5) 1.5
+         in
+         return (t, j, y))
+    in
+    let pts = List.sort_uniq (fun (t, j, _) (t', j', _) -> compare (t, j) (t', j')) pts in
+    let* sink = int_bound 3 in
+    let pts = if sink = 0 then pts @ [ (5, 0, 0.25) ] else pts in
+    return (Pwl.create (List.map (fun (t, j, y) -> (near_x t j, y)) pts)))
+
+let zero_envelope = Tka_waveform.Envelope.(waveform zero)
+
+let env_gen =
+  QCheck.Gen.(
+    let* kind = int_bound 9 in
+    if kind = 0 then return zero_envelope
+    else
+      let* shift = oneofl [ 0; 0; 0; 0; -12; 12 ] in
+      let* n = int_range 1 8 and* offsets = oneofl [ [ 0; 2; 4 ]; [ 1; 3 ] ] in
+      let* pts =
+        list_repeat n
+          (let* t = int_range (-3) 3 and* j = oneofl offsets in
+           let* y = oneof [ oneofl [ 0.; -0.; 0.25; 0.5; 1. ]; float_range 0. 1.5 ] in
+           return (t + shift, j, y))
+      in
+      let pts = List.sort_uniq (fun (t, j, _) (t', j', _) -> compare (t, j) (t', j')) pts in
+      let* z0 = oneofl [ 0.; -0. ] and* z1 = oneofl [ 0.; -0. ] in
+      let last = List.length pts - 1 in
+      let env =
+        Pwl.create
+          (List.mapi
+             (fun i (t, j, y) ->
+               let y =
+                 if kind = 1 && i = last then 0.75
+                 else if kind = 2 && i = last / 2 then -0.25
+                 else if i = 0 then z0
+                 else if i = last then z1
+                 else y
+               in
+               (near_x t j, y))
+             pts)
+      in
+      let* summed = bool in
+      return (if summed then Pwl.add zero_envelope env else env))
+
+let arb_floor_case =
+  QCheck.make
+    ~print:(fun (floor, envs, level) ->
+      Printf.sprintf "floor=%s envs=[%s] level=%g" (Pwl.to_string floor)
+        (String.concat "; " (List.map Pwl.to_string envs))
+        level)
+    QCheck.Gen.(
+      let* floor = floor_gen and* envs = list_size (int_range 1 4) env_gen in
+      let* level = oneofl [ 0.5; 0.5; 0.5; 0.; 0.25; 1. ] in
+      return (floor, envs, level))
+
+(* The counters of the indexed crossing: a trapezoid summed with the
+   zero, as the engine's extensions are, is scanned from where its
+   leading zero ends to just past its last breakpoint, not over the
+   floor's tail; an envelope that ends above zero takes the full scan
+   and counts as a fallback; reading the counts resets them. *)
+let test_floor_counts () =
+  let floor =
+    Pwl.create (List.init 40 (fun i -> (float_of_int i, if i mod 2 = 0 then 0.2 else 0.7)))
+  in
+  let idx = Pwl.floor_index ~level:0.5 floor in
+  let trapezoid = Pwl.create [ (10., 0.); (11., 0.5); (12., 0.5); (13., 0.) ] in
+  let env = Pwl.add zero_envelope trapezoid in
+  let same a b = Alcotest.(check bool) "bit-identical" true (same_crossing a b) in
+  same (Pwl.floor_upcrossing idx env) (Pwl.last_upcrossing2 ~neg:false floor env 0.5);
+  let visited, full, fallbacks = Pwl.floor_counts idx in
+  Alcotest.(check int) "full scan" (40 + 5) full;
+  Alcotest.(check int) "no fallback" 0 fallbacks;
+  Alcotest.(check bool) "visits a few points" true (visited > 0 && visited <= 10);
+  let raised = Pwl.create [ (10., 0.); (11., 0.5) ] in
+  same (Pwl.floor_upcrossing idx raised) (Pwl.last_upcrossing2 ~neg:false floor raised 0.5);
+  Alcotest.(check (triple int int int)) "fallback" (42, 42, 1) (Pwl.floor_counts idx);
+  Alcotest.(check (triple int int int)) "reset" (0, 0, 0) (Pwl.floor_counts idx)
+
 let fused_tests =
   let open QCheck in
   [
+    Test.make ~name:"floor_upcrossing is last_upcrossing2 of the floor" ~count:4000
+      arb_floor_case (fun (floor, envs, level) ->
+        let idx = Pwl.floor_index ~level floor in
+        List.for_all
+          (fun env ->
+            same_crossing (Pwl.floor_upcrossing idx env)
+              (Pwl.last_upcrossing2 ~neg:false floor env level))
+          envs);
     Test.make ~name:"last_upcrossing2 is last_upcrossing of sub and add" ~count:3000
       arb_near_case (fun (a, b, _, level) ->
         same_crossing
@@ -694,5 +801,7 @@ let () =
             test_scoped_other_thread;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
-      ("fused", List.map QCheck_alcotest.to_alcotest fused_tests);
+      ( "fused",
+        Alcotest.test_case "floor counts" `Quick test_floor_counts
+        :: List.map QCheck_alcotest.to_alcotest fused_tests );
     ]
